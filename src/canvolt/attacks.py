@@ -175,14 +175,18 @@ def overcurrent_current(
     topo: BusTopology | None = None,
     i_max: float = 0.040,
     source_limit: Optional[float] = None,
+    v_high: float = 5.0,
 ) -> OvercurrentResult:
-    """Analytic pin current for 'passive' or 'active' overcurrent."""
+    """Analytic pin current for 'passive' or 'active' overcurrent.
+
+    v_high is the level the active attack drives P_H to.
+    """
     params = params or TransceiverParams()
     topo = topo or BusTopology()
     if variant == "passive":
         amps = params.v_dominant_canh / topo.r_load
     elif variant == "active":
-        amps = 5.0 / topo.r_load
+        amps = v_high / topo.r_load
     else:
         raise ValueError(f"unknown overcurrent variant {variant!r}")
     if source_limit is not None:

@@ -1,10 +1,23 @@
 """Deterministic scenario engine.
 
-Frames advance event by event at bit granularity; sub-bit physics
-(pulse phases, recovery tails, device trips) stay closed form. Device
-and damage accumulators integrate over piecewise-constant current
-segments, so a fuse can blow in the middle of a bit and the rest of the
-frame sees the recovered bus.
+Frames advance event by event. A frame attempt that an attack or a
+heating device could affect runs bit by bit; sub-bit physics (pulse
+phases, recovery tails, device trips) stay closed form. Device and
+damage accumulators integrate over piecewise-constant current segments,
+so a fuse can blow in the middle of a bit and the rest of the frame sees
+the recovered bus.
+
+A quiescent frame skips the per-bit work. It is quiescent when no attack
+window overlaps it and every thermostat is closed and at ambient. Then
+the attacker pins are inputs for the whole frame, every bit samples as
+driven, and the pins carry no current, so the frame is delivered after
+one accumulator step over its span. A frame that overlaps an attack
+window by any amount, or that starts while a thermostat is open, heated
+or cooling, always runs bit by bit.
+
+Bus solves depend only on the driven level and the attacker pin modes
+(topology and parameters are fixed for a run), so each scenario caches
+them on that pair.
 """
 
 from __future__ import annotations
@@ -255,6 +268,11 @@ class Summary:
     first_failure_reason: str
 
 
+def _coil_idle(coil: irs.ThermostatCoil, coil_i: float) -> bool:
+    """A closed thermostat at ambient with no coil current stays as it is."""
+    return coil_i == 0.0 and abs(coil.temp - coil.t_ambient) < 1e-6 and not coil.open
+
+
 def validate_config(cfg: ScenarioConfig) -> None:
     if cfg.duration <= 0.0:
         raise ConfigError("duration", "must be positive")
@@ -296,6 +314,11 @@ def validate_config(cfg: ScenarioConfig) -> None:
                     )
     if cfg.irs_config is not None and cfg.irs_config.pins not in ("both", "ph", "pl"):
         raise ConfigError("irs.pins", f"unknown pin selection {cfg.irs_config.pins!r}")
+    # a negative limit would count a pin carrying no current as over it
+    if cfg.irs_config is not None and cfg.irs_config.rating < 0.0:
+        raise ConfigError("irs.rating", "must not be negative")
+    if cfg.damage.i_max < 0.0:
+        raise ConfigError("damage.i_max", "must not be negative")
 
 
 # --- internal simulation -------------------------------------------------
@@ -363,6 +386,13 @@ class _Sim:
         self.retransmissions = 0
         self.first_failure = ""
         self.queues: dict = {e.name: [] for e in cfg.ecus if e.role == "sender"}
+        # a sender has one frame: its bus bits and ACK delimiter index
+        self.encoded = {
+            e.name: (bus_bits(e.frame, acked=True), ack_delimiter_index(e.frame))
+            for e in cfg.ecus
+            if e.role == "sender"
+        }
+        self.solutions: dict = {}  # (dominant, pins) -> read-only BusSolution
         self.sends: list = []
         for e in cfg.ecus:
             if e.role != "sender":
@@ -393,8 +423,12 @@ class _Sim:
         return p_h, p_l
 
     def solve(self, dominant: bool, t: float):
-        pins = {self.vids: self.pins_at(t)}
-        return solve_bus_detailed({"bus": dominant}, pins, self.topo, self.params)
+        pins = self.pins_at(t)
+        sol = self.solutions.get((dominant, pins))
+        if sol is None:
+            sol = solve_bus_detailed({"bus": dominant}, {self.vids: pins}, self.topo, self.params)
+            self.solutions[(dominant, pins)] = sol
+        return sol
 
     def vids_currents(self, dominant: bool, t: float):
         sol = self.solve(dominant, t)
@@ -506,7 +540,7 @@ class _Sim:
             coil_i = 0.0 if dev.open else i_raw[pin]
             if bank.coil_drive is not None and self.attack is not None and self.attack.active(a):
                 coil_i = 0.0 if dev.open else bank.coil_drive
-            if coil_i == 0.0 and abs(dev.temp - dev.t_ambient) < 1e-6 and not dev.open:
+            if _coil_idle(dev, coil_i):
                 continue
             max_dt = dev.tau_thermal / 10.0
             off = 0.0
@@ -539,7 +573,7 @@ class _Sim:
                         self.trace.add(a + dmg_off, "Damage", ecu=self.vids, line=pin)
                 else:
                     bank.damage[pin] = replace(dmg, over_timer=dmg.over_timer + stop_off)
-            else:
+            elif dmg.over_timer != 0.0:
                 bank.damage[pin] = replace(dmg, over_timer=0.0)
 
         # advance static trip timers, applying trips that bound this step
@@ -559,7 +593,8 @@ class _Sim:
                 bank.devices[pin] = dev
                 connectivity_changed = True
                 self._emit_trip(t_stop, pin, dev, opened=True)
-            elif stop_off > 0.0:
+            elif stop_off > 0.0 and (pin in trip_offs or dev.over_timer != 0.0):
+                # under its rating with a clear timer the device stays as it is
                 bank.devices[pin] = irs.device_step(dev, i_raw[pin], stop_off)
 
         for off, pin in flips:
@@ -619,14 +654,26 @@ class _Sim:
 
     # -- frame transmission ---------------------------------------------------------
 
+    def quiescent(self, t0: float, t1: float) -> bool:
+        """Nothing but the frame's own bits can act on the bus over [t0, t1).
+
+        No attack window overlaps it and every thermostat is closed and at
+        ambient, so the attacker pins are inputs and carry no current.
+        """
+        attack = self.attack
+        if attack is not None and attack.t_start < t1 and t0 < attack.t_end:
+            return False
+        return all(
+            _coil_idle(dev, 0.0)
+            for dev in self.bank.devices.values()
+            if isinstance(dev, irs.ThermostatCoil)
+        )
+
     def simulate_attempt(self, ecu: str, tx: _QueuedTx, t0: float) -> tuple:
         """Run one transmission attempt; returns (delivered, t_bus_free)."""
         f = tx.frame
-        bits = bus_bits(f, acked=True)
+        bits, ack_delim = self.encoded[ecu]
         bt = self.bit_time
-        hold = self.timing.decode_hold
-        release = DOMINANT_THRESHOLD - self.timing.hysteresis
-        ack_delim = ack_delimiter_index(f)
 
         if tx.attempts == 0:
             self.trace.add(t0, "FrameSent", ecu=ecu, value=float(f.id), detail=f.data.hex())
@@ -634,11 +681,50 @@ class _Sim:
             self.retransmissions += 1
             self.trace.add(t0, "Retransmission", ecu=ecu, value=float(f.id), detail=str(tx.attempts))
 
+        # the end of the last bit, rounded exactly as the per-bit loop does
+        t_last = t0 + (len(bits) - 1) * bt + bt
+        if self.quiescent(t0, t_last):
+            # every bit samples as driven; the accumulators see no current
+            self.advance_constant(t0, t_last, {"ph": 0.0, "pl": 0.0})
+            self.integrated_to = max(self.integrated_to, t_last)
+            error_bit, error_reason = None, ""
+        else:
+            error_bit, error_reason = self.sample_bits(bits, ack_delim, tx.attempts == 0, t0)
+
+        if error_bit is None:
+            t_end = t0 + len(bits) * bt
+            for lg in self.loggers[:1]:
+                self.trace.add(t_end, "FrameReceived", ecu=lg, value=float(f.id), detail=f.data.hex())
+            return True, t_end + INTERMISSION_BITS * bt
+
+        # error frame: 6 dominant flag bits drive the bus, then 8
+        # recessive delimiter bits and the intermission
+        if not self.first_failure:
+            self.first_failure = error_reason
+        err_start = t0 + (error_bit + 1) * bt
+        self.trace.add(err_start, "ErrorFrame", ecu=ecu, detail=error_reason)
+        cursor = err_start
+        flag_end = err_start + ERROR_FLAG_BITS * bt
+        while cursor < flag_end:
+            hi = self.next_segment_end(cursor, flag_end)
+            _, i = self.vids_currents(True, 0.5 * (cursor + hi))
+            cursor = self.advance_constant(cursor, hi, i)
+        self.integrated_to = max(self.integrated_to, flag_end)
+        t_free = flag_end + (ERROR_DELIMITER_BITS + INTERMISSION_BITS) * bt
+        return False, t_free
+
+    def sample_bits(self, bits: list, ack_delim: int, first_attempt: bool, t0: float) -> tuple:
+        """Drive and sample the frame bit by bit from t0.
+
+        Returns (error bit index, reason), or (None, "") when every bit
+        reads as driven.
+        """
+        bt = self.bit_time
+        hold = self.timing.decode_hold
+        release = DOMINANT_THRESHOLD - self.timing.hysteresis
         comp_state = BitDecision.RECESSIVE
         comp_run_start = t0 - 1.0  # idle bus precedes the frame
         prev_sampled = BitDecision.RECESSIVE
-        error_bit = None
-        error_reason = ""
         # a pulse on CANH drags the recovery out past each low phase
         canh_pulse = isinstance(self.attack, atk.PulseAttack) and self.attack.line == "canh"
         deviation_ext = self.cfg.params.transition_extension if canh_pulse else 0.0
@@ -692,43 +778,17 @@ class _Sim:
                     sampled = rs
                     break
 
-            if error_bit is None:
-                if dominant and sampled is BitDecision.RECESSIVE:
-                    error_bit = k
-                    error_reason = "bit_error"
-                elif (
-                    k == ack_delim
-                    and tx.attempts == 0
-                    and prev_sampled is BitDecision.DOMINANT
-                    and self.fra_stretch_corrupts(t_sample)
-                ):
-                    error_bit = k
-                    error_reason = "form_error_ack_delimiter"
-                if error_bit is not None:
-                    if not self.first_failure:
-                        self.first_failure = error_reason
-                    break
+            if dominant and sampled is BitDecision.RECESSIVE:
+                return k, "bit_error"
+            if (
+                k == ack_delim
+                and first_attempt
+                and prev_sampled is BitDecision.DOMINANT
+                and self.fra_stretch_corrupts(t_sample)
+            ):
+                return k, "form_error_ack_delimiter"
             prev_sampled = sampled
-
-        if error_bit is None:
-            t_end = t0 + len(bits) * bt
-            for lg in self.loggers[:1]:
-                self.trace.add(t_end, "FrameReceived", ecu=lg, value=float(f.id), detail=f.data.hex())
-            return True, t_end + INTERMISSION_BITS * bt
-
-        # error frame: 6 dominant flag bits drive the bus, then 8
-        # recessive delimiter bits and the intermission
-        err_start = t0 + (error_bit + 1) * bt
-        self.trace.add(err_start, "ErrorFrame", ecu=ecu, detail=error_reason)
-        cursor = err_start
-        flag_end = err_start + ERROR_FLAG_BITS * bt
-        while cursor < flag_end:
-            hi = self.next_segment_end(cursor, flag_end)
-            _, i = self.vids_currents(True, 0.5 * (cursor + hi))
-            cursor = self.advance_constant(cursor, hi, i)
-        self.integrated_to = max(self.integrated_to, flag_end)
-        t_free = flag_end + (ERROR_DELIMITER_BITS + INTERMISSION_BITS) * bt
-        return False, t_free
+        return None, ""
 
     def fra_stretch_corrupts(self, t_sample: float) -> bool:
         """Recessive-after-dominant still reads dominant at the sampler."""

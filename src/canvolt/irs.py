@@ -152,10 +152,6 @@ def thermostat_advance(state: ThermostatCoil, i: float, duration: float) -> Ther
     return state
 
 
-def device_is_open(device) -> bool:
-    return bool(device.open)
-
-
 def device_step(device, i: float, dt: float):
     """Dispatch to the matching step function."""
     if isinstance(device, FuseState):

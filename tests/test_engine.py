@@ -8,6 +8,7 @@ from canvolt.attacks import (
     ForcedRetransmission,
     PassiveOvercurrent,
     PulseAttack,
+    overcurrent_current,
 )
 from canvolt.engine import (
     ConfigError,
@@ -311,3 +312,23 @@ def test_validation_rejects_bad_configs():
                 attack=PulseAttack(period=1.0),
             )
         )
+
+
+def test_validation_rejects_negative_limits():
+    # with a negative limit an idle pin would count as over it
+    with pytest.raises(ConfigError, match="irs.rating"):
+        validate_config(scenario(irs=IrsConfig(device="fuse", rating=-0.01)))
+    with pytest.raises(ConfigError, match="damage.i_max"):
+        validate_config(scenario(damage=DamageParams(i_max=-1.0)))
+    validate_config(scenario(irs=IrsConfig(device="fuse", rating=0.0), damage=DamageParams(i_max=0.0)))
+
+
+@pytest.mark.parametrize("v_high", [3.0, 5.0])
+def test_active_overcurrent_predictor_matches_engine_samples(v_high):
+    attack = ActiveOvercurrent(t_start=1.0, t_end=3.0, v_high=v_high)
+    trace, _ = run_scenario(scenario(attack, duration=4.0))
+    samples = [r for r in trace.of_kind("PinCurrentSample") if attack.active(r.t)]
+    assert {r.line for r in samples} == {"ph", "pl"}
+    predicted = overcurrent_current("active", v_high=v_high).amps
+    for r in samples:
+        assert abs(r.value) == pytest.approx(predicted, rel=1e-12)
