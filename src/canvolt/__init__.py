@@ -41,7 +41,6 @@ from .engine import (
     CalibratedParams,
     ConfigError,
     DamageParams,
-    EcuDamage,
     EcuSpec,
     IrsConfig,
     ScenarioConfig,
@@ -49,7 +48,6 @@ from .engine import (
     SweepSpec,
     Trace,
     TraceRecord,
-    damage_step,
     message_indicator,
     run_scenario,
     run_sweep,
@@ -60,11 +58,8 @@ from .irs import (
     NotTripped,
     ResettableFuseState,
     ThermostatCoil,
-    breaker_reset,
-    breaker_step,
-    fuse_step,
+    TripTimer,
     resettable_fuse_current,
-    resettable_fuse_step,
     thermostat_step,
 )
 from .link import (
@@ -75,13 +70,10 @@ from .link import (
     FormError,
     Frame,
     IdCollision,
-    LinkState,
     StuffError,
     arbitrate,
-    decide_bit,
     decode_bitstream,
     encode_frame,
-    link_step,
     sample_bit,
 )
 

@@ -117,6 +117,24 @@ def resolve_pulse(mode: PinMode, t: float, phase_origin: float = 0.0) -> PinMode
     return OutputHigh(mode.v_low) if mode.v_low > 0.0 else OUTPUT_LOW
 
 
+def pulse_edges(pulse, phase_origin: float, lo: float, hi: float) -> list:
+    """Phase edges in [lo, hi) of a pulse whose high phase starts at phase_origin.
+
+    `pulse` is anything with a period and a duty, such as a Pulse mode
+    or a pulse attack.
+    """
+    period = pulse.period
+    high = pulse.duty * period
+    t = phase_origin + math.floor((lo - phase_origin) / period) * period
+    edges = []
+    while t < hi:
+        for edge in (t, t + high):
+            if lo <= edge < hi:
+                edges.append(edge)
+        t += period
+    return edges
+
+
 @dataclass(frozen=True)
 class TransceiverParams:
     """Output-stage model of a 5 V CAN transceiver.
@@ -380,7 +398,12 @@ def pin_current_profile(
             segs.append((duration, amps))
 
     for t0, t1, dominant in schedule:
-        for s0, s1 in _phase_segments(t0, t1, p_h, p_l, phase_origin):
+        cuts = {t0, t1}
+        for mode in (p_h, p_l):
+            if isinstance(mode, Pulse):
+                cuts.update(pulse_edges(mode, phase_origin, t0, t1))
+        ordered = sorted(cuts)
+        for s0, s1 in zip(ordered, ordered[1:]):
             mid = 0.5 * (s0 + s1)
             modes = (resolve_pulse(p_h, mid, phase_origin), resolve_pulse(p_l, mid, phase_origin))
             _, currents = solve_bus({"tx": dominant}, {"atk": modes}, topo, params)
@@ -388,21 +411,3 @@ def pin_current_profile(
             emit(segs_h, s1 - s0, pc.i_ph)
             emit(segs_l, s1 - s0, pc.i_pl)
     return {"p_h": segs_h, "p_l": segs_l}
-
-
-def _phase_segments(t0: float, t1: float, p_h: PinMode, p_l: PinMode, origin: float):
-    """Split [t0, t1) at every pulse phase boundary of either pin."""
-    cuts = {t0, t1}
-    for mode in (p_h, p_l):
-        if not isinstance(mode, Pulse):
-            continue
-        half = mode.duty * mode.period
-        k = math.floor((t0 - origin) / mode.period)
-        t = origin + k * mode.period
-        while t < t1:
-            for edge in (t, t + half):
-                if t0 < edge < t1:
-                    cuts.add(edge)
-            t += mode.period
-    ordered = sorted(cuts)
-    return list(zip(ordered, ordered[1:]))

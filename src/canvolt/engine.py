@@ -7,6 +7,12 @@ damage accumulators integrate over piecewise-constant current segments,
 so a fuse can blow in the middle of a bit and the rest of the frame sees
 the recovered bus.
 
+The engine owns the timeline and composes the library's models: bus
+solves and pulse phase edges from `electrical`, the receiver comparator
+`link.sample_bit`, and the `irs` devices, whose trip law
+(`irs.TripTimer`) is also each host pin's damage accumulator. Error
+frames and retransmission timing are computed here and nowhere else.
+
 A quiescent frame skips the per-bit work. It is quiescent when no attack
 window overlaps it and every thermostat is closed and at ambient. Then
 the attacker pins are inputs for the whole frame, every bit samples as
@@ -33,9 +39,11 @@ from .electrical import (
     BusTopology,
     Input,
     OutputHigh,
+    PinCurrents,
     TransceiverParams,
     TAU_RC_DEFAULT,
     NOMINAL_TRANSITION,
+    pulse_edges,
     solve_bus_detailed,
 )
 from .link import (
@@ -50,6 +58,7 @@ from .link import (
     bus_bits,
     ack_delimiter_index,
     frame_bit_length,
+    sample_bit,
 )
 
 TRACE_KINDS = (
@@ -188,28 +197,6 @@ class DamageParams:
 
 
 @dataclass(frozen=True)
-class EcuDamage:
-    """Pin-current abuse accumulator for one microcontroller pin."""
-
-    i_max: float = 0.040
-    damage_time: float = 1e-6
-    over_timer: float = 0.0
-    damaged: bool = False
-
-
-def damage_step(state: EcuDamage, i: float, dt: float) -> EcuDamage:
-    """Accumulate exposure strictly above the absolute maximum rating."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if state.damaged:
-        return state
-    if abs(i) > state.i_max:
-        timer = state.over_timer + dt
-        return replace(state, over_timer=timer, damaged=timer >= state.damage_time)
-    return replace(state, over_timer=0.0)
-
-
-@dataclass(frozen=True)
 class SweepSpec:
     path: str  # dotted attack parameter, e.g. 'attack.v_attack_l'
     start: float
@@ -273,6 +260,16 @@ def _coil_idle(coil: irs.ThermostatCoil, coil_i: float) -> bool:
     return coil_i == 0.0 and abs(coil.temp - coil.t_ambient) < 1e-6 and not coil.open
 
 
+def _limit_pin_currents(sol, limit: float):
+    """The solution with every pin current capped at `limit` amps either way."""
+
+    def cap(i: float) -> float:
+        return max(-limit, min(limit, i))
+
+    currents = {n: PinCurrents(cap(pc.i_ph), cap(pc.i_pl)) for n, pc in sol.pin_currents.items()}
+    return replace(sol, pin_currents=currents)
+
+
 def validate_config(cfg: ScenarioConfig) -> None:
     if cfg.duration <= 0.0:
         raise ConfigError("duration", "must be positive")
@@ -334,7 +331,11 @@ class _QueuedTx:
 
 
 class _PinBank:
-    """Per-pin device and damage accumulators for the VIDS host."""
+    """Per-pin device and damage accumulators for the VIDS host.
+
+    Pin damage follows the devices' own trip law: a pin is damaged once
+    its current stays above i_max for damage_time.
+    """
 
     def __init__(self, cfg: ScenarioConfig):
         self.devices = {"ph": None, "pl": None}
@@ -345,7 +346,11 @@ class _PinBank:
             if cfg.irs_config.pins in ("both", "pl"):
                 self.devices["pl"] = cfg.irs_config.build()
             self.coil_drive = cfg.irs_config.coil_drive
-        dmg = EcuDamage(i_max=cfg.damage.i_max, damage_time=cfg.damage.damage_time)
+        self.trip_pins = tuple(p for p, d in self.devices.items() if isinstance(d, irs.TripTimer))
+        self.coil_pins = tuple(
+            p for p, d in self.devices.items() if isinstance(d, irs.ThermostatCoil)
+        )
+        dmg = irs.TripTimer(rating=cfg.damage.i_max, opening_time=cfg.damage.damage_time)
         self.damage = {"ph": dmg, "pl": dmg}
         self.trip_times: dict = {}
         self.damaged_at: float | None = None
@@ -366,7 +371,7 @@ class _PinBank:
 
     @property
     def damaged(self) -> bool:
-        return self.damage["ph"].damaged or self.damage["pl"].damaged
+        return self.damage["ph"].tripped or self.damage["pl"].tripped
 
 
 class _Sim:
@@ -378,6 +383,9 @@ class _Sim:
         self.timing = cfg.params.timing(cfg.bus_speed)
         self.bit_time = self.timing.bit_time
         self.attack = cfg.attack
+        self.source_limit = (
+            cfg.attack.source_limit if isinstance(cfg.attack, atk.ActiveOvercurrent) else None
+        )
         self.vids = next(e.name for e in cfg.ecus if e.role == "vids-host")
         self.loggers = sorted(e.name for e in cfg.ecus if e.role == "logger")
         self.bank = _PinBank(cfg)
@@ -427,6 +435,8 @@ class _Sim:
         sol = self.solutions.get((dominant, pins))
         if sol is None:
             sol = solve_bus_detailed({"bus": dominant}, {self.vids: pins}, self.topo, self.params)
+            if self.source_limit is not None:
+                sol = _limit_pin_currents(sol, self.source_limit)
             self.solutions[(dominant, pins)] = sol
         return sol
 
@@ -445,24 +455,15 @@ class _Sim:
         no current in either phase, so idle integration skips them.
         """
         cuts = {a, b}
-        if self.attack is not None:
-            for edge in (self.attack.t_start, self.attack.t_end):
+        attack = self.attack
+        if attack is not None:
+            for edge in (attack.t_start, attack.t_end):
                 if a < edge < b:
                     cuts.add(edge)
-            if pulse_cuts and isinstance(self.attack, atk.PulseAttack):
-                lo = max(a, self.attack.t_start)
-                hi = min(b, self.attack.t_end)
-                if lo < hi:
-                    per = self.attack.period
-                    half = self.attack.duty * per
-                    origin = self.attack.phase_origin
-                    k = math.floor((lo - origin) / per)
-                    t = origin + k * per
-                    while t < hi:
-                        for edge in (t, t + half):
-                            if lo < edge < hi:
-                                cuts.add(edge)
-                        t += per
+            if pulse_cuts and isinstance(attack, atk.PulseAttack):
+                lo = max(a, attack.t_start)
+                hi = min(b, attack.t_end)
+                cuts.update(pulse_edges(attack, attack.phase_origin, lo, hi))
         return sorted(cuts)
 
     def next_segment_end(self, a: float, b: float) -> float:
@@ -519,91 +520,61 @@ class _Sim:
         """
         bank = self.bank
         span = b - a
+
+        # closed trip devices bound the exposure window
         stop_off = span
+        for pin in bank.trip_pins:
+            stop_off = min(stop_off, bank.devices[pin].time_to_trip(i_raw[pin]))
 
-        # closed static devices bound the exposure window
-        trip_offs = {}
-        for pin in ("ph", "pl"):
-            dev = bank.devices[pin]
-            if dev is None or isinstance(dev, irs.ThermostatCoil) or dev.open:
-                continue
-            if abs(i_raw[pin]) > dev.rating:
-                trip_offs[pin] = dev.opening_time - dev.over_timer
-                stop_off = min(stop_off, trip_offs[pin])
-
-        # thermostats step on a coarse grid; a flip also bounds exposure
+        # so does a thermostat flip
         flips: list = []
-        for pin in ("ph", "pl"):
+        driven_coil = (
+            bank.coil_drive is not None and self.attack is not None and self.attack.active(a)
+        )
+        for pin in bank.coil_pins:
             dev = bank.devices[pin]
-            if not isinstance(dev, irs.ThermostatCoil):
-                continue
-            coil_i = 0.0 if dev.open else i_raw[pin]
-            if bank.coil_drive is not None and self.attack is not None and self.attack.active(a):
-                coil_i = 0.0 if dev.open else bank.coil_drive
+            coil_i = 0.0 if dev.open else bank.coil_drive if driven_coil else i_raw[pin]
             if _coil_idle(dev, coil_i):
                 continue
-            max_dt = dev.tau_thermal / 10.0
-            off = 0.0
-            while off < stop_off:
-                dt = min(max_dt, stop_off - off)
-                was_open = dev.open
-                dev = irs.thermostat_step(dev, coil_i, dt)
-                off += dt
-                if dev.open != was_open:
-                    flips.append((off, pin))
-                    stop_off = off
-                    break
-            bank.devices[pin] = dev
+            bank.devices[pin], off = irs.thermostat_advance(dev, coil_i, stop_off)
+            if bank.devices[pin].open != dev.open:
+                flips.append((off, pin))
+                stop_off = off
 
-        # effective currents through the devices (a tripped resettable caps)
-        currents = {p: bank.gated_current(p, i_raw[p]) for p in ("ph", "pl")}
-
-        # damage triggers strictly inside the bounded exposure; a trip at
-        # the same instant interrupts the current first
+        # damage triggers strictly inside the bounded exposure: when a
+        # device trips at the damage deadline it cuts the current first,
+        # leaving the damage timer full but not tripped
         for pin in ("ph", "pl"):
             dmg = bank.damage[pin]
-            if dmg.damaged:
+            if dmg.tripped:
                 continue
-            if abs(currents[pin]) > dmg.i_max:
-                dmg_off = max(0.0, dmg.damage_time - dmg.over_timer)
-                if dmg_off < stop_off:
-                    bank.damage[pin] = replace(dmg, over_timer=dmg.damage_time, damaged=True)
-                    if bank.damaged_at is None:
-                        bank.damaged_at = a + dmg_off
-                        self.trace.add(a + dmg_off, "Damage", ecu=self.vids, line=pin)
-                else:
-                    bank.damage[pin] = replace(dmg, over_timer=dmg.over_timer + stop_off)
-            elif dmg.over_timer != 0.0:
-                bank.damage[pin] = replace(dmg, over_timer=0.0)
+            i = bank.gated_current(pin, i_raw[pin])
+            deadline = dmg.time_to_trip(i)
+            if deadline == stop_off:
+                bank.damage[pin] = replace(dmg, over_timer=dmg.opening_time)
+                continue
+            bank.damage[pin] = dmg.advance(i, stop_off)
+            if deadline < stop_off and bank.damaged_at is None:
+                bank.damaged_at = a + deadline
+                self.trace.add(a + deadline, "Damage", ecu=self.vids, line=pin)
 
-        # advance static trip timers, applying trips that bound this step
+        # advance trip devices; a trip is what bounded this step
         connectivity_changed = False
         t_stop = b if stop_off >= span else a + stop_off
-        for pin in ("ph", "pl"):
+        for pin in bank.trip_pins:
             dev = bank.devices[pin]
-            if dev is None or isinstance(dev, irs.ThermostatCoil) or dev.open:
+            if dev.tripped:
                 continue
-            if trip_offs.get(pin) == stop_off:
-                dev = replace(dev, over_timer=dev.opening_time)
-                dev = (
-                    replace(dev, blown=True)
-                    if isinstance(dev, irs.FuseState)
-                    else replace(dev, tripped=True)
-                )
-                bank.devices[pin] = dev
+            bank.devices[pin] = dev = irs.device_step(dev, i_raw[pin], stop_off)
+            if dev.tripped:
                 connectivity_changed = True
                 self._emit_trip(t_stop, pin, dev, opened=True)
-            elif stop_off > 0.0 and (pin in trip_offs or dev.over_timer != 0.0):
-                # under its rating with a clear timer the device stays as it is
-                bank.devices[pin] = irs.device_step(dev, i_raw[pin], stop_off)
 
         for off, pin in flips:
             connectivity_changed = True
             self._emit_trip(a + off, pin, bank.devices[pin], opened=bank.devices[pin].open)
 
-        if connectivity_changed:
-            return t_stop
-        return b
+        return t_stop if connectivity_changed else b
 
     def advance_idle(self, target: float) -> float:
         """Integrate the idle bus up to target; early-return on changes."""
@@ -663,11 +634,7 @@ class _Sim:
         attack = self.attack
         if attack is not None and attack.t_start < t1 and t0 < attack.t_end:
             return False
-        return all(
-            _coil_idle(dev, 0.0)
-            for dev in self.bank.devices.values()
-            if isinstance(dev, irs.ThermostatCoil)
-        )
+        return all(_coil_idle(self.bank.devices[p], 0.0) for p in self.bank.coil_pins)
 
     def simulate_attempt(self, ecu: str, tx: _QueuedTx, t0: float) -> tuple:
         """Run one transmission attempt; returns (delivered, t_bus_free)."""
@@ -720,20 +687,16 @@ class _Sim:
         reads as driven.
         """
         bt = self.bit_time
-        hold = self.timing.decode_hold
-        release = DOMINANT_THRESHOLD - self.timing.hysteresis
-        comp_state = BitDecision.RECESSIVE
-        comp_run_start = t0 - 1.0  # idle bus precedes the frame
+        comparator = (BitDecision.RECESSIVE, t0 - 1.0)  # idle bus precedes the frame
         prev_sampled = BitDecision.RECESSIVE
         # a pulse on CANH drags the recovery out past each low phase
         canh_pulse = isinstance(self.attack, atk.PulseAttack) and self.attack.line == "canh"
-        deviation_ext = self.cfg.params.transition_extension if canh_pulse else 0.0
+        extension = self.cfg.params.transition_extension if canh_pulse else 0.0
 
         for k, bit in enumerate(bits):
             b0 = t0 + k * bt
             b1 = b0 + bt
             dominant = bit == 0
-            t_sample = b0 + self.timing.sample_point * bt
 
             pieces = []
             cursor = b0
@@ -747,44 +710,15 @@ class _Sim:
                 cursor = reached
             self.integrated_to = max(self.integrated_to, b1)
 
-            # comparator trajectory over the bit's constant pieces
-            runs = []
-            for (pa, _, v) in pieces:
-                new = (
-                    BitDecision.DOMINANT
-                    if v >= DOMINANT_THRESHOLD
-                    else BitDecision.RECESSIVE
-                    if v < release
-                    else comp_state
-                )
-                if new != comp_state:
-                    runs.append((comp_run_start, pa, comp_state))
-                    comp_state = new
-                    comp_run_start = pa
-            runs.append((comp_run_start, b1, comp_state))
-
-            # the bit reads its driven level unless a deviation persists
-            # past the controller's hold while covering the sample point;
-            # deviation time before the bit belongs to the previous bit.
-            # 1 ps slop absorbs float noise in absolute-time differences.
             driven = BitDecision.DOMINANT if dominant else BitDecision.RECESSIVE
-            sampled = driven
-            for ra, rb, rs in runs:
-                if rs is driven:
-                    continue
-                ra_c = max(ra, b0)
-                rb_eff = rb + deviation_ext if (dominant and deviation_ext) else rb
-                if ra_c <= t_sample < rb_eff and (rb_eff - ra_c) >= hold - 1e-12:
-                    sampled = rs
-                    break
-
+            sampled, comparator = sample_bit(pieces, driven, self.timing, comparator, extension)
             if dominant and sampled is BitDecision.RECESSIVE:
                 return k, "bit_error"
             if (
                 k == ack_delim
                 and first_attempt
                 and prev_sampled is BitDecision.DOMINANT
-                and self.fra_stretch_corrupts(t_sample)
+                and self.fra_stretch_corrupts(b0 + self.timing.sample_point * bt)
             ):
                 return k, "form_error_ack_delimiter"
             prev_sampled = sampled

@@ -1,11 +1,15 @@
 """Protective devices placed in series with the monitored analog pins.
 
-Every device is an immutable value advanced by step functions; the
-caller owns the timeline and feeds piecewise-constant currents.
+Every device is an immutable value; the caller owns the timeline and
+feeds piecewise-constant currents. Fuses, breakers and resettable fuses
+share one threshold-plus-duration trip law, `TripTimer`, which also
+serves as the microcontroller pin's damage accumulator. The thermostat
+is a first-order thermal model stepped on a grid of tau_thermal/10.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 
@@ -14,33 +18,12 @@ class NotTripped(ValueError):
 
 
 @dataclass(frozen=True)
-class FuseState:
-    """Threshold-plus-duration trip; blowing is permanent."""
+class TripTimer:
+    """Trips once |i| has stayed strictly above `rating` for `opening_time`.
 
-    rating: float = 0.010
-    opening_time: float = 1e-6
-    over_timer: float = 0.0
-    blown: bool = False
-
-    @property
-    def open(self) -> bool:
-        return self.blown
-
-
-def fuse_step(state: FuseState, i: float, dt: float) -> FuseState:
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if state.blown:
-        return state
-    if abs(i) > state.rating:
-        timer = state.over_timer + dt
-        return replace(state, over_timer=timer, blown=timer >= state.opening_time)
-    return replace(state, over_timer=0.0)
-
-
-@dataclass(frozen=True)
-class BreakerState:
-    """Same trip law as a fuse, but manually resettable."""
+    The timer clears whenever the current drops to the rating or below.
+    A trip is absorbing.
+    """
 
     rating: float = 0.010
     opening_time: float = 1e-6
@@ -51,48 +34,46 @@ class BreakerState:
     def open(self) -> bool:
         return self.tripped
 
+    def time_to_trip(self, i: float) -> float:
+        """Time until the trip at constant current i; inf when it never trips."""
+        if self.tripped or abs(i) <= self.rating:
+            return math.inf
+        left = self.opening_time - self.over_timer
+        return left if left > 0.0 else 0.0
 
-def breaker_step(state: BreakerState, i: float, dt: float) -> BreakerState:
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if state.tripped:
-        return state
-    if abs(i) > state.rating:
-        timer = state.over_timer + dt
-        return replace(state, over_timer=timer, tripped=timer >= state.opening_time)
-    return replace(state, over_timer=0.0)
-
-
-def breaker_reset(state: BreakerState) -> BreakerState:
-    if not state.tripped:
-        raise NotTripped("breaker is closed")
-    return replace(state, tripped=False, over_timer=0.0)
+    def advance(self, i: float, dt: float):
+        """The state after dt of constant current i."""
+        if dt <= 0.0:
+            raise ValueError("dt must be positive")
+        if self.tripped:
+            return self
+        if abs(i) <= self.rating:
+            return replace(self, over_timer=0.0) if self.over_timer else self
+        if dt >= self.opening_time - self.over_timer:
+            return replace(self, over_timer=self.opening_time, tripped=True)
+        return replace(self, over_timer=self.over_timer + dt)
 
 
 @dataclass(frozen=True)
-class ResettableFuseState:
+class FuseState(TripTimer):
+    """Blowing is permanent."""
+
+
+@dataclass(frozen=True)
+class BreakerState(TripTimer):
+    """A fuse that can be reset by hand."""
+
+    def reset(self) -> "BreakerState":
+        if not self.tripped:
+            raise NotTripped("breaker is closed")
+        return replace(self, tripped=False, over_timer=0.0)
+
+
+@dataclass(frozen=True)
+class ResettableFuseState(TripTimer):
     """PTC device: trips like a fuse but keeps passing a leakage current."""
 
-    rating: float = 0.010
-    opening_time: float = 1e-6
     leakage_current: float = 0.100
-    over_timer: float = 0.0
-    tripped: bool = False
-
-    @property
-    def open(self) -> bool:
-        return self.tripped
-
-
-def resettable_fuse_step(state: ResettableFuseState, i: float, dt: float) -> ResettableFuseState:
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if state.tripped:
-        return state
-    if abs(i) > state.rating:
-        timer = state.over_timer + dt
-        return replace(state, over_timer=timer, tripped=timer >= state.opening_time)
-    return replace(state, over_timer=0.0)
 
 
 def resettable_fuse_current(state: ResettableFuseState, i_source_capability: float) -> float:
@@ -140,26 +121,33 @@ def thermostat_step(state: ThermostatCoil, i: float, dt: float) -> ThermostatCoi
     return replace(state, temp=temp, open=is_open)
 
 
-def thermostat_advance(state: ThermostatCoil, i: float, duration: float) -> ThermostatCoil:
-    """Step the thermal model across an interval of constant current."""
-    if duration <= 0.0:
-        return state
+def thermostat_advance(state: ThermostatCoil, i: float, duration: float) -> tuple:
+    """Step the thermal model at constant current for up to `duration`.
+
+    Steps are tau_thermal/10 long, the last one shorter, and stop at the
+    first open/close flip. Returns (state, elapsed), where elapsed is the
+    flip time, or `duration` when the switch did not move.
+    """
     max_dt = state.tau_thermal / 10.0
-    steps = max(1, int(duration // max_dt) + (1 if duration % max_dt else 0))
-    dt = duration / steps
-    for _ in range(steps):
+    elapsed = 0.0
+    while elapsed < duration:
+        dt = min(max_dt, duration - elapsed)
+        was_open = state.open
         state = thermostat_step(state, i, dt)
-    return state
+        elapsed += dt
+        if state.open != was_open:
+            break
+    return state, elapsed
 
 
 def device_step(device, i: float, dt: float):
-    """Dispatch to the matching step function."""
-    if isinstance(device, FuseState):
-        return fuse_step(device, i, dt)
-    if isinstance(device, BreakerState):
-        return breaker_step(device, i, dt)
-    if isinstance(device, ResettableFuseState):
-        return resettable_fuse_step(device, i, dt)
+    """Advance any protective device over dt of constant current.
+
+    A thermostat is stepped through every flip on the way.
+    """
     if isinstance(device, ThermostatCoil):
-        return thermostat_advance(device, i, dt)
-    raise TypeError(f"unknown protective device {device!r}")
+        while dt > 0.0:
+            device, elapsed = thermostat_advance(device, i, dt)
+            dt -= elapsed
+        return device
+    return device.advance(i, dt)

@@ -1,20 +1,19 @@
 """CAN 2.0A data-link layer.
 
-Frame codec with bit stuffing and CRC-15, receiver bit decisions,
-arbitration, and the error/retransmission state machine. Bits are ints:
-0 is dominant, 1 is recessive.
+Frame codec with bit stuffing and CRC-15, the receiver's bit decision
+over piecewise-constant line voltages, and arbitration. Bits are ints:
+0 is dominant, 1 is recessive. Error frames and retransmission timing
+live in the scenario engine, which owns the timeline.
 """
 
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 CRC_POLY = 0x4599
-DOMINANT_THRESHOLD = 0.9   # v_diff above this always reads dominant
-RECESSIVE_THRESHOLD = 0.5  # v_diff below this always reads recessive
+DOMINANT_THRESHOLD = 0.9  # the receiver comparator engages dominant at this v_diff
 
 ERROR_FLAG_BITS = 6
 ERROR_DELIMITER_BITS = 8
@@ -82,6 +81,11 @@ class BitTiming:
             raise ValueError(f"sample_point {self.sample_point!r} outside (0, 1)")
         if self.decode_hold <= 0.0:
             raise ValueError("decode_hold must be positive")
+        # the comparator releases at DOMINANT_THRESHOLD - hysteresis
+        if not 0.0 <= self.hysteresis < DOMINANT_THRESHOLD:
+            raise ValueError(
+                f"hysteresis {self.hysteresis!r} outside [0, {DOMINANT_THRESHOLD})"
+            )
 
     @property
     def bit_time(self) -> float:
@@ -253,15 +257,6 @@ def decode_bitstream(bits: Sequence[int]) -> Frame:
     return frame
 
 
-def decide_bit(v_diff: float, prev: BitDecision, timing: BitTiming | None = None) -> BitDecision:
-    """Static threshold decision with an undefined hold band between."""
-    if v_diff > DOMINANT_THRESHOLD:
-        return BitDecision.DOMINANT
-    if v_diff < RECESSIVE_THRESHOLD:
-        return BitDecision.RECESSIVE
-    return prev
-
-
 def arbitrate(contenders: Sequence[Frame]) -> Frame:
     """Lowest identifier wins bus access."""
     if not contenders:
@@ -273,195 +268,55 @@ def arbitrate(contenders: Sequence[Frame]) -> Frame:
     return min(contenders, key=lambda f: f.id)
 
 
-def comparator_runs(
-    waveform: Callable[[float], float],
-    t0: float,
-    t1: float,
-    entry: BitDecision,
+def sample_bit(
+    pieces: Sequence[tuple],
+    driven: BitDecision,
     timing: BitTiming,
-    resolution: float = 1e-9,
-) -> list:
-    """Receiver comparator trajectory over [t0, t1] as (start, end, state).
+    comparator: tuple,
+    transition_extension: float = 0.0,
+) -> tuple:
+    """Controller decision for one bit of piecewise-constant v_diff.
 
-    The comparator engages dominant at v_diff >= 0.9 and releases to
-    recessive below 0.9 - hysteresis. Crossings of a generic waveform
-    are bracketed on a fine grid and refined by bisection.
+    pieces are the bit's contiguous (start, end, v_diff) spans. The
+    receiver comparator engages dominant at v_diff >= DOMINANT_THRESHOLD,
+    releases below DOMINANT_THRESHOLD - hysteresis and holds in between;
+    `comparator` is its (level, since) state when the bit starts.
+
+    The bit reads its driven level unless a comparator run at the other
+    level covers the sample point and lasts at least decode_hold; time
+    before the bit belongs to the previous bit. On a dominant bit a
+    recessive run counts transition_extension longer: the line transition
+    that follows a CANH pulse's low phase. 1 ps of slop absorbs float
+    noise in absolute-time differences.
+
+    Returns (decision, comparator state at the bit's end).
     """
     release = DOMINANT_THRESHOLD - timing.hysteresis
-    steps = max(2, int(math.ceil((t1 - t0) / resolution)))
-    dt = (t1 - t0) / steps
-
-    def refine(a: float, b: float, level: float) -> float:
-        for _ in range(80):
-            m = 0.5 * (a + b)
-            if (waveform(a) - level) * (waveform(m) - level) <= 0.0:
-                b = m
-            else:
-                a = m
-        return 0.5 * (a + b)
-
-    runs: list = []
-    state = entry
-    run_start = t0
-    t_prev = t0
-    for k in range(1, steps + 1):
-        t = t0 + k * dt
-        v = waveform(t)
-        if state is BitDecision.RECESSIVE and v >= DOMINANT_THRESHOLD:
-            cross = refine(t_prev, t, DOMINANT_THRESHOLD)
-            runs.append((run_start, cross, state))
-            state = BitDecision.DOMINANT
-            run_start = cross
-        elif state is BitDecision.DOMINANT and v < release:
-            cross = refine(t_prev, t, release)
-            runs.append((run_start, cross, state))
-            state = BitDecision.RECESSIVE
-            run_start = cross
-        t_prev = t
-    runs.append((run_start, t1, state))
-    return [(a, b, s) for a, b, s in runs if b > a]
-
-
-def registered_at(runs: Sequence[tuple], t: float, decode_hold: float, entry: BitDecision) -> BitDecision:
-    """Level registered by the controller at time t.
-
-    A run shorter than decode_hold is a transient the controller never
-    latches; the preceding registered level persists through it.
-    """
-    registered = entry
-    for start, end, state in runs:
-        if start > t:
-            break
-        if end - start >= decode_hold:
-            registered = state
-        if start <= t < end:
-            if end - start >= decode_hold:
-                return state
-            return registered
-    return registered
-
-
-def sample_bit(
-    waveform: Callable[[float], float],
-    bit_start: float,
-    timing: BitTiming,
-    prev: BitDecision,
-) -> BitDecision:
-    """Controller decision for the bit starting at bit_start.
-
-    Tracks the comparator across the bit and reads the registered level
-    at the sample point; transients shorter than decode_hold are ignored.
-    """
-    bt = timing.bit_time
-    runs = comparator_runs(waveform, bit_start, bit_start + bt, prev, timing)
-    # entry run continues the previous bit's level, so it is never a transient
-    if runs and runs[0][2] is prev:
-        first = runs[0]
-        runs[0] = (first[0] - timing.decode_hold, first[1], first[2])
-    t_sample = bit_start + timing.sample_point * bt
-    return registered_at(runs, t_sample, timing.decode_hold, prev)
-
-
-# --- transmit queue / error handling -----------------------------------
-
-
-@dataclass(frozen=True)
-class QueuedFrame:
-    frame: Frame
-    enqueued_at: float
-    attempts: int = 0
-
-
-@dataclass(frozen=True)
-class LinkState:
-    """Per-ECU transmit bookkeeping; a value stepped by the caller."""
-
-    queue: tuple = ()
-    retransmissions: int = 0
-    error_active: bool = True
-    last_error_t: float | None = None
-
-
-@dataclass(frozen=True)
-class Enqueue:
-    frame: Frame
-    t: float
-
-
-@dataclass(frozen=True)
-class TxError:
-    """Transmission aborted at a stuffed bit index of the current frame."""
-
-    t_start: float
-    bit_index: int
-    reason: str
-
-
-@dataclass(frozen=True)
-class TxSuccess:
-    t_start: float
-
-
-@dataclass(frozen=True)
-class EmitErrorFrame:
-    t_start: float
-    t_end: float
-    reason: str
-
-
-@dataclass(frozen=True)
-class Retransmit:
-    t_start: float
-
-
-@dataclass(frozen=True)
-class Deliver:
-    frame: Frame
-    t: float
-
-
-def link_step(state: LinkState, event, timing: BitTiming | None = None) -> tuple:
-    """Advance the transmit state machine; returns (state, actions).
-
-    On an error the frame stays queued, an error frame (6 dominant bits
-    plus delimiter) goes out from the next bit boundary, and the
-    retransmission starts after the intermission.
-    """
-    timing = timing or BitTiming()
-    bt = timing.bit_time
-
-    if isinstance(event, Enqueue):
-        q = state.queue + (QueuedFrame(event.frame, event.t),)
-        return replace(state, queue=q), []
-
-    if isinstance(event, TxError):
-        if not state.queue:
-            raise ValueError("TxError with an empty queue")
-        head = state.queue[0]
-        err_start = event.t_start + (event.bit_index + 1) * bt
-        err_end = err_start + (ERROR_FLAG_BITS + ERROR_DELIMITER_BITS) * bt
-        retry = err_end + INTERMISSION_BITS * bt
-        q = (replace(head, attempts=head.attempts + 1),) + state.queue[1:]
-        new = replace(
-            state,
-            queue=q,
-            retransmissions=state.retransmissions + 1,
-            last_error_t=err_start,
+    level, since = comparator
+    runs = []
+    for start, _, v in pieces:
+        new = (
+            BitDecision.DOMINANT
+            if v >= DOMINANT_THRESHOLD
+            else BitDecision.RECESSIVE
+            if v < release
+            else level
         )
-        return new, [EmitErrorFrame(err_start, err_end, event.reason), Retransmit(retry)]
+        if new is not level:
+            runs.append((since, start, level))
+            level, since = new, start
+    bit_start, bit_end = pieces[0][0], pieces[-1][1]
+    runs.append((since, bit_end, level))
 
-    if isinstance(event, TxSuccess):
-        if not state.queue:
-            raise ValueError("TxSuccess with an empty queue")
-        head = state.queue[0]
-        t_done = event.t_start + frame_bit_length(head.frame) * bt
-        return replace(state, queue=state.queue[1:]), [Deliver(head.frame, t_done)]
-
-    raise TypeError(f"unknown link event {event!r}")
-
-
-def retransmission_start_gap(f: Frame, error_bit_index: int, timing: BitTiming | None = None) -> float:
-    """Start-to-start spacing when the attempt aborts at error_bit_index."""
-    timing = timing or BitTiming()
-    bits = error_bit_index + 1 + ERROR_FLAG_BITS + ERROR_DELIMITER_BITS + INTERMISSION_BITS
-    return bits * timing.bit_time
+    t_sample = bit_start + timing.sample_point * timing.bit_time
+    extension = transition_extension if driven is BitDecision.DOMINANT else 0.0
+    decision = driven
+    for start, end, state in runs:
+        if state is driven:
+            continue
+        start = max(start, bit_start)
+        end = end + extension
+        if start <= t_sample < end and end - start >= timing.decode_hold - 1e-12:
+            decision = state
+            break
+    return decision, (level, since)

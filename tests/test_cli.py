@@ -225,3 +225,17 @@ def test_params_env_override(tmp_path, monkeypatch):
     # with an ideal driver the dominant level survives until 2.6 V
     assert flags[2.2] == 0
     assert flags[2.6] == 1
+
+
+@pytest.mark.parametrize("hysteresis", [-0.5, 0.9])
+def test_cli_rejects_hysteresis_outside_the_comparator_range(tmp_path, hysteresis):
+    # at -0.5 the release level would sit above the engage level; at 0.9
+    # it would sit at 0 V
+    params = tmp_path / "p.json"
+    save_params(CalibratedParams(hysteresis=hysteresis), str(params))
+    rc = main([
+        "simulate", str(CONFIGS / "fra_no_irs.ini"), "--params", str(params),
+        "--trace", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.json"),
+    ])
+    assert rc == 1
+    assert not (tmp_path / "t.csv").exists()

@@ -13,18 +13,17 @@ from canvolt.attacks import (
 from canvolt.engine import (
     ConfigError,
     DamageParams,
-    EcuDamage,
     EcuSpec,
     IrsConfig,
     ScenarioConfig,
     SweepSpec,
-    damage_step,
     message_indicator,
     run_scenario,
     run_sweep,
     set_sweep_value,
     validate_config,
 )
+from canvolt.irs import TripTimer
 from canvolt.link import Frame
 
 FRAME = Frame(id=0x01, data=b"\x01")
@@ -113,10 +112,15 @@ def test_active_overcurrent_fuse_prevents_damage():
 
 
 def test_active_overcurrent_resettable_fuse_still_damages():
-    _, summary = run_scenario(
+    trace, summary = run_scenario(
         scenario(ActiveOvercurrent(), IrsConfig(device="resettable_fuse"), duration=12.0)
     )
     assert summary.damaged
+    # the fuses trip at the damage deadline and cut the current first; their
+    # 100 mA leakage then marks the damage at that same instant
+    events = [(r.kind, r.line) for r in trace.records if r.kind in ("FuseBlown", "Damage")]
+    assert events == [("FuseBlown", "ph"), ("FuseBlown", "pl"), ("Damage", "ph")]
+    assert summary.damage_time == summary.device_trips["ph"] == summary.device_trips["pl"]
 
 
 def test_passive_overcurrent_damages_but_traffic_passes():
@@ -131,22 +135,27 @@ def test_breaker_behaves_like_a_fuse_in_one_run():
     assert "pl" in summary.device_trips
 
 
+def pin_damage(i_max=0.040, damage_time=1e-6):
+    """The engine's damage accumulator for one pin of the VIDS host."""
+    return TripTimer(rating=i_max, opening_time=damage_time)
+
+
 def test_damage_boundary_is_strict():
-    d = EcuDamage(i_max=0.020)
-    d = damage_step(d, 0.020, 1.0)
-    assert not d.damaged
-    d = damage_step(d, 0.0201, 2e-6)
-    assert d.damaged
+    d = pin_damage(i_max=0.020)
+    d = d.advance(0.020, 1.0)
+    assert not d.tripped
+    d = d.advance(0.0201, 2e-6)
+    assert d.tripped
 
 
 def test_damage_step_accumulates_and_resets():
-    d = EcuDamage()
-    d = damage_step(d, 0.0583, 0.5e-6)
+    d = pin_damage()
+    d = d.advance(0.0583, 0.5e-6)
     assert d.over_timer == pytest.approx(0.5e-6)
-    d = damage_step(d, 0.039, 1.0)
+    d = d.advance(0.039, 1.0)
     assert d.over_timer == 0.0
-    d = damage_step(d, 0.0583, 1e-6)
-    assert d.damaged
+    d = d.advance(0.0583, 1e-6)
+    assert d.tripped
 
 
 def test_attack_currents_visible_to_a_ten_milliamp_fuse():
@@ -332,3 +341,17 @@ def test_active_overcurrent_predictor_matches_engine_samples(v_high):
     predicted = overcurrent_current("active", v_high=v_high).amps
     for r in samples:
         assert abs(r.value) == pytest.approx(predicted, rel=1e-12)
+
+
+@pytest.mark.parametrize("limit", [0.030, 0.052])
+def test_active_overcurrent_source_limit_caps_pin_current(limit):
+    attack = ActiveOvercurrent(t_start=1.0, t_end=3.0, source_limit=limit)
+    trace, summary = run_scenario(scenario(attack, duration=4.0))
+    predicted = overcurrent_current("active", source_limit=limit)
+    samples = [r for r in trace.of_kind("PinCurrentSample") if attack.active(r.t)]
+    assert {r.line for r in samples} == {"ph", "pl"}
+    for r in samples:
+        assert abs(r.value) == predicted.amps
+    assert summary.damaged == predicted.exceeds_i_max
+    if summary.damaged:
+        assert summary.damage_time == pytest.approx(1.0 + 1e-6, abs=1e-9)

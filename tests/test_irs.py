@@ -1,87 +1,91 @@
 """Protective-device state machines."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
-from canvolt.electrical import INPUT, solve_bus
+from canvolt.cli import parse_config
+from canvolt.engine import IrsConfig, run_scenario
 from canvolt.irs import (
     BreakerState,
     FuseState,
     NotTripped,
     ResettableFuseState,
     ThermostatCoil,
-    breaker_reset,
-    breaker_step,
-    fuse_step,
+    TripTimer,
+    device_step,
     resettable_fuse_current,
-    resettable_fuse_step,
     thermostat_advance,
     thermostat_step,
 )
 
+BASELINE = Path(__file__).resolve().parents[1] / "configs" / "baseline.ini"
+
 
 def test_fuse_blows_after_opening_time():
     f = FuseState()
-    f = fuse_step(f, 0.0583, 0.5e-6)
-    assert not f.blown
-    f = fuse_step(f, 0.0583, 0.5e-6)
-    assert f.blown
+    f = f.advance(0.0583, 0.5e-6)
+    assert not f.tripped
+    f = f.advance(0.0583, 0.5e-6)
+    assert f.tripped
 
 
 def test_fuse_never_blows_below_rating():
     f = FuseState()
     for _ in range(100):
-        f = fuse_step(f, 0.005, 1e-3)
-    assert not f.blown
+        f = f.advance(0.005, 1e-3)
+    assert not f.tripped
 
 
 def test_fuse_timer_resets_on_gap():
     f = FuseState()
-    f = fuse_step(f, 0.060, 0.9e-6)
-    f = fuse_step(f, 0.0, 1e-6)
+    f = f.advance(0.060, 0.9e-6)
+    f = f.advance(0.0, 1e-6)
     assert f.over_timer == 0.0
-    f = fuse_step(f, 0.060, 0.9e-6)
-    assert not f.blown
+    f = f.advance(0.060, 0.9e-6)
+    assert not f.tripped
 
 
 def test_blown_fuse_is_absorbing():
-    f = fuse_step(FuseState(), 0.060, 1e-6)
-    assert f.blown
+    f = FuseState().advance(0.060, 1e-6)
+    assert f.tripped
     for i in (0.0, 0.005, 0.5):
-        f = fuse_step(f, i, 1.0)
-        assert f.blown
+        f = f.advance(i, 1.0)
+        assert f.tripped
 
 
 def test_fuse_trip_bounded_by_one_step():
     f = FuseState()
     dt = 0.3e-6
     t = 0.0
-    while not f.blown:
-        f = fuse_step(f, 0.0583, dt)
+    while not f.tripped:
+        f = f.advance(0.0583, dt)
         t += dt
     assert t <= f.opening_time + dt
 
 
 def test_fuse_uses_current_magnitude():
-    f = fuse_step(FuseState(), -0.28125, 1e-6)
-    assert f.blown
+    f = FuseState().advance(-0.28125, 1e-6)
+    assert f.tripped
 
 
 def test_breaker_trip_and_manual_reset():
-    b = breaker_step(BreakerState(), 0.0583, 1e-6)
+    b = BreakerState().advance(0.0583, 1e-6)
     assert b.tripped
-    b = breaker_reset(b)
+    b = b.reset()
     assert not b.tripped and b.over_timer == 0.0
-    b = breaker_step(b, 0.0583, 1e-6)
+    b = b.advance(0.0583, 1e-6)
     assert b.tripped  # re-trips under sustained overcurrent
 
 
 def test_breaker_reset_requires_trip():
     with pytest.raises(NotTripped):
-        breaker_reset(BreakerState())
+        BreakerState().reset()
 
 
 def test_resettable_fuse_leaks_when_open():
-    r = resettable_fuse_step(ResettableFuseState(), 0.281, 1e-6)
+    r = ResettableFuseState().advance(0.281, 1e-6)
     assert r.tripped
     assert resettable_fuse_current(r, 0.281) == pytest.approx(0.100)
     assert resettable_fuse_current(r, 0.005) == pytest.approx(0.005)
@@ -104,9 +108,15 @@ def test_thermostat_opens_at_one_amp():
     assert t.temp > t.t_limit
 
 
+def _heat(t, i, duration, dt=0.1):
+    """Step the coil through any flips at constant current."""
+    for _ in range(round(duration / dt)):
+        t = thermostat_step(t, i, dt)
+    return t
+
+
 def test_thermostat_recloses_when_cooled():
-    t = ThermostatCoil()
-    t = thermostat_advance(t, 1.0, 5.0)
+    t = _heat(ThermostatCoil(), 1.0, 5.0)
     assert t.open
     elapsed = 0.0
     while t.open and elapsed < 30.0:
@@ -118,14 +128,33 @@ def test_thermostat_recloses_when_cooled():
 
 
 def test_thermostat_ignores_tiny_currents():
-    t = thermostat_advance(ThermostatCoil(), 1e-6, 60.0)
+    t, elapsed = thermostat_advance(ThermostatCoil(), 1e-6, 60.0)
+    assert elapsed == pytest.approx(60.0)
     assert not t.open
     assert t.temp == pytest.approx(25.0, abs=0.01)
 
 
 def test_thermostat_steady_state_at_one_amp():
-    t = thermostat_advance(ThermostatCoil(), 1.0, 40.0)
+    t = _heat(ThermostatCoil(), 1.0, 40.0)
     assert t.temp == pytest.approx(65.0, abs=0.5)
+
+
+def test_thermostat_advance_stops_at_the_first_flip():
+    # at one amp the coil passes 40 degC after 2 ln(40/25) = 0.94 s
+    t, elapsed = thermostat_advance(ThermostatCoil(), 1.0, 5.0)
+    assert t.open
+    assert elapsed == pytest.approx(1.0)  # the 0.2 s step that crossed the limit
+    assert t.temp == pytest.approx(65.0 - 40.0 * 0.9**5)
+    # the same grid stepped by hand flips on the same step
+    by_hand = ThermostatCoil()
+    for _ in range(5):
+        by_hand = thermostat_step(by_hand, 1.0, 0.2)
+    assert by_hand == t
+
+
+def test_device_step_runs_a_thermostat_through_every_flip():
+    assert device_step(ThermostatCoil(), 1.0, 40.0).temp == pytest.approx(65.0, abs=0.5)
+    assert device_step(FuseState(), 0.060, 1e-6).tripped
 
 
 def test_thermostat_step_rejects_coarse_dt():
@@ -135,12 +164,25 @@ def test_thermostat_step_rejects_coarse_dt():
         thermostat_step(ThermostatCoil(), 0.0, 0.0)
 
 
+def test_trip_timer_time_to_trip():
+    t = TripTimer(rating=0.040, opening_time=1e-6)
+    assert t.time_to_trip(0.040) == float("inf")  # at the rating is not over it
+    assert t.time_to_trip(-0.0583) == 1e-6
+    t = t.advance(0.0583, 0.4e-6)
+    assert t.time_to_trip(0.0583) == pytest.approx(0.6e-6)
+    assert not t.advance(0.0583, 0.5e-6).tripped
+    assert t.advance(0.0583, t.time_to_trip(0.0583)).tripped
+    assert t.advance(0.0583, 1.0).time_to_trip(0.0583) == float("inf")
+
+
 def test_closed_device_in_series_with_input_pin_is_transparent():
-    # measurement taps draw nothing, so the solved bus is identical
-    # whether or not a closed device sits in the wire
-    bare, _ = solve_bus({"C": True}, {"A": (INPUT, INPUT)})
-    with_device, _ = solve_bus({"C": True}, {"A": (INPUT, INPUT)})
-    assert bare == with_device
-    idle_bare, _ = solve_bus({"C": False}, {})
-    idle_tap, _ = solve_bus({"C": False}, {"A": (INPUT, INPUT)})
-    assert idle_bare == idle_tap
+    # with no attack the host's pins are inputs and draw nothing, so a
+    # device on either or both of them leaves the run unchanged
+    cfg = parse_config(BASELINE.read_text())
+    bare_trace, bare_summary = run_scenario(cfg)
+    for device in ("fuse", "breaker", "resettable_fuse", "thermostat"):
+        for pins in ("both", "ph", "pl"):
+            irs = IrsConfig(device=device, pins=pins)
+            trace, summary = run_scenario(replace(cfg, irs_config=irs))
+            assert trace.records == bare_trace.records, (device, pins)
+            assert summary == bare_summary, (device, pins)

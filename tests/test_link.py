@@ -1,43 +1,39 @@
 """Frame codec, bit decisions, sampling, arbitration, retransmission."""
 
-import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canvolt.electrical import TAU_RC_DEFAULT
+from canvolt.attacks import ForcedRetransmission, fra_ack_delimiter_corrupted
+from canvolt.electrical import TAU_RC_DEFAULT, time_to_reach
+from canvolt.engine import EcuSpec, ScenarioConfig, run_scenario
 from canvolt.link import (
+    DOMINANT_THRESHOLD,
     BitDecision,
     BitTiming,
     CrcError,
     DecodeError,
-    Enqueue,
     FormError,
     Frame,
     IdCollision,
-    LinkState,
-    Retransmit,
     StuffError,
-    TxError,
-    TxSuccess,
     ack_delimiter_index,
     ack_slot_index,
     arbitrate,
     bus_bits,
     crc15,
-    decide_bit,
     decode_bitstream,
     dominant_to_recessive_transitions,
     encode_frame,
     frame_bit_length,
     frame_body_bits,
-    link_step,
-    retransmission_start_gap,
     sample_bit,
     stuff_bits,
 )
+
+DOM, REC = BitDecision.DOMINANT, BitDecision.RECESSIVE
 
 CANONICAL = Frame(id=0x01, data=bytes([0x01]))
 
@@ -180,11 +176,25 @@ def test_transition_count_full_frame_is_frozen():
     assert dominant_to_recessive_transitions(bus_bits(CANONICAL, acked=True)) == 13
 
 
-def test_decide_bit_thresholds():
-    assert decide_bit(2.0, BitDecision.RECESSIVE) is BitDecision.DOMINANT
-    assert decide_bit(0.0, BitDecision.DOMINANT) is BitDecision.RECESSIVE
-    assert decide_bit(0.7, BitDecision.DOMINANT) is BitDecision.DOMINANT
-    assert decide_bit(0.7, BitDecision.RECESSIVE) is BitDecision.RECESSIVE
+def read(pieces, driven, entry=REC, timing=None):
+    """Decision for one bit of (start, end, v_diff) pieces starting at 0."""
+    timing = timing or BitTiming()
+    decision, _ = sample_bit(pieces, driven, timing, (entry, -timing.bit_time))
+    return decision
+
+
+def flat(v):
+    return [(0.0, BitTiming().bit_time, v)]
+
+
+def test_sample_bit_hold_band_thresholds():
+    # engage at 0.9 V, release below 0.9 - 0.15 = 0.75 V, hold in between
+    assert read(flat(2.0), REC, entry=REC) is DOM
+    assert read(flat(0.0), DOM, entry=DOM) is REC
+    assert read(flat(0.8), REC, entry=DOM) is DOM
+    assert read(flat(0.8), DOM, entry=REC) is REC
+    assert read(flat(0.7), REC, entry=DOM) is REC
+    assert read(flat(DOMINANT_THRESHOLD), REC, entry=REC) is DOM
 
 
 @settings(max_examples=200, deadline=None)
@@ -192,12 +202,20 @@ def test_decide_bit_thresholds():
     st.floats(min_value=-1.0, max_value=6.0, allow_nan=False),
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
 )
-def test_decide_bit_monotone_in_v_diff(v, bump):
-    for prev in BitDecision:
-        low = decide_bit(v, prev)
-        high = decide_bit(v + bump, prev)
-        if low is BitDecision.DOMINANT:
-            assert high is BitDecision.DOMINANT
+def test_sample_bit_monotone_in_v_diff(v, bump):
+    for entry in BitDecision:
+        for driven in BitDecision:
+            low = read(flat(v), driven, entry)
+            high = read(flat(v + bump), driven, entry)
+            if low is DOM:
+                assert high is DOM
+
+
+def test_bit_timing_rejects_hysteresis_outside_the_comparator_range():
+    for bad in (-0.5, -1e-9, DOMINANT_THRESHOLD, 1.0):
+        with pytest.raises(ValueError, match="hysteresis"):
+            BitTiming(hysteresis=bad)
+    assert BitTiming(hysteresis=0.0).hysteresis == 0.0
 
 
 def test_arbitration_lowest_id_wins():
@@ -224,35 +242,73 @@ def test_arbitration_order_invariant():
         assert arbitrate(frames) == winner
 
 
-def _fra_recovery(v_attack_h):
-    return lambda t: (v_attack_h - 1.5) * math.exp(-t / TAU_RC_DEFAULT)
+def _fra_recovery(v_attack_h, timing=BitTiming()):
+    """The recessive bit after a dominant one while CANH is held at
+    v_attack_h: v_diff decays from v_attack_h - 1.5 V with TAU_RC_DEFAULT,
+    cut where it crosses the comparator's two levels."""
+    v0 = v_attack_h - 1.5
+    release = DOMINANT_THRESHOLD - timing.hysteresis
+    t_engage = time_to_reach(v0, 0.0, TAU_RC_DEFAULT, DOMINANT_THRESHOLD)
+    t_release = time_to_reach(v0, 0.0, TAU_RC_DEFAULT, release)
+    in_band = 0.5 * (DOMINANT_THRESHOLD + release)
+    return [(0.0, t_engage, v0), (t_engage, t_release, in_band), (t_release, timing.bit_time, 0.0)]
 
 
 def test_sample_bit_clean_levels():
-    t = BitTiming()
-    assert sample_bit(lambda x: 2.0, 0.0, t, BitDecision.RECESSIVE) is BitDecision.DOMINANT
-    assert sample_bit(lambda x: 0.0, 0.0, t, BitDecision.RECESSIVE) is BitDecision.RECESSIVE
+    # a clean level reads as itself whatever was driven
+    for driven in BitDecision:
+        assert read(flat(2.0), driven, entry=REC) is DOM
+        assert read(flat(0.0), driven, entry=DOM) is REC
 
 
 def test_sample_bit_stretched_recovery_reads_dominant_at_five_volts():
-    t = BitTiming()
-    assert sample_bit(_fra_recovery(5.0), 0.0, t, BitDecision.DOMINANT) is BitDecision.DOMINANT
-    assert sample_bit(_fra_recovery(4.5), 0.0, t, BitDecision.DOMINANT) is BitDecision.DOMINANT
+    assert read(_fra_recovery(5.0), REC, entry=DOM) is DOM
+    assert read(_fra_recovery(4.5), REC, entry=DOM) is DOM
 
 
 def test_sample_bit_recovery_at_four_volts_reads_recessive():
-    t = BitTiming()
-    assert sample_bit(_fra_recovery(4.0), 0.0, t, BitDecision.DOMINANT) is BitDecision.RECESSIVE
+    assert read(_fra_recovery(4.0), REC, entry=DOM) is REC
+
+
+def test_sample_bit_recovery_agrees_with_the_fra_predictor():
+    for v in (3.5, 4.0, 4.5, 5.0):
+        stretched = read(_fra_recovery(v), REC, entry=DOM) is DOM
+        assert stretched == fra_ack_delimiter_corrupted(v), v
+
+
+def test_sample_bit_carries_the_comparator_across_bits():
+    timing = BitTiming()
+    pieces = _fra_recovery(5.0)
+    _, comparator = sample_bit(pieces, REC, timing, (DOM, -timing.bit_time))
+    assert comparator == (REC, pieces[2][0])
+    # a comparator still engaged from the previous bit reads a bit in the
+    # hold band as dominant
+    bt = timing.bit_time
+    _, engaged = sample_bit(flat(2.0), DOM, timing, (REC, -bt))
+    assert sample_bit([(bt, 2 * bt, 0.8)], REC, timing, engaged)[0] is DOM
 
 
 def test_sample_bit_ignores_short_transients():
-    t = BitTiming()
+    bt = BitTiming().bit_time
 
-    def glitchy(x):
-        return 2.0 if 0.9e-6 < x < 0.9e-6 + 200e-9 else 0.0
+    def glitch(start, width):
+        return [(0.0, start, 0.0), (start, start + width, 2.0), (start + width, bt, 0.0)]
 
-    # a 200 ns dominant burst inside a recessive bit stays invisible
-    assert sample_bit(glitchy, 0.0, t, BitDecision.RECESSIVE) is BitDecision.RECESSIVE
+    # a 200 ns dominant burst inside a recessive bit stays invisible, also
+    # over the sample point at 0.718 us; one longer than the 340 ns hold reads
+    assert read(glitch(0.9e-6, 200e-9), REC) is REC
+    assert read(glitch(0.6e-6, 200e-9), REC) is REC
+    assert read(glitch(0.6e-6, 400e-9), REC) is DOM
+
+
+def test_sample_bit_transition_extension_on_dominant_bits():
+    # a 300 ns recessive dip over the sample point reads only once the
+    # CANH transition extends it past the hold
+    timing = BitTiming()
+    bt = timing.bit_time
+    dip = [(0.0, 0.5e-6, 2.0), (0.5e-6, 0.8e-6, 0.0), (0.8e-6, bt, 2.0)]
+    assert sample_bit(dip, DOM, timing, (DOM, -bt))[0] is DOM
+    assert sample_bit(dip, DOM, timing, (DOM, -bt), transition_extension=55e-9)[0] is REC
 
 
 def test_frame_layout_indices():
@@ -261,34 +317,57 @@ def test_frame_layout_indices():
     assert frame_bit_length(CANONICAL) == 56
 
 
-def test_link_step_error_schedules_retransmission_at_132_us():
-    st_ = LinkState()
-    st_, actions = link_step(st_, Enqueue(CANONICAL, 0.0))
-    assert not actions
-    st_, actions = link_step(st_, TxError(0.0, ack_delimiter_index(CANONICAL), "form_error"))
-    retry = next(a for a in actions if isinstance(a, Retransmit))
-    assert retry.t_start == pytest.approx(132e-6, rel=1e-6)
-    assert st_.retransmissions == 1
-    assert len(st_.queue) == 1  # still queued until clean delivery
-    st_, actions = link_step(st_, TxSuccess(retry.t_start))
-    assert not st_.queue
+# retransmission timing, read from engine traces
 
 
-def test_link_step_success_without_error_keeps_no_retransmissions():
-    st_ = LinkState()
-    st_, _ = link_step(st_, Enqueue(CANONICAL, 0.0))
-    st_, actions = link_step(st_, TxSuccess(0.0))
-    assert st_.retransmissions == 0
-    assert not st_.queue
+def _canonical_run(attack=None):
+    cfg = ScenarioConfig(
+        duration=1.0,
+        ecus=(
+            EcuSpec("A", "vids-host"),
+            EcuSpec("B", "logger"),
+            EcuSpec("C", "sender", period=1.0, frame=CANONICAL),
+        ),
+        attack=attack,
+    )
+    return run_scenario(cfg)
+
+
+def _offsets(trace):
+    """(kind, time after FrameSent) of the canonical frame's link records."""
+    kinds = ("FrameSent", "ErrorFrame", "Retransmission", "FrameReceived")
+    records = [r for r in trace.records if r.kind in kinds]
+    return [(r.kind, r.t - records[0].t) for r in records]
+
+
+def test_error_schedules_retransmission_at_132_us():
+    # FRA corrupts the ACK delimiter (bit 48) of the first attempt only
+    trace, summary = _canonical_run(ForcedRetransmission(t_start=0.0, t_end=1.0))
+    kinds, offsets = zip(*_offsets(trace))
+    assert kinds == ("FrameSent", "ErrorFrame", "Retransmission", "FrameReceived")
+    bt = BitTiming().bit_time
+    assert offsets[1] == pytest.approx((ack_delimiter_index(CANONICAL) + 1) * bt, rel=1e-9)
+    assert offsets[1] == pytest.approx(98e-6, rel=1e-9)
+    assert offsets[2] == pytest.approx(132e-6, rel=1e-9)
+    # still queued until the clean delivery of the retry
+    assert offsets[3] == pytest.approx(132e-6 + frame_bit_length(CANONICAL) * bt, rel=1e-9)
+    assert summary.retransmissions == 1
+    assert summary.messages_received == 1
+
+
+def test_success_without_error_keeps_no_retransmissions():
+    trace, summary = _canonical_run()
+    assert _offsets(trace) == [
+        ("FrameSent", 0.0),
+        ("FrameReceived", pytest.approx(112e-6, rel=1e-9)),
+    ]
+    assert summary.retransmissions == 0
 
 
 def test_abort_to_retry_gap_close_to_thirty_microseconds():
-    # after the abort point: error flag, delimiter, intermission
-    gap_bits = 6 + 8 + 3
-    gap = gap_bits * BitTiming().bit_time
-    assert abs(gap - 30e-6) / 30e-6 < 0.5
-
-
-def test_retransmission_start_gap_helper():
-    gap = retransmission_start_gap(CANONICAL, ack_delimiter_index(CANONICAL))
-    assert gap == pytest.approx(132e-6, rel=1e-6)
+    # after the error frame starts: 6 flag, 8 delimiter, 3 intermission bits
+    trace, _ = _canonical_run(ForcedRetransmission(t_start=0.0, t_end=1.0))
+    error = trace.of_kind("ErrorFrame")[0]
+    retry = trace.of_kind("Retransmission")[0]
+    assert retry.t - error.t == pytest.approx(17 * BitTiming().bit_time, rel=1e-9)
+    assert retry.t - error.t == pytest.approx(34e-6, rel=1e-9)
