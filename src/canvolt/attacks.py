@@ -23,6 +23,7 @@ from .electrical import (
     Pulse,
     TransceiverParams,
     measure_tau_bit,
+    pulse_levels,
     resolve_pulse,
     solve_bus,
     TAU_RC_DEFAULT,
@@ -156,11 +157,24 @@ def pin_override(spec: Optional[AttackSpec], t: float) -> tuple:
     if isinstance(spec, ForcedRetransmission):
         return (OutputHigh(spec.v_attack_h), INPUT)
     if isinstance(spec, PulseAttack):
-        mode = resolve_pulse(spec.pulse_mode(), t, spec.phase_origin)
-        if spec.line == "canh":
-            return (mode, INPUT)
-        return (INPUT, mode)
+        return _on_line(spec, resolve_pulse(spec.pulse_mode(), t, spec.phase_origin))
     raise TypeError(f"unknown attack spec {spec!r}")
+
+
+def _on_line(spec: PulseAttack, mode: PinMode) -> tuple:
+    """(P_H, P_L) with the pulse's static level on its line's pin."""
+    return (mode, INPUT) if spec.line == "canh" else (INPUT, mode)
+
+
+def window_pins(spec: AttackSpec) -> tuple:
+    """Every (P_H, P_L) pair the attack applies inside its window.
+
+    A pulse gives its (high phase, low phase) pairs, any other attack
+    its one pair. Raises for a level no pin can drive.
+    """
+    if isinstance(spec, PulseAttack):
+        return tuple(_on_line(spec, m) for m in pulse_levels(spec.pulse_mode()))
+    return (pin_override(spec, spec.t_start),)
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,20 @@ class InfeasibleTarget(ValueError):
     """Calibration targets that no parameter value can satisfy."""
 
 
+class RunFailed(Exception):
+    """A simulation or sweep failed for a reason other than its config."""
+
+
+def _run(fn, cfg: ScenarioConfig):
+    """fn(cfg), with any failure but a ConfigError raised as RunFailed."""
+    try:
+        return fn(cfg)
+    except ConfigError:
+        raise
+    except Exception as exc:  # noqa: BLE001 - the engine's own failure
+        raise RunFailed(f"{type(exc).__name__}: {exc}") from exc
+
+
 # --- config parsing -------------------------------------------------------
 
 _BUS_KEYS = {"speed", "duration", "termination"}
@@ -599,7 +613,7 @@ def main(argv=None) -> int:
             params = _resolve_params(args)
             with open(args.config) as fh:
                 cfg, checks = parse_config_full(fh.read(), params)
-            trace, summary = run_scenario(cfg)
+            trace, summary = _run(run_scenario, cfg)
             emit_outputs(trace, summary, args.trace, args.summary)
             print(
                 f"sent={summary.messages_sent} received={summary.messages_received} "
@@ -619,12 +633,15 @@ def main(argv=None) -> int:
             params = _resolve_params(args)
             with open(args.config) as fh:
                 cfg, _ = parse_config_full(fh.read(), params)
-            points = run_sweep(cfg)
+            points = _run(run_sweep, cfg)
             write_sweep_csv(points, args.out, cfg)
             successes = [p.value for p in points if p.success]
             first = successes[0] if successes else None
             print(f"{len(points)} points, first success at {first}")
             return EXIT_OK
+    except RunFailed as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except (ConfigError, InfeasibleTarget, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -111,10 +111,15 @@ def resolve_pulse(mode: PinMode, t: float, phase_origin: float = 0.0) -> PinMode
     """
     if not isinstance(mode, Pulse):
         return mode
+    high, low = pulse_levels(mode)
     phase = (t - phase_origin) % mode.period
-    if phase < mode.duty * mode.period:
-        return OutputHigh(mode.v_high)
-    return OutputHigh(mode.v_low) if mode.v_low > 0.0 else OUTPUT_LOW
+    return high if phase < mode.duty * mode.period else low
+
+
+def pulse_levels(mode: Pulse) -> tuple:
+    """The static (high phase, low phase) levels a pulse alternates between."""
+    low = OutputHigh(mode.v_low) if mode.v_low > 0.0 else OUTPUT_LOW
+    return OutputHigh(mode.v_high), low
 
 
 def pulse_edges(pulse, phase_origin: float, lo: float, hi: float) -> list:

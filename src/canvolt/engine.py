@@ -23,7 +23,21 @@ or cooling, always runs bit by bit.
 
 Bus solves depend only on the driven level and the attacker pin modes
 (topology and parameters are fixed for a run), so each scenario caches
-them on that pair.
+them, with the host's pin currents, on that pair.
+
+A driven bit is cut into pieces, and each piece costs constant work:
+
+- *Cut from the cursor.* The next cut is the first window edge or pulse
+  phase edge after the cursor, found with `electrical.pulse_edges`'
+  arithmetic from the cursor's period, without listing the bit's cuts.
+- *Phase-pin lookup.* The attacker's pin pairs (one per pulse phase, or
+  the one pair of a static attack) are built once per run; a piece
+  picks its pair with the phase test of `electrical.resolve_pulse`.
+- *Accumulators at rest.* A piece's accumulator step is skipped when it
+  cannot change anything: every trip device, and every damage timer at
+  its gated current, is tripped or carries |i| <= rating with a zero
+  over-timer, and no thermostat is present. The verdict is kept per
+  pair of pin currents until the next step that is taken.
 """
 
 from __future__ import annotations
@@ -43,7 +57,6 @@ from .electrical import (
     TransceiverParams,
     TAU_RC_DEFAULT,
     NOMINAL_TRANSITION,
-    pulse_edges,
     solve_bus_detailed,
 )
 from .link import (
@@ -255,6 +268,9 @@ class Summary:
     first_failure_reason: str
 
 
+_NO_CURRENT = {"ph": 0.0, "pl": 0.0}
+
+
 def _coil_idle(coil: irs.ThermostatCoil, coil_i: float) -> bool:
     """A closed thermostat at ambient with no coil current stays as it is."""
     return coil_i == 0.0 and abs(coil.temp - coil.t_ambient) < 1e-6 and not coil.open
@@ -275,6 +291,11 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError("duration", "must be positive")
     if cfg.bus_speed <= 0.0:
         raise ConfigError("bus.speed", "must be positive")
+    try:
+        cfg.params.transceiver()
+        cfg.params.timing(cfg.bus_speed)
+    except ValueError as exc:
+        raise ConfigError("params", str(exc))
     if not cfg.ecus:
         raise ConfigError("ecu", "at least one ECU required")
     names = [e.name for e in cfg.ecus]
@@ -309,6 +330,11 @@ def validate_config(cfg: ScenarioConfig) -> None:
                         "attack.period",
                         f"pulse period {cfg.attack.period} not below frame time {tx_time:.6g}",
                     )
+    if cfg.attack is not None:
+        try:
+            atk.window_pins(cfg.attack)
+        except ValueError as exc:
+            raise ConfigError("attack", str(exc))
     if cfg.irs_config is not None and cfg.irs_config.pins not in ("both", "ph", "pl"):
         raise ConfigError("irs.pins", f"unknown pin selection {cfg.irs_config.pins!r}")
     # a negative limit would count a pin carrying no current as over it
@@ -355,6 +381,22 @@ class _PinBank:
         self.trip_times: dict = {}
         self.damaged_at: float | None = None
 
+    def at_rest(self, i_raw: dict) -> bool:
+        """A step at these raw pin currents leaves every accumulator as it is.
+
+        Holds when each trip device and each damage timer (at its gated
+        current) is tripped, or carries |i| <= rating with a zero
+        over-timer, and no thermostat is present.
+        """
+        if self.coil_pins:
+            return False
+        for pin in self.trip_pins:
+            if not self.devices[pin].at_rest(i_raw[pin]):
+                return False
+        return all(
+            self.damage[pin].at_rest(self.gated_current(pin, i_raw[pin])) for pin in ("ph", "pl")
+        )
+
     def connected(self, pin: str) -> bool:
         dev = self.devices[pin]
         if dev is None:
@@ -400,7 +442,14 @@ class _Sim:
             for e in cfg.ecus
             if e.role == "sender"
         }
-        self.solutions: dict = {}  # (dominant, pins) -> read-only BusSolution
+        self.solutions: dict = {}  # (dominant, pins) -> (BusSolution, VIDS pin currents)
+        self.resting: dict = {}  # (i_ph, i_pl) -> bank.at_rest verdict until the next full step
+        # the attacker's pin pairs: high and low phase for a pulse, else one
+        self.window_pins = atk.window_pins(cfg.attack) if cfg.attack is not None else ()
+        self.pulse = cfg.attack if isinstance(cfg.attack, atk.PulseAttack) else None
+        if self.pulse is not None:
+            self.phase_origin = self.pulse.phase_origin
+            self.high_time = self.pulse.duty * self.pulse.period
         self.sends: list = []
         for e in cfg.ecus:
             if e.role != "sender":
@@ -422,53 +471,83 @@ class _Sim:
     # -- attack pin state ---------------------------------------------------
 
     def pins_at(self, t: float) -> tuple:
-        """Gated (P_H, P_L) modes of the VIDS node at time t."""
-        p_h, p_l = atk.pin_override(self.attack, t)
+        """Gated (P_H, P_L) modes of the VIDS node at time t.
+
+        Equals the gated `atk.pin_override`: a pulse picks its phase
+        pair with the phase test of `resolve_pulse`.
+        """
+        attack = self.attack
+        if attack is None or not attack.t_start <= t < attack.t_end:
+            p_h, p_l = INPUT, INPUT
+        elif self.pulse is None:
+            p_h, p_l = self.window_pins[0]
+        elif (t - self.phase_origin) % attack.period < self.high_time:
+            p_h, p_l = self.window_pins[0]
+        else:
+            p_h, p_l = self.window_pins[1]
         if not self.bank.connected("ph"):
             p_h = INPUT
         if not self.bank.connected("pl"):
             p_l = INPUT
         return p_h, p_l
 
-    def solve(self, dominant: bool, t: float):
+    def vids_currents(self, dominant: bool, t: float) -> tuple:
+        """(bus solution, VIDS raw pin currents) at time t, cached on (dominant, pins)."""
         pins = self.pins_at(t)
-        sol = self.solutions.get((dominant, pins))
-        if sol is None:
+        hit = self.solutions.get((dominant, pins))
+        if hit is None:
             sol = solve_bus_detailed({"bus": dominant}, {self.vids: pins}, self.topo, self.params)
             if self.source_limit is not None:
                 sol = _limit_pin_currents(sol, self.source_limit)
-            self.solutions[(dominant, pins)] = sol
-        return sol
+            pc = sol.pin_currents.get(self.vids)
+            i = {"ph": pc.i_ph if pc else 0.0, "pl": pc.i_pl if pc else 0.0}
+            hit = self.solutions[(dominant, pins)] = (sol, i)
+        return hit
 
-    def vids_currents(self, dominant: bool, t: float):
-        sol = self.solve(dominant, t)
-        pc = sol.pin_currents.get(self.vids)
-        i = {"ph": pc.i_ph if pc else 0.0, "pl": pc.i_pl if pc else 0.0}
-        return sol, i
+    def solve(self, dominant: bool, t: float):
+        return self.vids_currents(dominant, t)[0]
 
     # -- boundary helpers -----------------------------------------------------
 
-    def boundaries(self, a: float, b: float, pulse_cuts: bool = True) -> list:
-        """Cut [a, b) at attack window edges and pulse phase flips.
+    def boundaries(self, a: float, b: float) -> list:
+        """Cut the idle stretch [a, b) at attack window edges.
 
-        Pulse cuts matter only inside driven bits; the idle bus carries
-        no current in either phase, so idle integration skips them.
+        The idle bus carries no current in either pulse phase, so idle
+        integration needs no pulse cuts.
         """
         cuts = {a, b}
-        attack = self.attack
-        if attack is not None:
-            for edge in (attack.t_start, attack.t_end):
+        if self.attack is not None:
+            for edge in (self.attack.t_start, self.attack.t_end):
                 if a < edge < b:
                     cuts.add(edge)
-            if pulse_cuts and isinstance(attack, atk.PulseAttack):
-                lo = max(a, attack.t_start)
-                hi = min(b, attack.t_end)
-                cuts.update(pulse_edges(attack, attack.phase_origin, lo, hi))
         return sorted(cuts)
 
     def next_segment_end(self, a: float, b: float) -> float:
-        cuts = self.boundaries(a, b)
-        return cuts[1] if len(cuts) > 1 else b
+        """The first window edge or pulse phase edge after a, or b.
+
+        The pulse edges are those `electrical.pulse_edges` lists over the
+        window's part of [a, b), with the same float arithmetic, walked
+        from the period that holds the cursor up to the first one.
+        """
+        attack = self.attack
+        if attack is None:
+            return b
+        end = b
+        for edge in (attack.t_start, attack.t_end):
+            if a < edge < end:
+                end = edge
+        if self.pulse is not None:
+            lo = max(a, attack.t_start)
+            hi = min(b, attack.t_end)
+            origin = self.phase_origin
+            period = attack.period
+            t = origin + math.floor((lo - origin) / period) * period
+            while t < hi and t < end:
+                for edge in (t, t + self.high_time):
+                    if a < edge and lo <= edge:
+                        return min(edge, end) if edge < hi else end
+                t += period
+        return end
 
     # -- marks ----------------------------------------------------------------
 
@@ -518,6 +597,9 @@ class _Sim:
         arithmetic runs on offsets from `a` so trip instants stay exact
         regardless of the absolute timestamp.
         """
+        if self.at_rest(i_raw):
+            return b
+        self.resting.clear()  # this step may change an accumulator
         bank = self.bank
         span = b - a
 
@@ -576,6 +658,14 @@ class _Sim:
 
         return t_stop if connectivity_changed else b
 
+    def at_rest(self, i_raw: dict) -> bool:
+        """`bank.at_rest(i_raw)`, kept until the next full accumulator step."""
+        key = (i_raw["ph"], i_raw["pl"])
+        verdict = self.resting.get(key)
+        if verdict is None:
+            verdict = self.resting[key] = self.bank.at_rest(i_raw)
+        return verdict
+
     def advance_idle(self, target: float) -> float:
         """Integrate the idle bus up to target; early-return on changes."""
         while self.integrated_to < target:
@@ -584,7 +674,7 @@ class _Sim:
             b = min(target, max(self.next_mark(), a))
             if b <= a:
                 b = target
-            cuts = self.boundaries(a, b, pulse_cuts=False)
+            cuts = self.boundaries(a, b)
             for lo, hi in zip(cuts, cuts[1:]):
                 _, i = self.vids_currents(False, 0.5 * (lo + hi))
                 reached = self.advance_constant(lo, hi, i)
@@ -652,7 +742,7 @@ class _Sim:
         t_last = t0 + (len(bits) - 1) * bt + bt
         if self.quiescent(t0, t_last):
             # every bit samples as driven; the accumulators see no current
-            self.advance_constant(t0, t_last, {"ph": 0.0, "pl": 0.0})
+            self.advance_constant(t0, t_last, _NO_CURRENT)
             self.integrated_to = max(self.integrated_to, t_last)
             error_bit, error_reason = None, ""
         else:
@@ -670,15 +760,29 @@ class _Sim:
             self.first_failure = error_reason
         err_start = t0 + (error_bit + 1) * bt
         self.trace.add(err_start, "ErrorFrame", ecu=ecu, detail=error_reason)
-        cursor = err_start
         flag_end = err_start + ERROR_FLAG_BITS * bt
-        while cursor < flag_end:
-            hi = self.next_segment_end(cursor, flag_end)
-            _, i = self.vids_currents(True, 0.5 * (cursor + hi))
-            cursor = self.advance_constant(cursor, hi, i)
-        self.integrated_to = max(self.integrated_to, flag_end)
+        self.drive(True, err_start, flag_end)
         t_free = flag_end + (ERROR_DELIMITER_BITS + INTERMISSION_BITS) * bt
         return False, t_free
+
+    def drive(self, dominant: bool, a: float, b: float) -> list:
+        """Drive one level over [a, b), piece by piece.
+
+        Returns the pieces (start, end, v_diff); a piece ends at the next
+        cut or where a device changed connectivity.
+        """
+        pieces = []
+        cursor = a
+        while cursor < b:
+            hi = self.next_segment_end(cursor, b)
+            # sample the piece at its midpoint: a cut time itself can
+            # fall on either side of a pulse edge in floats
+            sol, i = self.vids_currents(dominant, 0.5 * (cursor + hi))
+            reached = self.advance_constant(cursor, hi, i)
+            pieces.append((cursor, reached, sol.voltages.v_diff))
+            cursor = reached
+        self.integrated_to = max(self.integrated_to, b)
+        return pieces
 
     def sample_bits(self, bits: list, ack_delim: int, first_attempt: bool, t0: float) -> tuple:
         """Drive and sample the frame bit by bit from t0.
@@ -697,19 +801,7 @@ class _Sim:
             b0 = t0 + k * bt
             b1 = b0 + bt
             dominant = bit == 0
-
-            pieces = []
-            cursor = b0
-            while cursor < b1:
-                hi = self.next_segment_end(cursor, b1)
-                # sample the segment at its midpoint: a cut time itself
-                # can fall on either side of a pulse edge in floats
-                sol, i = self.vids_currents(dominant, 0.5 * (cursor + hi))
-                reached = self.advance_constant(cursor, hi, i)
-                pieces.append((cursor, reached, sol.voltages.v_diff))
-                cursor = reached
-            self.integrated_to = max(self.integrated_to, b1)
-
+            pieces = self.drive(dominant, b0, b1)
             driven = BitDecision.DOMINANT if dominant else BitDecision.RECESSIVE
             sampled, comparator = sample_bit(pieces, driven, self.timing, comparator, extension)
             if dominant and sampled is BitDecision.RECESSIVE:

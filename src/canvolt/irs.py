@@ -41,6 +41,10 @@ class TripTimer:
         left = self.opening_time - self.over_timer
         return left if left > 0.0 else 0.0
 
+    def at_rest(self, i: float) -> bool:
+        """`advance(i, dt)` leaves this state unchanged for every dt."""
+        return self.tripped or (not self.over_timer and abs(i) <= self.rating)
+
     def advance(self, i: float, dt: float):
         """The state after dt of constant current i."""
         if dt <= 0.0:

@@ -239,3 +239,61 @@ def test_cli_rejects_hysteresis_outside_the_comparator_range(tmp_path, hysteresi
     ])
     assert rc == 1
     assert not (tmp_path / "t.csv").exists()
+
+
+def simulate_baseline(tmp_path):
+    return main([
+        "simulate", str(CONFIGS / "baseline.ini"),
+        "--trace", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.json"),
+    ])
+
+
+def raising(exc):
+    def run(cfg):
+        raise exc
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "exc", [ValueError("engine failure"), ZeroDivisionError("float division"), KeyError("pin")]
+)
+def test_cli_engine_failure_is_a_runtime_error(tmp_path, monkeypatch, exc):
+    monkeypatch.setattr("canvolt.cli.run_scenario", raising(exc))
+    assert simulate_baseline(tmp_path) == 2
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_cli_config_error_from_the_engine_is_a_config_error(tmp_path, monkeypatch):
+    # validate_config raises ConfigError from inside run_scenario
+    monkeypatch.setattr("canvolt.cli.run_scenario", raising(ConfigError("ecu", "bad")))
+    assert simulate_baseline(tmp_path) == 1
+
+
+def test_cli_sweep_failure_is_a_runtime_error(tmp_path, monkeypatch):
+    monkeypatch.setattr("canvolt.cli.run_sweep", raising(ValueError("engine failure")))
+    rc = main(["sweep", str(CONFIGS / "fra_sweep.ini"), "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+
+
+def test_cli_sweep_config_error_is_a_config_error(tmp_path, monkeypatch):
+    monkeypatch.setattr("canvolt.cli.run_sweep", raising(ConfigError("sweep.path", "bad")))
+    rc = main(["sweep", str(CONFIGS / "fra_sweep.ini"), "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+
+
+@pytest.mark.parametrize("targets", ["dos_threshold=3.0", "dos_threshold=abc", "unknown=1"])
+def test_cli_calibrate_errors_are_config_errors(tmp_path, targets):
+    assert main(["calibrate", "--targets", targets, "--out", str(tmp_path / "p.json")]) == 1
+
+
+@pytest.mark.parametrize("attack", [
+    "type = pulse\nv_high = 6.0",
+    "type = pulse\nv_high = 2.0\nv_low = 3.0",
+    "type = dos\nv = 0.0",
+])
+def test_cli_rejects_attack_levels_no_pin_can_drive(tmp_path, attack):
+    # the window lies past the run's end: the level is rejected all the same
+    bad = tmp_path / "bad.ini"
+    bad.write_text(BASELINE + f"\n[attack]\nstart = 100\nend = 101\n{attack}\n")
+    assert main(["validate", str(bad)]) == 1

@@ -1,6 +1,8 @@
 """Scenario engine: timelines, determinism, conservation, damage."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from canvolt.attacks import (
     ActiveOvercurrent,
@@ -9,7 +11,9 @@ from canvolt.attacks import (
     PassiveOvercurrent,
     PulseAttack,
     overcurrent_current,
+    pin_override,
 )
+from canvolt.electrical import INPUT, pulse_edges
 from canvolt.engine import (
     ConfigError,
     DamageParams,
@@ -17,13 +21,14 @@ from canvolt.engine import (
     IrsConfig,
     ScenarioConfig,
     SweepSpec,
+    _Sim,
     message_indicator,
     run_scenario,
     run_sweep,
     set_sweep_value,
     validate_config,
 )
-from canvolt.irs import TripTimer
+from canvolt.irs import FuseState, TripTimer
 from canvolt.link import Frame
 
 FRAME = Frame(id=0x01, data=b"\x01")
@@ -355,3 +360,64 @@ def test_active_overcurrent_source_limit_caps_pin_current(limit):
     assert summary.damaged == predicted.exceeds_i_max
     if summary.damaged:
         assert summary.damage_time == pytest.approx(1.0 + 1e-6, abs=1e-9)
+
+
+def first_cut_after(attack, a, b):
+    """The first cut after a in the sorted set {a, b}, window edges and
+    `pulse_edges` over the window's part of [a, b)."""
+    cuts = {b, attack.t_start, attack.t_end}
+    cuts.update(
+        pulse_edges(attack, attack.phase_origin, max(a, attack.t_start), min(b, attack.t_end))
+    )
+    return min(c for c in cuts if c > a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    base=st.sampled_from([0.0, 10.0, 3.6e3, 8.64e4, 1e6]),
+    start=st.floats(0.0, 1e-3),
+    width=st.floats(1e-7, 1e-3),
+    period=st.floats(1e-7, 1e-4),
+    duty=st.floats(0.01, 0.99),
+    phase=st.floats(0.0, 2.0),
+    line=st.sampled_from(["canl", "canh"]),
+    v_low=st.sampled_from([0.0, 1.0]),
+    cursor=st.floats(-0.5, 1.5),
+    span=st.floats(1e-9, 4e-6),
+    open_pins=st.sets(st.sampled_from(["ph", "pl"])),
+)
+@example(
+    base=1e6, start=0.0, width=1e-3, period=600e-9, duty=0.5, phase=0.0, line="canl",
+    v_low=0.0, cursor=0.5, span=2e-6, open_pins=set(),
+)
+@example(  # binary-exact edges: the phase test meets its bound exactly
+    base=0.0, start=0.0, width=1e-4, period=2.0**-20, duty=0.5, phase=0.0, line="canh",
+    v_low=1.0, cursor=0.0, span=4e-6, open_pins={"pl"},
+)
+def test_cursor_cuts_and_phase_pins_match_the_reference(
+    base, start, width, period, duty, phase, line, v_low, cursor, span, open_pins
+):
+    t_start = base + start
+    attack = PulseAttack(
+        t_start=t_start, t_end=t_start + width, line=line, period=period, duty=duty,
+        phase=phase, v_low=v_low,
+    )
+    sim = _Sim(ScenarioConfig(duration=1.0, ecus=(EcuSpec("A", "vids-host"),), attack=attack))
+    for pin in open_pins:
+        sim.bank.devices[pin] = FuseState(tripped=True)
+
+    def gated_reference(t):
+        p_h, p_l = pin_override(attack, t)
+        return (INPUT if "ph" in open_pins else p_h, INPUT if "pl" in open_pins else p_l)
+
+    a = t_start + cursor * width
+    b = a + span
+    pieces = 0
+    while a < b:
+        nxt = sim.next_segment_end(a, b)
+        assert nxt == first_cut_after(attack, a, b)
+        for t in (a, 0.5 * (a + nxt)):
+            assert sim.pins_at(t) == gated_reference(t)
+        a = nxt
+        pieces += 1
+        assert pieces <= 4 * (span / period + 2)  # no runaway walk
