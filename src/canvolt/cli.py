@@ -9,11 +9,14 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
+from operator import attrgetter
+from typing import Callable, NamedTuple, get_args
 
 from . import attacks as atk
 from .electrical import measure_tau_bit
@@ -31,7 +34,6 @@ from .engine import (
     run_sweep,
     validate_config,
 )
-from .link import Frame
 
 PARAMS_ENV = "CANVOLT_PARAMS"
 
@@ -68,117 +70,196 @@ def _run(fn, cfg: ScenarioConfig):
         raise RunFailed(f"{type(exc).__name__}: {exc}") from exc
 
 
-# --- config parsing -------------------------------------------------------
+# --- the scenario format ----------------------------------------------------
+# Each INI key maps to one field of the dataclass its section builds
+# ("frame.id" is a field of the `frame` field). The dataclasses hold every
+# default and, in their annotations, every value's type: a key left out or
+# left empty takes its field's default, and a field without a default
+# needs its key.
 
-_BUS_KEYS = {"speed", "duration", "termination"}
-_ECU_KEYS = {"role", "period", "id", "data", "offset", "rtr"}
-_ATTACK_KEYS = {
-    "type", "node", "start", "end", "v", "line", "period", "duty",
-    "v_high", "v_low", "phase", "current_limit",
+
+class _Codec(NamedTuple):
+    parse: Callable  # INI text -> value
+    what: str  # what the text must be
+    text: Callable = str  # value -> INI text
+
+
+_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
+          "false": False, "no": False, "off": False, "0": False}
+_BOOL = _Codec(lambda raw: _BOOLS[raw.strip().lower()], "a boolean", lambda v: str(v).lower())
+_CODECS = {  # field type -> its codec
+    float: _Codec(float, "a number", repr),
+    int: _Codec(functools.partial(int, base=0), "an integer", "{:#x}".format),
+    bytes: _Codec(bytes.fromhex, "hex bytes", bytes.hex),
+    bool: _BOOL,
+    str: _Codec(str, "text"),
 }
-_IRS_KEYS = {
-    "device", "pins", "rating", "opening_time", "leakage", "r_coil",
-    "t_limit", "t_ambient", "hysteresis", "thermal_gain", "tau_thermal",
-    "coil_drive",
-}
-_DAMAGE_KEYS = {"i_max", "damage_time"}
-_SWEEP_KEYS = {"path", "start", "stop", "step"}
-_CHECK_KEYS = {
-    "indicator_all_one", "indicator_zeros", "attack_success", "damaged",
-    "min_retransmissions", "received",
-}
 
 
-def _reject_unknown(section: str, keys, allowed) -> None:
-    for k in keys:
-        if k not in allowed:
-            raise ConfigError(f"{section}.{k}", "unknown key")
-
-
-def _get_float(sec, section: str, key: str, default=None):
-    raw = sec.get(key)
-    if raw is None or raw == "":
-        return default
+def _value(path: str, raw: str, codec: _Codec):
     try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}", f"not a number: {raw!r}")
+        return codec.parse(raw)
+    except (ValueError, KeyError):
+        raise ConfigError(path, f"not {codec.what}: {raw!r}") from None
 
 
-def _get_bool(sec, section: str, key: str, default=None):
-    raw = sec.get(key)
-    if raw is None or raw == "":
-        return default
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"{section}.{key}", f"not a boolean: {raw!r}")
+@functools.cache
+def _field_type(cls, name: str) -> type:
+    """The type a field's annotation names, Optional unwrapped.
+
+    Only the annotations the tables name are evaluated: typing caches an
+    evaluated `Optional[<class>]` for the life of the process, which would
+    keep each re-imported copy of the package alive.
+    """
+    hint = eval(cls.__dataclass_fields__[name].type, vars(sys.modules[cls.__module__]))
+    return next((a for a in get_args(hint) if a is not type(None)), hint)
 
 
-def _parse_attack(sec) -> atk.AttackSpec:
-    _reject_unknown("attack", sec.keys(), _ATTACK_KEYS)
-    kind = sec.get("type")
-    if kind is None:
-        raise ConfigError("attack.type", "missing")
-    node = sec.get("node", "A")
-    t_start = _get_float(sec, "attack", "start", 10.0)
-    t_end = _get_float(sec, "attack", "end", 30.0)
-    common = dict(t_start=t_start, t_end=t_end, node=node)
+def _build(sec, path: str, cls, keys: dict, given: dict):
+    """`cls` from the section's values for `keys`, on top of `given`."""
+    kwargs, nested = dict(given), {}
+    for key, name in keys.items():
+        head, dot, rest = name.partition(".")
+        if dot:
+            nested.setdefault(head, {})[key] = rest
+        elif sec.get(key):
+            kwargs[name] = _value(f"{path}.{key}", sec[key], _CODECS[_field_type(cls, name)])
+    for head, sub in nested.items():
+        kwargs[head] = _build(sec, path, _field_type(cls, head), sub, {})
+    for f in fields(cls):
+        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            key = next(k for k, n in keys.items() if n == f.name)
+            raise ConfigError(f"{path}.{key}", "missing")
     try:
-        if kind == "dos":
-            return atk.DoS(v_attack_l=_get_float(sec, "attack", "v", 5.0), **common)
-        if kind == "fra":
-            return atk.ForcedRetransmission(v_attack_h=_get_float(sec, "attack", "v", 5.0), **common)
-        if kind == "passive_overcurrent":
-            return atk.PassiveOvercurrent(**common)
-        if kind == "active_overcurrent":
-            return atk.ActiveOvercurrent(
-                v_high=_get_float(sec, "attack", "v_high", 5.0),
-                source_limit=_get_float(sec, "attack", "current_limit", None),
-                **common,
-            )
-        if kind == "pulse":
-            return atk.PulseAttack(
-                line=sec.get("line", "canl"),
-                period=_get_float(sec, "attack", "period", 100e-6),
-                duty=_get_float(sec, "attack", "duty", 0.5),
-                v_high=_get_float(sec, "attack", "v_high", 5.0),
-                v_low=_get_float(sec, "attack", "v_low", 0.0),
-                phase=_get_float(sec, "attack", "phase", 0.0),
-                **common,
-            )
-    except ConfigError:
-        raise
+        return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError("attack", str(exc))
-    raise ConfigError("attack.type", f"unknown attack type {kind!r}")
+        raise ConfigError(path, str(exc)) from None
 
 
-def _parse_irs(sec) -> IrsConfig:
-    _reject_unknown("irs", sec.keys(), _IRS_KEYS)
-    device = sec.get("device")
-    if device is None:
-        raise ConfigError("irs.device", "missing")
-    return IrsConfig(
-        device=device,
-        pins=sec.get("pins", "both"),
-        rating=_get_float(sec, "irs", "rating", 0.010),
-        opening_time=_get_float(sec, "irs", "opening_time", 1e-6),
-        leakage_current=_get_float(sec, "irs", "leakage", 0.100),
-        r_coil=_get_float(sec, "irs", "r_coil", 1.0),
-        t_limit=_get_float(sec, "irs", "t_limit", 40.0),
-        t_ambient=_get_float(sec, "irs", "t_ambient", 25.0),
-        coil_hysteresis=_get_float(sec, "irs", "hysteresis", 2.0),
-        thermal_gain=_get_float(sec, "irs", "thermal_gain", 40.0),
-        tau_thermal=_get_float(sec, "irs", "tau_thermal", 2.0),
-        coil_drive=_get_float(sec, "irs", "coil_drive", None),
-    )
+class _Section:
+    """An INI section: the dataclass it builds and the keys it takes.
+
+    The value of the `selector` key picks a row of `rows`: the dataclass
+    and every key it takes. A section without a selector has one row,
+    under None. Any other key is rejected.
+    """
+
+    def __init__(self, rows: dict, selector: str | None = None):
+        self.rows = rows  # selector value -> (dataclass, INI key -> field)
+        self.selector = selector
+
+    def read(self, sec, path: str, **given):
+        value = sec.get(self.selector)
+        if value not in self.rows:
+            problem = "missing" if value is None else f"unknown {self.selector} {value!r}"
+            raise ConfigError(f"{path}.{self.selector}", problem)
+        cls, keys = self.rows[value]
+        for key in sec:
+            if key not in keys and key != self.selector:
+                raise ConfigError(f"{path}.{key}", "unknown key")
+        return _build(sec, path, cls, keys, given)
+
+    def write(self, header: str, obj) -> list:
+        """The section's INI lines for `obj`; a field that is None is left out."""
+        lines = [f"[{header}]"]
+        # obj's row: its class, with the selector's value where that is a field
+        value, keys = next(
+            (v, keys) for v, (cls, keys) in self.rows.items()
+            if cls is type(obj) and getattr(obj, keys.get(self.selector, ""), v) == v
+        )
+        if self.selector is not None and self.selector not in keys:
+            lines.append(f"{self.selector} = {value}")
+        for key, name in keys.items():
+            v = attrgetter(name)(obj)
+            if v is not None:
+                lines.append(f"{key} = {_CODECS[type(v)].text(v)}")
+        return lines + [""]
+
+
+def _plain(cls, keys: dict) -> _Section:
+    return _Section({None: (cls, keys)})
+
+
+_BUS = _plain(
+    ScenarioConfig, {"speed": "bus_speed", "duration": "duration", "termination": "termination"}
+)
+_ROLE = {"role": "role"}
+_ECU = _Section({
+    "vids-host": (EcuSpec, _ROLE),
+    "logger": (EcuSpec, _ROLE),
+    "sender": (EcuSpec, {
+        **_ROLE, "period": "period", "offset": "offset",
+        "id": "frame.id", "data": "frame.data", "rtr": "frame.rtr",
+    }),
+}, "role")
+_WINDOW = {"node": "node", "start": "t_start", "end": "t_end"}
+_ATTACK = _Section({
+    "dos": (atk.DoS, {**_WINDOW, "v": "v_attack_l"}),
+    "fra": (atk.ForcedRetransmission, {**_WINDOW, "v": "v_attack_h"}),
+    "passive_overcurrent": (atk.PassiveOvercurrent, _WINDOW),
+    "active_overcurrent": (
+        atk.ActiveOvercurrent, {**_WINDOW, "v_high": "v_high", "current_limit": "source_limit"}
+    ),
+    "pulse": (atk.PulseAttack, {
+        **_WINDOW, "line": "line", "period": "period", "duty": "duty",
+        "v_high": "v_high", "v_low": "v_low", "phase": "phase",
+    }),
+}, "type")
+_DEVICE = {"device": "device", "pins": "pins"}
+_TRIP = {**_DEVICE, "rating": "rating", "opening_time": "opening_time"}
+_IRS = _Section({
+    "fuse": (IrsConfig, _TRIP),
+    "breaker": (IrsConfig, _TRIP),
+    "resettable_fuse": (IrsConfig, {**_TRIP, "leakage": "leakage_current"}),
+    "thermostat": (IrsConfig, {
+        **_DEVICE, "r_coil": "r_coil", "t_limit": "t_limit", "t_ambient": "t_ambient",
+        "hysteresis": "coil_hysteresis", "thermal_gain": "thermal_gain",
+        "tau_thermal": "tau_thermal", "coil_drive": "coil_drive",
+    }),
+}, "device")
+_PARTS = {  # INI section -> (ScenarioConfig field, its section)
+    "attack": ("attack", _ATTACK),
+    "irs": ("irs_config", _IRS),
+    "damage": ("damage", _plain(DamageParams, {"i_max": "i_max", "damage_time": "damage_time"})),
+    "sweep": ("sweep", _plain(
+        SweepSpec, {"path": "path", "start": "start", "stop": "stop", "step": "step"}
+    )),
+}
+
+
+def _slot_range(raw: str) -> tuple:
+    """'lo-hi': the first and last indicator slot expected to read 0."""
+    lo, _, hi = raw.partition("-")
+    lo, hi = int(lo), int(hi)
+    if lo > hi:
+        raise ValueError(raw)
+    return lo, hi
+
+
+_COUNT = _Codec(int, "an integer")
+_CHECKS = {  # [check] key -> the codec of its expected value
+    "indicator_all_one": _BOOL,
+    "indicator_zeros": _Codec(_slot_range, "slots lo-hi"),
+    "attack_success": _BOOL,
+    "damaged": _BOOL,
+    "min_retransmissions": _COUNT,
+    "received": _COUNT,
+}
+
+
+def _expected(key: str, raw: str):
+    """The expected value of a [check] key, from its INI text."""
+    if key not in _CHECKS:
+        raise ConfigError(f"check.{key}", "unknown key")
+    return _value(f"check.{key}", raw, _CHECKS[key])
 
 
 def parse_config_full(text: str, params: CalibratedParams | None = None) -> tuple:
-    """Parse an INI scenario; returns (ScenarioConfig, check expectations)."""
+    """Parse an INI scenario; returns (ScenarioConfig, check expectations).
+
+    The expectations map each [check] key to its INI text, already
+    validated; `run_checks` reads them.
+    """
     cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
@@ -186,101 +267,26 @@ def parse_config_full(text: str, params: CalibratedParams | None = None) -> tupl
         line = getattr(exc, "lineno", None)
         raise ConfigError("file", str(exc).replace("\n", " "), line=line)
 
-    known_sections = {"bus", "attack", "irs", "damage", "sweep", "check"}
-    for section in cp.sections():
-        if section in known_sections or section.startswith("ecu."):
-            continue
-        raise ConfigError(section, "unknown section")
-
-    bus = cp["bus"] if cp.has_section("bus") else {}
-    if cp.has_section("bus"):
-        _reject_unknown("bus", bus.keys(), _BUS_KEYS)
-    duration = _get_float(bus, "bus", "duration", 60.0)
-    speed = _get_float(bus, "bus", "speed", 500_000.0)
-    termination = _get_float(bus, "bus", "termination", 120.0)
-
-    ecus = []
-    for section in cp.sections():
-        if not section.startswith("ecu."):
-            continue
-        name = section[4:]
-        sec = cp[section]
-        _reject_unknown(section, sec.keys(), _ECU_KEYS)
-        role = sec.get("role")
-        if role is None:
-            raise ConfigError(f"{section}.role", "missing")
-        frame = None
-        period = _get_float(sec, section, "period", None)
-        if sec.get("id") is not None:
-            try:
-                fid = int(sec.get("id"), 0)
-            except ValueError:
-                raise ConfigError(f"{section}.id", f"not an integer: {sec.get('id')!r}")
-            raw = sec.get("data", "")
-            try:
-                data = bytes.fromhex(raw)
-            except ValueError:
-                raise ConfigError(f"{section}.data", f"not hex bytes: {raw!r}")
-            rtr = _get_bool(sec, section, "rtr", False)
-            try:
-                frame = Frame(id=fid, data=data, rtr=rtr)
-            except ValueError as exc:
-                raise ConfigError(f"{section}.id", str(exc))
-        ecus.append(
-            EcuSpec(
-                name=name,
-                role=role,
-                period=period,
-                frame=frame,
-                offset=_get_float(sec, section, "offset", 0.0),
-            )
-        )
-
-    attack = _parse_attack(cp["attack"]) if cp.has_section("attack") else None
-    irs_config = _parse_irs(cp["irs"]) if cp.has_section("irs") else None
-
-    damage = DamageParams()
-    if cp.has_section("damage"):
-        sec = cp["damage"]
-        _reject_unknown("damage", sec.keys(), _DAMAGE_KEYS)
-        damage = DamageParams(
-            i_max=_get_float(sec, "damage", "i_max", 0.040),
-            damage_time=_get_float(sec, "damage", "damage_time", 1e-6),
-        )
-
-    sweep = None
-    if cp.has_section("sweep"):
-        sec = cp["sweep"]
-        _reject_unknown("sweep", sec.keys(), _SWEEP_KEYS)
-        path = sec.get("path")
-        if path is None:
-            raise ConfigError("sweep.path", "missing")
-        sweep = SweepSpec(
-            path=path,
-            start=_get_float(sec, "sweep", "start", 0.0),
-            stop=_get_float(sec, "sweep", "stop", 0.0),
-            step=_get_float(sec, "sweep", "step", 1.0),
-        )
-        if sweep.step <= 0 or sweep.stop < sweep.start:
-            raise ConfigError("sweep", "grid must have positive step and stop >= start")
-
-    checks = {}
-    if cp.has_section("check"):
-        sec = cp["check"]
-        _reject_unknown("check", sec.keys(), _CHECK_KEYS)
-        checks = dict(sec.items())
-
-    cfg = ScenarioConfig(
-        duration=duration,
-        bus_speed=speed,
-        ecus=tuple(ecus),
-        attack=attack,
-        irs_config=irs_config,
-        damage=damage,
-        sweep=sweep,
-        params=params or CalibratedParams(),
-        termination=termination,
+    sections = {name: dict(cp.items(name, raw=True)) for name in cp.sections()}
+    for name in sections:
+        if name not in (*_PARTS, "bus", "check") and not name.startswith("ecu."):
+            raise ConfigError(name, "unknown section")
+    given = {
+        field_name: part.read(sections[name], name)
+        for name, (field_name, part) in _PARTS.items()
+        if name in sections
+    }
+    given["ecus"] = tuple(
+        _ECU.read(sec, header, name=header[4:])
+        for header, sec in sections.items()
+        if header.startswith("ecu.")
     )
+    if params is not None:
+        given["params"] = params
+    cfg = _BUS.read(sections.get("bus", {}), "bus", **given)
+    checks = sections.get("check", {})
+    for key, raw in checks.items():
+        _expected(key, raw)
     validate_config(cfg)
     return cfg, checks
 
@@ -291,85 +297,12 @@ def parse_config(text: str, params: CalibratedParams | None = None) -> ScenarioC
 
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Config back to INI text; parse(serialize(cfg)) is equivalent."""
-    lines = [
-        "[bus]",
-        f"speed = {cfg.bus_speed!r}",
-        f"duration = {cfg.duration!r}",
-        f"termination = {cfg.termination!r}",
-        "",
-    ]
+    lines = _BUS.write("bus", cfg)
     for e in cfg.ecus:
-        lines.append(f"[ecu.{e.name}]")
-        lines.append(f"role = {e.role}")
-        if e.period is not None:
-            lines.append(f"period = {e.period!r}")
-        if e.frame is not None:
-            lines.append(f"id = {e.frame.id:#x}")
-            lines.append(f"data = {e.frame.data.hex()}")
-            if e.frame.rtr:
-                lines.append("rtr = true")
-        if e.offset:
-            lines.append(f"offset = {e.offset!r}")
-        lines.append("")
-    a = cfg.attack
-    if a is not None:
-        lines.append("[attack]")
-        if isinstance(a, atk.DoS):
-            lines += [f"type = dos", f"v = {a.v_attack_l!r}"]
-        elif isinstance(a, atk.ForcedRetransmission):
-            lines += [f"type = fra", f"v = {a.v_attack_h!r}"]
-        elif isinstance(a, atk.PassiveOvercurrent):
-            lines.append("type = passive_overcurrent")
-        elif isinstance(a, atk.ActiveOvercurrent):
-            lines.append("type = active_overcurrent")
-            lines.append(f"v_high = {a.v_high!r}")
-            if a.source_limit is not None:
-                lines.append(f"current_limit = {a.source_limit!r}")
-        elif isinstance(a, atk.PulseAttack):
-            lines += [
-                "type = pulse",
-                f"line = {a.line}",
-                f"period = {a.period!r}",
-                f"duty = {a.duty!r}",
-                f"v_high = {a.v_high!r}",
-                f"v_low = {a.v_low!r}",
-                f"phase = {a.phase!r}",
-            ]
-        lines += [f"node = {a.node}", f"start = {a.t_start!r}", f"end = {a.t_end!r}", ""]
-    i = cfg.irs_config
-    if i is not None:
-        lines += [
-            "[irs]",
-            f"device = {i.device}",
-            f"pins = {i.pins}",
-            f"rating = {i.rating!r}",
-            f"opening_time = {i.opening_time!r}",
-            f"leakage = {i.leakage_current!r}",
-            f"r_coil = {i.r_coil!r}",
-            f"t_limit = {i.t_limit!r}",
-            f"t_ambient = {i.t_ambient!r}",
-            f"hysteresis = {i.coil_hysteresis!r}",
-            f"thermal_gain = {i.thermal_gain!r}",
-            f"tau_thermal = {i.tau_thermal!r}",
-        ]
-        if i.coil_drive is not None:
-            lines.append(f"coil_drive = {i.coil_drive!r}")
-        lines.append("")
-    lines += [
-        "[damage]",
-        f"i_max = {cfg.damage.i_max!r}",
-        f"damage_time = {cfg.damage.damage_time!r}",
-        "",
-    ]
-    if cfg.sweep is not None:
-        lines += [
-            "[sweep]",
-            f"path = {cfg.sweep.path}",
-            f"start = {cfg.sweep.start!r}",
-            f"stop = {cfg.sweep.stop!r}",
-            f"step = {cfg.sweep.step!r}",
-            "",
-        ]
+        lines += _ECU.write(f"ecu.{e.name}", e)
+    for section, (name, part) in _PARTS.items():
+        if getattr(cfg, name) is not None:
+            lines += part.write(section, getattr(cfg, name))
     return "\n".join(lines)
 
 
@@ -400,17 +333,8 @@ def emit_outputs(trace: Trace, summary: Summary, trace_path: str, summary_path: 
 
 
 def summary_to_dict(summary: Summary) -> dict:
-    return {
-        "messages_sent": summary.messages_sent,
-        "messages_received": summary.messages_received,
-        "indicator": list(summary.indicator),
-        "retransmissions": summary.retransmissions,
-        "attack_success": summary.attack_success,
-        "device_trips": summary.device_trips,
-        "damaged": summary.damaged,
-        "damage_time": summary.damage_time,
-        "first_failure_reason": summary.first_failure_reason,
-    }
+    # not dataclasses.asdict, which deep-copies every indicator slot
+    return {f.name: getattr(summary, f.name) for f in fields(summary)}
 
 
 def write_sweep_csv(points, path: str, cfg: ScenarioConfig) -> None:
@@ -509,41 +433,33 @@ def save_params(params: CalibratedParams, path: str) -> None:
 # --- checks -------------------------------------------------------------------------
 
 def run_checks(checks: dict, summary: Summary) -> list:
-    """Compare a run summary against [check] expectations; returns failures."""
+    """Compare a run summary against [check] expectations; returns failures.
+
+    `checks` maps [check] keys to their INI text, as `parse_config_full`
+    returns them.
+    """
     failures = []
-
-    def expect(name, want, got):
-        if want != got:
-            failures.append(f"{name}: expected {want!r}, got {got!r}")
-
     for key, raw in checks.items():
-        if key == "indicator_all_one":
-            want = raw.strip().lower() in ("true", "yes", "1", "on")
-            expect(key, want, all(v == 1 for v in summary.indicator))
-        elif key == "indicator_zeros":
-            lo, _, hi = raw.partition("-")
-            lo, hi = int(lo), int(hi)
-            want_zero = set(range(lo, hi + 1))
-            bad = [
-                k
-                for k, v in enumerate(summary.indicator)
-                if (v == 1) == (k in want_zero)
-            ]
+        want = _expected(key, raw)
+        if key == "indicator_zeros":
+            lo, hi = want
+            bad = [k for k, v in enumerate(summary.indicator) if (v == 1) == (lo <= k <= hi)]
             if bad:
                 failures.append(f"indicator_zeros: slots {bad} disagree")
-        elif key == "attack_success":
-            want = raw.strip().lower() in ("true", "yes", "1", "on")
-            expect(key, want, summary.attack_success)
-        elif key == "damaged":
-            want = raw.strip().lower() in ("true", "yes", "1", "on")
-            expect(key, want, summary.damaged)
         elif key == "min_retransmissions":
-            if summary.retransmissions < int(raw):
+            if summary.retransmissions < want:
                 failures.append(
                     f"min_retransmissions: expected >= {raw}, got {summary.retransmissions}"
                 )
-        elif key == "received":
-            expect(key, int(raw), summary.messages_received)
+        else:
+            got = {
+                "indicator_all_one": all(v == 1 for v in summary.indicator),
+                "attack_success": summary.attack_success,
+                "damaged": summary.damaged,
+                "received": summary.messages_received,
+            }[key]
+            if want != got:
+                failures.append(f"{key}: expected {want!r}, got {got!r}")
     return failures
 
 

@@ -43,7 +43,7 @@ A driven bit is cut into pieces, and each piece costs constant work:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 from . import attacks as atk
@@ -130,17 +130,7 @@ class CalibratedParams:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "r_drive_high": self.r_drive_high,
-            "r_sink_offset": self.r_sink_offset,
-            "r_sink": self.r_sink,
-            "tau_rc": self.tau_rc,
-            "nominal_transition": self.nominal_transition,
-            "sample_point": self.sample_point,
-            "decode_hold": self.decode_hold,
-            "hysteresis": self.hysteresis,
-            "transition_extension": self.transition_extension,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CalibratedParams":
@@ -305,36 +295,21 @@ def validate_config(cfg: ScenarioConfig) -> None:
     if len(hosts) != 1:
         raise ConfigError("ecu", f"exactly one vids-host required, found {len(hosts)}")
     bit_time = 1.0 / cfg.bus_speed
+    tx_times = []  # each sender's frame time
     for e in cfg.ecus:
         if e.role not in ("vids-host", "sender", "logger"):
             raise ConfigError(f"ecu.{e.name}.role", f"unknown role {e.role!r}")
         if e.role == "sender":
             if e.period is None or e.frame is None:
                 raise ConfigError(f"ecu.{e.name}", "sender needs period and frame")
-            tx_time = frame_bit_length(e.frame) * bit_time
-            if e.period <= tx_time:
+            tx_times.append(frame_bit_length(e.frame) * bit_time)
+            if e.period <= tx_times[-1]:
                 raise ConfigError(
                     f"ecu.{e.name}.period",
-                    f"period {e.period} not above frame time {tx_time:.6g}",
+                    f"period {e.period} not above frame time {tx_times[-1]:.6g}",
                 )
     if cfg.attack is not None:
-        if cfg.attack.node != hosts[0].name:
-            raise ConfigError("attack.node", "attack must originate at the vids-host")
-        if isinstance(cfg.attack, atk.PulseAttack):
-            for e in cfg.ecus:
-                if e.role != "sender":
-                    continue
-                tx_time = frame_bit_length(e.frame) * bit_time
-                if cfg.attack.period >= tx_time:
-                    raise ConfigError(
-                        "attack.period",
-                        f"pulse period {cfg.attack.period} not below frame time {tx_time:.6g}",
-                    )
-    if cfg.attack is not None:
-        try:
-            atk.window_pins(cfg.attack)
-        except ValueError as exc:
-            raise ConfigError("attack", str(exc))
+        _validate_attack(cfg.attack, hosts[0].name, tx_times)
     if cfg.irs_config is not None and cfg.irs_config.pins not in ("both", "ph", "pl"):
         raise ConfigError("irs.pins", f"unknown pin selection {cfg.irs_config.pins!r}")
     # a negative limit would count a pin carrying no current as over it
@@ -342,6 +317,29 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError("irs.rating", "must not be negative")
     if cfg.damage.i_max < 0.0:
         raise ConfigError("damage.i_max", "must not be negative")
+    sweep = cfg.sweep
+    if sweep is not None:
+        grid = (sweep.start, sweep.stop, sweep.step)
+        if not (all(map(math.isfinite, grid)) and sweep.step > 0 and sweep.stop >= sweep.start):
+            raise ConfigError("sweep", "grid must be finite, with positive step and stop >= start")
+        # a sweep point differs from the config in its attack only
+        for value in sweep.values():
+            point = set_sweep_value(cfg, sweep.path, value)
+            _validate_attack(point.attack, hosts[0].name, tx_times)
+
+
+def _validate_attack(attack: atk.AttackSpec, host: str, tx_times: list) -> None:
+    if attack.node != host:
+        raise ConfigError("attack.node", "attack must originate at the vids-host")
+    if isinstance(attack, atk.PulseAttack) and tx_times and attack.period >= min(tx_times):
+        raise ConfigError(
+            "attack.period",
+            f"pulse period {attack.period} not below frame time {min(tx_times):.6g}",
+        )
+    try:
+        atk.window_pins(attack)
+    except ValueError as exc:
+        raise ConfigError("attack", str(exc))
 
 
 # --- internal simulation -------------------------------------------------
@@ -972,7 +970,11 @@ def set_sweep_value(cfg: ScenarioConfig, path: str, value: float) -> ScenarioCon
         raise ConfigError("sweep.path", f"unsupported sweep path {path!r}")
     if name not in cfg.attack.__dataclass_fields__:
         raise ConfigError("sweep.path", f"attack has no parameter {name!r}")
-    return replace(cfg, attack=replace(cfg.attack, **{name: value}), sweep=None)
+    try:
+        attack = replace(cfg.attack, **{name: value})
+    except ValueError as exc:
+        raise ConfigError("sweep", f"{path} = {value!r}: {exc}") from None
+    return replace(cfg, attack=attack, sweep=None)
 
 
 @dataclass(frozen=True)

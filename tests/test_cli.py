@@ -2,9 +2,12 @@
 
 import csv
 import json
+import string
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canvolt.cli import (
     InfeasibleTarget,
@@ -18,7 +21,18 @@ from canvolt.cli import (
     save_params,
     serialize_config,
 )
-from canvolt.engine import CalibratedParams, ConfigError, run_scenario
+from canvolt import attacks as atk
+from canvolt.engine import (
+    CalibratedParams,
+    ConfigError,
+    DamageParams,
+    EcuSpec,
+    IrsConfig,
+    ScenarioConfig,
+    SweepSpec,
+    run_scenario,
+)
+from canvolt.link import Frame
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -297,3 +311,261 @@ def test_cli_rejects_attack_levels_no_pin_can_drive(tmp_path, attack):
     bad = tmp_path / "bad.ini"
     bad.write_text(BASELINE + f"\n[attack]\nstart = 100\nend = 101\n{attack}\n")
     assert main(["validate", str(bad)]) == 1
+
+
+# The keys each section takes, stated here apart from the parser's tables.
+ATTACK_KEYS = {  # [attack] type -> its keys besides type, node, start and end
+    "dos": {"v"},
+    "fra": {"v"},
+    "passive_overcurrent": set(),
+    "active_overcurrent": {"v_high", "current_limit"},
+    "pulse": {"line", "period", "duty", "v_high", "v_low", "phase"},
+}
+TRIP_KEYS = {"rating", "opening_time"}
+DEVICE_KEYS = {  # [irs] device -> its keys besides device and pins
+    "fuse": TRIP_KEYS,
+    "breaker": TRIP_KEYS,
+    "resettable_fuse": TRIP_KEYS | {"leakage"},
+    "thermostat": {
+        "r_coil", "t_limit", "t_ambient", "hysteresis", "thermal_gain", "tau_thermal",
+        "coil_drive",
+    },
+}
+ROLE_KEYS = {  # [ecu.<name>] role -> its keys besides role
+    "vids-host": set(),
+    "logger": set(),
+    "sender": {"period", "offset", "id", "data", "rtr"},
+}
+SECTION_KEYS = {
+    "bus": {"speed", "duration", "termination"},
+    "damage": {"i_max", "damage_time"},
+    "sweep": {"path", "start", "stop", "step"},
+    "check": {
+        "indicator_all_one", "indicator_zeros", "attack_success", "damaged",
+        "min_retransmissions", "received",
+    },
+}
+ALL_KEYS = set().union(
+    {"type", "node", "start", "end", "device", "pins", "role"},
+    *ATTACK_KEYS.values(), *DEVICE_KEYS.values(), *ROLE_KEYS.values(), *SECTION_KEYS.values(),
+)
+ROLE_SECTION = {"vids-host": "ecu.A", "logger": "ecu.B", "sender": "ecu.C"}
+DOS_SWEEP = "[attack]\ntype = dos\nstart = 1\nend = 2\n"
+
+
+def with_section(header: str, body: str = "") -> str:
+    """BASELINE plus one section, or BASELINE when the header is already in it."""
+    if f"[{header}]" in BASELINE:
+        return BASELINE
+    return BASELINE + f"\n[{header}]\n{body}"
+
+
+CASES = (
+    [pytest.param("attack", f"type = {t}\nstart = 100\nend = 101\n",
+                  {"type", "node", "start", "end"} | own, id=f"attack-{t}")
+     for t, own in ATTACK_KEYS.items()]
+    + [pytest.param("irs", f"device = {d}\n", {"device", "pins"} | own, id=f"irs-{d}")
+       for d, own in DEVICE_KEYS.items()]
+    + [pytest.param(ROLE_SECTION[r], "", {"role"} | own, id=f"ecu-{r}")
+       for r, own in ROLE_KEYS.items()]
+    + [
+        pytest.param("bus", "", SECTION_KEYS["bus"], id="bus"),
+        pytest.param("damage", "", SECTION_KEYS["damage"], id="damage"),
+        pytest.param("sweep", "path = attack.v_attack_l\nstart = 1\nstop = 2\nstep = 1\n",
+                     SECTION_KEYS["sweep"], id="sweep"),
+        pytest.param("check", "received = 5\n", SECTION_KEYS["check"], id="check"),
+    ]
+)
+
+
+@pytest.mark.parametrize("header,body,own", CASES)
+def test_keys_of_another_type_device_or_role_are_rejected(header, body, own):
+    text = with_section(header, body)
+    if header == "sweep":
+        text += "\n" + DOS_SWEEP
+    parse_config(text)
+    for key in sorted(ALL_KEYS - own):
+        bad = text.replace(f"[{header}]\n", f"[{header}]\n{key} = 1\n", 1)
+        with pytest.raises(ConfigError) as err:
+            parse_config(bad)
+        assert err.value.path == f"{header}.{key}"
+
+
+@pytest.mark.parametrize("check", [
+    "attack_success = ture", "received = forty", "indicator_zeros = 10..29",
+])
+def test_check_values_are_validated_before_the_run(tmp_path, check):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(BASELINE + f"\n[check]\n{check}\n")
+    assert main(["validate", str(bad)]) == 1
+    rc = main([
+        "simulate", str(bad),
+        "--trace", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.json"), "--check",
+    ])
+    assert rc == 1
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_run_checks_reads_slot_ranges():
+    _, summary = run_scenario(parse_config((CONFIGS / "dos_no_irs.ini").read_text()))
+    assert run_checks({"indicator_zeros": "10-29"}, summary) == []
+    assert run_checks({"indicator_zeros": "11-29"}, summary) == [
+        "indicator_zeros: slots [10] disagree"
+    ]
+    with pytest.raises(ConfigError):
+        run_checks({"indicator_zeros": "29-10"}, summary)
+
+
+@pytest.mark.parametrize("sweep", [
+    pytest.param(
+        "[attack]\ntype = dos\nstart = 1\nend = 2\n"
+        "[sweep]\npath = attack.nope\nstart = 1\nstop = 2\nstep = 1\n",
+        id="unknown-path",
+    ),
+    pytest.param(
+        "[attack]\ntype = pulse\nperiod = 1e-6\nstart = 1\nend = 2\n"
+        "[sweep]\npath = attack.duty\nstart = 0.5\nstop = 1.0\nstep = 0.1\n",
+        id="duty-reaches-one",
+    ),
+    pytest.param(
+        "[attack]\ntype = dos\nstart = 1\nend = 2\n"
+        "[sweep]\npath = attack.v_attack_l\nstart = 4\nstop = 6\nstep = 1\n",
+        id="level-no-pin-can-drive",
+    ),
+    pytest.param(
+        "[attack]\ntype = dos\nstart = 1\nend = 2\n"
+        "[sweep]\npath = attack.v_attack_l\nstart = 1\nstop = 2\n",
+        id="no-step",
+    ),
+    pytest.param(
+        "[attack]\ntype = dos\nstart = 1\nend = 2\n"
+        "[sweep]\npath = attack.v_attack_l\nstart = 1\nstop = inf\nstep = 1\n",
+        id="infinite-stop",
+    ),
+])
+def test_sweeps_are_validated_at_every_grid_point(tmp_path, sweep):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(BASELINE + "\n" + sweep)
+    assert main(["validate", str(bad)]) == 1
+    assert main(["sweep", str(bad), "--out", str(tmp_path / "o.csv")]) == 1
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_a_key_left_empty_takes_its_default():
+    cfg = parse_config(BASELINE + "\n[attack]\ntype = fra\nv =\n")
+    assert cfg.attack == atk.ForcedRetransmission()
+
+
+def test_unknown_type_device_and_role_are_rejected():
+    for section, body, path in [
+        ("attack", "type = zap\n", "attack.type"),
+        ("irs", "device = zap\n", "irs.device"),
+        ("attack", "node = A\n", "attack.type"),
+        ("ecu.D", "id = 0x02\n", "ecu.D.role"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            parse_config(BASELINE + f"\n[{section}]\n{body}")
+        assert err.value.path == path
+
+
+def test_a_sender_needs_its_frame_id():
+    with pytest.raises(ConfigError) as err:
+        parse_config(BASELINE.replace("id = 0x01\n", ""))
+    assert err.value.path == "ecu.C.id"
+
+
+# --- parse(serialize(cfg)) == cfg over configs the parser can produce ----------
+
+NAMES = st.text(string.ascii_letters + string.digits + "_-", min_size=1, max_size=4)
+
+
+@st.composite
+def ecus(draw):
+    names = draw(st.lists(NAMES, min_size=1, max_size=6, unique=True))
+    roles = ["vids-host"] + draw(
+        st.lists(st.sampled_from(["logger", "sender"]), min_size=len(names) - 1,
+                 max_size=len(names) - 1)
+    )
+    roles = draw(st.permutations(roles))
+    out = []
+    for name, role in zip(names, roles):
+        if role != "sender":
+            out.append(EcuSpec(name, role))
+            continue
+        frame = Frame(
+            id=draw(st.integers(0, 2047)), data=draw(st.binary(max_size=8)), rtr=draw(st.booleans())
+        )
+        out.append(EcuSpec(
+            name, role, period=draw(st.floats(0.01, 10.0)), frame=frame,
+            offset=draw(st.floats(0.0, 10.0)),
+        ))
+    return tuple(out)
+
+
+@st.composite
+def attacks(draw, node):
+    start = draw(st.floats(0.0, 50.0))
+    window = dict(node=node, t_start=start, t_end=start + draw(st.floats(1e-3, 50.0)))
+    volts = st.floats(0.1, 5.0)
+    kind = draw(st.sampled_from(sorted(ATTACK_KEYS)))
+    if kind == "dos":
+        return atk.DoS(v_attack_l=draw(volts), **window)
+    if kind == "fra":
+        return atk.ForcedRetransmission(v_attack_h=draw(volts), **window)
+    if kind == "passive_overcurrent":
+        return atk.PassiveOvercurrent(**window)
+    if kind == "active_overcurrent":
+        limit = draw(st.none() | st.floats(1e-3, 1.0))
+        return atk.ActiveOvercurrent(v_high=draw(volts), source_limit=limit, **window)
+    return atk.PulseAttack(
+        line=draw(st.sampled_from(["canh", "canl"])), period=draw(st.floats(1e-7, 4e-5)),
+        duty=draw(st.floats(0.01, 0.99)), v_high=draw(st.floats(0.5, 5.0)),
+        v_low=draw(st.floats(0.0, 0.4)), phase=draw(st.floats(0.0, 1.0)), **window,
+    )
+
+
+@st.composite
+def devices(draw):
+    device = draw(st.sampled_from(sorted(DEVICE_KEYS)))
+    own = {"pins": draw(st.sampled_from(["both", "ph", "pl"]))}
+    if device != "thermostat":
+        own.update(rating=draw(st.floats(0.0, 1.0)), opening_time=draw(st.floats(1e-7, 1.0)))
+    if device == "resettable_fuse":
+        own["leakage_current"] = draw(st.floats(0.0, 1.0))
+    if device == "thermostat":
+        own.update(
+            r_coil=draw(st.floats(0.1, 10.0)), t_limit=draw(st.floats(30.0, 90.0)),
+            t_ambient=draw(st.floats(0.0, 29.0)), coil_hysteresis=draw(st.floats(0.1, 5.0)),
+            thermal_gain=draw(st.floats(1.0, 100.0)), tau_thermal=draw(st.floats(0.1, 10.0)),
+            coil_drive=draw(st.none() | st.floats(0.0, 2.0)),
+        )
+    return IrsConfig(device=device, **own)
+
+
+@st.composite
+def scenarios(draw):
+    cast = draw(ecus())
+    host = next(e.name for e in cast if e.role == "vids-host")
+    attack = draw(st.none() | attacks(host))
+    sweep = None
+    if attack is not None and draw(st.booleans()):
+        step = draw(st.floats(0.1, 5.0))
+        end = attack.t_end + draw(st.integers(0, 5)) * step
+        sweep = SweepSpec(path="attack.t_end", start=attack.t_end, stop=end, step=step)
+    return ScenarioConfig(
+        duration=draw(st.floats(0.1, 100.0)),
+        bus_speed=draw(st.floats(1e5, 1e6)),
+        termination=draw(st.floats(1.0, 1000.0)),
+        ecus=cast,
+        attack=attack,
+        irs_config=draw(st.none() | devices()),
+        damage=draw(st.builds(DamageParams, i_max=st.floats(0.0, 1.0),
+                              damage_time=st.floats(1e-7, 1.0))),
+        sweep=sweep,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenarios())
+def test_parse_of_serialize_is_the_identity(cfg):
+    assert parse_config(serialize_config(cfg), cfg.params) == cfg
