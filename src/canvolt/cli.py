@@ -10,6 +10,7 @@ import argparse
 import configparser
 import csv
 import functools
+import io
 import json
 import math
 import os
@@ -309,27 +310,47 @@ def serialize_config(cfg: ScenarioConfig) -> str:
 # --- outputs ------------------------------------------------------------------
 
 TRACE_COLUMNS = ("time_s", "kind", "ecu", "line", "value", "detail")
+TICKS_PER_WRITE = 4096  # bounds the text held for a long run of sample ticks
 
 
 def emit_outputs(trace: Trace, summary: Summary, trace_path: str, summary_path: str) -> None:
-    """Write the trace CSV and summary JSON."""
+    """Write the trace CSV and summary JSON.
+
+    Sample ticks are written by run: each of a tick's rows is formatted
+    once without its time, by a writer of the same dialect (so a name
+    that needs quoting is quoted alike), and every tick of the run puts
+    its time in front of each.
+    """
     with open(trace_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(TRACE_COLUMNS)
-        for r in trace.records:
-            w.writerow(
-                [
-                    repr(r.t),
-                    r.kind,
-                    r.ecu,
-                    r.line,
-                    "" if r.value is None else repr(r.value),
-                    r.detail,
-                ]
-            )
+        # id(samples) -> ("", each row's text after its time): the time
+        # joins these into the tick's rows
+        suffixes: dict = {}
+        for r, ticks in trace.segments():
+            if r is not None:
+                value = "" if r.value is None else repr(r.value)
+                w.writerow([repr(r.t), r.kind, r.ecu, r.line, value, r.detail])
+                continue
+            first, last, samples = ticks
+            parts = suffixes.get(id(samples))
+            if parts is None:
+                parts = suffixes[id(samples)] = ("", *(
+                    _row_text(w.dialect, ["", kind, ecu, line, repr(value), ""])
+                    for kind, ecu, line, value in samples
+                ))
+            for lo in range(first, last + 1, TICKS_PER_WRITE):
+                hi = min(lo + TICKS_PER_WRITE, last + 1)
+                fh.write("".join([repr(float(k)).join(parts) for k in range(lo, hi)]))
     with open(summary_path, "w") as fh:
         json.dump(summary_to_dict(summary), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _row_text(dialect, row: list) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, dialect).writerow(row)
+    return buf.getvalue()
 
 
 def summary_to_dict(summary: Summary) -> dict:

@@ -38,6 +38,27 @@ A driven bit is cut into pieces, and each piece costs constant work:
   its gated current, is tripped or carries |i| <= rating with a zero
   over-timer, and no thermostat is present. The verdict is kept per
   pair of pin currents until the next step that is taken.
+
+Idle time costs O(events), not O(simulated seconds):
+
+- *Jump.* `advance_idle` crosses the idle stretch up to the next frame
+  in one step when no idle step there could change anything: every
+  trip device and damage timer is at rest at each pin pair the idle bus
+  takes (the inputs outside the attack window, each window pair inside
+  it), and every thermostat is closed at ambient with no coil current.
+- *Slice.* Otherwise idle time is sliced at every sample tick and window
+  edge. `irs.thermostat_advance` starts its tau/10 step grid afresh at
+  each call, so only this slicing keeps the thermostat and over-timer
+  numerics fixed.
+- *Samples as runs.* A 1 Hz sample tick at k seconds records the idle
+  bus at that stamp, with the connectivity the devices have when the
+  engine reaches it (flushes it). Ticks with the same records form one
+  run `[first, last, samples]`; inside a pulse window each tick picks
+  its phase pair.
+- *Ties.* Records sort by time. At equal stamps a tick follows the
+  events recorded before the engine flushed it and precedes those
+  recorded after; an AttackStart marker precedes the tick at its stamp
+  and an AttackEnd marker follows it.
 """
 
 from __future__ import annotations
@@ -73,22 +94,12 @@ from .link import (
     frame_bit_length,
     sample_bit,
 )
+# the trace names stay importable from the engine
+from .trace import TRACE_KINDS, Trace, TraceRecord  # noqa: F401
 
-TRACE_KINDS = (
-    "FrameSent",
-    "FrameReceived",
-    "ErrorFrame",
-    "Retransmission",
-    "FuseBlown",
-    "BreakerTripped",
-    "ThermostatOpen",
-    "ThermostatClosed",
-    "Damage",
-    "AttackStart",
-    "AttackEnd",
-    "PinCurrentSample",
-    "LineVoltageSample",
-)
+# a sweep point is a full run; a grid finer than this is a typo, and
+# listing it alone would take seconds
+MAX_SWEEP_POINTS = 10_001
 
 
 class ConfigError(ValueError):
@@ -206,9 +217,13 @@ class SweepSpec:
     stop: float
     step: float
 
+    def size(self) -> float:
+        """The number of grid points; inf when the step is too fine to count them."""
+        span = (self.stop - self.start) / self.step + 0.5
+        return math.floor(span) + 1 if math.isfinite(span) else math.inf
+
     def values(self) -> list:
-        n = int(math.floor((self.stop - self.start) / self.step + 0.5)) + 1
-        return [round(self.start + k * self.step, 12) for k in range(n)]
+        return [round(self.start + k * self.step, 12) for k in range(self.size())]
 
 
 @dataclass(frozen=True)
@@ -222,27 +237,6 @@ class ScenarioConfig:
     sweep: Optional[SweepSpec] = None
     params: CalibratedParams = field(default_factory=CalibratedParams)
     termination: float = 120.0
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    t: float
-    kind: str
-    ecu: str = ""
-    line: str = ""
-    value: float | None = None
-    detail: str = ""
-
-
-@dataclass
-class Trace:
-    records: list = field(default_factory=list)
-
-    def add(self, t, kind, ecu="", line="", value=None, detail=""):
-        self.records.append(TraceRecord(t, kind, ecu, line, value, detail))
-
-    def of_kind(self, kind: str) -> list:
-        return [r for r in self.records if r.kind == kind]
 
 
 @dataclass(frozen=True)
@@ -277,8 +271,8 @@ def _limit_pin_currents(sol, limit: float):
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
-    if cfg.duration <= 0.0:
-        raise ConfigError("duration", "must be positive")
+    if not 0.0 < cfg.duration < math.inf:
+        raise ConfigError("bus.duration", "must be positive and finite")
     if cfg.bus_speed <= 0.0:
         raise ConfigError("bus.speed", "must be positive")
     try:
@@ -322,6 +316,10 @@ def validate_config(cfg: ScenarioConfig) -> None:
         grid = (sweep.start, sweep.stop, sweep.step)
         if not (all(map(math.isfinite, grid)) and sweep.step > 0 and sweep.stop >= sweep.start):
             raise ConfigError("sweep", "grid must be finite, with positive step and stop >= start")
+        if sweep.size() > MAX_SWEEP_POINTS:
+            raise ConfigError(
+                "sweep.step", f"grid has {sweep.size()} points, more than {MAX_SWEEP_POINTS}"
+            )
         # a sweep point differs from the config in its attack only
         for value in sweep.values():
             point = set_sweep_value(cfg, sweep.path, value)
@@ -379,15 +377,18 @@ class _PinBank:
         self.trip_times: dict = {}
         self.damaged_at: float | None = None
 
-    def at_rest(self, i_raw: dict) -> bool:
+    def at_rest(self, i_raw: dict, coil_i: dict | None = None) -> bool:
         """A step at these raw pin currents leaves every accumulator as it is.
 
         Holds when each trip device and each damage timer (at its gated
         current) is tripped, or carries |i| <= rating with a zero
-        over-timer, and no thermostat is present.
+        over-timer, and each thermostat is closed at ambient with no
+        current through its coil (`coil_i`, by pin; without it a
+        thermostat never rests).
         """
-        if self.coil_pins:
-            return False
+        for pin in self.coil_pins:
+            if coil_i is None or not _coil_idle(self.devices[pin], coil_i[pin]):
+                return False
         for pin in self.trip_pins:
             if not self.devices[pin].at_rest(i_raw[pin]):
                 return False
@@ -457,8 +458,12 @@ class _Sim:
                 self.sends.append((t, e.name, e.frame))
                 t = t + e.period
         self.sends.sort(key=lambda s: (s[0], s[1]))
-        # agenda of sparse sample ticks and attack window markers
-        self.marks: list = [(float(k), "tick") for k in range(int(cfg.duration) + 1)]
+        # sample ticks at 0, 1, ..., last_tick s; those below next_tick are recorded
+        self.next_tick = 0
+        self.last_tick = int(cfg.duration)
+        self.samples: dict = {}  # pins -> a tick's sample records at those pins
+        # the attack window markers
+        self.marks: list = []
         if cfg.attack is not None:
             for t, kind in ((cfg.attack.t_start, "AttackStart"), (cfg.attack.t_end, "AttackEnd")):
                 if t <= cfg.duration:
@@ -491,15 +496,17 @@ class _Sim:
 
     def vids_currents(self, dominant: bool, t: float) -> tuple:
         """(bus solution, VIDS raw pin currents) at time t, cached on (dominant, pins)."""
-        pins = self.pins_at(t)
-        hit = self.solutions.get((dominant, pins))
-        if hit is None:
-            sol = solve_bus_detailed({"bus": dominant}, {self.vids: pins}, self.topo, self.params)
-            if self.source_limit is not None:
-                sol = _limit_pin_currents(sol, self.source_limit)
-            pc = sol.pin_currents.get(self.vids)
-            i = {"ph": pc.i_ph if pc else 0.0, "pl": pc.i_pl if pc else 0.0}
-            hit = self.solutions[(dominant, pins)] = (sol, i)
+        key = (dominant, self.pins_at(t))
+        return self.solutions.get(key) or self.solve_pins(key)
+
+    def solve_pins(self, key: tuple) -> tuple:
+        """Solve the bus for key = (dominant, pins) and cache it with the VIDS pin currents."""
+        dominant, pins = key
+        sol = solve_bus_detailed({"bus": dominant}, {self.vids: pins}, self.topo, self.params)
+        if self.source_limit is not None:
+            sol = _limit_pin_currents(sol, self.source_limit)
+        pc = sol.pin_currents[self.vids]
+        hit = self.solutions[key] = (sol, {"ph": pc.i_ph, "pl": pc.i_pl})
         return hit
 
     def solve(self, dominant: bool, t: float):
@@ -550,28 +557,64 @@ class _Sim:
     # -- marks ----------------------------------------------------------------
 
     def flush_marks(self, upto: float):
-        """Emit ticks and window markers due at or before `upto`."""
+        """Record the sample ticks and window markers due at or before `upto`."""
+        trace = self.trace
+        if upto <= trace.flushed:
+            return
+        trace.flushed = upto
         while self.mark_idx < len(self.marks) and self.marks[self.mark_idx][0] <= upto:
             t, kind = self.marks[self.mark_idx]
             self.mark_idx += 1
-            if kind == "tick":
-                self.emit_samples(t)
-            else:
-                self.trace.add(t, kind, ecu=self.attack.node, detail=type(self.attack).__name__)
+            # a tick at the marker's stamp sits after AttackStart, before AttackEnd
+            self.record_ticks(self.tick_before(t) if kind == "AttackStart" else math.floor(t))
+            trace.add(t, kind, ecu=self.attack.node, detail=type(self.attack).__name__)
+        if upto >= self.next_tick:
+            self.record_ticks(math.floor(upto))
 
     def next_mark(self) -> float:
+        t = float(self.next_tick) if self.next_tick <= self.last_tick else math.inf
         if self.mark_idx < len(self.marks):
-            return self.marks[self.mark_idx][0]
-        return math.inf
+            t = min(t, self.marks[self.mark_idx][0])
+        return t
 
-    def emit_samples(self, t: float):
-        sol = self.solve(False, t)
-        self.trace.add(t, "LineVoltageSample", line="canh", value=sol.voltages.v_canh)
-        self.trace.add(t, "LineVoltageSample", line="canl", value=sol.voltages.v_canl)
-        pc = sol.pin_currents.get(self.vids)
-        if pc is not None:
-            self.trace.add(t, "PinCurrentSample", ecu=self.vids, line="ph", value=pc.i_ph)
-            self.trace.add(t, "PinCurrentSample", ecu=self.vids, line="pl", value=pc.i_pl)
+    def record_ticks(self, last: int):
+        """Sample the idle bus at the ticks not yet recorded up to `last`,
+        a run per stretch of equal pins."""
+        attack = self.attack
+        last = min(last, self.last_tick)
+        k = self.next_tick
+        while k <= last:
+            end = last
+            if attack is not None and k < attack.t_end:
+                if k < attack.t_start:
+                    end = min(last, self.tick_before(attack.t_start))
+                elif self.pulse is not None:
+                    end = k
+                else:
+                    end = min(last, self.tick_before(attack.t_end))
+            self.trace.add_ticks(k, end, self.tick_samples(float(k)))
+            k = end + 1
+        self.next_tick = k
+
+    def tick_before(self, t: float) -> int:
+        """The last tick strictly before t; -1 when none (t may be infinite)."""
+        if t > self.last_tick:
+            return self.last_tick
+        return math.ceil(t) - 1 if t > 0.0 else -1
+
+    def tick_samples(self, t: float) -> tuple:
+        """A tick's sample records at t: the line voltages and the VIDS pin currents."""
+        pins = self.pins_at(t)
+        samples = self.samples.get(pins)
+        if samples is None:
+            sol, i = self.solutions.get((False, pins)) or self.solve_pins((False, pins))
+            samples = self.samples[pins] = (
+                ("LineVoltageSample", "", "canh", sol.voltages.v_canh),
+                ("LineVoltageSample", "", "canl", sol.voltages.v_canl),
+                ("PinCurrentSample", self.vids, "ph", i["ph"]),
+                ("PinCurrentSample", self.vids, "pl", i["pl"]),
+            )
+        return samples
 
     # -- device/damage integration ---------------------------------------------
 
@@ -664,14 +707,46 @@ class _Sim:
             verdict = self.resting[key] = self.bank.at_rest(i_raw)
         return verdict
 
+    def idle_inert(self, a: float, b: float) -> bool:
+        """No idle step over [a, b) can change an accumulator.
+
+        Checks each pin pair the idle bus takes there, gated by the
+        connectivity now: the inputs outside the attack window and every
+        window pair (both pulse phases) inside it. Inside the window a
+        thermostat's coil carries the bench drive when one is set.
+        """
+        attack, bank = self.attack, self.bank
+        states = []  # (pins, in window)
+        if attack is None or a < attack.t_start or attack.t_end < b:
+            states.append(((INPUT, INPUT), False))
+        if attack is not None and attack.t_start < b and a < attack.t_end:
+            states += [(pins, True) for pins in self.window_pins]
+        ph_on, pl_on = bank.connected("ph"), bank.connected("pl")
+        for (p_h, p_l), in_window in states:
+            key = (False, (p_h if ph_on else INPUT, p_l if pl_on else INPUT))
+            _, i = self.solutions.get(key) or self.solve_pins(key)
+            if self.at_rest(i):
+                continue
+            if not bank.coil_pins:
+                return False
+            driven = in_window and bank.coil_drive is not None
+            if not bank.at_rest(i, dict.fromkeys(i, bank.coil_drive) if driven else i):
+                return False
+        return True
+
     def advance_idle(self, target: float) -> float:
-        """Integrate the idle bus up to target; early-return on changes."""
+        """Integrate the idle bus up to target; early-return on changes.
+
+        Jumps to target when `idle_inert`, else slices at the next tick
+        or window marker (see the module docstring).
+        """
         while self.integrated_to < target:
             a = self.integrated_to
             self.flush_marks(a)
-            b = min(target, max(self.next_mark(), a))
-            if b <= a:
-                b = target
+            if self.idle_inert(a, target):
+                self.integrated_to = target
+                break
+            b = min(target, self.next_mark())
             cuts = self.boundaries(a, b)
             for lo, hi in zip(cuts, cuts[1:]):
                 _, i = self.vids_currents(False, 0.5 * (lo + hi))
@@ -888,9 +963,6 @@ class _Sim:
                     tx.retry_at = t_free
 
         self.advance_idle(cfg.duration)
-        self.trace.records = sorted(
-            self.trace.records, key=lambda r: r.t
-        )  # stable: equal stamps keep insertion order
         return self.trace, self.summarize()
 
     def summarize(self) -> Summary:
@@ -926,12 +998,12 @@ class _Sim:
         if isinstance(a, atk.ForcedRetransmission):
             return any(
                 r.kind == "Retransmission" and a.t_start <= r.t < a.t_end
-                for r in self.trace.records
+                for r in self.trace.events
             )
         expected = [t for t, _, _ in self.sends if a.t_start <= t < a.t_end]
         delivered = any(
             r.kind == "FrameReceived" and a.t_start <= r.t < a.t_end
-            for r in self.trace.records
+            for r in self.trace.events
         )
         return bool(expected) and not delivered
 
@@ -949,10 +1021,10 @@ def message_indicator(
 ) -> list:
     """Per-slot delivery flags: 1 when a frame arrived inside the slot."""
     if duration is None:
-        duration = max((r.t for r in trace.records), default=0.0)
+        duration = trace.end
     slots = int(round(duration / period))
     flags = [0] * slots
-    for r in trace.records:
+    for r in trace.events:
         if r.kind != "FrameReceived":
             continue
         if receiver is not None and r.ecu != receiver:

@@ -1,0 +1,144 @@
+"""The records of a run and their order.
+
+A run's trace holds its events as records and its 1 Hz samples as runs
+of ticks, so a mostly idle run costs memory per event, not per simulated
+second. Records sort by time. At equal stamps a tick follows the events
+recorded before the engine flushed it and precedes those recorded after;
+an AttackStart marker precedes the tick at its stamp and an AttackEnd
+marker follows it.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+TRACE_KINDS = (
+    "FrameSent",
+    "FrameReceived",
+    "ErrorFrame",
+    "Retransmission",
+    "FuseBlown",
+    "BreakerTripped",
+    "ThermostatOpen",
+    "ThermostatClosed",
+    "Damage",
+    "AttackStart",
+    "AttackEnd",
+    "PinCurrentSample",
+    "LineVoltageSample",
+)
+SAMPLE_KINDS = ("LineVoltageSample", "PinCurrentSample")
+
+
+@dataclass(frozen=True, slots=True)
+class TraceRecord:
+    t: float
+    kind: str
+    ecu: str = ""
+    line: str = ""
+    value: float | None = None
+    detail: str = ""
+
+
+# ranks order the records that share a stamp
+_BEFORE, _START, _TICK, _END, _AFTER = range(5)
+_MARKER_RANKS = {"AttackStart": _START, "AttackEnd": _END}
+
+
+class Trace:
+    """A run's records in time order: events, plus sample ticks kept as runs.
+
+    Events and window markers are records. Each run `[first, last,
+    samples]` stands for the ticks at first..last seconds, each with one
+    record per `(kind, ecu, line, value)` in `samples`. `records`
+    expands and merges both on first access; `events` and `segments`
+    do not expand the ticks.
+    """
+
+    def __init__(self):
+        self.flushed = -math.inf  # ticks and markers up to here are recorded
+        self.runs: list = []
+        self._side: list = []  # (t, rank, record) of events and markers
+        self._ordered = True
+        self._records = None
+
+    def add(self, t, kind, ecu="", line="", value=None, detail=""):
+        """A record at t. An event sorts before the tick at t while that
+        tick is not yet flushed, and after it once it is."""
+        rank = _MARKER_RANKS.get(kind)
+        if rank is None:
+            rank = _AFTER if t <= self.flushed else _BEFORE
+        self._side.append((t, rank, TraceRecord(t, kind, ecu, line, value, detail)))
+        self._ordered = False
+        self._records = None
+
+    def add_ticks(self, first: int, last: int, samples: tuple):
+        """Ticks first..last with the records `samples`; extends the last
+        run when it ends at first - 1 with these very samples."""
+        runs = self.runs
+        if runs and runs[-1][2] is samples and runs[-1][1] == first - 1:
+            runs[-1][1] = last
+        else:
+            runs.append([first, last, samples])
+        self._records = None
+
+    def _side_in_order(self) -> list:
+        if not self._ordered:
+            self._side.sort(key=lambda e: (e[0], e[1]))  # stable: insertion order on ties
+            self._ordered = True
+        return self._side
+
+    @property
+    def events(self) -> list:
+        """Every record but the samples, in order."""
+        return [r for _, _, r in self._side_in_order()]
+
+    @property
+    def end(self) -> float:
+        """The latest stamp of any record; 0.0 for an empty trace."""
+        last_tick = [float(self.runs[-1][1])] if self.runs else []
+        return max([t for t, _, _ in self._side] + last_tick, default=0.0)
+
+    def segments(self):
+        """The records in order: each event as `(record, None)`, each
+        stretch of ticks between events as `(None, (first, last, samples))`."""
+        side = self._side_in_order()
+        i, n = 0, len(side)
+        for first, last, samples in self.runs:
+            k = first
+            while k <= last:
+                tick = (k, _TICK)  # no event shares a rank with a tick
+                while i < n and side[i] < tick:
+                    yield side[i][2], None
+                    i += 1
+                end = last
+                if i < n:
+                    # the last tick that sorts before the next event
+                    t, rank = side[i][0], side[i][1]
+                    j = math.floor(t)
+                    end = min(last, j - 1 if j == t and rank < _TICK else j)
+                yield None, (k, end, samples)
+                k = end + 1
+        for _, _, r in side[i:]:
+            yield r, None
+
+    @property
+    def records(self) -> list:
+        """Every record in order, ticks expanded; built on first access."""
+        if self._records is None:
+            out = []
+            for r, ticks in self.segments():
+                if r is not None:
+                    out.append(r)
+                    continue
+                first, last, samples = ticks
+                for k in range(first, last + 1):
+                    t = float(k)
+                    out += [TraceRecord(t, *fields) for fields in samples]
+            self._records = out
+        return self._records
+
+    def of_kind(self, kind: str) -> list:
+        source = self.records if kind in SAMPLE_KINDS else self.events
+        return [r for r in source if r.kind == kind]

@@ -23,6 +23,7 @@ from canvolt.cli import (
 )
 from canvolt import attacks as atk
 from canvolt.engine import (
+    MAX_SWEEP_POINTS,
     CalibratedParams,
     ConfigError,
     DamageParams,
@@ -569,3 +570,59 @@ def scenarios(draw):
 @given(scenarios())
 def test_parse_of_serialize_is_the_identity(cfg):
     assert parse_config(serialize_config(cfg), cfg.params) == cfg
+
+
+# --- error paths, bounds and the trace writer ------------------------------------
+
+
+@pytest.mark.parametrize("duration", ["0", "-1.0", "inf"])
+def test_validate_reports_a_bad_duration_at_its_key(tmp_path, capsys, duration):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(BASELINE.replace("duration = 5.0", f"duration = {duration}"))
+    assert main(["validate", str(bad)]) == 1
+    assert "config error: bus.duration: must be" in capsys.readouterr().err
+
+
+def test_an_oversized_sweep_grid_is_rejected_before_it_is_listed(tmp_path, capsys, monkeypatch):
+    # 490,001 points: listing and validating each would take seconds
+    text = (CONFIGS / "dos_sweep.ini").read_text().replace("step = 0.1", "step = 0.00001")
+    bad = tmp_path / "fine.ini"
+    bad.write_text(text)
+
+    def listed(self):
+        raise AssertionError("the grid was listed")
+
+    monkeypatch.setattr(SweepSpec, "values", listed)
+    assert main(["validate", str(bad)]) == 1
+    assert "config error: sweep.step: grid has 490001 points" in capsys.readouterr().err
+
+
+def test_the_largest_sweep_grid_is_accepted():
+    text = (CONFIGS / "dos_sweep.ini").read_text().replace("step = 0.1", "step = 0.00049")
+    assert parse_config(text).sweep.size() == MAX_SWEEP_POINTS
+
+
+def test_trace_csv_quotes_ecu_names_like_csv_writer(tmp_path):
+    host = 'a,"b"'
+    cfg = ScenarioConfig(
+        duration=4.0,
+        ecus=(
+            EcuSpec(host, "vids-host"),
+            EcuSpec("B", "logger"),
+            EcuSpec("C", "sender", period=1.0, frame=Frame(id=1, data=b"\x01"), offset=0.5),
+        ),
+        attack=atk.DoS(node=host, t_start=1.0, t_end=2.5, v_attack_l=5.0),
+    )
+    trace, summary = run_scenario(cfg)
+    path = tmp_path / "t.csv"
+    emit_outputs(trace, summary, str(path), str(tmp_path / "s.json"))
+
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(("time_s", "kind", "ecu", "line", "value", "detail"))
+        for r in trace.records:
+            value = "" if r.value is None else repr(r.value)
+            w.writerow([repr(r.t), r.kind, r.ecu, r.line, value, r.detail])
+    assert '"a,""b"""' in path.read_text()
+    assert path.read_bytes() == want.read_bytes()

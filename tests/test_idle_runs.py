@@ -1,0 +1,266 @@
+"""Idle time in O(events) against per-tick references.
+
+The engine crosses an idle stretch in one step when no step there could
+change anything, and keeps its 1 Hz samples as runs of ticks. These tests
+run generated long buses, with frames on integer seconds, attack windows
+that span ticks and protective devices, and check:
+
+- every sample record against a per-tick oracle: the bus solved at the
+  tick's attacker pin pair (`attacks.pin_override`), gated by the trip
+  and flip records the engine made before it recorded the tick;
+- the whole trace against a reference that slices idle time at every
+  tick and keeps its records as a plain list in the order they were
+  made, stably sorted by time;
+- that idle time costs a bounded number of steps and solves per frame.
+"""
+
+import math
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from canvolt import attacks as atk
+from canvolt import engine
+from canvolt import trace as trace_module
+from canvolt.electrical import INPUT, BusTopology, solve_bus_detailed
+from canvolt.engine import (
+    EcuSpec,
+    IrsConfig,
+    ScenarioConfig,
+    TraceRecord,
+    message_indicator,
+    run_scenario,
+)
+from canvolt.link import Frame, bus_bits
+from canvolt.trace import SAMPLE_KINDS
+
+BIT = 2e-6  # 500 kbit/s
+HOST = "A"
+
+DEVICES = {
+    "none": None,
+    "fuse": IrsConfig(device="fuse"),
+    "breaker": IrsConfig(device="breaker"),
+    "resettable_fuse": IrsConfig(device="resettable_fuse"),
+    "thermostat": IrsConfig(device="thermostat"),
+    # heated by the bench supply for the whole window, then cools for tens of seconds
+    "driven_thermostat": IrsConfig(device="thermostat", coil_drive=1.0),
+}
+OPENS = {"FuseBlown": True, "BreakerTripped": True, "ThermostatOpen": True, "ThermostatClosed": False}
+
+
+def make_attack(kind, start, end):
+    if kind == "none":
+        return None
+    if kind == "dos":
+        return atk.DoS(node=HOST, t_start=start, t_end=end, v_attack_l=5.0)
+    if kind == "active":
+        return atk.ActiveOvercurrent(node=HOST, t_start=start, t_end=end)
+    line = "canl" if kind == "pulse_canl" else "canh"
+    return atk.PulseAttack(node=HOST, t_start=start, t_end=end, line=line, period=20e-6)
+
+
+def bus(duration, frame, period, offset, attack, device):
+    ecus = (
+        EcuSpec(HOST, "vids-host"),
+        EcuSpec("B", "logger"),
+        EcuSpec("C", "sender", period=period, frame=frame, offset=offset),
+    )
+    return ScenarioConfig(duration=duration, ecus=ecus, attack=attack, irs_config=DEVICES[device])
+
+
+def run_logged(cfg):
+    """run_scenario, plus every record in the order the engine made it."""
+    log = []
+    add, add_ticks = engine.Trace.add, engine.Trace.add_ticks
+
+    def logged_add(self, t, kind, ecu="", line="", value=None, detail=""):
+        log.append(TraceRecord(t, kind, ecu, line, value, detail))
+        add(self, t, kind, ecu, line, value, detail)
+
+    def logged_ticks(self, first, last, samples):
+        for k in range(first, last + 1):
+            log.extend(TraceRecord(float(k), *fields) for fields in samples)
+        add_ticks(self, first, last, samples)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine.Trace, "add", logged_add)
+        mp.setattr(engine.Trace, "add_ticks", logged_ticks)
+        trace, summary = run_scenario(cfg)
+    return trace, summary, log
+
+
+def run_reference(cfg):
+    """Idle time sliced at every tick; records as made, stably sorted by time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine._Sim, "idle_inert", lambda self, a, b: False)
+        _, summary, log = run_logged(cfg)
+    return sorted(log, key=lambda r: r.t), summary, log
+
+
+def oracle_mismatches(cfg, log) -> list:
+    """Sample records that disagree with a fresh solve at their tick."""
+    topo = BusTopology(termination=cfg.termination)
+    params = cfg.params.transceiver()
+    opened = {"ph": False, "pl": False}
+    bad = []
+    for r in log:
+        if r.kind in OPENS and r.detail != "resettable":
+            opened[r.line] = OPENS[r.kind]
+        if r.kind not in SAMPLE_KINDS:
+            continue
+        p_h, p_l = atk.pin_override(cfg.attack, r.t)
+        pins = (INPUT if opened["ph"] else p_h, INPUT if opened["pl"] else p_l)
+        sol = solve_bus_detailed({"bus": False}, {HOST: pins}, topo, params)
+        want = {
+            "canh": sol.voltages.v_canh,
+            "canl": sol.voltages.v_canl,
+            "ph": sol.pin_currents[HOST].i_ph,
+            "pl": sol.pin_currents[HOST].i_pl,
+        }[r.line]
+        if repr(r.value) != repr(want):
+            bad.append((r, want))
+    return bad
+
+
+@st.composite
+def idle_buses(draw):
+    duration = draw(st.integers(10, 5000)) + draw(st.sampled_from([0.0, 0.25]))
+    frame = Frame(id=draw(st.integers(1, 0x7FF)), data=draw(st.binary(max_size=8)))
+    period = float(draw(st.integers(5, 900)))
+    second = draw(st.integers(1, 9))
+    # a frame that starts, or ends, exactly on a tick ties with its sample
+    offset = draw(st.sampled_from([
+        float(second),
+        second - len(bus_bits(frame, acked=True)) * BIT,
+        second + 0.3,
+    ]))
+    kind = draw(st.sampled_from(["none", "dos", "pulse_canl", "pulse_canh", "active"]))
+    start = draw(st.integers(0, int(duration))) + draw(st.sampled_from([0.0, 0.5, -3e-6]))
+    width = draw(st.integers(1, 40)) + draw(st.sampled_from([0.0, 0.5]))
+    attack = make_attack(kind, max(start, 0.0), max(start, 0.0) + width)
+    device = draw(st.sampled_from(sorted(DEVICES)))
+    return bus(duration, frame, period, offset, attack, device)
+
+
+TIE_CASE = bus(
+    60.0, Frame(id=0x123, data=b"\x01\x02"), 7.0, 3.0,
+    make_attack("pulse_canl", 9.0, 12.5), "fuse",
+)
+COOLING_CASE = bus(
+    120.0, Frame(id=0x55, data=b""), 9.0, 2.5,
+    make_attack("dos", 20.0, 30.0), "driven_thermostat",
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(cfg=idle_buses())
+@example(cfg=TIE_CASE)
+@example(cfg=COOLING_CASE)
+def test_sample_runs_and_idle_jumps_match_per_tick_references(cfg):
+    trace, summary, log = run_logged(cfg)
+    ref_records, ref_summary, ref_log = run_reference(cfg)
+    assert oracle_mismatches(cfg, log) == []
+    assert oracle_mismatches(cfg, ref_log) == []
+    assert trace.records == ref_records
+    assert summary == ref_summary
+    # the indicator's default span reaches the last record, a tick included
+    end = max(r.t for r in ref_records)
+    assert message_indicator(trace) == message_indicator(trace, duration=end)
+
+
+@pytest.mark.parametrize("start, end", [(2.5, math.inf), (-math.inf, 3.5)])
+def test_windows_with_an_infinite_edge(start, end):
+    """Ticks are split at the window edges, which may be infinite."""
+    cfg = bus(6.0, Frame(id=1, data=b""), 1.0, 0.5, make_attack("dos", start, end), "fuse")
+    trace, summary, log = run_logged(cfg)
+    ref_records, ref_summary, _ = run_reference(cfg)
+    assert oracle_mismatches(cfg, log) == []
+    assert (trace.records, summary) == (ref_records, ref_summary)
+    assert len(trace.records) == 4 * 7 + len(trace.events)
+
+
+def test_the_tie_case_ties():
+    """TIE_CASE sends on integer seconds, so its samples and frames share stamps."""
+    trace, _ = run_scenario(TIE_CASE)
+    sent = {r.t for r in trace.of_kind("FrameSent")}
+    assert sent and all(t == int(t) for t in sent)
+    order = [r.kind for r in trace.records if r.t == 3.0]
+    assert order == ["LineVoltageSample"] * 2 + ["PinCurrentSample"] * 2 + ["FrameSent"]
+
+
+def test_ticks_after_events_on_ties_are_caught():
+    """Ranking every event before the ticks at its stamp puts a frame sent
+    exactly on a tick ahead of that tick's samples."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace_module, "_AFTER", trace_module._BEFORE)
+        trace, _ = run_scenario(TIE_CASE)
+    ref_records, _, _ = run_reference(TIE_CASE)
+    assert trace.records != ref_records
+
+
+def test_jumping_while_a_coil_is_not_idle_is_caught():
+    """An idle jump that ignores the thermostat skips its heating in the
+    window and its cooling after it."""
+    original = engine._Sim.idle_inert
+
+    def ignoring_coils(self, a, b):
+        coils = self.bank.coil_pins
+        self.bank.coil_pins = ()
+        try:
+            return original(self, a, b)
+        finally:
+            self.bank.coil_pins = coils
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine._Sim, "idle_inert", ignoring_coils)
+        trace, summary = run_scenario(COOLING_CASE)
+    ref_records, ref_summary, _ = run_reference(COOLING_CASE)
+    assert any(r.kind == "ThermostatOpen" for r in ref_records)
+    assert (trace.records, summary) != (ref_records, ref_summary)
+
+
+# --- idle cost -------------------------------------------------------------------
+
+IDLE_PERIOD = 600.0
+IDLE_DURATION = 1e5
+
+
+def late_window_bus():
+    """One 600 s sender over 1e5 s; a 100 us CANL pulse window opens 3 us
+    before a late frame, and the fuse trips inside it."""
+    sends, t = [], 0.5
+    while t < IDLE_DURATION:
+        sends.append(t)
+        t = t + IDLE_PERIOD
+    start = sends[-10] - 3e-6
+    return bus(
+        IDLE_DURATION, Frame(id=0x123, data=bytes(range(8))), IDLE_PERIOD, 0.5,
+        make_attack("pulse_canl", start, start + 100e-6), "fuse",
+    )
+
+
+def test_idle_cost_follows_events_not_simulated_seconds():
+    calls = {"advance_constant": 0, "vids_currents": 0}
+
+    def counting(name):
+        original = getattr(engine._Sim, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return original(self, *args)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            mp.setattr(engine._Sim, name, counting(name))
+        trace, summary = run_scenario(late_window_bus())
+
+    assert summary.device_trips, "the fuse did not trip in the window"
+    attempts = len(trace.of_kind("FrameSent")) + len(trace.of_kind("Retransmission"))
+    assert attempts >= IDLE_DURATION // IDLE_PERIOD
+    for name, n in calls.items():
+        assert n < 50 * attempts, (name, n, attempts)
+    assert len(trace.records) == 4 * (int(IDLE_DURATION) + 1) + len(trace.events)
