@@ -41,30 +41,30 @@ A driven bit is cut into pieces, and each piece costs constant work:
 
 Idle time costs O(events), not O(simulated seconds):
 
-- *Jump.* `advance_idle` crosses the idle stretch up to the next frame
+- *Jump.* `advance_idle` crosses the idle stretch up to the next event
   in one step when no idle step there could change anything: every
   trip device and damage timer is at rest at each pin pair the idle bus
   takes (the inputs outside the attack window, each window pair inside
   it), and every thermostat is closed at ambient with no coil current.
-- *Slice.* Otherwise idle time is sliced at every sample tick and window
-  edge. `irs.thermostat_advance` starts its tau/10 step grid afresh at
-  each call, so only this slicing keeps the thermostat and over-timer
-  numerics fixed.
-- *Samples as runs.* A 1 Hz sample tick at k seconds records the idle
-  bus at that stamp, with the connectivity the devices have when the
-  engine reaches it (flushes it). Ticks with the same records form one
-  run `[first, last, samples]`; inside a pulse window each tick picks
-  its phase pair.
-- *Ties.* Records sort by time. At equal stamps a tick follows the
-  events recorded before the engine flushed it and precedes those
-  recorded after; an AttackStart marker precedes the tick at its stamp
-  and an AttackEnd marker follows it.
+- *Slice.* Otherwise idle time is sliced at every whole second and
+  window edge. `irs.thermostat_advance` starts its tau/10 step grid
+  afresh at each call, so only this slicing keeps the thermostat and
+  over-timer numerics fixed.
+
+The 1 Hz samples are a function of the run's history, built once after
+the run (`record_ticks`): tick k records the idle bus at the attacker's
+pin pair at k seconds, gated by the connectivity after every trip or
+thermostat flip stamped at or before k. Ticks with the same records
+form one run `[first, last, samples]`; inside a pulse window each tick
+picks its phase pair. Records sort by time, and at equal stamps by kind
+(`trace.Trace.add`): every other event, AttackStart, the tick, AttackEnd,
+then FrameSent and Retransmission.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 from . import attacks as atk
@@ -270,11 +270,37 @@ def _limit_pin_currents(sol, limit: float):
     return replace(sol, pin_currents=currents)
 
 
+# field name -> its INI key, where the two differ
+_INI_KEYS = {"bus_speed": "speed", "t_start": "start", "v_attack_l": "v", "v_attack_h": "v",
+             "source_limit": "current_limit", "leakage_current": "leakage",
+             "coil_hysteresis": "hysteresis"}
+_POSITIVE = {"duration", "bus_speed", "termination", "period", "opening_time", "tau_thermal", "r_coil"}
+# a negative limit (rating, i_max) would count a pin carrying no current as over it
+_NON_NEGATIVE = {
+    "offset", "rating", "leakage_current", "i_max", "damage_time", "coil_hysteresis", "thermal_gain"
+}
+
+
+def _check_numbers(section: str, obj, skip: tuple = ()) -> None:
+    """Each number field of `obj` but those in `skip` must be finite, and
+    positive or non-negative where its name is listed so (NaN is neither);
+    an error names `<section>.<key>`."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.name in skip or not isinstance(value, (int, float)):
+            continue
+        sign = "positive" if f.name in _POSITIVE else "non-negative" if f.name in _NON_NEGATIVE else ""
+        if not math.isfinite(value) or (sign and value < 0.0) or (sign == "positive" and value == 0.0):
+            rule = f"{sign} and finite" if sign else "finite"
+            raise ConfigError(f"{section}.{_INI_KEYS.get(f.name, f.name)}", f"must be {rule}")
+
+
 def validate_config(cfg: ScenarioConfig) -> None:
-    if not 0.0 < cfg.duration < math.inf:
-        raise ConfigError("bus.duration", "must be positive and finite")
-    if cfg.bus_speed <= 0.0:
-        raise ConfigError("bus.speed", "must be positive")
+    """Raise a ConfigError, at the `<section>.<key>` at fault, for a config
+    that cannot run."""
+    _check_numbers("bus", cfg)
+    _check_numbers("params", cfg.params)
+    _check_numbers("damage", cfg.damage)
     try:
         cfg.params.transceiver()
         cfg.params.timing(cfg.bus_speed)
@@ -296,6 +322,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
         if e.role == "sender":
             if e.period is None or e.frame is None:
                 raise ConfigError(f"ecu.{e.name}", "sender needs period and frame")
+            _check_numbers(f"ecu.{e.name}", e)
             tx_times.append(frame_bit_length(e.frame) * bit_time)
             if e.period <= tx_times[-1]:
                 raise ConfigError(
@@ -306,11 +333,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
         _validate_attack(cfg.attack, hosts[0].name, tx_times)
     if cfg.irs_config is not None and cfg.irs_config.pins not in ("both", "ph", "pl"):
         raise ConfigError("irs.pins", f"unknown pin selection {cfg.irs_config.pins!r}")
-    # a negative limit would count a pin carrying no current as over it
-    if cfg.irs_config is not None and cfg.irs_config.rating < 0.0:
-        raise ConfigError("irs.rating", "must not be negative")
-    if cfg.damage.i_max < 0.0:
-        raise ConfigError("damage.i_max", "must not be negative")
+    if cfg.irs_config is not None:
+        _check_numbers("irs", cfg.irs_config)
     sweep = cfg.sweep
     if sweep is not None:
         grid = (sweep.start, sweep.stop, sweep.step)
@@ -329,7 +353,10 @@ def validate_config(cfg: ScenarioConfig) -> None:
 def _validate_attack(attack: atk.AttackSpec, host: str, tx_times: list) -> None:
     if attack.node != host:
         raise ConfigError("attack.node", "attack must originate at the vids-host")
-    if isinstance(attack, atk.PulseAttack) and tx_times and attack.period >= min(tx_times):
+    # the window's edges may be infinite, but a pulse's start anchors its phase
+    pulse = isinstance(attack, atk.PulseAttack)
+    _check_numbers("attack", attack, skip=("t_end",) if pulse else ("t_start", "t_end"))
+    if pulse and tx_times and attack.period >= min(tx_times):
         raise ConfigError(
             "attack.period",
             f"pulse period {attack.period} not below frame time {min(tx_times):.6g}",
@@ -458,26 +485,23 @@ class _Sim:
                 self.sends.append((t, e.name, e.frame))
                 t = t + e.period
         self.sends.sort(key=lambda s: (s[0], s[1]))
-        # sample ticks at 0, 1, ..., last_tick s; those below next_tick are recorded
-        self.next_tick = 0
+        self.changes: list = []  # (t, pin, connected) of every trip and thermostat flip
+        # sample ticks at 0, 1, ..., last_tick s, recorded after the run
         self.last_tick = int(cfg.duration)
         self.samples: dict = {}  # pins -> a tick's sample records at those pins
-        # the attack window markers
-        self.marks: list = []
         if cfg.attack is not None:
             for t, kind in ((cfg.attack.t_start, "AttackStart"), (cfg.attack.t_end, "AttackEnd")):
                 if t <= cfg.duration:
-                    self.marks.append((t, kind))
-        self.marks.sort(key=lambda m: (m[0], m[1] != "AttackStart"))
-        self.mark_idx = 0
+                    self.trace.add(t, kind, ecu=cfg.attack.node, detail=type(cfg.attack).__name__)
 
     # -- attack pin state ---------------------------------------------------
 
-    def pins_at(self, t: float) -> tuple:
+    def pins_at(self, t: float, connected: tuple | None = None) -> tuple:
         """Gated (P_H, P_L) modes of the VIDS node at time t.
 
         Equals the gated `atk.pin_override`: a pulse picks its phase
-        pair with the phase test of `resolve_pulse`.
+        pair with the phase test of `resolve_pulse`. `connected` gives
+        each pin's connectivity as (P_H, P_L); by default, the devices' now.
         """
         attack = self.attack
         if attack is None or not attack.t_start <= t < attack.t_end:
@@ -488,11 +512,8 @@ class _Sim:
             p_h, p_l = self.window_pins[0]
         else:
             p_h, p_l = self.window_pins[1]
-        if not self.bank.connected("ph"):
-            p_h = INPUT
-        if not self.bank.connected("pl"):
-            p_l = INPUT
-        return p_h, p_l
+        ph_on, pl_on = connected or (self.bank.connected("ph"), self.bank.connected("pl"))
+        return p_h if ph_on else INPUT, p_l if pl_on else INPUT
 
     def vids_currents(self, dominant: bool, t: float) -> tuple:
         """(bus solution, VIDS raw pin currents) at time t, cached on (dominant, pins)."""
@@ -512,20 +533,7 @@ class _Sim:
     def solve(self, dominant: bool, t: float):
         return self.vids_currents(dominant, t)[0]
 
-    # -- boundary helpers -----------------------------------------------------
-
-    def boundaries(self, a: float, b: float) -> list:
-        """Cut the idle stretch [a, b) at attack window edges.
-
-        The idle bus carries no current in either pulse phase, so idle
-        integration needs no pulse cuts.
-        """
-        cuts = {a, b}
-        if self.attack is not None:
-            for edge in (self.attack.t_start, self.attack.t_end):
-                if a < edge < b:
-                    cuts.add(edge)
-        return sorted(cuts)
+    # -- cuts -----------------------------------------------------------------
 
     def next_segment_end(self, a: float, b: float) -> float:
         """The first window edge or pulse phase edge after a, or b.
@@ -554,47 +562,34 @@ class _Sim:
                 t += period
         return end
 
-    # -- marks ----------------------------------------------------------------
+    # -- sample ticks -------------------------------------------------------------
 
-    def flush_marks(self, upto: float):
-        """Record the sample ticks and window markers due at or before `upto`."""
-        trace = self.trace
-        if upto <= trace.flushed:
-            return
-        trace.flushed = upto
-        while self.mark_idx < len(self.marks) and self.marks[self.mark_idx][0] <= upto:
-            t, kind = self.marks[self.mark_idx]
-            self.mark_idx += 1
-            # a tick at the marker's stamp sits after AttackStart, before AttackEnd
-            self.record_ticks(self.tick_before(t) if kind == "AttackStart" else math.floor(t))
-            trace.add(t, kind, ecu=self.attack.node, detail=type(self.attack).__name__)
-        if upto >= self.next_tick:
-            self.record_ticks(math.floor(upto))
+    def record_ticks(self):
+        """Sample the idle bus at every tick, a run per stretch of equal pins.
 
-    def next_mark(self) -> float:
-        t = float(self.next_tick) if self.next_tick <= self.last_tick else math.inf
-        if self.mark_idx < len(self.marks):
-            t = min(t, self.marks[self.mark_idx][0])
-        return t
-
-    def record_ticks(self, last: int):
-        """Sample the idle bus at the ticks not yet recorded up to `last`,
-        a run per stretch of equal pins."""
+        Tick k reads the attacker's pins at k, gated by the connectivity
+        after every trip or flip stamped at or before k.
+        """
         attack = self.attack
-        last = min(last, self.last_tick)
-        k = self.next_tick
-        while k <= last:
-            end = last
+        changes = sorted(self.changes, key=lambda c: c[0])
+        on = {"ph": True, "pl": True}
+        i, k = 0, 0
+        while k <= self.last_tick:
+            while i < len(changes) and changes[i][0] <= k:
+                _, pin, on[pin] = changes[i]
+                i += 1
+            # a run stops before the next connectivity change and window edge
+            end = self.tick_before(changes[i][0]) if i < len(changes) else self.last_tick
             if attack is not None and k < attack.t_end:
                 if k < attack.t_start:
-                    end = min(last, self.tick_before(attack.t_start))
+                    end = min(end, self.tick_before(attack.t_start))
                 elif self.pulse is not None:
                     end = k
                 else:
-                    end = min(last, self.tick_before(attack.t_end))
-            self.trace.add_ticks(k, end, self.tick_samples(float(k)))
+                    end = min(end, self.tick_before(attack.t_end))
+            pins = self.pins_at(float(k), (on["ph"], on["pl"]))
+            self.trace.add_ticks(k, end, self.tick_samples(pins))
             k = end + 1
-        self.next_tick = k
 
     def tick_before(self, t: float) -> int:
         """The last tick strictly before t; -1 when none (t may be infinite)."""
@@ -602,9 +597,8 @@ class _Sim:
             return self.last_tick
         return math.ceil(t) - 1 if t > 0.0 else -1
 
-    def tick_samples(self, t: float) -> tuple:
-        """A tick's sample records at t: the line voltages and the VIDS pin currents."""
-        pins = self.pins_at(t)
+    def tick_samples(self, pins: tuple) -> tuple:
+        """A tick's sample records at gated pins: the line voltages and the VIDS pin currents."""
         samples = self.samples.get(pins)
         if samples is None:
             sol, i = self.solutions.get((False, pins)) or self.solve_pins((False, pins))
@@ -625,8 +619,10 @@ class _Sim:
             irs.ResettableFuseState: "FuseBlown",
             irs.ThermostatCoil: "ThermostatOpen" if opened else "ThermostatClosed",
         }[type(dev)]
-        detail = "resettable" if isinstance(dev, irs.ResettableFuseState) else ""
-        self.trace.add(t, kind, ecu=self.vids, line=pin, detail=detail)
+        resettable = isinstance(dev, irs.ResettableFuseState)
+        self.trace.add(t, kind, ecu=self.vids, line=pin, detail="resettable" if resettable else "")
+        if not resettable:  # a resettable fuse's leakage path keeps its pin connected
+            self.changes.append((t, pin, not dev.open))
         if opened and pin not in self.bank.trip_times:
             self.bank.trip_times[pin] = t
 
@@ -737,25 +733,22 @@ class _Sim:
     def advance_idle(self, target: float) -> float:
         """Integrate the idle bus up to target; early-return on changes.
 
-        Jumps to target when `idle_inert`, else slices at the next tick
-        or window marker (see the module docstring).
+        Jumps to target when `idle_inert`, else slices at the next whole
+        second and window edge (see the module docstring); the idle bus
+        carries no current in either pulse phase, so no pulse cuts.
         """
+        attack = self.attack
+        edges = (attack.t_start, attack.t_end) if attack is not None else ()
         while self.integrated_to < target:
             a = self.integrated_to
-            self.flush_marks(a)
             if self.idle_inert(a, target):
                 self.integrated_to = target
                 break
-            b = min(target, self.next_mark())
-            cuts = self.boundaries(a, b)
-            for lo, hi in zip(cuts, cuts[1:]):
-                _, i = self.vids_currents(False, 0.5 * (lo + hi))
-                reached = self.advance_constant(lo, hi, i)
-                self.integrated_to = reached
-                if reached < hi:
-                    return reached  # connectivity changed; caller re-plans
-            self.integrated_to = b
-        self.flush_marks(target)
+            b = min(target, float(math.floor(a) + 1), *(e for e in edges if a < e))
+            _, i = self.vids_currents(False, 0.5 * (a + b))
+            self.integrated_to = self.advance_constant(a, b, i)
+            if self.integrated_to < b:
+                return self.integrated_to  # connectivity changed; caller re-plans
         return target
 
     # -- bus state ---------------------------------------------------------------
@@ -903,7 +896,7 @@ class _Sim:
         send_idx = 0
         bus_free = 0.0
         while True:
-            candidates = []
+            candidates = [cfg.duration]
             if send_idx < len(self.sends):
                 candidates.append(self.sends[send_idx][0])
             ready = None
@@ -915,11 +908,7 @@ class _Sim:
                         ready = t_ready
             if ready is not None:
                 candidates.append(ready)
-            if not candidates:
-                break
             t_next = min(candidates)
-            if t_next >= cfg.duration:
-                break
 
             reached = self.advance_idle(t_next)
             if reached < t_next:
@@ -929,6 +918,8 @@ class _Sim:
                         q[0].retry_at = reached
                         q[0].blocked = False
                 continue
+            if t_next >= cfg.duration:
+                break
 
             if send_idx < len(self.sends) and self.sends[send_idx][0] <= t_next:
                 t, name, frame = self.sends[send_idx]
@@ -962,7 +953,7 @@ class _Sim:
                 else:
                     tx.retry_at = t_free
 
-        self.advance_idle(cfg.duration)
+        self.record_ticks()
         return self.trace, self.summarize()
 
     def summarize(self) -> Summary:

@@ -2,10 +2,16 @@
 
 A run's trace holds its events as records and its 1 Hz samples as runs
 of ticks, so a mostly idle run costs memory per event, not per simulated
-second. Records sort by time. At equal stamps a tick follows the events
-recorded before the engine flushed it and precedes those recorded after;
-an AttackStart marker precedes the tick at its stamp and an AttackEnd
-marker follows it.
+second. Records sort by time, and records that share a stamp by kind:
+
+1. every other event (trips, thermostat flips, Damage, FrameReceived,
+   ErrorFrame);
+2. AttackStart;
+3. the tick's samples;
+4. AttackEnd;
+5. FrameSent and Retransmission.
+
+Records of the same rank keep the order they were added in.
 """
 
 from __future__ import annotations
@@ -41,9 +47,9 @@ class TraceRecord:
     detail: str = ""
 
 
-# ranks order the records that share a stamp
-_BEFORE, _START, _TICK, _END, _AFTER = range(5)
-_MARKER_RANKS = {"AttackStart": _START, "AttackEnd": _END}
+# a record's rank among those at its stamp: 0 for a kind not listed, _TICK for samples
+_TICK = 2
+_RANKS = {"AttackStart": 1, "AttackEnd": 3, "FrameSent": 4, "Retransmission": 4}
 
 
 class Trace:
@@ -57,19 +63,14 @@ class Trace:
     """
 
     def __init__(self):
-        self.flushed = -math.inf  # ticks and markers up to here are recorded
         self.runs: list = []
         self._side: list = []  # (t, rank, record) of events and markers
         self._ordered = True
         self._records = None
 
     def add(self, t, kind, ecu="", line="", value=None, detail=""):
-        """A record at t. An event sorts before the tick at t while that
-        tick is not yet flushed, and after it once it is."""
-        rank = _MARKER_RANKS.get(kind)
-        if rank is None:
-            rank = _AFTER if t <= self.flushed else _BEFORE
-        self._side.append((t, rank, TraceRecord(t, kind, ecu, line, value, detail)))
+        """A record at t, ranked by its kind among the records at t."""
+        self._side.append((t, _RANKS.get(kind, 0), TraceRecord(t, kind, ecu, line, value, detail)))
         self._ordered = False
         self._records = None
 

@@ -1,5 +1,6 @@
 """Config parsing, calibration, and the command-line surface."""
 
+import configparser
 import csv
 import json
 import string
@@ -581,6 +582,64 @@ def test_validate_reports_a_bad_duration_at_its_key(tmp_path, capsys, duration):
     bad.write_text(BASELINE.replace("duration = 5.0", f"duration = {duration}"))
     assert main(["validate", str(bad)]) == 1
     assert "config error: bus.duration: must be" in capsys.readouterr().err
+
+
+SECTIONS = {  # the section a case adds to BASELINE
+    "": "",
+    "pulse": "[attack]\ntype = pulse\nnode = A\nstart = 1.0\nend = 2.0\nperiod = 1e-6\n",
+    "fuse": "[irs]\ndevice = fuse\n",
+    "thermostat": "[irs]\ndevice = thermostat\n",
+    "damage": "[damage]\n",
+}
+
+
+@pytest.mark.parametrize("path, value, section", [
+    ("bus.speed", "nan", ""),
+    ("bus.speed", "inf", ""),
+    ("bus.termination", "nan", ""),
+    ("bus.termination", "inf", ""),
+    ("ecu.C.period", "nan", ""),
+    ("ecu.C.offset", "nan", ""),
+    ("ecu.C.offset", "inf", ""),
+    ("ecu.C.offset", "-1", ""),
+    ("attack.period", "nan", "pulse"),
+    ("attack.phase", "nan", "pulse"),
+    ("attack.phase", "inf", "pulse"),
+    ("attack.start", "-inf", "pulse"),
+    ("irs.opening_time", "0", "fuse"),
+    ("irs.opening_time", "-1", "fuse"),
+    ("irs.opening_time", "nan", "fuse"),
+    ("irs.rating", "nan", "fuse"),
+    ("irs.tau_thermal", "0", "thermostat"),
+    ("irs.tau_thermal", "-1", "thermostat"),
+    ("irs.tau_thermal", "nan", "thermostat"),
+    ("irs.t_limit", "nan", "thermostat"),
+    ("irs.coil_drive", "nan", "thermostat"),
+    ("irs.r_coil", "-1", "thermostat"),
+    ("irs.hysteresis", "-5", "thermostat"),
+    ("damage.i_max", "nan", "damage"),
+    ("damage.damage_time", "nan", "damage"),
+])
+def test_validate_rejects_numbers_out_of_range_at_their_key(tmp_path, capsys, path, value, section):
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(BASELINE + "\n" + SECTIONS[section])
+    header, key = path.rsplit(".", 1)
+    cp[header][key] = value
+    bad = tmp_path / "bad.ini"
+    with open(bad, "w") as fh:
+        cp.write(fh)
+    assert main(["validate", str(bad)]) == 1
+    assert f"config error: {path}: must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("attack", [
+    "type = dos\nstart = -inf\nend = 2.0",
+    "type = pulse\nperiod = 1e-6\nstart = 1.0\nend = inf",
+])
+def test_an_attack_window_may_be_open_ended(tmp_path, attack):
+    ok = tmp_path / "ok.ini"
+    ok.write_text(BASELINE + f"\n[attack]\nnode = A\n{attack}\n")
+    assert main(["validate", str(ok)]) == 0
 
 
 def test_an_oversized_sweep_grid_is_rejected_before_it_is_listed(tmp_path, capsys, monkeypatch):

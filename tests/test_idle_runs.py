@@ -7,10 +7,10 @@ that span ticks and protective devices, and check:
 
 - every sample record against a per-tick oracle: the bus solved at the
   tick's attacker pin pair (`attacks.pin_override`), gated by the trip
-  and flip records the engine made before it recorded the tick;
+  and flip records stamped at or before the tick;
 - the whole trace against a reference that slices idle time at every
-  tick and keeps its records as a plain list in the order they were
-  made, stably sorted by time;
+  whole second and keeps its records as a plain list in the order they
+  were made, stably sorted by time and, at equal stamps, by `RANK`;
 - that idle time costs a bounded number of steps and solves per frame.
 """
 
@@ -48,6 +48,15 @@ DEVICES = {
     "driven_thermostat": IrsConfig(device="thermostat", coil_drive=1.0),
 }
 OPENS = {"FuseBlown": True, "BreakerTripped": True, "ThermostatOpen": True, "ThermostatClosed": False}
+# at equal stamps: every other event, AttackStart, the tick, AttackEnd, frame starts
+RANK = {
+    "AttackStart": 1,
+    "LineVoltageSample": 2,
+    "PinCurrentSample": 2,
+    "AttackEnd": 3,
+    "FrameSent": 4,
+    "Retransmission": 4,
+}
 
 
 def make_attack(kind, start, end):
@@ -92,24 +101,28 @@ def run_logged(cfg):
 
 
 def run_reference(cfg):
-    """Idle time sliced at every tick; records as made, stably sorted by time."""
+    """Idle time sliced at every whole second; records as made, stably
+    sorted by time and rank."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine._Sim, "idle_inert", lambda self, a, b: False)
         _, summary, log = run_logged(cfg)
-    return sorted(log, key=lambda r: r.t), summary, log
+    return sorted(log, key=lambda r: (r.t, RANK.get(r.kind, 0))), summary, log
 
 
 def oracle_mismatches(cfg, log) -> list:
     """Sample records that disagree with a fresh solve at their tick."""
     topo = BusTopology(termination=cfg.termination)
     params = cfg.params.transceiver()
+    changes = sorted(
+        (r for r in log if r.kind in OPENS and r.detail != "resettable"), key=lambda r: r.t
+    )
     opened = {"ph": False, "pl": False}
     bad = []
-    for r in log:
-        if r.kind in OPENS and r.detail != "resettable":
-            opened[r.line] = OPENS[r.kind]
-        if r.kind not in SAMPLE_KINDS:
-            continue
+    i = 0
+    for r in sorted((r for r in log if r.kind in SAMPLE_KINDS), key=lambda r: r.t):
+        while i < len(changes) and changes[i].t <= r.t:
+            opened[changes[i].line] = OPENS[changes[i].kind]
+            i += 1
         p_h, p_l = atk.pin_override(cfg.attack, r.t)
         pins = (INPUT if opened["ph"] else p_h, INPUT if opened["pl"] else p_l)
         sol = solve_bus_detailed({"bus": False}, {HOST: pins}, topo, params)
@@ -191,13 +204,46 @@ def test_the_tie_case_ties():
 
 
 def test_ticks_after_events_on_ties_are_caught():
-    """Ranking every event before the ticks at its stamp puts a frame sent
+    """Ranking a frame start with the other events puts a frame sent
     exactly on a tick ahead of that tick's samples."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trace_module, "_AFTER", trace_module._BEFORE)
+        mp.setitem(trace_module._RANKS, "FrameSent", 0)
         trace, _ = run_scenario(TIE_CASE)
     ref_records, _, _ = run_reference(TIE_CASE)
     assert trace.records != ref_records
+
+
+def test_a_flip_in_the_last_idle_stretch_does_not_end_the_run():
+    """With no frame due, a thermostat heated through the window flips in
+    the run's last idle stretch; the run still reaches its duration, with
+    every tick and the window's end."""
+    cfg = ScenarioConfig(
+        duration=10.0,
+        ecus=(EcuSpec(HOST, "vids-host"), EcuSpec("B", "logger")),
+        attack=make_attack("dos", 0.0, 6.5),
+        irs_config=DEVICES["driven_thermostat"],
+    )
+    trace, summary, log = run_logged(cfg)
+    assert sorted({r.t for r in trace.of_kind("LineVoltageSample")}) == [float(k) for k in range(11)]
+    assert [r.t for r in trace.of_kind("AttackEnd")] == [6.5]
+    flips = trace.of_kind("ThermostatOpen") + trace.of_kind("ThermostatClosed")
+    assert max(r.t for r in flips) == pytest.approx(6.7)
+    assert oracle_mismatches(cfg, log) == []
+    ref_records, ref_summary, _ = run_reference(cfg)
+    assert (trace.records, summary) == (ref_records, ref_summary)
+
+
+def test_a_tick_shows_the_devices_at_its_stamp():
+    """A frame spans the tick at 5 s and a pulse window opens just before
+    it; the fuse blows 3 us after the tick, so the tick still sees the
+    pulse's high phase drive both lines to 5 V."""
+    attack = make_attack("pulse_canl", 4.9999995, 6.0)
+    cfg = bus(8.0, Frame(id=0x7FF, data=b""), 100.0, 4.99999, attack, "fuse")
+    trace, _, log = run_logged(cfg)
+    assert [r.t for r in trace.of_kind("FuseBlown")] == [pytest.approx(5.000003)]
+    at_five = {r.line: r.value for r in trace.records if r.t == 5.0 and r.kind in SAMPLE_KINDS}
+    assert at_five["canh"] == at_five["canl"] == 5.0
+    assert oracle_mismatches(cfg, log) == []
 
 
 def test_jumping_while_a_coil_is_not_idle_is_caught():
