@@ -27,9 +27,10 @@ them, with the host's pin currents, on that pair.
 
 A driven bit is cut into pieces, and each piece costs constant work:
 
-- *Cut from the cursor.* The next cut is the first window edge or pulse
-  phase edge after the cursor, found with `electrical.pulse_edges`'
-  arithmetic from the cursor's period, without listing the bit's cuts.
+- *Cut from the cursor.* `cuts` yields each cut from the one before it:
+  the first window edge or pulse phase edge after it, found with
+  `electrical.pulse_edges`' arithmetic from its period, without listing
+  the bit's cuts. A trip that ends a piece early restarts it there.
 - *Phase-pin lookup.* The attacker's pin pairs (one per pulse phase, or
   the one pair of a static attack) are built once per run; a piece
   picks its pair with the phase test of `electrical.resolve_pulse`.
@@ -38,6 +39,11 @@ A driven bit is cut into pieces, and each piece costs constant work:
   its gated current, is tripped or carries |i| <= rating with a zero
   over-timer, and no thermostat is present. The verdict is kept per
   pair of pin currents until the next step that is taken.
+- *Resting pulse bits.* A bit inside a pulse window, while both gated
+  phase pairs are at rest at its level, costs only its cuts and the
+  comparator: each piece takes its phase's v_diff by the phase test,
+  with no pin lookup, solve lookup or accumulator step. The verdict is
+  kept per driven level, likewise.
 
 Idle time costs O(events), not O(simulated seconds):
 
@@ -470,6 +476,7 @@ class _Sim:
         }
         self.solutions: dict = {}  # (dominant, pins) -> (BusSolution, VIDS pin currents)
         self.resting: dict = {}  # (i_ph, i_pl) -> bank.at_rest verdict until the next full step
+        self.resting_bits: dict = {}  # dominant -> resting_levels verdict, likewise
         # the attacker's pin pairs: high and low phase for a pulse, else one
         self.window_pins = atk.window_pins(cfg.attack) if cfg.attack is not None else ()
         self.pulse = cfg.attack if isinstance(cfg.attack, atk.PulseAttack) else None
@@ -512,8 +519,12 @@ class _Sim:
             p_h, p_l = self.window_pins[0]
         else:
             p_h, p_l = self.window_pins[1]
+        return self.gate((p_h, p_l), connected)
+
+    def gate(self, pins: tuple, connected: tuple | None = None) -> tuple:
+        """(P_H, P_L) with each disconnected pin an input; `connected` as in `pins_at`."""
         ph_on, pl_on = connected or (self.bank.connected("ph"), self.bank.connected("pl"))
-        return p_h if ph_on else INPUT, p_l if pl_on else INPUT
+        return pins[0] if ph_on else INPUT, pins[1] if pl_on else INPUT
 
     def vids_currents(self, dominant: bool, t: float) -> tuple:
         """(bus solution, VIDS raw pin currents) at time t, cached on (dominant, pins)."""
@@ -535,32 +546,41 @@ class _Sim:
 
     # -- cuts -----------------------------------------------------------------
 
-    def next_segment_end(self, a: float, b: float) -> float:
-        """The first window edge or pulse phase edge after a, or b.
+    def cuts(self, a: float, b: float):
+        """Yield the cuts after a up to b, each the first window edge or
+        pulse phase edge after the cut before it, the last one b.
 
         The pulse edges are those `electrical.pulse_edges` lists over the
-        window's part of [a, b), with the same float arithmetic, walked
-        from the period that holds the cursor up to the first one.
+        window's part of [cut, b), with the same float arithmetic, walked
+        from the period that holds the previous cut up to the first one.
         """
         attack = self.attack
         if attack is None:
-            return b
-        end = b
-        for edge in (attack.t_start, attack.t_end):
-            if a < edge < end:
-                end = edge
-        if self.pulse is not None:
-            lo = max(a, attack.t_start)
-            hi = min(b, attack.t_end)
-            origin = self.phase_origin
-            period = attack.period
-            t = origin + math.floor((lo - origin) / period) * period
-            while t < hi and t < end:
-                for edge in (t, t + self.high_time):
+            yield b
+            return
+        t_start, t_end = attack.t_start, attack.t_end
+        pulse = self.pulse is not None
+        if pulse:
+            origin, period, high_time = self.phase_origin, attack.period, self.high_time
+        while a < b:
+            end = b
+            if a < t_start < end:
+                end = t_start
+            if a < t_end < end:
+                end = t_end
+            if pulse:
+                lo = t_start if t_start > a else a
+                hi = t_end if t_end < b else b
+                t = origin + math.floor((lo - origin) / period) * period
+                while t < hi and t < end:
+                    edge = t if a < t and lo <= t else t + high_time
                     if a < edge and lo <= edge:
-                        return min(edge, end) if edge < hi else end
-                t += period
-        return end
+                        if edge < end and edge < hi:
+                            end = edge
+                        break
+                    t += period
+            a = end
+            yield a
 
     # -- sample ticks -------------------------------------------------------------
 
@@ -636,7 +656,9 @@ class _Sim:
         """
         if self.at_rest(i_raw):
             return b
-        self.resting.clear()  # this step may change an accumulator
+        # this step may change an accumulator or the connectivity
+        self.resting.clear()
+        self.resting_bits.clear()
         bank = self.bank
         span = b - a
 
@@ -717,9 +739,8 @@ class _Sim:
             states.append(((INPUT, INPUT), False))
         if attack is not None and attack.t_start < b and a < attack.t_end:
             states += [(pins, True) for pins in self.window_pins]
-        ph_on, pl_on = bank.connected("ph"), bank.connected("pl")
-        for (p_h, p_l), in_window in states:
-            key = (False, (p_h if ph_on else INPUT, p_l if pl_on else INPUT))
+        for pins, in_window in states:
+            key = (False, self.gate(pins))
             _, i = self.solutions.get(key) or self.solve_pins(key)
             if self.at_rest(i):
                 continue
@@ -835,20 +856,55 @@ class _Sim:
         """Drive one level over [a, b), piece by piece.
 
         Returns the pieces (start, end, v_diff); a piece ends at the next
-        cut or where a device changed connectivity.
+        cut or where a device changed connectivity. A piece is sampled at
+        its midpoint: a cut time itself can fall on either side of a
+        pulse edge in floats.
         """
         pieces = []
         cursor = a
-        while cursor < b:
-            hi = self.next_segment_end(cursor, b)
-            # sample the piece at its midpoint: a cut time itself can
-            # fall on either side of a pulse edge in floats
-            sol, i = self.vids_currents(dominant, 0.5 * (cursor + hi))
-            reached = self.advance_constant(cursor, hi, i)
-            pieces.append((cursor, reached, sol.voltages.v_diff))
-            cursor = reached
+        pulse = self.pulse
+        # b stays below the window's end: a sliver's midpoint can round to b
+        levels = (
+            self.resting_levels(dominant)
+            if pulse is not None and pulse.t_start <= a and b < pulse.t_end
+            else None
+        )
+        if levels is not None:
+            # no piece can change an accumulator: cut, and pick each
+            # piece's phase by the test of `pins_at`
+            v_high, v_low = levels
+            origin, period, high_time = self.phase_origin, pulse.period, self.high_time
+            for cut in self.cuts(a, b):
+                mid = 0.5 * (cursor + cut)
+                pieces.append((cursor, cut, v_high if (mid - origin) % period < high_time else v_low))
+                cursor = cut
+        else:
+            cuts = self.cuts(a, b)
+            while cursor < b:
+                hi = next(cuts)
+                sol, i = self.vids_currents(dominant, 0.5 * (cursor + hi))
+                reached = self.advance_constant(cursor, hi, i)
+                pieces.append((cursor, reached, sol.voltages.v_diff))
+                if reached < hi:
+                    cuts = self.cuts(reached, b)
+                cursor = reached
         self.integrated_to = max(self.integrated_to, b)
         return pieces
+
+    def resting_levels(self, dominant: bool):
+        """(v_high, v_low), the v_diff of each pulse phase at this driven
+        level when both gated phase pairs are at rest, else None; kept
+        until the next full accumulator step."""
+        if dominant not in self.resting_bits:
+            levels = []
+            for pins in self.window_pins:
+                key = (dominant, self.gate(pins))
+                sol, i = self.solutions.get(key) or self.solve_pins(key)
+                if not self.at_rest(i):
+                    break
+                levels.append(sol.voltages.v_diff)
+            self.resting_bits[dominant] = tuple(levels) if len(levels) == 2 else None
+        return self.resting_bits[dominant]
 
     def sample_bits(self, bits: list, ack_delim: int, first_attempt: bool, t0: float) -> tuple:
         """Drive and sample the frame bit by bit from t0.

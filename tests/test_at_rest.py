@@ -49,9 +49,21 @@ def run_counting_skips(cfg):
 
 
 def run_every_step(cfg):
+    """run_scenario with every step taken; the resting-bit path, which
+    rests on `at_rest`, never fires."""
+    verdicts = []
+    original = engine._Sim.resting_levels
+
+    def recording(self, dominant):
+        verdicts.append(original(self, dominant))
+        return verdicts[-1]
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine._Sim, "at_rest", lambda self, i_raw: False)
-        return run_scenario(cfg)
+        mp.setattr(engine._Sim, "resting_levels", recording)
+        result = run_scenario(cfg)
+    assert all(levels is None for levels in verdicts)
+    return result
 
 
 def make_attack(kind, start, end):

@@ -413,11 +413,12 @@ def test_cursor_cuts_and_phase_pins_match_the_reference(
     a = t_start + cursor * width
     b = a + span
     pieces = 0
-    while a < b:
-        nxt = sim.next_segment_end(a, b)
+    for nxt in sim.cuts(a, b):
+        assert a < nxt  # a cut at or before its cursor never ends the walk
         assert nxt == first_cut_after(attack, a, b)
         for t in (a, 0.5 * (a + nxt)):
             assert sim.pins_at(t) == gated_reference(t)
         a = nxt
         pieces += 1
         assert pieces <= 4 * (span / period + 2)  # no runaway walk
+    assert a == b
