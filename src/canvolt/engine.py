@@ -13,17 +13,36 @@ solves and pulse phase edges from `electrical`, the receiver comparator
 (`irs.TripTimer`) is also each host pin's damage accumulator. Error
 frames and retransmission timing are computed here and nowhere else.
 
-A quiescent frame skips the per-bit work. It is quiescent when no attack
-window overlaps it and every thermostat is closed and at ambient. Then
-the attacker pins are inputs for the whole frame, every bit samples as
-driven, and the pins carry no current, so the frame is delivered after
-one accumulator step over its span. A frame that overlaps an attack
-window by any amount, or that starts while a thermostat is open, heated
-or cooling, always runs bit by bit.
-
 Bus solves depend only on the driven level and the attacker pin modes
-(topology and parameters are fixed for a run), so each scenario caches
-them, with the host's pin currents, on that pair.
+(topology and parameters are fixed for a run), so each scenario solves
+each pair once (`solved`) and keeps it with the host's pin currents.
+
+One rest rule decides every shortcut: a step at given pin currents,
+inside the attack window or not, leaves every accumulator as it is when
+each device and damage timer is at rest (`irs.TripTimer.at_rest`,
+`irs.ThermostatCoil.at_rest`) at the current it sees. A damage timer
+sees the gated current; a coil sees `_PinBank.device_current`: none
+when open, the bench drive in the window when one is set, else its pin
+current. `_Sim.at_rest` asks the rule and keeps each verdict until the
+next step that is taken; `resting_v_diffs` asks it for a set of pin
+pairs. It is applied in four places:
+
+- *Quiescent frames.* A frame that no attack window overlaps, while the
+  idle inputs rest, skips the per-bit work: its pins are inputs
+  throughout and every bit samples as driven.
+- *Skipped steps.* `advance_constant` skips a step that rests, be it a
+  piece of a driven bit or an idle slice.
+- *Resting pulse bits.* A bit inside a pulse window, while both gated
+  phase pairs rest at its level, costs only its cuts and the
+  comparator: each piece takes its phase's v_diff by the phase test,
+  with no pin lookup, solve lookup or accumulator step.
+- *Idle jumps.* `advance_idle` crosses the idle stretch up to the next
+  event in one step when the idle bus rests at each pin pair it takes
+  there: the inputs outside the attack window, each window pair inside.
+  Otherwise idle time is sliced at every whole second and window edge.
+  `irs.thermostat_advance` starts its tau/10 step grid afresh at each
+  call, so only this slicing keeps the thermostat and over-timer
+  numerics fixed.
 
 A driven bit is cut into pieces, and each piece costs constant work:
 
@@ -34,28 +53,6 @@ A driven bit is cut into pieces, and each piece costs constant work:
 - *Phase-pin lookup.* The attacker's pin pairs (one per pulse phase, or
   the one pair of a static attack) are built once per run; a piece
   picks its pair with the phase test of `electrical.resolve_pulse`.
-- *Accumulators at rest.* A piece's accumulator step is skipped when it
-  cannot change anything: every trip device, and every damage timer at
-  its gated current, is tripped or carries |i| <= rating with a zero
-  over-timer, and no thermostat is present. The verdict is kept per
-  pair of pin currents until the next step that is taken.
-- *Resting pulse bits.* A bit inside a pulse window, while both gated
-  phase pairs are at rest at its level, costs only its cuts and the
-  comparator: each piece takes its phase's v_diff by the phase test,
-  with no pin lookup, solve lookup or accumulator step. The verdict is
-  kept per driven level, likewise.
-
-Idle time costs O(events), not O(simulated seconds):
-
-- *Jump.* `advance_idle` crosses the idle stretch up to the next event
-  in one step when no idle step there could change anything: every
-  trip device and damage timer is at rest at each pin pair the idle bus
-  takes (the inputs outside the attack window, each window pair inside
-  it), and every thermostat is closed at ambient with no coil current.
-- *Slice.* Otherwise idle time is sliced at every whole second and
-  window edge. `irs.thermostat_advance` starts its tau/10 step grid
-  afresh at each call, so only this slicing keeps the thermostat and
-  over-timer numerics fixed.
 
 The 1 Hz samples are a function of the run's history, built once after
 the run (`record_ticks`): tick k records the idle bus at the attacker's
@@ -154,7 +151,11 @@ class CalibratedParams:
         known = set(cls().to_dict())
         unknown = set(d) - known
         if unknown:
-            raise ConfigError(sorted(unknown)[0], "unknown parameter")
+            raise ConfigError(f"params.{sorted(unknown)[0]}", "unknown parameter")
+        for key, value in d.items():
+            # a JSON true or false is a Python int; it is not a number here
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"params.{key}", f"not a number: {value!r}")
         return cls(**d)
 
 
@@ -258,14 +259,6 @@ class Summary:
     first_failure_reason: str
 
 
-_NO_CURRENT = {"ph": 0.0, "pl": 0.0}
-
-
-def _coil_idle(coil: irs.ThermostatCoil, coil_i: float) -> bool:
-    """A closed thermostat at ambient with no coil current stays as it is."""
-    return coil_i == 0.0 and abs(coil.temp - coil.t_ambient) < 1e-6 and not coil.open
-
-
 def _limit_pin_currents(sol, limit: float):
     """The solution with every pin current capped at `limit` amps either way."""
 
@@ -277,8 +270,8 @@ def _limit_pin_currents(sol, limit: float):
 
 
 # field name -> its INI key, where the two differ
-_INI_KEYS = {"bus_speed": "speed", "t_start": "start", "v_attack_l": "v", "v_attack_h": "v",
-             "source_limit": "current_limit", "leakage_current": "leakage",
+_INI_KEYS = {"bus_speed": "speed", "t_start": "start", "t_end": "end", "v_attack_l": "v",
+             "v_attack_h": "v", "source_limit": "current_limit", "leakage_current": "leakage",
              "coil_hysteresis": "hysteresis"}
 _POSITIVE = {"duration", "bus_speed", "termination", "period", "opening_time", "tau_thermal", "r_coil"}
 # a negative limit (rating, i_max) would count a pin carrying no current as over it
@@ -337,10 +330,14 @@ def validate_config(cfg: ScenarioConfig) -> None:
                 )
     if cfg.attack is not None:
         _validate_attack(cfg.attack, hosts[0].name, tx_times)
-    if cfg.irs_config is not None and cfg.irs_config.pins not in ("both", "ph", "pl"):
-        raise ConfigError("irs.pins", f"unknown pin selection {cfg.irs_config.pins!r}")
-    if cfg.irs_config is not None:
-        _check_numbers("irs", cfg.irs_config)
+    dev = cfg.irs_config
+    if dev is not None:
+        if dev.pins not in ("both", "ph", "pl"):
+            raise ConfigError("irs.pins", f"unknown pin selection {dev.pins!r}")
+        _check_numbers("irs", dev)
+        # a coil at rest is closed at ambient, so ambient must be under the limit
+        if dev.device == "thermostat" and dev.t_limit <= dev.t_ambient:
+            raise ConfigError("irs.t_limit", "must be above t_ambient")
     sweep = cfg.sweep
     if sweep is not None:
         grid = (sweep.start, sweep.stop, sweep.step)
@@ -410,24 +407,26 @@ class _PinBank:
         self.trip_times: dict = {}
         self.damaged_at: float | None = None
 
-    def at_rest(self, i_raw: dict, coil_i: dict | None = None) -> bool:
-        """A step at these raw pin currents leaves every accumulator as it is.
-
-        Holds when each trip device and each damage timer (at its gated
-        current) is tripped, or carries |i| <= rating with a zero
-        over-timer, and each thermostat is closed at ambient with no
-        current through its coil (`coil_i`, by pin; without it a
-        thermostat never rests).
-        """
-        for pin in self.coil_pins:
-            if coil_i is None or not _coil_idle(self.devices[pin], coil_i[pin]):
-                return False
-        for pin in self.trip_pins:
-            if not self.devices[pin].at_rest(i_raw[pin]):
+    def at_rest(self, i_raw: dict, in_window: bool) -> bool:
+        """A step at these raw pin currents, in the attack window or not,
+        leaves every accumulator as it is: each device is at rest at the
+        current it sees, and each damage timer at its gated current."""
+        for pin in self.coil_pins + self.trip_pins:
+            if not self.devices[pin].at_rest(self.device_current(pin, i_raw[pin], in_window)):
                 return False
         return all(
             self.damage[pin].at_rest(self.gated_current(pin, i_raw[pin])) for pin in ("ph", "pl")
         )
+
+    def device_current(self, pin: str, i_raw: float, in_window: bool) -> float:
+        """The current through the pin's device: an open coil carries none,
+        and in the attack window a coil carries the bench drive when one is set."""
+        dev = self.devices[pin]
+        if not isinstance(dev, irs.ThermostatCoil):
+            return i_raw
+        if dev.open:
+            return 0.0
+        return self.coil_drive if in_window and self.coil_drive is not None else i_raw
 
     def connected(self, pin: str) -> bool:
         dev = self.devices[pin]
@@ -475,8 +474,9 @@ class _Sim:
             if e.role == "sender"
         }
         self.solutions: dict = {}  # (dominant, pins) -> (BusSolution, VIDS pin currents)
-        self.resting: dict = {}  # (i_ph, i_pl) -> bank.at_rest verdict until the next full step
-        self.resting_bits: dict = {}  # dominant -> resting_levels verdict, likewise
+        # until the next full step: (i_ph, i_pl, in window) -> the at_rest
+        # verdict, and dominant -> the resting_levels verdict
+        self.resting: dict = {}
         # the attacker's pin pairs: high and low phase for a pulse, else one
         self.window_pins = atk.window_pins(cfg.attack) if cfg.attack is not None else ()
         self.pulse = cfg.attack if isinstance(cfg.attack, atk.PulseAttack) else None
@@ -528,21 +528,19 @@ class _Sim:
 
     def vids_currents(self, dominant: bool, t: float) -> tuple:
         """(bus solution, VIDS raw pin currents) at time t, cached on (dominant, pins)."""
-        key = (dominant, self.pins_at(t))
-        return self.solutions.get(key) or self.solve_pins(key)
+        return self.solved(dominant, self.pins_at(t))
 
-    def solve_pins(self, key: tuple) -> tuple:
-        """Solve the bus for key = (dominant, pins) and cache it with the VIDS pin currents."""
-        dominant, pins = key
-        sol = solve_bus_detailed({"bus": dominant}, {self.vids: pins}, self.topo, self.params)
-        if self.source_limit is not None:
-            sol = _limit_pin_currents(sol, self.source_limit)
-        pc = sol.pin_currents[self.vids]
-        hit = self.solutions[key] = (sol, {"ph": pc.i_ph, "pl": pc.i_pl})
+    def solved(self, dominant: bool, pins: tuple) -> tuple:
+        """(bus solution, VIDS raw pin currents) at the driven level and gated
+        pins, solved once per run."""
+        hit = self.solutions.get((dominant, pins))
+        if hit is None:
+            sol = solve_bus_detailed({"bus": dominant}, {self.vids: pins}, self.topo, self.params)
+            if self.source_limit is not None:
+                sol = _limit_pin_currents(sol, self.source_limit)
+            pc = sol.pin_currents[self.vids]
+            hit = self.solutions[(dominant, pins)] = (sol, {"ph": pc.i_ph, "pl": pc.i_pl})
         return hit
-
-    def solve(self, dominant: bool, t: float):
-        return self.vids_currents(dominant, t)[0]
 
     # -- cuts -----------------------------------------------------------------
 
@@ -621,7 +619,7 @@ class _Sim:
         """A tick's sample records at gated pins: the line voltages and the VIDS pin currents."""
         samples = self.samples.get(pins)
         if samples is None:
-            sol, i = self.solutions.get((False, pins)) or self.solve_pins((False, pins))
+            sol, i = self.solved(False, pins)
             samples = self.samples[pins] = (
                 ("LineVoltageSample", "", "canh", sol.voltages.v_canh),
                 ("LineVoltageSample", "", "canl", sol.voltages.v_canl),
@@ -654,11 +652,12 @@ class _Sim:
         arithmetic runs on offsets from `a` so trip instants stay exact
         regardless of the absolute timestamp.
         """
-        if self.at_rest(i_raw):
+        attack = self.attack
+        in_window = attack is not None and attack.t_start <= a < attack.t_end
+        if self.at_rest(i_raw, in_window):
             return b
         # this step may change an accumulator or the connectivity
         self.resting.clear()
-        self.resting_bits.clear()
         bank = self.bank
         span = b - a
 
@@ -669,13 +668,10 @@ class _Sim:
 
         # so does a thermostat flip
         flips: list = []
-        driven_coil = (
-            bank.coil_drive is not None and self.attack is not None and self.attack.active(a)
-        )
         for pin in bank.coil_pins:
             dev = bank.devices[pin]
-            coil_i = 0.0 if dev.open else bank.coil_drive if driven_coil else i_raw[pin]
-            if _coil_idle(dev, coil_i):
+            coil_i = bank.device_current(pin, i_raw[pin], in_window)
+            if dev.at_rest(coil_i):
                 continue
             bank.devices[pin], off = irs.thermostat_advance(dev, coil_i, stop_off)
             if bank.devices[pin].open != dev.open:
@@ -717,38 +713,35 @@ class _Sim:
 
         return t_stop if connectivity_changed else b
 
-    def at_rest(self, i_raw: dict) -> bool:
-        """`bank.at_rest(i_raw)`, kept until the next full accumulator step."""
-        key = (i_raw["ph"], i_raw["pl"])
+    def at_rest(self, i_raw: dict, in_window: bool) -> bool:
+        """`bank.at_rest(i_raw, in_window)`, kept until the next full accumulator step."""
+        key = (i_raw["ph"], i_raw["pl"], in_window)
         verdict = self.resting.get(key)
         if verdict is None:
-            verdict = self.resting[key] = self.bank.at_rest(i_raw)
+            verdict = self.resting[key] = self.bank.at_rest(i_raw, in_window)
         return verdict
 
-    def idle_inert(self, a: float, b: float) -> bool:
-        """No idle step over [a, b) can change an accumulator.
+    def resting_v_diffs(self, dominant: bool, pairs: tuple, in_window: bool):
+        """The v_diff at each pin pair, gated by the connectivity now, when
+        every pair is at rest at this driven level; else None."""
+        v_diffs = []
+        for pins in pairs:
+            sol, i = self.solved(dominant, self.gate(pins))
+            if not self.at_rest(i, in_window):
+                return None
+            v_diffs.append(sol.voltages.v_diff)
+        return tuple(v_diffs)
 
-        Checks each pin pair the idle bus takes there, gated by the
-        connectivity now: the inputs outside the attack window and every
-        window pair (both pulse phases) inside it. Inside the window a
-        thermostat's coil carries the bench drive when one is set.
-        """
-        attack, bank = self.attack, self.bank
-        states = []  # (pins, in window)
+    def idle_inert(self, a: float, b: float) -> bool:
+        """No idle step over [a, b) can change an accumulator: the idle bus
+        rests at the inputs outside the attack window and at every window
+        pair (both pulse phases) inside it."""
+        attack = self.attack
         if attack is None or a < attack.t_start or attack.t_end < b:
-            states.append(((INPUT, INPUT), False))
+            if self.resting_v_diffs(False, ((INPUT, INPUT),), False) is None:
+                return False
         if attack is not None and attack.t_start < b and a < attack.t_end:
-            states += [(pins, True) for pins in self.window_pins]
-        for pins, in_window in states:
-            key = (False, self.gate(pins))
-            _, i = self.solutions.get(key) or self.solve_pins(key)
-            if self.at_rest(i):
-                continue
-            if not bank.coil_pins:
-                return False
-            driven = in_window and bank.coil_drive is not None
-            if not bank.at_rest(i, dict.fromkeys(i, bank.coil_drive) if driven else i):
-                return False
+            return self.resting_v_diffs(False, self.window_pins, True) is not None
         return True
 
     def advance_idle(self, target: float) -> float:
@@ -776,7 +769,7 @@ class _Sim:
 
     def bus_jammed(self, t: float) -> bool:
         """Idle bus reads dominant, so no transmission can start."""
-        return self.solve(False, t).voltages.v_diff >= DOMINANT_THRESHOLD
+        return self.vids_currents(False, t)[0].voltages.v_diff >= DOMINANT_THRESHOLD
 
     def attack_blocking(self, t: float) -> bool:
         """The running attack deterministically kills every attempt at t."""
@@ -803,15 +796,13 @@ class _Sim:
     # -- frame transmission ---------------------------------------------------------
 
     def quiescent(self, t0: float, t1: float) -> bool:
-        """Nothing but the frame's own bits can act on the bus over [t0, t1).
-
-        No attack window overlaps it and every thermostat is closed and at
-        ambient, so the attacker pins are inputs and carry no current.
-        """
+        """Nothing but the frame's own bits can act on the bus over [t0, t1):
+        no attack window overlaps it, so the attacker pins are inputs, and
+        the accumulators rest at them."""
         attack = self.attack
         if attack is not None and attack.t_start < t1 and t0 < attack.t_end:
             return False
-        return all(_coil_idle(self.bank.devices[p], 0.0) for p in self.bank.coil_pins)
+        return self.resting_v_diffs(False, ((INPUT, INPUT),), False) is not None
 
     def simulate_attempt(self, ecu: str, tx: _QueuedTx, t0: float) -> tuple:
         """Run one transmission attempt; returns (delivered, t_bus_free)."""
@@ -828,8 +819,7 @@ class _Sim:
         # the end of the last bit, rounded exactly as the per-bit loop does
         t_last = t0 + (len(bits) - 1) * bt + bt
         if self.quiescent(t0, t_last):
-            # every bit samples as driven; the accumulators see no current
-            self.advance_constant(t0, t_last, _NO_CURRENT)
+            # every bit samples as driven, and no accumulator moves
             self.integrated_to = max(self.integrated_to, t_last)
             error_bit, error_reason = None, ""
         else:
@@ -895,16 +885,9 @@ class _Sim:
         """(v_high, v_low), the v_diff of each pulse phase at this driven
         level when both gated phase pairs are at rest, else None; kept
         until the next full accumulator step."""
-        if dominant not in self.resting_bits:
-            levels = []
-            for pins in self.window_pins:
-                key = (dominant, self.gate(pins))
-                sol, i = self.solutions.get(key) or self.solve_pins(key)
-                if not self.at_rest(i):
-                    break
-                levels.append(sol.voltages.v_diff)
-            self.resting_bits[dominant] = tuple(levels) if len(levels) == 2 else None
-        return self.resting_bits[dominant]
+        if dominant not in self.resting:
+            self.resting[dominant] = self.resting_v_diffs(dominant, self.window_pins, True)
+        return self.resting[dominant]
 
     def sample_bits(self, bits: list, ack_delim: int, first_attempt: bool, t0: float) -> tuple:
         """Drive and sample the frame bit by bit from t0.

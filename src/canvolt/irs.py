@@ -105,6 +105,11 @@ class ThermostatCoil:
     tau_thermal: float = 2.0
     open: bool = False
 
+    def at_rest(self, i: float) -> bool:
+        """Closed, within 1e-6 degC of ambient and carrying no current: a
+        step of any length leaves the coil closed at ambient, so it is skipped."""
+        return not self.open and not i and abs(self.temp - self.t_ambient) < 1e-6
+
 
 def thermostat_step(state: ThermostatCoil, i: float, dt: float) -> ThermostatCoil:
     """First-order temperature update followed by the switch logic.

@@ -1,9 +1,10 @@
 """The accumulator skip against the full step it replaces.
 
-A step at pin currents that leave every trip device and damage timer as
-it is (tripped, or at most its rating with a zero over-timer) is
-skipped. These tests run generated attacked buses with the skip and
-with every step taken, and require the same trace and summary.
+A step is skipped when its pin currents leave every accumulator as it
+is: each trip device and damage timer is tripped, or at most its rating
+with a zero over-timer, and each thermostat is closed at ambient with no
+coil current. These tests run generated attacked buses with the skip and with
+every step taken, and require the same trace and summary.
 """
 
 import pytest
@@ -19,6 +20,19 @@ PERIOD = 1e-3
 DURATION = 4e-3
 
 
+def device_config(device, rating):
+    if device == "none":
+        return None
+    # a fast coil cools back to ambient within the run, where it rests again
+    if device == "thermostat":
+        return IrsConfig(device="thermostat", tau_thermal=1e-5)
+    if device == "driven_thermostat":
+        # on P_H, which a CANL attack leaves without current: only the
+        # bench drive heats the coil, through 40 degC, in the window
+        return IrsConfig(device="thermostat", pins="ph", tau_thermal=1e-5, coil_drive=3.0)
+    return IrsConfig(device=device, rating=rating)
+
+
 def bus(senders, attack, device, rating, i_max):
     ecus = [EcuSpec("A", "vids-host"), EcuSpec("B", "logger")]
     for k, (frame, offset) in enumerate(senders):
@@ -27,7 +41,7 @@ def bus(senders, attack, device, rating, i_max):
         duration=DURATION,
         ecus=tuple(ecus),
         attack=attack,
-        irs_config=None if device == "none" else IrsConfig(device=device, rating=rating),
+        irs_config=device_config(device, rating),
         damage=DamageParams(i_max=i_max),
     )
 
@@ -37,8 +51,8 @@ def run_counting_skips(cfg):
     skipped = []
     original = engine._Sim.at_rest
 
-    def counting(self, i_raw):
-        rest = original(self, i_raw)
+    def counting(self, i_raw, in_window):
+        rest = original(self, i_raw, in_window)
         skipped.append(rest)
         return rest
 
@@ -59,7 +73,7 @@ def run_every_step(cfg):
         return verdicts[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine._Sim, "at_rest", lambda self, i_raw: False)
+        mp.setattr(engine._Sim, "at_rest", lambda self, i_raw, in_window: False)
         mp.setattr(engine._Sim, "resting_levels", recording)
         result = run_scenario(cfg)
     assert all(levels is None for levels in verdicts)
@@ -113,11 +127,15 @@ def outcomes(senders, kind, start_us, width_us, device, rating, i_max):
     kind=st.sampled_from(["pulse_canl", "pulse_canh", "dos", "active"]),
     start_us=st.integers(0, 2000),
     width_us=st.integers(1, 2000),
-    device=st.sampled_from(["none", "fuse", "breaker", "resettable_fuse"]),
+    device=st.sampled_from(
+        ["none", "fuse", "breaker", "resettable_fuse", "thermostat", "driven_thermostat"]
+    ),
     rating=st.sampled_from([0.010, 0.1]),
     i_max=st.sampled_from([0.040, 0.3]),
 )
 @example(**MUTANT_CASE)
+@example(**{**MUTANT_CASE, "device": "thermostat", "kind": "dos", "start_us": 0})
+@example(**{**MUTANT_CASE, "device": "driven_thermostat", "kind": "dos", "start_us": 0})
 def test_skipped_steps_match_every_step_taken(
     senders, kind, start_us, width_us, device, rating, i_max
 ):

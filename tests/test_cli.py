@@ -23,6 +23,7 @@ from canvolt.cli import (
     serialize_config,
 )
 from canvolt import attacks as atk
+from canvolt import cli, engine
 from canvolt.engine import (
     MAX_SWEEP_POINTS,
     CalibratedParams,
@@ -149,8 +150,27 @@ def test_params_file_roundtrip(tmp_path):
 def test_params_file_rejects_unknown_keys(tmp_path):
     path = tmp_path / "params.json"
     path.write_text(json.dumps({"r_drive_high": 30.0, "zap": 1}))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^params.zap: unknown parameter"):
         load_params(str(path))
+
+
+@pytest.mark.parametrize("value", ["abc", None, True, [1.0]])
+@pytest.mark.parametrize("key", ["sample_point", "tau_rc"])  # BitTiming checks the first only
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_a_params_value_that_is_not_a_number_is_a_config_error(
+    tmp_path, capsys, monkeypatch, command, key, value
+):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({key: value}))
+    if command == "simulate":
+        argv = ["simulate", str(CONFIGS / "fra_fuse.ini"), "--params", str(path),
+                "--trace", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.json")]
+    else:
+        monkeypatch.setenv("CANVOLT_PARAMS", str(path))
+        argv = ["sweep", str(CONFIGS / "dos_sweep.ini"), "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 1
+    assert f"config error: params.{key}: not a number" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists() and not (tmp_path / "o.csv").exists()
 
 
 def test_emit_outputs_schema(tmp_path):
@@ -614,6 +634,8 @@ SECTIONS = {  # the section a case adds to BASELINE
     ("irs.tau_thermal", "-1", "thermostat"),
     ("irs.tau_thermal", "nan", "thermostat"),
     ("irs.t_limit", "nan", "thermostat"),
+    ("irs.t_limit", "25", "thermostat"),  # at the 25 degC ambient, a coil at rest is at its limit
+    ("irs.t_limit", "20", "thermostat"),
     ("irs.coil_drive", "nan", "thermostat"),
     ("irs.r_coil", "-1", "thermostat"),
     ("irs.hysteresis", "-5", "thermostat"),
@@ -630,6 +652,23 @@ def test_validate_rejects_numbers_out_of_range_at_their_key(tmp_path, capsys, pa
         cp.write(fh)
     assert main(["validate", str(bad)]) == 1
     assert f"config error: {path}: must be" in capsys.readouterr().err
+
+
+def test_the_engine_names_each_renamed_key_as_the_tables_do():
+    """`engine._INI_KEYS` gives, for error paths, the INI key of a field
+    whose key differs from its name; the cli section tables declare it."""
+    sections = [cli._BUS, cli._ECU] + [section for _, section in cli._PARTS.values()]
+    pairs = {  # (dataclass, INI key, field) for every key of every table
+        (cls, key, name)
+        for section in sections for cls, keys in section.rows.values() for key, name in keys.items()
+    }
+    for name, key in engine._INI_KEYS.items():
+        assert {k for _, k, n in pairs if n == name} == {key}, name
+    renamed = {
+        name for cls, key, name in pairs
+        if key != name and "." not in name and cli._field_type(cls, name) in (int, float)
+    }
+    assert renamed <= set(engine._INI_KEYS)
 
 
 @pytest.mark.parametrize("attack", [

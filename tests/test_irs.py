@@ -4,6 +4,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canvolt.cli import parse_config
 from canvolt.engine import IrsConfig, run_scenario
@@ -155,6 +157,26 @@ def test_thermostat_advance_stops_at_the_first_flip():
 def test_device_step_runs_a_thermostat_through_every_flip():
     assert device_step(ThermostatCoil(), 1.0, 40.0).temp == pytest.approx(65.0, abs=0.5)
     assert device_step(FuseState(), 0.060, 1e-6).tripped
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    temp=st.sampled_from([25.0, 25.0 + 5e-7, 25.0 - 5e-7, 25.0 + 1e-3, 30.0, 39.0, 45.0])
+    | st.floats(0.0, 100.0),
+    is_open=st.booleans(),
+    i=st.sampled_from([0.0, -0.0, 1e-3, -0.5, 1.0]),
+    dt=st.floats(1e-3, 10.0),
+)
+def test_a_coil_rests_exactly_where_a_step_leaves_it_closed_at_ambient(temp, is_open, i, dt):
+    """The engine skips a coil's step when the coil is at rest: a resting
+    coil stays closed within 1e-6 degC of ambient over any step, and a step
+    moves every other coil."""
+    coil = ThermostatCoil(temp=temp, open=is_open)
+    after, _ = thermostat_advance(coil, i, dt)
+    if coil.at_rest(i):
+        assert not after.open and abs(after.temp - coil.t_ambient) < 1e-6
+    else:
+        assert after != coil
 
 
 def test_thermostat_step_rejects_coarse_dt():

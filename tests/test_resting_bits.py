@@ -31,8 +31,12 @@ def bus(senders, attack, device, pins, rating, i_max):
         ecus.append(EcuSpec(f"S{k}", "sender", period=PERIOD, frame=frame, offset=offset))
     irs = None
     if device != "none":
-        # a fast thermostat heats and opens within the run
-        irs = IrsConfig(device=device, pins=pins, rating=rating, tau_thermal=1e-4)
+        # a fast thermostat heats and opens within the run; a driven one
+        # carries the bench's 3 A in the window, whatever its pins carry
+        device, drive = ("thermostat", 3.0) if device == "driven_thermostat" else (device, None)
+        irs = IrsConfig(
+            device=device, pins=pins, rating=rating, tau_thermal=1e-4, coil_drive=drive
+        )
     return ScenarioConfig(
         duration=DURATION,
         ecus=tuple(ecus),
@@ -113,7 +117,9 @@ ATTACKED_BUS = dict(
     # inside frames and inside bits
     start_bits=st.floats(-20.0, 150.0),
     width_bits=st.floats(0.5, 1500.0),
-    device=st.sampled_from(["none", "fuse", "breaker", "resettable_fuse", "thermostat"]),
+    device=st.sampled_from(
+        ["none", "fuse", "breaker", "resettable_fuse", "thermostat", "driven_thermostat"]
+    ),
     pins=st.sampled_from(["both", "ph", "pl"]),
     # around the phase currents of a pulsed pin (tens to hundreds of mA)
     rating=st.sampled_from([0.010, 0.1, 0.3]),
@@ -123,6 +129,12 @@ ATTACKED_BUS = dict(
 @example(  # a window of one bit, edges on bit edges: only that bit rests
     senders=[(1, b"", 0)], line="canl", period_ns=100, duty=0.5, phase=0.0,
     start_bits=1.0, width_bits=1.0, device="none", pins="both", rating=0.01, i_max=0.3,
+)
+@example(  # the window opens on the first recessive bit (a stuff bit): the
+    # bench drive heats the coil there, so no bit may rest
+    senders=[(1, b"", 0)], line="canl", period_ns=600, duty=0.5, phase=0.0,
+    start_bits=5.0, width_bits=40.0, device="driven_thermostat", pins="both",
+    rating=0.01, i_max=0.3,
 )
 def test_resting_bits_match_the_piece_by_piece_path(**case):
     plan = [(Frame(id=fid, data=data), off * 1e-6) for fid, data, off in case["senders"]]
@@ -156,7 +168,7 @@ def test_a_trip_clears_the_resting_verdict():
         irs_config=IrsConfig(device="fuse", pins="pl", rating=0.3),
         damage=DamageParams(i_max=1.0),
     ))
-    idle = sim.solve_pins((True, (INPUT, INPUT)))[0].voltages.v_diff
+    idle = sim.solved(True, (INPUT, INPUT))[0].voltages.v_diff
     pulsed = sim.resting_levels(True)
     assert pulsed is not None and pulsed != (idle, idle)
 
