@@ -27,9 +27,14 @@ current. `_Sim.at_rest` asks the rule and keeps each verdict until the
 next step that is taken; `resting_v_diffs` asks it for a set of pin
 pairs. It is applied in four places:
 
-- *Quiescent frames.* A frame that no attack window overlaps, while the
-  idle inputs rest, skips the per-bit work: its pins are inputs
-  throughout and every bit samples as driven.
+- *Quiescent frames.* A frame skips the per-bit work when every bit
+  samples as driven and no accumulator moves: no attack window overlaps
+  it while the idle inputs rest, or a *steady* window holds it. A window
+  is steady while, at each driven level, every gated window pair rests,
+  all give one v_diff (one pair for a static attack; a pulse whose
+  phases gate to the same pins), and `link.sample_bit` reads a one-piece
+  bit at it as driven from either comparator level. Inside the window
+  the first attempt still asks the FRA check at its ACK delimiter.
 - *Skipped steps.* `advance_constant` skips a step that rests, be it a
   piece of a driven bit or an idle slice.
 - *Resting pulse bits.* A bit inside a pulse window, while both gated
@@ -335,9 +340,14 @@ def validate_config(cfg: ScenarioConfig) -> None:
         if dev.pins not in ("both", "ph", "pl"):
             raise ConfigError("irs.pins", f"unknown pin selection {dev.pins!r}")
         _check_numbers("irs", dev)
-        # a coil at rest is closed at ambient, so ambient must be under the limit
-        if dev.device == "thermostat" and dev.t_limit <= dev.t_ambient:
-            raise ConfigError("irs.t_limit", "must be above t_ambient")
+        # a coil at rest is closed at ambient, so ambient must be under the
+        # limit; an open coil recloses only once it cools below the
+        # reclose point, so ambient must be under that too
+        if dev.device == "thermostat":
+            if dev.t_limit <= dev.t_ambient:
+                raise ConfigError("irs.t_limit", "must be above t_ambient")
+            if dev.t_limit - dev.coil_hysteresis <= dev.t_ambient:
+                raise ConfigError("irs.hysteresis", "must be below t_limit - t_ambient")
     sweep = cfg.sweep
     if sweep is not None:
         grid = (sweep.start, sweep.stop, sweep.step)
@@ -483,6 +493,9 @@ class _Sim:
         if self.pulse is not None:
             self.phase_origin = self.pulse.phase_origin
             self.high_time = self.pulse.duty * self.pulse.period
+        # a pulse on CANH drags the recovery out past each low phase
+        canh_pulse = self.pulse is not None and self.pulse.line == "canh"
+        self.extension = cfg.params.transition_extension if canh_pulse else 0.0
         self.sends: list = []
         for e in cfg.ecus:
             if e.role != "sender":
@@ -796,13 +809,32 @@ class _Sim:
     # -- frame transmission ---------------------------------------------------------
 
     def quiescent(self, t0: float, t1: float) -> bool:
-        """Nothing but the frame's own bits can act on the bus over [t0, t1):
-        no attack window overlaps it, so the attacker pins are inputs, and
-        the accumulators rest at them."""
+        """Every bit of a frame over [t0, t1) reads as driven and no
+        accumulator moves: no attack window overlaps it and the
+        accumulators rest at the idle inputs, or the window holds it, to
+        strictly before its end as in `drive`, and is `steady`."""
         attack = self.attack
-        if attack is not None and attack.t_start < t1 and t0 < attack.t_end:
-            return False
-        return self.resting_v_diffs(False, ((INPUT, INPUT),), False) is not None
+        if attack is None or not (attack.t_start < t1 and t0 < attack.t_end):
+            return self.resting_v_diffs(False, ((INPUT, INPUT),), False) is not None
+        return attack.t_start <= t0 and t1 < attack.t_end and self.steady()
+
+    def steady(self) -> bool:
+        """At each driven level every gated window pair rests, all give one
+        v_diff, and the comparator reads a one-piece bit at it as driven
+        from either level; kept until the next full accumulator step."""
+        if "steady" not in self.resting:
+            bt = self.bit_time
+            verdict = True
+            for dominant in (True, False):
+                levels = self.resting_levels(dominant)
+                driven = BitDecision.DOMINANT if dominant else BitDecision.RECESSIVE
+                verdict = verdict and levels is not None and len(set(levels)) == 1 and all(
+                    sample_bit([(0.0, bt, levels[0])], driven, self.timing, (level, -bt),
+                               self.extension)[0] is driven
+                    for level in BitDecision
+                )
+            self.resting["steady"] = verdict
+        return self.resting["steady"]
 
     def simulate_attempt(self, ecu: str, tx: _QueuedTx, t0: float) -> tuple:
         """Run one transmission attempt; returns (delivered, t_bus_free)."""
@@ -819,9 +851,16 @@ class _Sim:
         # the end of the last bit, rounded exactly as the per-bit loop does
         t_last = t0 + (len(bits) - 1) * bt + bt
         if self.quiescent(t0, t_last):
-            # every bit samples as driven, and no accumulator moves
-            self.integrated_to = max(self.integrated_to, t_last)
+            # only the ACK delimiter check of `sample_bits` is left, and
+            # outside the window its pins cannot fire it
             error_bit, error_reason = None, ""
+            b0 = t0 + ack_delim * bt
+            if tx.attempts == 0 and self.attack is not None and self.attack.active(t0) and (
+                self.fra_stretch_corrupts(b0)
+            ):
+                error_bit, error_reason = ack_delim, "form_error_ack_delimiter"
+                t_last = b0 + bt
+            self.integrated_to = max(self.integrated_to, t_last)
         else:
             error_bit, error_reason = self.sample_bits(bits, ack_delim, tx.attempts == 0, t0)
 
@@ -882,8 +921,8 @@ class _Sim:
         return pieces
 
     def resting_levels(self, dominant: bool):
-        """(v_high, v_low), the v_diff of each pulse phase at this driven
-        level when both gated phase pairs are at rest, else None; kept
+        """The v_diff of each window pair (a pulse's high and low phase) at
+        this driven level when every gated pair is at rest, else None; kept
         until the next full accumulator step."""
         if dominant not in self.resting:
             self.resting[dominant] = self.resting_v_diffs(dominant, self.window_pins, True)
@@ -898,9 +937,6 @@ class _Sim:
         bt = self.bit_time
         comparator = (BitDecision.RECESSIVE, t0 - 1.0)  # idle bus precedes the frame
         prev_sampled = BitDecision.RECESSIVE
-        # a pulse on CANH drags the recovery out past each low phase
-        canh_pulse = isinstance(self.attack, atk.PulseAttack) and self.attack.line == "canh"
-        extension = self.cfg.params.transition_extension if canh_pulse else 0.0
 
         for k, bit in enumerate(bits):
             b0 = t0 + k * bt
@@ -908,22 +944,23 @@ class _Sim:
             dominant = bit == 0
             pieces = self.drive(dominant, b0, b1)
             driven = BitDecision.DOMINANT if dominant else BitDecision.RECESSIVE
-            sampled, comparator = sample_bit(pieces, driven, self.timing, comparator, extension)
+            sampled, comparator = sample_bit(pieces, driven, self.timing, comparator, self.extension)
             if dominant and sampled is BitDecision.RECESSIVE:
                 return k, "bit_error"
             if (
                 k == ack_delim
                 and first_attempt
                 and prev_sampled is BitDecision.DOMINANT
-                and self.fra_stretch_corrupts(b0 + self.timing.sample_point * bt)
+                and self.fra_stretch_corrupts(b0)
             ):
                 return k, "form_error_ack_delimiter"
             prev_sampled = sampled
         return None, ""
 
-    def fra_stretch_corrupts(self, t_sample: float) -> bool:
-        """Recessive-after-dominant still reads dominant at the sampler."""
-        p_h, _ = self.pins_at(t_sample)
+    def fra_stretch_corrupts(self, b0: float) -> bool:
+        """The recessive bit from b0, after a dominant one, still reads
+        dominant at its sample point."""
+        p_h, _ = self.pins_at(b0 + self.timing.sample_point * self.bit_time)
         if not isinstance(p_h, OutputHigh) or p_h.level < 3.5:
             return False
         return atk.fra_ack_delimiter_corrupted(p_h.level, self.timing, self.cfg.params.tau_rc)

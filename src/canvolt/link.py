@@ -9,6 +9,7 @@ live in the scenario engine, which owns the timeline.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -136,17 +137,21 @@ def stuff_bits(bits: Sequence[int]) -> list:
     return out
 
 
+@functools.lru_cache(maxsize=1024)
+def _stuffed(f: Frame) -> tuple:
+    """Stuffed body+CRC bits, encoded once per frame per process."""
+    body = frame_body_bits(f)
+    return tuple(stuff_bits(body + _int_bits(crc15(body), 15)))
+
+
 def encode_frame(f: Frame) -> list:
     """Transmitted bitstream: stuffed body+CRC, then the fixed-form tail.
 
     The ACK slot is recessive as transmitted; a receiver overwrites it
-    with a dominant level on the wire.
+    with a dominant level on the wire. Each call returns a fresh list.
     """
-    body = frame_body_bits(f)
-    crc = _int_bits(crc15(body), 15)
-    stuffed = stuff_bits(body + crc)
     # CRC delimiter, ACK slot, ACK delimiter, 7 EOF bits
-    return stuffed + [1, 1, 1] + [1] * 7
+    return list(_stuffed(f)) + [1, 1, 1] + [1] * 7
 
 
 def bus_bits(f: Frame, acked: bool = True) -> list:
@@ -158,7 +163,7 @@ def bus_bits(f: Frame, acked: bool = True) -> list:
 
 
 def stuffed_body_length(f: Frame) -> int:
-    return len(stuff_bits(frame_body_bits(f) + _int_bits(crc15(frame_body_bits(f)), 15)))
+    return len(_stuffed(f))
 
 
 def ack_slot_index(f: Frame) -> int:

@@ -557,7 +557,8 @@ def devices(draw):
     if device == "thermostat":
         own.update(
             r_coil=draw(st.floats(0.1, 10.0)), t_limit=draw(st.floats(30.0, 90.0)),
-            t_ambient=draw(st.floats(0.0, 29.0)), coil_hysteresis=draw(st.floats(0.1, 5.0)),
+            # ambient stays under the lowest reclose point, 30 - 5 degC
+            t_ambient=draw(st.floats(0.0, 24.0)), coil_hysteresis=draw(st.floats(0.1, 5.0)),
             thermal_gain=draw(st.floats(1.0, 100.0)), tau_thermal=draw(st.floats(0.1, 10.0)),
             coil_drive=draw(st.none() | st.floats(0.0, 2.0)),
         )
@@ -636,6 +637,10 @@ SECTIONS = {  # the section a case adds to BASELINE
     ("irs.t_limit", "nan", "thermostat"),
     ("irs.t_limit", "25", "thermostat"),  # at the 25 degC ambient, a coil at rest is at its limit
     ("irs.t_limit", "20", "thermostat"),
+    # the 40 degC limit less the hysteresis is the reclose point: at or below
+    # the 25 degC ambient, an open coil never recloses
+    ("irs.hysteresis", "15", "thermostat"),
+    ("irs.hysteresis", "20", "thermostat"),
     ("irs.coil_drive", "nan", "thermostat"),
     ("irs.r_coil", "-1", "thermostat"),
     ("irs.hysteresis", "-5", "thermostat"),

@@ -113,6 +113,16 @@ def test_roundtrip_random_frames(frame_id, data):
     assert decode_bitstream(encode_frame(f)) == f
 
 
+def test_an_encoding_is_a_fresh_list_each_call():
+    """The codec is kept per frame; a caller's edit must not reach the next caller."""
+    f = Frame(id=0x2A5, data=b"\x00\xff")
+    first = encode_frame(f)
+    first[0] = 1  # SOF
+    acked = bus_bits(f)
+    acked[-1] = 0  # the last EOF bit
+    assert decode_bitstream(encode_frame(f)) == decode_bitstream(bus_bits(f)) == f
+
+
 def test_decode_accepts_acked_stream():
     assert decode_bitstream(bus_bits(CANONICAL, acked=True)) == CANONICAL
 

@@ -1,9 +1,11 @@
 """The quiescent-frame shortcut against the per-bit path it replaces.
 
-A frame that no attack window overlaps, sent while every thermostat
-rests, is delivered without per-bit physics. These tests place attack
-windows on the edges of such frames and require the same trace and
-summary as the per-bit path, which stays the reference.
+A frame is delivered without per-bit physics when no attack window
+overlaps it while every accumulator rests at the idle inputs, or when a
+steady attack window holds it: every gated window pair rests at each
+driven level and reads as that level. These tests place attack windows
+on the edges of frames, around them and across them, and require the
+same trace and summary as the per-bit path, which stays the reference.
 """
 
 import pytest
@@ -11,9 +13,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canvolt import engine
-from canvolt.attacks import ActiveOvercurrent, DoS, ForcedRetransmission, PulseAttack
+from canvolt.attacks import (
+    ActiveOvercurrent,
+    DoS,
+    ForcedRetransmission,
+    PassiveOvercurrent,
+    PulseAttack,
+)
 from canvolt.engine import EcuSpec, IrsConfig, ScenarioConfig, run_scenario
-from canvolt.link import Frame, ack_slot_index, frame_bit_length
+from canvolt.link import Frame, ack_delimiter_index, ack_slot_index, frame_bit_length
 
 BIT = 2e-6  # 500 kbit/s
 PERIOD = 1e-3
@@ -28,19 +36,22 @@ def bus(senders, attack=None, irs=None):
 
 
 def run_counting_quiescent(cfg):
-    """run_scenario, plus how many attempts took the quiescent path."""
+    """run_scenario, plus how many attempts took the shortcut outside any
+    attack window and how many inside a steady one."""
     taken = []
     original = engine._Sim.quiescent
 
     def counting(self, t0, t1):
         q = original(self, t0, t1)
-        taken.append(q)
+        if q:
+            a = self.attack
+            taken.append(a is not None and a.t_start < t1 and t0 < a.t_end)
         return q
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine._Sim, "quiescent", counting)
         trace, summary = run_scenario(cfg)
-    return trace, summary, sum(taken)
+    return trace, summary, taken.count(False), taken.count(True)
 
 
 def run_per_bit(cfg):
@@ -56,6 +67,8 @@ def make_attack(kind, start, end, line):
         return ForcedRetransmission(t_start=start, t_end=end, v_attack_h=5.0)
     if kind == "active":
         return ActiveOvercurrent(t_start=start, t_end=end)
+    if kind == "passive":
+        return PassiveOvercurrent(t_start=start, t_end=end)
     return PulseAttack(t_start=start, t_end=end, line=line, period=600e-9, duty=0.5)
 
 
@@ -80,46 +93,119 @@ senders = st.lists(
 )
 
 
-@settings(max_examples=12, deadline=None)
-@given(
-    senders=senders,
-    kind=st.sampled_from(["dos", "fra", "pulse", "active"]),
-    line=st.sampled_from(["canl", "canh"]),
-    edge=st.sampled_from(["ends_at_start", "starts_at_end", "overlaps_last_bit"]),
-    pick=st.integers(0, 1000),
-    width_bits=st.integers(1, 300),
-    irs=st.sampled_from(sorted(IRS)),
-)
-@example(
-    senders=[(0x10, b"\x01", 0), (0x20, b"", 200)],
-    kind="dos",
-    line="canl",
-    edge="ends_at_start",
-    pick=1,
-    width_bits=100,
-    irs="thermostat",
-)
-def test_quiescent_frames_match_the_per_bit_path(senders, kind, line, edge, pick, width_bits, irs):
-    plan = [(Frame(id=fid, data=data), off * 1e-6) for fid, data, off in senders]
-    frames = {f"S{k}": frame for k, (frame, _) in enumerate(plan)}
-    unattacked, _ = run_scenario(bus(plan))
-    sent = unattacked.of_kind("FrameSent")
-    target = sent[pick % len(sent)]
-    t0 = target.t
-    t_end = t0 + frame_bit_length(frames[target.ecu]) * BIT
-    width = width_bits * BIT
-    start = {
-        "ends_at_start": t0 - width,
-        "starts_at_end": t_end,
-        "overlaps_last_bit": t_end - BIT,
-    }[edge]
-    cfg = bus(plan, make_attack(kind, start, start + width, line), IRS[irs])
+# window placements on a frame's edges, where other frames stay outside it
+EDGES = ("ends_at_start", "starts_at_end", "overlaps_last_bit")
 
-    trace, summary, quiescent = run_counting_quiescent(cfg)
+
+def test_quiescent_frames_match_the_per_bit_path():
+    steady_hits = []
+
+    @settings(max_examples=24, deadline=None)
+    @given(
+        senders=senders,
+        kind=st.sampled_from(["dos", "fra", "pulse", "active", "passive"]),
+        line=st.sampled_from(["canl", "canh"]),
+        edge=st.sampled_from(
+            list(EDGES) + ["holds", "opens_at_sof", "closes_at_eof", "opens_inside",
+                           "closes_inside"]
+        ),
+        pick=st.integers(0, 1000),
+        width_bits=st.integers(1, 300),
+        irs=st.sampled_from(sorted(IRS)),
+    )
+    @example(
+        senders=[(0x10, b"\x01", 0), (0x20, b"", 200)],
+        kind="dos",
+        line="canl",
+        edge="ends_at_start",
+        pick=1,
+        width_bits=100,
+        irs="thermostat",
+    )
+    # a fuse blows in the first attempt; the window holds the retry
+    @example(
+        senders=[(0x10, b"\x01", 0), (0x20, b"", 200)],
+        kind="dos",
+        line="canl",
+        edge="opens_at_sof",
+        pick=0,
+        width_bits=300,
+        irs="fuse",
+    )
+    def check(senders, kind, line, edge, pick, width_bits, irs):
+        plan = [(Frame(id=fid, data=data), off * 1e-6) for fid, data, off in senders]
+        frames = {f"S{k}": frame for k, (frame, _) in enumerate(plan)}
+        unattacked, _ = run_scenario(bus(plan))
+        sent = unattacked.of_kind("FrameSent")
+        target = sent[pick % len(sent)]
+        t0 = target.t
+        n_bits = frame_bit_length(frames[target.ecu])
+        t_end = t0 + (n_bits - 1) * BIT + BIT  # as the engine sums it
+        width = width_bits * BIT
+        inside = t0 + (width_bits % n_bits + 0.3) * BIT  # strictly inside the frame
+        start, end = {
+            "ends_at_start": (t0 - width, t0),
+            "starts_at_end": (t_end, t_end + width),
+            "overlaps_last_bit": (t_end - BIT, t_end - BIT + width),
+            "holds": (t0 - width, t_end + width),
+            "opens_at_sof": (t0, t_end + width),
+            "closes_at_eof": (t0 - width, t_end),  # the frame's last bit ends with the window
+            "opens_inside": (inside, t_end + width),
+            "closes_inside": (t0 - width, inside),
+        }[edge]
+        cfg = bus(plan, make_attack(kind, start, end, line), IRS[irs])
+
+        trace, summary, outside, steady = run_counting_quiescent(cfg)
+        ref_trace, ref_summary = run_per_bit(cfg)
+        if edge in EDGES:
+            assert outside > 0
+        assert trace.records == ref_trace.records
+        assert summary == ref_summary
+        steady_hits.append(steady)
+
+    check()
+    # the pinned fuse example alone takes the steady case
+    assert sum(steady_hits) > 0
+
+
+def test_a_forced_retransmission_fails_each_first_attempt_and_retries_steady():
+    """Damage trips in the first frame's first dominant bit; from then on
+    the window rests. The first attempt of each frame still fails at the
+    ACK delimiter, the second frame's in the steady case, and each retry
+    is delivered in it."""
+    frame = Frame(id=0x123, data=b"\x55")
+    t0 = 1e-3
+    cfg = bus([(frame, t0)], ForcedRetransmission(t_start=0.5e-3, t_end=2.5e-3, v_attack_h=5.0))
+    trace, summary, outside, steady = run_counting_quiescent(cfg)
+
+    ack_error = (ack_delimiter_index(frame) + 1) * BIT
+    errors = [(e.t, e.detail) for e in trace.of_kind("ErrorFrame")]
+    assert errors == [(t0 + ack_error, "form_error_ack_delimiter"),
+                      (2 * t0 + ack_error, "form_error_ack_delimiter")]
+    assert (steady, outside) == (3, 1)
+    assert summary.retransmissions == 2
+    assert summary.messages_received == summary.messages_sent == 3
     ref_trace, ref_summary = run_per_bit(cfg)
-    assert quiescent > 0
-    assert trace.records == ref_trace.records
-    assert summary == ref_summary
+    assert (trace.records, summary) == (ref_trace.records, ref_summary)
+
+
+@pytest.mark.parametrize("kind, later", [("dos", 3), ("passive", 2), ("active", 2)])
+@pytest.mark.parametrize("closes_at_eof", [False, True])
+def test_a_static_window_goes_steady_once_a_fuse_blows(kind, later, closes_at_eof):
+    """The window opens on a frame's SOF and the fuse blows inside that
+    attempt; each later attempt the window holds is steady (the DoS's
+    retry, then the frames at 2 and 3 ms). A window that closes exactly
+    where the 3 ms frame's last bit ends does not hold that frame: as in
+    `drive`, the frame must end before the window does."""
+    frame = Frame(id=0x123, data=b"\x55")
+    n_bits = frame_bit_length(frame)
+    end = 3e-3 + (n_bits - 1) * BIT + BIT if closes_at_eof else 3.5e-3
+    cfg = bus([(frame, 1e-3)], make_attack(kind, 1e-3, end, "canl"), IRS["fuse"])
+    trace, summary, _, steady = run_counting_quiescent(cfg)
+    assert summary.device_trips
+    assert steady == later - closes_at_eof
+    ref_trace, ref_summary = run_per_bit(cfg)
+    assert (trace.records, summary) == (ref_trace.records, ref_summary)
 
 
 @pytest.mark.parametrize("into_bit, delivered", [(0.1, False), (0.5, True)])
