@@ -246,7 +246,7 @@ def fra_ack_delimiter_corrupted(
         return False
     t_sample = timing.sample_point * timing.bit_time
     residual = (v_attack_h - 1.5) * math.exp(-t_sample / tau_rc)
-    return residual >= DOMINANT_THRESHOLD - timing.hysteresis
+    return residual >= timing.release
 
 
 def min_fra_voltage(

@@ -397,8 +397,12 @@ def calibrate(targets: dict, bus_speed: float = 500_000.0) -> CalibratedParams:
         v = targets["dos_threshold"]
         if not 0.0 < v < 2.6:
             raise InfeasibleTarget(f"dos_threshold {v!r} outside (0, 2.6)")
-        r = r_load * ((3.5 - v) / 0.9 - 1.0)
-        p = replace(p, r_drive_high=round(r, 1))
+        # v_diff = r_load (3.5 - v) / (r_load + r) falls to 0.9 V at r_edge;
+        # the first 0.1 ohm step above it blocks at v but not 0.1 V below,
+        # and rounding the step count to 1e-6 absorbs float noise at an edge
+        # that lies on the grid
+        r_edge = r_load * ((3.5 - v) / 0.9 - 1.0)
+        p = replace(p, r_drive_high=(math.floor(round(10.0 * r_edge, 6)) + 1) / 10.0)
 
     if "tau_bit_5v" in targets:
         tb = targets["tau_bit_5v"]
@@ -429,11 +433,17 @@ def calibrate(targets: dict, bus_speed: float = 500_000.0) -> CalibratedParams:
 
     if "fra_threshold" in targets:
         v = targets["fra_threshold"]
-        if v <= 1.5 + 0.9:
-            raise InfeasibleTarget(f"fra_threshold {v!r} not above 2.4")
-        t_s = p.tau_rc * math.log((v - 1.5) / 0.9)
-        sp = math.ceil(1000.0 * t_s / bit_time) / 1000.0
-        if not 0.0 < sp < 1.0:
+        # below 3.5 V the transceiver's own recovery applies; no pin drives above 5 V
+        if not 3.5 <= v <= 5.0:
+            raise InfeasibleTarget(f"fra_threshold {v!r} outside [3.5, 5.0]")
+        # the recovery from 1.5 V toward v reads dominant at the sample
+        # point until it falls below the release level; take the first
+        # 0.001 step after the recovery toward the 0.5 V grid step below
+        # v releases, and check that the one toward v has not yet
+        release = p.timing(bus_speed).release
+        t_s = p.tau_rc * math.log((v - 2.0) / release)
+        sp = (math.floor(1000.0 * t_s / bit_time) + 1) / 1000.0
+        if sp >= 1.0 or sp * bit_time > p.tau_rc * math.log((v - 1.5) / release):
             raise InfeasibleTarget(f"fra_threshold {v!r} puts the sample point at {sp!r}")
         p = replace(p, sample_point=sp)
 

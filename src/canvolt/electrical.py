@@ -155,7 +155,6 @@ class TransceiverParams:
     r_drive_high: float = 26.7
     r_sink_offset: float = 1.4
     r_sink: float = 12.8
-    reverse_blocking: bool = True
 
     def __post_init__(self):
         if self.r_drive_high <= 0.0 or self.r_sink <= 0.0:
@@ -172,10 +171,9 @@ class TransceiverParams:
 
 @dataclass(frozen=True)
 class BusTopology:
-    """Two-terminator bus with named attachment points."""
+    """Two-terminator bus; nodes attach by name in each solve."""
 
     termination: float = 120.0
-    nodes: tuple = ("A", "B", "C")
 
     def __post_init__(self):
         if self.termination <= 0.0:

@@ -13,6 +13,16 @@ solves and pulse phase edges from `electrical`, the receiver comparator
 (`irs.TripTimer`) is also each host pin's damage accumulator. Error
 frames and retransmission timing are computed here and nowhere else.
 
+A frame that an attack would kill on every attempt is *parked*: its one
+retry time moves to the window end, and a device that changes
+connectivity before then wakes it. Parking reads the engine's own
+cached solves at the gated pins against the comparator's engage level:
+an idle bus that engages it (a jam) parks a frame before it starts, and
+a DoS under which a dominant bit does not parks a frame after a failed
+attempt. The engine still calls two closed-form predictors from
+`attacks`: pulse parking (`pulse_blocks_bits`) and the FRA ACK
+delimiter (`fra_ack_delimiter_corrupted`).
+
 Bus solves depend only on the driven level and the attacker pin modes
 (topology and parameters are fixed for a run), so each scenario solves
 each pair once (`solved`) and keeps it with the host's pin currents.
@@ -386,10 +396,10 @@ def _validate_attack(attack: atk.AttackSpec, host: str, tx_times: list) -> None:
 @dataclass
 class _QueuedTx:
     frame: Frame
-    enqueued_at: float
+    # the send time, then the bus-free time after a failed attempt, or the
+    # window end while the frame is parked
+    retry_at: float
     attempts: int = 0
-    retry_at: float = 0.0
-    blocked: bool = False  # parked until a connectivity change or window end
 
 
 class _PinBank:
@@ -780,30 +790,29 @@ class _Sim:
 
     # -- bus state ---------------------------------------------------------------
 
-    def bus_jammed(self, t: float) -> bool:
-        """Idle bus reads dominant, so no transmission can start."""
-        return self.vids_currents(False, t)[0].voltages.v_diff >= DOMINANT_THRESHOLD
+    def engages(self, dominant: bool, t: float) -> bool:
+        """The bus at this driven level and the gated pins at t engages the
+        receiver comparator."""
+        return self.vids_currents(dominant, t)[0].voltages.v_diff >= DOMINANT_THRESHOLD
 
     def attack_blocking(self, t: float) -> bool:
-        """The running attack deterministically kills every attempt at t."""
-        if self.attack is None or not self.attack.active(t):
-            return False
-        pins = self.pins_at(t)
-        if isinstance(self.attack, atk.DoS):
-            return not isinstance(pins[1], Input) and atk.dominant_blocked(
-                self.attack.v_attack_l, self.params, self.topo
-            )
-        if isinstance(self.attack, atk.PulseAttack):
-            attacked = pins[0] if self.attack.line == "canh" else pins[1]
+        """The attack kills every attempt at t: a DoS whose gated pins keep
+        a dominant bit from engaging the comparator, or a pulse whose
+        masking phase on a connected pin outlasts the decode hold. Outside
+        the window the pins are inputs, so neither holds."""
+        attack = self.attack
+        if isinstance(attack, atk.DoS):
+            return not self.engages(True, t)
+        if isinstance(attack, atk.PulseAttack):
+            pins = self.pins_at(t)
+            attacked = pins[0] if attack.line == "canh" else pins[1]
             return not isinstance(attacked, Input) and atk.pulse_blocks_bits(
-                self.attack.line,
-                self.attack.period,
-                self.attack.duty,
+                attack.line,
+                attack.period,
+                attack.duty,
                 self.timing,
                 self.cfg.params.transition_extension,
             )
-        if isinstance(self.attack, atk.ActiveOvercurrent):
-            return self.bus_jammed(t)
         return False
 
     # -- frame transmission ---------------------------------------------------------
@@ -972,27 +981,18 @@ class _Sim:
         send_idx = 0
         bus_free = 0.0
         while True:
-            candidates = [cfg.duration]
+            ready = {name: max(bus_free, q[0].retry_at) for name, q in self.queues.items() if q}
+            t_next = min([cfg.duration, *ready.values()])
             if send_idx < len(self.sends):
-                candidates.append(self.sends[send_idx][0])
-            ready = None
-            for q in self.queues.values():
-                if q:
-                    head = q[0]
-                    t_ready = max(bus_free, head.retry_at, head.enqueued_at)
-                    if ready is None or t_ready < ready:
-                        ready = t_ready
-            if ready is not None:
-                candidates.append(ready)
-            t_next = min(candidates)
+                t_next = min(t_next, self.sends[send_idx][0])
 
             reached = self.advance_idle(t_next)
             if reached < t_next:
-                # a device changed state; wake frames parked on it
+                # a device changed state: a frame parked on the attack
+                # retries now; any other head is due no later than before
                 for q in self.queues.values():
-                    if q and q[0].blocked:
-                        q[0].retry_at = reached
-                        q[0].blocked = False
+                    if q:
+                        q[0].retry_at = min(q[0].retry_at, reached)
                 continue
             if t_next >= cfg.duration:
                 break
@@ -1000,34 +1000,26 @@ class _Sim:
             if send_idx < len(self.sends) and self.sends[send_idx][0] <= t_next:
                 t, name, frame = self.sends[send_idx]
                 send_idx += 1
-                self.queues[name].append(_QueuedTx(frame, t, retry_at=t))
+                self.queues[name].append(_QueuedTx(frame, t))
                 continue
 
-            contenders = []
-            for name, q in self.queues.items():
-                if q and max(bus_free, q[0].retry_at, q[0].enqueued_at) <= t_next:
-                    contenders.append((name, q[0]))
-            if not contenders:
-                continue
-            winner = arbitrate([c[1].frame for c in contenders])
+            # no send is due, so t_next is the earliest ready time
+            contenders = [(name, self.queues[name][0]) for name, t in ready.items() if t <= t_next]
+            winner = arbitrate([tx.frame for _, tx in contenders])
             name, tx = next(c for c in contenders if c[1].frame == winner)
 
-            if self.bus_jammed(t_next):
-                tx.retry_at = self.attack.t_end if self.attack is not None else cfg.duration
-                tx.blocked = True
+            # an idle bus that engages the comparator lets no frame start;
+            # only an attack raises it, so park until the window ends
+            if self.engages(False, t_next):
+                tx.retry_at = self.attack.t_end
                 continue
 
-            delivered, t_free = self.simulate_attempt(name, tx, t_next)
-            bus_free = t_free
+            delivered, bus_free = self.simulate_attempt(name, tx, t_next)
             if delivered:
                 self.queues[name].pop(0)
             else:
                 tx.attempts += 1
-                if self.attack_blocking(t_free):
-                    tx.retry_at = self.attack.t_end
-                    tx.blocked = True
-                else:
-                    tx.retry_at = t_free
+                tx.retry_at = self.attack.t_end if self.attack_blocking(bus_free) else bus_free
 
         self.record_ticks()
         return self.trace, self.summarize()

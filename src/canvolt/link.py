@@ -92,6 +92,11 @@ class BitTiming:
     def bit_time(self) -> float:
         return 1.0 / self.bus_speed
 
+    @property
+    def release(self) -> float:
+        """The v_diff below which the comparator releases to recessive."""
+        return DOMINANT_THRESHOLD - self.hysteresis
+
 
 def crc15(bits: Iterable[int]) -> int:
     """CRC-15 over a bit sequence, MSB first, poly 0x4599, init 0."""
@@ -284,7 +289,7 @@ def sample_bit(
 
     pieces are the bit's contiguous (start, end, v_diff) spans. The
     receiver comparator engages dominant at v_diff >= DOMINANT_THRESHOLD,
-    releases below DOMINANT_THRESHOLD - hysteresis and holds in between;
+    releases below `timing.release` and holds in between;
     `comparator` is its (level, since) state when the bit starts.
 
     The bit reads its driven level unless a comparator run at the other
@@ -296,7 +301,7 @@ def sample_bit(
 
     Returns (decision, comparator state at the bit's end).
     """
-    release = DOMINANT_THRESHOLD - timing.hysteresis
+    release = timing.release
     level, since = comparator
     runs = []
     for start, _, v in pieces:

@@ -3,6 +3,7 @@
 import configparser
 import csv
 import json
+import math
 import string
 from pathlib import Path
 
@@ -136,8 +137,53 @@ def test_calibrate_rejects_conflicts():
         calibrate({"pulse_canl": 600e-9, "pulse_canh": 700e-9})
     with pytest.raises(InfeasibleTarget):
         calibrate({"fra_threshold": 2.0})
+    # the predictor never fires below 3.5 V, and no pin drives above 5 V
+    for v in (3.0, 3.49, 5.5):
+        with pytest.raises(InfeasibleTarget):
+            calibrate({"fra_threshold": v})
+    for v in (0.0, 2.6):
+        with pytest.raises(InfeasibleTarget):
+            calibrate({"dos_threshold": v})
+    # a slow recovery releases past the bit; a fast one leaves no 0.001
+    # sample point between 4.5 and 5.0 V
+    for tau_bit in (20e-6, 2.001e-6):
+        with pytest.raises(InfeasibleTarget):
+            calibrate({"tau_bit_5v": tau_bit, "fra_threshold": 5.0})
     with pytest.raises(ValueError):
         calibrate({"bogus": 1.0})
+
+
+def predicted(params, target):
+    """What the closed-form predictor that `target` inverts says at these params."""
+    timing = params.timing()
+    if target == "dos_threshold":
+        return atk.min_dos_voltage(params.transceiver())
+    if target == "fra_threshold":
+        return atk.min_fra_voltage(timing=timing, tau_rc=params.tau_rc)
+    if target == "tau_bit_5v":
+        return atk.tau_bit_table((5.0,), timing, params.tau_rc)[5.0]
+    line = {"pulse_canl": "canl", "pulse_canh": "canh"}[target]
+    return atk.min_pulse_period(line, 0.5, timing, params.transition_extension)
+
+
+def test_each_predictor_returns_its_calibration_target():
+    """predictor(calibrate({target: x})) == x over each predictor's grid:
+    every 0.1 V DoS target in (0, 2.6), every 0.5 V FRA target it can
+    fire at, every 10 ns pulse period it sweeps (on CANH, those the
+    shipped decode hold leaves room for), and a few bit length times."""
+    targets = (
+        [("dos_threshold", n / 10) for n in range(1, 26)]
+        + [("fra_threshold", v) for v in (3.5, 4.0, 4.5, 5.0)]
+        + [("pulse_canl", float(f"{n}e-9")) for n in range(500, 701, 10)]
+        + [("pulse_canh", float(f"{n}e-9")) for n in range(500, 680, 10)]
+        + [("tau_bit_5v", t) for t in (2.1e-6, 2.5e-6, 3.16e-6, 10e-6)]
+    )
+    misses = []
+    for target, x in targets:
+        got = predicted(calibrate({target: x}), target)
+        if not math.isclose(got, x):
+            misses.append((target, x, got))
+    assert misses == []
 
 
 def test_params_file_roundtrip(tmp_path):
@@ -318,7 +364,9 @@ def test_cli_sweep_config_error_is_a_config_error(tmp_path, monkeypatch):
     assert rc == 1
 
 
-@pytest.mark.parametrize("targets", ["dos_threshold=3.0", "dos_threshold=abc", "unknown=1"])
+@pytest.mark.parametrize(
+    "targets", ["dos_threshold=3.0", "fra_threshold=3.0", "dos_threshold=abc", "unknown=1"]
+)
 def test_cli_calibrate_errors_are_config_errors(tmp_path, targets):
     assert main(["calibrate", "--targets", targets, "--out", str(tmp_path / "p.json")]) == 1
 
