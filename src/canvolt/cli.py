@@ -51,6 +51,9 @@ CALIBRATION_TARGETS = (
     "pulse_canh",
     "fra_threshold",
 )
+# the grid each predictor sweeps its threshold on; a target between two
+# grid points is never what the predictor returns
+TARGET_GRIDS = {"dos_threshold": 0.1, "fra_threshold": 0.5, "pulse_canl": 10e-9, "pulse_canh": 10e-9}
 
 
 class InfeasibleTarget(ValueError):
@@ -382,13 +385,17 @@ def write_sweep_csv(points, path: str, cfg: ScenarioConfig) -> None:
 def calibrate(targets: dict, bus_speed: float = 500_000.0) -> CalibratedParams:
     """Solve the closed-form calibration equations for the given targets.
 
-    Grid-placed targets (fra_threshold, pulse periods) round toward the
-    value that keeps the swept threshold on its grid point. The shipped
-    defaults equal calibrate() over all six canonical targets.
+    A target with a grid in `TARGET_GRIDS` must lie on it, to within a
+    1e-6 step. The shipped defaults equal calibrate() over all six
+    canonical targets.
     """
-    for key in targets:
+    for key, x in targets.items():
         if key not in CALIBRATION_TARGETS:
             raise ValueError(f"unknown calibration target {key!r}")
+        if key in TARGET_GRIDS:
+            steps = x / TARGET_GRIDS[key]
+            if not (math.isfinite(steps) and abs(steps - round(steps)) < 1e-6):
+                raise InfeasibleTarget(f"{key} {x!r} is off its predictor's {TARGET_GRIDS[key]:g} grid")
     p = CalibratedParams()
     bit_time = 1.0 / bus_speed
     r_load = 60.0

@@ -27,15 +27,20 @@ Bus solves depend only on the driven level and the attacker pin modes
 (topology and parameters are fixed for a run), so each scenario solves
 each pair once (`solved`) and keeps it with the host's pin currents.
 
+The engine asks a protective device the `irs` device questions, and
+its kind only to name its trace record. `advance_constant` steps each
+device not at rest; the earliest open/close change bounds the step, and
+a device stepped past it is stepped again to it.
+
 One rest rule decides every shortcut: a step at given pin currents,
 inside the attack window or not, leaves every accumulator as it is when
-each device and damage timer is at rest (`irs.TripTimer.at_rest`,
-`irs.ThermostatCoil.at_rest`) at the current it sees. A damage timer
-sees the gated current; a coil sees `_PinBank.device_current`: none
-when open, the bench drive in the window when one is set, else its pin
-current. `_Sim.at_rest` asks the rule and keeps each verdict until the
-next step that is taken; `resting_v_diffs` asks it for a set of pin
-pairs. It is applied in four places:
+each device and damage timer is at rest at the current it sees. A
+damage timer sees the current its pin's device passes; a device sees
+`_PinBank.device_current`: the bench drive in the window when one is
+set (a thermostat's only), else its pin current, as it passes it.
+`_Sim.at_rest` asks the rule and keeps each verdict until the next step
+that is taken; `resting_v_diffs` asks it for a set of pin pairs. It is
+applied in four places:
 
 - *Quiescent frames.* A frame skips the per-bit work when every bit
   samples as driven and no accumulator moves: no attack window overlaps
@@ -55,7 +60,7 @@ pairs. It is applied in four places:
   event in one step when the idle bus rests at each pin pair it takes
   there: the inputs outside the attack window, each window pair inside.
   Otherwise idle time is sliced at every whole second and window edge.
-  `irs.thermostat_advance` starts its tau/10 step grid afresh at each
+  `irs.ThermostatCoil.step` starts its tau/10 step grid afresh at each
   call, so only this slicing keeps the thermostat and over-timer
   numerics fixed.
 
@@ -350,6 +355,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
         if dev.pins not in ("both", "ph", "pl"):
             raise ConfigError("irs.pins", f"unknown pin selection {dev.pins!r}")
         _check_numbers("irs", dev)
+        if dev.coil_drive is not None and dev.device != "thermostat":
+            raise ConfigError("irs.coil_drive", "only a thermostat has a coil to drive")
         # a coil at rest is closed at ambient, so ambient must be under the
         # limit; an open coil recloses only once it cools below the
         # reclose point, so ambient must be under that too
@@ -405,23 +412,16 @@ class _QueuedTx:
 class _PinBank:
     """Per-pin device and damage accumulators for the VIDS host.
 
-    Pin damage follows the devices' own trip law: a pin is damaged once
-    its current stays above i_max for damage_time.
+    `devices` holds the pins that carry a protective device. Pin damage
+    follows the devices' own trip law: a pin is damaged once its current
+    stays above i_max for damage_time.
     """
 
     def __init__(self, cfg: ScenarioConfig):
-        self.devices = {"ph": None, "pl": None}
-        self.coil_drive = None
-        if cfg.irs_config is not None:
-            if cfg.irs_config.pins in ("both", "ph"):
-                self.devices["ph"] = cfg.irs_config.build()
-            if cfg.irs_config.pins in ("both", "pl"):
-                self.devices["pl"] = cfg.irs_config.build()
-            self.coil_drive = cfg.irs_config.coil_drive
-        self.trip_pins = tuple(p for p, d in self.devices.items() if isinstance(d, irs.TripTimer))
-        self.coil_pins = tuple(
-            p for p, d in self.devices.items() if isinstance(d, irs.ThermostatCoil)
-        )
+        dev = cfg.irs_config
+        pins = () if dev is None else {"both": ("ph", "pl"), "ph": ("ph",), "pl": ("pl",)}[dev.pins]
+        self.devices = {pin: dev.build() for pin in pins}
+        self.coil_drive = None if dev is None else dev.coil_drive
         dmg = irs.TripTimer(rating=cfg.damage.i_max, opening_time=cfg.damage.damage_time)
         self.damage = {"ph": dmg, "pl": dmg}
         self.trip_times: dict = {}
@@ -431,36 +431,27 @@ class _PinBank:
         """A step at these raw pin currents, in the attack window or not,
         leaves every accumulator as it is: each device is at rest at the
         current it sees, and each damage timer at its gated current."""
-        for pin in self.coil_pins + self.trip_pins:
-            if not self.devices[pin].at_rest(self.device_current(pin, i_raw[pin], in_window)):
+        for pin, dev in self.devices.items():
+            if not dev.at_rest(self.device_current(pin, i_raw[pin], in_window)):
                 return False
         return all(
             self.damage[pin].at_rest(self.gated_current(pin, i_raw[pin])) for pin in ("ph", "pl")
         )
 
     def device_current(self, pin: str, i_raw: float, in_window: bool) -> float:
-        """The current through the pin's device: an open coil carries none,
-        and in the attack window a coil carries the bench drive when one is set."""
-        dev = self.devices[pin]
-        if not isinstance(dev, irs.ThermostatCoil):
-            return i_raw
-        if dev.open:
-            return 0.0
-        return self.coil_drive if in_window and self.coil_drive is not None else i_raw
+        """The current through the pin's device: the bench drive in the
+        attack window when one is set (a thermostat's only), else the pin
+        current, as the device passes it."""
+        drive = self.coil_drive if in_window and self.coil_drive is not None else i_raw
+        return self.devices[pin].passes(drive)
 
     def connected(self, pin: str) -> bool:
-        dev = self.devices[pin]
-        if dev is None:
-            return True
-        if isinstance(dev, irs.ResettableFuseState):
-            return True  # the leakage path keeps conducting
-        return not dev.open
+        dev = self.devices.get(pin)
+        return dev is None or dev.conducting
 
     def gated_current(self, pin: str, i_raw: float) -> float:
-        dev = self.devices[pin]
-        if isinstance(dev, irs.ResettableFuseState):
-            return irs.resettable_fuse_current(dev, i_raw)
-        return i_raw
+        dev = self.devices.get(pin)
+        return i_raw if dev is None else dev.passes(i_raw)
 
     @property
     def damaged(self) -> bool:
@@ -653,25 +644,24 @@ class _Sim:
 
     # -- device/damage integration ---------------------------------------------
 
-    def _emit_trip(self, t: float, pin: str, dev, opened: bool):
-        kind = {
-            irs.FuseState: "FuseBlown",
-            irs.BreakerState: "BreakerTripped",
-            irs.ResettableFuseState: "FuseBlown",
-            irs.ThermostatCoil: "ThermostatOpen" if opened else "ThermostatClosed",
+    def _emit_trip(self, t: float, pin: str, was, dev):
+        kind, detail = {
+            irs.FuseState: ("FuseBlown", ""),
+            irs.BreakerState: ("BreakerTripped", ""),
+            irs.ResettableFuseState: ("FuseBlown", "resettable"),
+            irs.ThermostatCoil: ("ThermostatOpen" if dev.open else "ThermostatClosed", ""),
         }[type(dev)]
-        resettable = isinstance(dev, irs.ResettableFuseState)
-        self.trace.add(t, kind, ecu=self.vids, line=pin, detail="resettable" if resettable else "")
-        if not resettable:  # a resettable fuse's leakage path keeps its pin connected
-            self.changes.append((t, pin, not dev.open))
-        if opened and pin not in self.bank.trip_times:
+        self.trace.add(t, kind, ecu=self.vids, line=pin, detail=detail)
+        if dev.conducting != was.conducting:
+            self.changes.append((t, pin, dev.conducting))
+        if dev.open and pin not in self.bank.trip_times:
             self.bank.trip_times[pin] = t
 
     def advance_constant(self, a: float, b: float, i_raw: dict) -> float:
         """Advance accumulators over [a, b) of constant raw pin currents.
 
         Returns the time actually reached; stops early when a device
-        changes connectivity so the caller can re-solve the bus. Timer
+        opens or closes so the caller can re-solve the bus. Timer
         arithmetic runs on offsets from `a` so trip instants stay exact
         regardless of the absolute timestamp.
         """
@@ -684,22 +674,16 @@ class _Sim:
         bank = self.bank
         span = b - a
 
-        # closed trip devices bound the exposure window
+        # each device's first open/close change bounds the step
         stop_off = span
-        for pin in bank.trip_pins:
-            stop_off = min(stop_off, bank.devices[pin].time_to_trip(i_raw[pin]))
-
-        # so does a thermostat flip
-        flips: list = []
-        for pin in bank.coil_pins:
-            dev = bank.devices[pin]
-            coil_i = bank.device_current(pin, i_raw[pin], in_window)
-            if dev.at_rest(coil_i):
-                continue
-            bank.devices[pin], off = irs.thermostat_advance(dev, coil_i, stop_off)
-            if bank.devices[pin].open != dev.open:
-                flips.append((off, pin))
-                stop_off = off
+        stepped = {}  # pin -> (current, state, elapsed)
+        for pin, dev in bank.devices.items():
+            i = bank.device_current(pin, i_raw[pin], in_window)
+            if not dev.at_rest(i):
+                after, off = dev.step(i, stop_off)
+                stepped[pin] = (i, after, off)
+                if after.open != dev.open:
+                    stop_off = off
 
         # damage triggers strictly inside the bounded exposure: when a
         # device trips at the damage deadline it cuts the current first,
@@ -718,23 +702,18 @@ class _Sim:
                 bank.damaged_at = a + deadline
                 self.trace.add(a + deadline, "Damage", ecu=self.vids, line=pin)
 
-        # advance trip devices; a trip is what bounded this step
-        connectivity_changed = False
+        # commit each device at the bound, stepping again one that went past it
+        changed = False
         t_stop = b if stop_off >= span else a + stop_off
-        for pin in bank.trip_pins:
-            dev = bank.devices[pin]
-            if dev.tripped:
-                continue
-            bank.devices[pin] = dev = irs.device_step(dev, i_raw[pin], stop_off)
-            if dev.tripped:
-                connectivity_changed = True
-                self._emit_trip(t_stop, pin, dev, opened=True)
-
-        for off, pin in flips:
-            connectivity_changed = True
-            self._emit_trip(a + off, pin, bank.devices[pin], opened=bank.devices[pin].open)
-
-        return t_stop if connectivity_changed else b
+        for pin, (i, after, off) in stepped.items():
+            was = bank.devices[pin]
+            if off > stop_off:
+                after = was.step(i, stop_off)[0]
+            bank.devices[pin] = after
+            if after.open != was.open:
+                changed = True
+                self._emit_trip(t_stop, pin, was, after)
+        return t_stop if changed else b
 
     def at_rest(self, i_raw: dict, in_window: bool) -> bool:
         """`bank.at_rest(i_raw, in_window)`, kept until the next full accumulator step."""

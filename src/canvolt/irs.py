@@ -5,6 +5,10 @@ feeds piecewise-constant currents. Fuses, breakers and resettable fuses
 share one threshold-plus-duration trip law, `TripTimer`, which also
 serves as the microcontroller pin's damage accumulator. The thermostat
 is a first-order thermal model stepped on a grid of tau_thermal/10.
+
+Every device answers `at_rest(i)`, `conducting` (its pin stays on the
+bus), `passes(i)` (the current through it) and `step(i, dt)`: its state
+after dt of constant current, or at its first open/close change.
 """
 
 from __future__ import annotations
@@ -17,8 +21,19 @@ class NotTripped(ValueError):
     """Reset requested on a breaker that is not tripped."""
 
 
+class _Switch:
+    """A device whose pin is on the bus, and passes its current, while closed."""
+
+    @property
+    def conducting(self) -> bool:
+        return not self.open
+
+    def passes(self, i: float) -> float:
+        return 0.0 if self.open else i
+
+
 @dataclass(frozen=True)
-class TripTimer:
+class TripTimer(_Switch):
     """Trips once |i| has stayed strictly above `rating` for `opening_time`.
 
     The timer clears whenever the current drops to the rating or below.
@@ -57,6 +72,14 @@ class TripTimer:
             return replace(self, over_timer=self.opening_time, tripped=True)
         return replace(self, over_timer=self.over_timer + dt)
 
+    def step(self, i: float, dt: float) -> tuple:
+        """(state, elapsed): the trip at its closed-form time when that
+        comes within dt, else the state after dt."""
+        t = self.time_to_trip(i)
+        if t <= dt:
+            return replace(self, over_timer=self.opening_time, tripped=True), t
+        return self.advance(i, dt), dt
+
 
 @dataclass(frozen=True)
 class FuseState(TripTimer):
@@ -79,6 +102,13 @@ class ResettableFuseState(TripTimer):
 
     leakage_current: float = 0.100
 
+    @property
+    def conducting(self) -> bool:
+        return True  # the leakage path keeps the pin on the bus
+
+    def passes(self, i: float) -> float:
+        return resettable_fuse_current(self, i)
+
 
 def resettable_fuse_current(state: ResettableFuseState, i_source_capability: float) -> float:
     """Series current given what the source could push through a wire."""
@@ -89,7 +119,7 @@ def resettable_fuse_current(state: ResettableFuseState, i_source_capability: flo
 
 
 @dataclass(frozen=True)
-class ThermostatCoil:
+class ThermostatCoil(_Switch):
     """Heating coil plus thermostat: a lumped first-order thermal model.
 
     Opens above t_limit, recloses once cooled below t_limit minus the
@@ -109,6 +139,20 @@ class ThermostatCoil:
         """Closed, within 1e-6 degC of ambient and carrying no current: a
         step of any length leaves the coil closed at ambient, so it is skipped."""
         return not self.open and not i and abs(self.temp - self.t_ambient) < 1e-6
+
+    def step(self, i: float, dt: float) -> tuple:
+        """(state, elapsed): `thermostat_step` on a tau_thermal/10 grid from
+        now, the last step shorter, stopped at the first open/close flip;
+        elapsed is capped at dt, which the float sum of the steps can pass."""
+        max_dt = self.tau_thermal / 10.0
+        state, elapsed = self, 0.0
+        while elapsed < dt:
+            h = min(max_dt, dt - elapsed)
+            state = thermostat_step(state, i, h)
+            elapsed += h
+            if state.open != self.open:
+                break
+        return state, min(elapsed, dt)
 
 
 def thermostat_step(state: ThermostatCoil, i: float, dt: float) -> ThermostatCoil:
@@ -130,33 +174,10 @@ def thermostat_step(state: ThermostatCoil, i: float, dt: float) -> ThermostatCoi
     return replace(state, temp=temp, open=is_open)
 
 
-def thermostat_advance(state: ThermostatCoil, i: float, duration: float) -> tuple:
-    """Step the thermal model at constant current for up to `duration`.
-
-    Steps are tau_thermal/10 long, the last one shorter, and stop at the
-    first open/close flip. Returns (state, elapsed), where elapsed is the
-    flip time, or `duration` when the switch did not move.
-    """
-    max_dt = state.tau_thermal / 10.0
-    elapsed = 0.0
-    while elapsed < duration:
-        dt = min(max_dt, duration - elapsed)
-        was_open = state.open
-        state = thermostat_step(state, i, dt)
-        elapsed += dt
-        if state.open != was_open:
-            break
-    return state, elapsed
-
-
 def device_step(device, i: float, dt: float):
-    """Advance any protective device over dt of constant current.
-
-    A thermostat is stepped through every flip on the way.
-    """
-    if isinstance(device, ThermostatCoil):
-        while dt > 0.0:
-            device, elapsed = thermostat_advance(device, i, dt)
-            dt -= elapsed
-        return device
-    return device.advance(i, dt)
+    """Advance any protective device over dt of constant current, through
+    every open/close change on the way."""
+    while dt > 0.0:
+        device, elapsed = device.step(i, dt)
+        dt -= elapsed
+    return device

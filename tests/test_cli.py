@@ -149,6 +149,13 @@ def test_calibrate_rejects_conflicts():
     for tau_bit in (20e-6, 2.001e-6):
         with pytest.raises(InfeasibleTarget):
             calibrate({"tau_bit_5v": tau_bit, "fra_threshold": 5.0})
+    # a target between two points of its predictor's grid never round-trips
+    for target, x in (
+        ("dos_threshold", 2.15), ("fra_threshold", 4.2), ("fra_threshold", 3.75),
+        ("pulse_canl", 685e-9), ("pulse_canh", 575e-9),
+    ):
+        with pytest.raises(InfeasibleTarget, match="grid"):
+            calibrate({target: x})
     with pytest.raises(ValueError):
         calibrate({"bogus": 1.0})
 
@@ -365,7 +372,8 @@ def test_cli_sweep_config_error_is_a_config_error(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "targets", ["dos_threshold=3.0", "fra_threshold=3.0", "dos_threshold=abc", "unknown=1"]
+    "targets",
+    ["dos_threshold=3.0", "fra_threshold=3.0", "fra_threshold=4.2", "dos_threshold=abc", "unknown=1"],
 )
 def test_cli_calibrate_errors_are_config_errors(tmp_path, targets):
     assert main(["calibrate", "--targets", targets, "--out", str(tmp_path / "p.json")]) == 1

@@ -28,7 +28,7 @@ from canvolt.engine import (
     set_sweep_value,
     validate_config,
 )
-from canvolt.irs import FuseState, TripTimer
+from canvolt.irs import FuseState, ThermostatCoil, TripTimer
 from canvolt.link import Frame
 
 FRAME = Frame(id=0x01, data=b"\x01")
@@ -238,6 +238,20 @@ def test_thermostat_coil_drive_isolates_and_recovers():
     assert all(summary.indicator[k] == 1 for k in range(12, 30))
 
 
+def test_a_coil_stops_at_the_other_coils_earlier_flip():
+    """One step, both pins coiled: the P_L coil at 1 A opens 1 s in, and
+    the P_H coil at 0.5 A is heated up to that flip, not over the span."""
+    sim = _Sim(scenario(irs=IrsConfig(device="thermostat"), damage=DamageParams(i_max=2.0)))
+    a = 1.0
+    reached = sim.advance_constant(a, 3.0, {"ph": 0.5, "pl": 1.0})
+    assert reached == a + ThermostatCoil().step(1.0, 2.0)[1] < 3.0
+    assert sim.bank.devices["pl"].open
+    assert sim.bank.devices["ph"] == ThermostatCoil().step(0.5, reached - a)[0]
+    assert [(r.t, r.kind, r.line) for r in sim.trace.records] == [
+        (reached, "ThermostatOpen", "pl")
+    ]
+
+
 def test_pulse_threshold_invariant_under_phase_offset():
     for phase in (0.0, 0.25, 0.5, 0.9):
         below = scenario(
@@ -326,6 +340,10 @@ def test_validation_rejects_bad_configs():
                 attack=PulseAttack(period=1.0),
             )
         )
+    # the bench drive heats a thermostat's coil; no other device has one
+    for device in ("fuse", "breaker", "resettable_fuse"):
+        with pytest.raises(ConfigError, match="^irs.coil_drive: "):
+            validate_config(scenario(irs=IrsConfig(device=device, coil_drive=1.0)))
 
 
 def test_validation_rejects_negative_limits():

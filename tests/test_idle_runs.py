@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canvolt import attacks as atk
-from canvolt import engine
+from canvolt import engine, irs
 from canvolt import trace as trace_module
 from canvolt.electrical import INPUT, BusTopology, solve_bus_detailed
 from canvolt.engine import (
@@ -252,12 +252,14 @@ def test_jumping_while_a_coil_is_not_idle_is_caught():
     original = engine._Sim.idle_inert
 
     def ignoring_coils(self, a, b):
-        coils = self.bank.coil_pins
-        self.bank.coil_pins = ()
+        devices = self.bank.devices
+        self.bank.devices = {
+            pin: dev for pin, dev in devices.items() if not isinstance(dev, irs.ThermostatCoil)
+        }
         try:
             return original(self, a, b)
         finally:
-            self.bank.coil_pins = coils
+            self.bank.devices = devices
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine._Sim, "idle_inert", ignoring_coils)

@@ -18,7 +18,6 @@ from canvolt.irs import (
     TripTimer,
     device_step,
     resettable_fuse_current,
-    thermostat_advance,
     thermostat_step,
 )
 
@@ -130,7 +129,7 @@ def test_thermostat_recloses_when_cooled():
 
 
 def test_thermostat_ignores_tiny_currents():
-    t, elapsed = thermostat_advance(ThermostatCoil(), 1e-6, 60.0)
+    t, elapsed = ThermostatCoil().step(1e-6, 60.0)
     assert elapsed == pytest.approx(60.0)
     assert not t.open
     assert t.temp == pytest.approx(25.0, abs=0.01)
@@ -141,9 +140,9 @@ def test_thermostat_steady_state_at_one_amp():
     assert t.temp == pytest.approx(65.0, abs=0.5)
 
 
-def test_thermostat_advance_stops_at_the_first_flip():
+def test_a_coil_step_stops_at_the_first_flip():
     # at one amp the coil passes 40 degC after 2 ln(40/25) = 0.94 s
-    t, elapsed = thermostat_advance(ThermostatCoil(), 1.0, 5.0)
+    t, elapsed = ThermostatCoil().step(1.0, 5.0)
     assert t.open
     assert elapsed == pytest.approx(1.0)  # the 0.2 s step that crossed the limit
     assert t.temp == pytest.approx(65.0 - 40.0 * 0.9**5)
@@ -172,7 +171,7 @@ def test_a_coil_rests_exactly_where_a_step_leaves_it_closed_at_ambient(temp, is_
     coil stays closed within 1e-6 degC of ambient over any step, and a step
     moves every other coil."""
     coil = ThermostatCoil(temp=temp, open=is_open)
-    after, _ = thermostat_advance(coil, i, dt)
+    after, _ = coil.step(i, dt)
     if coil.at_rest(i):
         assert not after.open and abs(after.temp - coil.t_ambient) < 1e-6
     else:
@@ -208,3 +207,42 @@ def test_closed_device_in_series_with_input_pin_is_transparent():
             trace, summary = run_scenario(replace(cfg, irs_config=irs))
             assert trace.records == bare_trace.records, (device, pins)
             assert summary == bare_summary, (device, pins)
+
+
+def devices():
+    """Every device kind, in any state its timers and switch can reach."""
+    timer = dict(
+        rating=st.floats(0.0, 0.1), opening_time=st.floats(1e-7, 1e-5),
+        over_timer=st.floats(0.0, 1e-5), tripped=st.booleans(),
+    )
+    return st.one_of(
+        st.builds(FuseState, **timer),
+        st.builds(BreakerState, **timer),
+        st.builds(ResettableFuseState, leakage_current=st.floats(0.0, 0.2), **timer),
+        st.builds(
+            ThermostatCoil, temp=st.floats(0.0, 100.0), open=st.booleans(),
+            tau_thermal=st.floats(0.1, 10.0),
+        ),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(dev=devices(), i=st.floats(-2.0, 2.0), dt=st.floats(1e-9, 20.0))
+def test_every_device_steps_to_dt_or_to_its_first_change(dev, i, dt):
+    """`step` ends at dt with the switch as it was, or no later than dt at
+    its first open/close change; `device_step` resumes it from each change,
+    and a device off the bus passes nothing."""
+    after, elapsed = dev.step(i, dt)
+    if after.open == dev.open:
+        assert elapsed == dt
+    else:
+        assert 0.0 <= elapsed <= dt
+    stepped, left = dev, dt
+    while left > 0.0:
+        stepped, elapsed = stepped.step(i, left)
+        left -= elapsed
+    assert device_step(dev, i, dt) == stepped
+    if not dev.conducting:
+        assert dev.passes(i) == 0.0
+    elif not dev.open:
+        assert dev.passes(i) == i
