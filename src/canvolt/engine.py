@@ -45,11 +45,12 @@ applied in four places:
 - *Quiescent frames.* A frame skips the per-bit work when every bit
   samples as driven and no accumulator moves: no attack window overlaps
   it while the idle inputs rest, or a *steady* window holds it. A window
-  is steady while, at each driven level, every gated window pair rests,
-  all give one v_diff (one pair for a static attack; a pulse whose
-  phases gate to the same pins), and `link.sample_bit` reads a one-piece
-  bit at it as driven from either comparator level. Inside the window
-  the first attempt still asks the FRA check at its ACK delimiter.
+  is steady while, at each driven level, every gated window pair rests
+  and `link.reads_driven` passes its phases at their v_diffs: one
+  unbounded phase for a static attack, a pulse's high and low phase.
+  So a pulse whose masking phase is shorter than the decode hold is
+  steady once its accumulators rest. Inside the window the first
+  attempt still asks the FRA check at its ACK delimiter.
 - *Skipped steps.* `advance_constant` skips a step that rests, be it a
   piece of a driven bit or an idle slice.
 - *Resting pulse bits.* A bit inside a pulse window, while both gated
@@ -57,9 +58,10 @@ applied in four places:
   comparator: each piece takes its phase's v_diff by the phase test,
   with no pin lookup, solve lookup or accumulator step.
 - *Idle jumps.* `advance_idle` crosses the idle stretch up to the next
-  event in one step when the idle bus rests at each pin pair it takes
-  there: the inputs outside the attack window, each window pair inside.
-  Otherwise idle time is sliced at every whole second and window edge.
+  event or window edge in one step when the idle bus rests at each pin
+  pair it takes there: the inputs outside the attack window, each
+  window pair inside. Otherwise that stretch is sliced at every whole
+  second.
   `irs.ThermostatCoil.step` starts its tau/10 step grid afresh at each
   call, so only this slicing keeps the thermostat and over-timer
   numerics fixed.
@@ -115,6 +117,7 @@ from .link import (
     bus_bits,
     ack_delimiter_index,
     frame_bit_length,
+    reads_driven,
     sample_bit,
 )
 # the trace names stay importable from the engine
@@ -491,9 +494,12 @@ class _Sim:
         # the attacker's pin pairs: high and low phase for a pulse, else one
         self.window_pins = atk.window_pins(cfg.attack) if cfg.attack is not None else ()
         self.pulse = cfg.attack if isinstance(cfg.attack, atk.PulseAttack) else None
+        # each window pair's phase length: a pulse's high and low phase, else one unbounded
+        self.phase_lengths = (math.inf,)
         if self.pulse is not None:
             self.phase_origin = self.pulse.phase_origin
             self.high_time = self.pulse.duty * self.pulse.period
+            self.phase_lengths = (self.high_time, self.pulse.period - self.high_time)
         # a pulse on CANH drags the recovery out past each low phase
         canh_pulse = self.pulse is not None and self.pulse.line == "canh"
         self.extension = cfg.params.transition_extension if canh_pulse else 0.0
@@ -749,9 +755,10 @@ class _Sim:
     def advance_idle(self, target: float) -> float:
         """Integrate the idle bus up to target; early-return on changes.
 
-        Jumps to target when `idle_inert`, else slices at the next whole
-        second and window edge (see the module docstring); the idle bus
-        carries no current in either pulse phase, so no pulse cuts.
+        Jumps to target when `idle_inert`, else to the next window edge
+        when inert up to it, else slices at the next whole second (see
+        the module docstring); the idle bus carries no current in either
+        pulse phase, so no pulse cuts.
         """
         attack = self.attack
         edges = (attack.t_start, attack.t_end) if attack is not None else ()
@@ -760,7 +767,11 @@ class _Sim:
             if self.idle_inert(a, target):
                 self.integrated_to = target
                 break
-            b = min(target, float(math.floor(a) + 1), *(e for e in edges if a < e))
+            edge = min([target, *(e for e in edges if a < e)])
+            if self.idle_inert(a, edge):
+                self.integrated_to = edge
+                continue
+            b = min(edge, float(math.floor(a) + 1))
             _, i = self.vids_currents(False, 0.5 * (a + b))
             self.integrated_to = self.advance_constant(a, b, i)
             if self.integrated_to < b:
@@ -807,22 +818,26 @@ class _Sim:
         return attack.t_start <= t0 and t1 < attack.t_end and self.steady()
 
     def steady(self) -> bool:
-        """At each driven level every gated window pair rests, all give one
-        v_diff, and the comparator reads a one-piece bit at it as driven
-        from either level; kept until the next full accumulator step."""
+        """At each driven level every gated window pair rests and
+        `phases_read_driven` at their v_diffs; kept until the next full
+        accumulator step."""
         if "steady" not in self.resting:
-            bt = self.bit_time
             verdict = True
             for dominant in (True, False):
                 levels = self.resting_levels(dominant)
-                driven = BitDecision.DOMINANT if dominant else BitDecision.RECESSIVE
-                verdict = verdict and levels is not None and len(set(levels)) == 1 and all(
-                    sample_bit([(0.0, bt, levels[0])], driven, self.timing, (level, -bt),
-                               self.extension)[0] is driven
-                    for level in BitDecision
-                )
+                verdict = verdict and levels is not None and self.phases_read_driven(dominant, levels)
             self.resting["steady"] = verdict
         return self.resting["steady"]
+
+    def phases_read_driven(self, dominant: bool, levels: tuple) -> bool:
+        """`link.reads_driven` for the window's phases at `levels`, a v_diff
+        per window pair. A piece ends within a few ulps of its true edge,
+        so a phase counts 64 ulps of the window's latest edge longer (an
+        unbounded window passes only phases that read as driven)."""
+        driven = BitDecision.DOMINANT if dominant else BitDecision.RECESSIVE
+        phases = tuple(zip(self.phase_lengths, levels))
+        slop = 64 * math.ulp(self.attack.t_end)
+        return reads_driven(phases, driven, self.timing, self.extension, slop)
 
     def simulate_attempt(self, ecu: str, tx: _QueuedTx, t0: float) -> tuple:
         """Run one transmission attempt; returns (delivered, t_bus_free)."""

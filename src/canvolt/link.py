@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 CRC_POLY = 0x4599
 DOMINANT_THRESHOLD = 0.9  # the receiver comparator engages dominant at this v_diff
+HOLD_SLOP = 1e-12  # float noise a comparator run may lack and still last decode_hold
 
 ERROR_FLAG_BITS = 6
 ERROR_DELIMITER_BITS = 8
@@ -296,7 +297,7 @@ def sample_bit(
     level covers the sample point and lasts at least decode_hold; time
     before the bit belongs to the previous bit. On a dominant bit a
     recessive run counts transition_extension longer: the line transition
-    that follows a CANH pulse's low phase. 1 ps of slop absorbs float
+    that follows a CANH pulse's low phase. HOLD_SLOP (1 ps) absorbs float
     noise in absolute-time differences.
 
     Returns (decision, comparator state at the bit's end).
@@ -326,7 +327,37 @@ def sample_bit(
             continue
         start = max(start, bit_start)
         end = end + extension
-        if start <= t_sample < end and end - start >= timing.decode_hold - 1e-12:
+        if start <= t_sample < end and end - start >= timing.decode_hold - HOLD_SLOP:
             decision = state
             break
     return decision, (level, since)
+
+
+def reads_driven(
+    phases: Sequence[tuple],
+    driven: BitDecision,
+    timing: BitTiming,
+    transition_extension: float = 0.0,
+    slop: float = 0.0,
+) -> bool:
+    """Whether `sample_bit` reads every bit of a v_diff that cycles
+    through `phases` as driven, at any start phase and from either
+    comparator state.
+
+    phases are (length, v_diff): one phase of infinite length for a
+    static level, or a pulse's high and low phase. It does when at least
+    one phase reads as the driven level from either comparator state
+    (the hold band does not), and every other phase is shorter than
+    decode_hold. Such a phase counts transition_extension longer on a
+    dominant bit, and HOLD_SLOP plus `slop` longer for float noise in
+    the pieces' ends. With at most two phases, each other phase lies
+    between driven ones, so a comparator run at the other level spans at
+    most one of them and never lasts the hold.
+    """
+    if driven is BitDecision.DOMINANT:
+        engaged = [v >= DOMINANT_THRESHOLD for _, v in phases]
+    else:
+        engaged = [v < timing.release for _, v in phases]
+        transition_extension = 0.0
+    margin = timing.decode_hold - transition_extension - HOLD_SLOP - slop
+    return any(engaged) and all(e or length < margin for (length, _), e in zip(phases, engaged))

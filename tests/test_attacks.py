@@ -1,5 +1,7 @@
 """Attack classification, pin overrides, and threshold predictors."""
 
+from pathlib import Path
+
 import pytest
 
 from canvolt.attacks import (
@@ -18,8 +20,11 @@ from canvolt.attacks import (
     overcurrent_current,
     pin_override,
     pulse_blocking_duration,
+    pulse_blocks_bits,
     tau_bit_table,
 )
+from canvolt.cli import parse_config
+from canvolt.engine import _Sim, set_sweep_value
 from canvolt.electrical import INPUT, Input, OutputHigh, OutputLow, Pulse
 from canvolt.link import BitTiming
 
@@ -162,3 +167,26 @@ def test_tau_bit_table_matches_reference_within_tolerance():
     assert table[5.0] == pytest.approx(3.16e-6, abs=1e-12)
     for v, ref in reference.items():
         assert abs(table[v] - ref) / ref <= 0.12
+
+
+@pytest.mark.parametrize("name, first_blocking", [
+    ("pulse_canl_sweep", 680e-9),
+    ("pulse_canh_sweep", 570e-9),
+])
+def test_the_steady_rule_agrees_with_pulse_blocks_bits(name, first_blocking):
+    """At full connectivity, the engine's steady rule passes a dominant bit
+    under a sweep's pulse exactly where the predictor says it is not
+    blocked; the first point it fails is the paper's threshold."""
+    cfg = parse_config((Path(__file__).parent.parent / "configs" / f"{name}.ini").read_text())
+    failing = []
+    for period in cfg.sweep.values():
+        sim = _Sim(set_sweep_value(cfg, cfg.sweep.path, period))
+        levels = tuple(sim.solved(True, pins)[0].voltages.v_diff for pins in sim.window_pins)
+        a = sim.attack
+        blocks = pulse_blocks_bits(
+            a.line, a.period, a.duty, sim.timing, cfg.params.transition_extension
+        )
+        assert sim.phases_read_driven(True, levels) is not blocks, period
+        if blocks:
+            failing.append(period)
+    assert failing[0] == pytest.approx(first_blocking, abs=1e-12)

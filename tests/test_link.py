@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canvolt.attacks import ForcedRetransmission, fra_ack_delimiter_corrupted
@@ -11,6 +11,7 @@ from canvolt.electrical import TAU_RC_DEFAULT, time_to_reach
 from canvolt.engine import EcuSpec, ScenarioConfig, run_scenario
 from canvolt.link import (
     DOMINANT_THRESHOLD,
+    HOLD_SLOP,
     BitDecision,
     BitTiming,
     CrcError,
@@ -29,6 +30,7 @@ from canvolt.link import (
     encode_frame,
     frame_bit_length,
     frame_body_bits,
+    reads_driven,
     sample_bit,
     stuff_bits,
 )
@@ -319,6 +321,91 @@ def test_sample_bit_transition_extension_on_dominant_bits():
     dip = [(0.0, 0.5e-6, 2.0), (0.5e-6, 0.8e-6, 0.0), (0.8e-6, bt, 2.0)]
     assert sample_bit(dip, DOM, timing, (DOM, -bt))[0] is DOM
     assert sample_bit(dip, DOM, timing, (DOM, -bt), transition_extension=55e-9)[0] is REC
+
+
+def phase_pieces(phases, start, bit_time):
+    """One bit [0, bit_time) of v_diff cycling through (length, v_diff)
+    phases, entered `start` (a fraction of the cycle) into it."""
+    if len(phases) == 1:
+        return [(0.0, bit_time, phases[0][1])]
+    cycle = sum(length for length, _ in phases)
+    t, pieces = -start * cycle, []
+    while t < bit_time:
+        for length, v in phases:
+            if t + length > 0.0 and t < bit_time:
+                pieces.append((max(t, 0.0), min(t + length, bit_time), v))
+            t += length
+    return pieces
+
+
+HOLD = BitTiming().decode_hold
+EXTENSION = 55e-9  # the desk's CANH transition extension
+# the comparator's three bands: dominant, hold, recessive
+V_DIFFS = (2.0, DOMINANT_THRESHOLD, 0.8, 0.75, 0.0, -0.5)
+
+
+@st.composite
+def phase_cycles(draw):
+    """A static level, or two pulse phases; lengths reach around the hold
+    with and without the extension."""
+    v_diffs = st.sampled_from(V_DIFFS)
+    if draw(st.booleans()):
+        return ((float("inf"), draw(v_diffs)),)
+    near = st.sampled_from([HOLD, HOLD - EXTENSION]).flatmap(
+        lambda edge: st.floats(-2 * HOLD_SLOP, 2 * HOLD_SLOP).map(lambda d: edge + d)
+    )
+    lengths = st.one_of(st.floats(10e-9, 1.5e-6), near)
+    return tuple((draw(lengths), draw(v_diffs)) for _ in range(2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    phases=phase_cycles(),
+    start=st.floats(0.0, 1.0),
+    extension=st.sampled_from([0.0, EXTENSION]),
+)
+# a hold-band phase over the sample point, from a recessive comparator
+@example(phases=((800e-9, 0.8), (800e-9, 2.0)), start=0.0, extension=0.0)
+# no phase engages: the comparator never leaves the level it entered at
+@example(phases=((200e-9, 0.8), (200e-9, 0.0)), start=0.0, extension=0.0)
+# a masking phase just short of the hold, or of the hold less the extension
+@example(phases=((HOLD - 0.5 * HOLD_SLOP, 0.0), (1e-6, 2.0)), start=0.5, extension=0.0)
+@example(phases=((HOLD - EXTENSION, 0.0), (1e-6, 2.0)), start=0.5, extension=EXTENSION)
+def test_reads_driven_implies_sample_bit_reads_driven(phases, start, extension):
+    """Whenever the steady rule passes phases at a driven level, every bit
+    cut from them reads as driven, at any start phase and from either
+    comparator state."""
+    timing = BitTiming()
+    bt = timing.bit_time
+    pieces = phase_pieces(phases, start, bt)
+    for driven in BitDecision:
+        if reads_driven(phases, driven, timing, extension):
+            for entry in BitDecision:
+                got = sample_bit(pieces, driven, timing, (entry, -bt), extension)[0]
+                assert got is driven, (driven, entry, pieces)
+
+
+@pytest.mark.parametrize(
+    "length, extension",
+    [
+        (HOLD, 0.0),  # exactly the hold
+        (HOLD - EXTENSION, EXTENSION),  # exactly the hold, extension included
+        (HOLD - HOLD_SLOP, 0.0),  # exactly the run `sample_bit` counts as the hold
+        (HOLD - EXTENSION - 0.5 * HOLD_SLOP, EXTENSION),  # inside the slop
+    ],
+)
+def test_a_masking_phase_as_long_as_the_hold_is_not_steady(length, extension):
+    """A recessive phase over the sample point that lasts the hold, as
+    `sample_bit` counts it, masks a dominant bit, so the rule must fail."""
+    timing = BitTiming()
+    bt = timing.bit_time
+    phases = ((length, 0.0), (1e-6, 2.0))
+    pieces = phase_pieces(phases, 0.5, bt)
+    assert sample_bit(pieces, DOM, timing, (DOM, -bt), extension)[0] is REC
+    assert not reads_driven(phases, DOM, timing, extension)
+    # a hair shorter, outside the slop, it passes
+    shorter = ((length - 2 * HOLD_SLOP, 0.0), (1e-6, 2.0))
+    assert reads_driven(shorter, DOM, timing, extension)
 
 
 def test_frame_layout_indices():

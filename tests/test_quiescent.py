@@ -3,9 +3,11 @@
 A frame is delivered without per-bit physics when no attack window
 overlaps it while every accumulator rests at the idle inputs, or when a
 steady attack window holds it: every gated window pair rests at each
-driven level and reads as that level. These tests place attack windows
-on the edges of frames, around them and across them, and require the
-same trace and summary as the per-bit path, which stays the reference.
+driven level, and `link.reads_driven` reads every bit under the
+window's phases as driven. These tests place attack windows on the
+edges of frames, around them and across them, run pulses short and long
+of the decode hold, and require the same trace and summary as the
+per-bit path, which stays the reference.
 """
 
 import pytest
@@ -28,11 +30,15 @@ PERIOD = 1e-3
 DURATION = 4e-3
 
 
-def bus(senders, attack=None, irs=None):
+def bus(senders, attack=None, irs=None, period=PERIOD, shift=0.0):
+    """Senders of (frame, offset) over DURATION; `shift` moves the offsets
+    and the end of the run."""
     ecus = [EcuSpec("A", "vids-host"), EcuSpec("B", "logger")]
     for k, (frame, offset) in enumerate(senders):
-        ecus.append(EcuSpec(f"S{k}", "sender", period=PERIOD, frame=frame, offset=offset))
-    return ScenarioConfig(duration=DURATION, ecus=tuple(ecus), attack=attack, irs_config=irs)
+        ecus.append(EcuSpec(f"S{k}", "sender", period=period, frame=frame, offset=shift + offset))
+    return ScenarioConfig(
+        duration=shift + DURATION, ecus=tuple(ecus), attack=attack, irs_config=irs
+    )
 
 
 def run_counting_quiescent(cfg):
@@ -228,3 +234,65 @@ def test_dos_opening_inside_the_ack_slot(into_bit, delivered):
         assert [(e.t, e.detail) for e in errors] == [(t0 + (ack + 1) * BIT, "bit_error")]
         assert summary.first_failure_reason == "bit_error"
         assert summary.retransmissions == 1
+
+
+def check_pulse_window(senders, period, duty, phase, line, irs, shift):
+    """A pulse window over the whole run gives the per-bit path's events,
+    sample runs and summary; returns how many attempts it held steady.
+
+    A shifted run's senders send once a second: the summary's indicator
+    has a slot per sender period over the whole run. Traces compare by
+    events and sample runs, which do not expand the run's ticks."""
+    plan = [(Frame(id=fid, data=data), off * 1e-6) for fid, data, off in senders]
+    attack = PulseAttack(
+        t_start=shift, t_end=shift + DURATION, line=line, period=period, duty=duty, phase=phase
+    )
+    cfg = bus(plan, attack, IRS[irs], period=PERIOD if shift == 0.0 else 1.0, shift=shift)
+    trace, summary, _, steady = run_counting_quiescent(cfg)
+    ref_trace, ref_summary = run_per_bit(cfg)
+    assert (trace.events, trace.runs) == (ref_trace.events, ref_trace.runs)
+    assert summary == ref_summary
+    return steady
+
+
+def test_pulse_windows_match_the_per_bit_path():
+    """Pulses from far shorter than the decode hold to past it, the
+    desk's 680 ns (CANL) and 570 ns (CANH) blocking periods among them,
+    at any duty, phase, line and device, and shifted in time."""
+    steady_hits = []
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        senders=senders,
+        period=st.one_of(st.floats(100e-9, 4e-6), st.floats(560e-9, 700e-9)),
+        duty=st.floats(0.05, 0.95),
+        phase=st.floats(0.0, 1.0),
+        line=st.sampled_from(["canl", "canh"]),
+        irs=st.sampled_from(sorted(IRS)),
+        shift=st.sampled_from([0.0, 1e3, 1e6]),
+    )
+    def check(senders, period, duty, phase, line, irs, shift):
+        steady_hits.append(check_pulse_window(senders, period, duty, phase, line, irs, shift))
+
+    check()
+    assert sum(steady_hits) > 0
+
+
+PINNED = [(0x10, b"\x01", 0), (0x20, b"", 200), (0x30, bytes(8), 350)]
+
+
+@pytest.mark.parametrize(
+    "period, shift, steady",
+    [
+        # attacked_bus's pulse: every attempt after the first, in which the fuses trip
+        (600e-9, 0.0, 11),
+        (600e-9, 1e6, 2),  # a shifted sender sends once
+        (670e-9, 0.0, 11),  # a 335 ns masking phase, 5 ns short of the hold
+        # at 1e6 s those 5 ns lie within 64 ulps of the window's end, so every bit runs
+        (670e-9, 1e6, 0),
+    ],
+)
+def test_pinned_canl_pulses(period, shift, steady):
+    """A CANL pulse at 50% duty with resettable fuses on both pins."""
+    got = check_pulse_window(PINNED, period, 0.5, 0.0, "canl", "resettable_fuse", shift)
+    assert got == steady
