@@ -313,7 +313,14 @@ def serialize_config(cfg: ScenarioConfig) -> str:
 # --- outputs ------------------------------------------------------------------
 
 TRACE_COLUMNS = ("time_s", "kind", "ecu", "line", "value", "detail")
-TICKS_PER_WRITE = 4096  # bounds the text held for a long run of sample ticks
+TICKS_PER_WRITE = 4096  # bounds the text of a write of ticks outside whole blocks
+# Below 10**15, repr(float(k)) == f"{k}.0" (from 10**16 on it has an
+# exponent), so ticks k..k+99, for k >= 100 a multiple of 100, are
+# str(k // 100) joined over their rows' texts, each led by its tick's last
+# two digits and ".0". 1000-tick blocks write slower than 100-tick ones
+BLOCK_DIGITS = 2
+TICKS_PER_BLOCK = 10**BLOCK_DIGITS
+BLOCKS_END = 10**15
 
 
 def emit_outputs(trace: Trace, summary: Summary, trace_path: str, summary_path: str) -> None:
@@ -322,7 +329,9 @@ def emit_outputs(trace: Trace, summary: Summary, trace_path: str, summary_path: 
     Sample ticks are written by run: each of a tick's rows is formatted
     once without its time, by a writer of the same dialect (so a name
     that needs quoting is quoted alike), and every tick of the run puts
-    its time in front of each.
+    its time in front of each. A run's whole blocks of `TICKS_PER_BLOCK`
+    aligned ticks are written with one join and one write each; its
+    other ticks at most `TICKS_PER_WRITE` to a write.
     """
     with open(trace_path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -330,6 +339,9 @@ def emit_outputs(trace: Trace, summary: Summary, trace_path: str, summary_path: 
         # id(samples) -> ("", each row's text after its time): the time
         # joins these into the tick's rows
         suffixes: dict = {}
+        # id(samples) -> ("", each row of a block led by its tick's last
+        # two digits): str(k // 100) joins these into ticks k..k+99
+        blocks: dict = {}
         for r, ticks in trace.segments():
             if r is not None:
                 value = "" if r.value is None else repr(r.value)
@@ -342,12 +354,29 @@ def emit_outputs(trace: Trace, summary: Summary, trace_path: str, summary_path: 
                     _row_text(w.dialect, ["", kind, ecu, line, repr(value), ""])
                     for kind, ecu, line, value in samples
                 ))
-            for lo in range(first, last + 1, TICKS_PER_WRITE):
-                hi = min(lo + TICKS_PER_WRITE, last + 1)
-                fh.write("".join([repr(float(k)).join(parts) for k in range(lo, hi)]))
+            lo = -(-max(first, TICKS_PER_BLOCK) // TICKS_PER_BLOCK)  # first whole block
+            hi = min(last + 1, BLOCKS_END) // TICKS_PER_BLOCK  # past the last
+            if lo < hi:
+                block = blocks.get(id(samples))
+                if block is None:
+                    block = blocks[id(samples)] = ["", *(
+                        f"{d:0{BLOCK_DIGITS}d}.0{row}" for d in range(TICKS_PER_BLOCK) for row in parts[1:]
+                    )]
+                _write_ticks(fh, parts, first, lo * TICKS_PER_BLOCK)
+                for q in range(lo, hi):
+                    fh.write(str(q).join(block))
+                first = hi * TICKS_PER_BLOCK
+            _write_ticks(fh, parts, first, last + 1)
     with open(summary_path, "w") as fh:
         json.dump(summary_to_dict(summary), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_ticks(fh, parts: tuple, start: int, stop: int) -> None:
+    """Ticks start..stop-1, each time joined over its rows' texts."""
+    for lo in range(start, stop, TICKS_PER_WRITE):
+        hi = min(lo + TICKS_PER_WRITE, stop)
+        fh.write("".join([repr(float(k)).join(parts) for k in range(lo, hi)]))
 
 
 def _row_text(dialect, row: list) -> str:

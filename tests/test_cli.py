@@ -2,13 +2,15 @@
 
 import configparser
 import csv
+import io
 import json
 import math
 import string
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canvolt.cli import (
@@ -37,6 +39,7 @@ from canvolt.engine import (
     run_scenario,
 )
 from canvolt.link import Frame
+from canvolt.trace import SAMPLE_KINDS, Trace
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -776,12 +779,75 @@ def test_trace_csv_quotes_ecu_names_like_csv_writer(tmp_path):
     path = tmp_path / "t.csv"
     emit_outputs(trace, summary, str(path), str(tmp_path / "s.json"))
 
-    want = tmp_path / "want.csv"
-    with open(want, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("time_s", "kind", "ecu", "line", "value", "detail"))
-        for r in trace.records:
-            value = "" if r.value is None else repr(r.value)
-            w.writerow([repr(r.t), r.kind, r.ecu, r.line, value, r.detail])
     assert '"a,""b"""' in path.read_text()
-    assert path.read_bytes() == want.read_bytes()
+    assert path.read_bytes() == _row_by_row_csv(trace)
+
+
+def _row_by_row_csv(trace) -> bytes:
+    """The trace CSV written by one csv.writer row per record."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(("time_s", "kind", "ecu", "line", "value", "detail"))
+    for r in trace.records:
+        value = "" if r.value is None else repr(r.value)
+        w.writerow([repr(r.t), r.kind, r.ecu, r.line, value, r.detail])
+    return buf.getvalue().encode()
+
+
+# a tick's samples: quoted names and values whose repr has an exponent included
+_TICK_SAMPLES = st.lists(
+    st.tuples(
+        st.sampled_from(SAMPLE_KINDS),
+        st.sampled_from(["A", 'a,"b"']),
+        st.sampled_from(["CANH", "CANL"]),
+        st.sampled_from([2.5, 1e-07, -2.5e20, 5e-324]) | st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    max_size=3,
+).map(tuple)
+# (gap before the run, last - first, which samples, events at first + offset + fraction)
+_TICK_RUNS = st.lists(
+    st.tuples(
+        st.sampled_from([0, 1, 37]),
+        st.sampled_from([0, 1, 98, 99, 100, 101, 199, 250]),
+        st.integers(0, 1),
+        st.lists(
+            st.tuples(
+                st.integers(-1, 251),
+                st.sampled_from([0.0, 0.5]),
+                st.sampled_from(["FuseBlown", "AttackStart", "AttackEnd", "FrameSent"]),
+            ),
+            max_size=2,
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+)
+_QUOTED = (("PinCurrentSample", 'a,"b"', "CANL", 1e-07), ("LineVoltageSample", "A", "CANH", -2.5e20))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    start=st.sampled_from([0, 1, 99, 100, 101, 10**15 - 150, 10**17 - 150]),
+    samples=st.tuples(_TICK_SAMPLES, _TICK_SAMPLES),
+    runs=_TICK_RUNS,
+)
+# a run from 0 holding a whole block, one from an unaligned tick, one
+# across 10**15 and one near 10**17, where repr(float(k)) has an exponent
+@example(start=0, samples=(_QUOTED, _QUOTED), runs=[(0, 250, 0, [])])
+@example(start=1, samples=(_QUOTED, ()), runs=[(0, 250, 0, [(120, 0.5, "FuseBlown")]), (0, 199, 1, [])])
+@example(start=10**15 - 150, samples=(_QUOTED, _QUOTED), runs=[(0, 250, 0, [(150, 0.0, "AttackStart")])])
+@example(start=10**17 - 150, samples=(_QUOTED, _QUOTED), runs=[(0, 250, 0, [])])
+def test_tick_blocks_match_row_by_row_csv(start, samples, runs):
+    trace = Trace()
+    first = start
+    for gap, length, which, events in runs:
+        first += gap
+        trace.add_ticks(first, first + length, samples[which])
+        for offset, fraction, kind in events:
+            trace.add(float(first + offset) + fraction, kind, "B", "CANL", 0.5, "x")
+        first += length + 1
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        summary = engine.Summary(0, 0, (), 0, False, {}, False, None, "")
+        emit_outputs(trace, summary, str(path), str(Path(tmp) / "s.json"))
+        assert path.read_bytes() == _row_by_row_csv(trace)
