@@ -16,12 +16,20 @@ frames and retransmission timing are computed here and nowhere else.
 A frame that an attack would kill on every attempt is *parked*: its one
 retry time moves to the window end, and a device that changes
 connectivity before then wakes it. Parking reads the engine's own
-cached solves at the gated pins against the comparator's engage level:
-an idle bus that engages it (a jam) parks a frame before it starts, and
-a DoS under which a dominant bit does not parks a frame after a failed
-attempt. The engine still calls two closed-form predictors from
-`attacks`: pulse parking (`pulse_blocks_bits`) and the FRA ACK
-delimiter (`fra_ack_delimiter_corrupted`).
+cached solves at the gated pins: an idle bus that engages the
+comparator (a jam) parks a frame before it starts, and a failed attempt
+inside a DoS or pulse window parks when the gated window pairs do not
+read a dominant bit as driven, by the rule that decides steady windows
+(`phases_read_driven`). A forced retransmission is never parked: it
+succeeds by a retransmission inside its window, so parking its frames
+would move those records and its verdict. The one closed-form
+predictor the engine still calls is the FRA ACK delimiter check
+(`attacks.fra_ack_delimiter_corrupted`).
+
+The attack window is one set of fields: its edges, which are infinite
+without an attack so the window never opens; the attacker's pin pairs
+in it (`attacks.window_pins`: a pulse's high and low phase, else one);
+and one phase rule, `phase`, which picks the pair at a time.
 
 Bus solves depend only on the driven level and the attacker pin modes
 (topology and parameters are fixed for a run), so each scenario solves
@@ -55,8 +63,8 @@ applied in four places:
   piece of a driven bit or an idle slice.
 - *Resting pulse bits.* A bit inside a pulse window, while both gated
   phase pairs rest at its level, costs only its cuts and the
-  comparator: each piece takes its phase's v_diff by the phase test,
-  with no pin lookup, solve lookup or accumulator step.
+  comparator: each piece takes the v_diff of its `phase`, with no pin
+  lookup, solve lookup or accumulator step.
 - *Idle jumps.* `advance_idle` crosses the idle stretch up to the next
   event or window edge in one step when the idle bus rests at each pin
   pair it takes there: the inputs outside the attack window, each
@@ -72,9 +80,9 @@ A driven bit is cut into pieces, and each piece costs constant work:
   the first window edge or pulse phase edge after it, found with
   `electrical.pulse_edges`' arithmetic from its period, without listing
   the bit's cuts. A trip that ends a piece early restarts it there.
-- *Phase-pin lookup.* The attacker's pin pairs (one per pulse phase, or
-  the one pair of a static attack) are built once per run; a piece
-  picks its pair with the phase test of `electrical.resolve_pulse`.
+- *Phase-pin lookup.* The attacker's pin pairs are built once per run;
+  a piece picks its pair with `phase`, the phase test of
+  `electrical.resolve_pulse`.
 
 The 1 Hz samples are a function of the run's history, built once after
 the run (`record_ticks`): tick k records the idle bus at the attacker's
@@ -97,7 +105,6 @@ from . import irs
 from .electrical import (
     INPUT,
     BusTopology,
-    Input,
     OutputHigh,
     PinCurrents,
     TransceiverParams,
@@ -402,6 +409,10 @@ def _validate_attack(attack: atk.AttackSpec, host: str, tx_times: list) -> None:
 
 # --- internal simulation -------------------------------------------------
 
+# the attacks that block frames: each keeps dominant bits from reading,
+# and parks a frame it kills
+_BLOCKING = (atk.DoS, atk.PulseAttack)
+
 
 @dataclass
 class _QueuedTx:
@@ -462,6 +473,15 @@ class _PinBank:
 
 
 class _Sim:
+    """One scenario run.
+
+    CPython 3.11 keeps an instance's attributes in its class's shared
+    layout only while there are fewer than 30 of them; past that every
+    `self.x` load is slower (`attacked_bus` ran about 6% slower with 32,
+    on Python 3.11.7). So a value read only on a cold path is derived
+    there, not kept as an attribute.
+    """
+
     def __init__(self, cfg: ScenarioConfig):
         validate_config(cfg)
         self.cfg = cfg
@@ -469,10 +489,7 @@ class _Sim:
         self.params = cfg.params.transceiver()
         self.timing = cfg.params.timing(cfg.bus_speed)
         self.bit_time = self.timing.bit_time
-        self.attack = cfg.attack
-        self.source_limit = (
-            cfg.attack.source_limit if isinstance(cfg.attack, atk.ActiveOvercurrent) else None
-        )
+        self.attack = attack = cfg.attack
         self.vids = next(e.name for e in cfg.ecus if e.role == "vids-host")
         self.loggers = sorted(e.name for e in cfg.ecus if e.role == "logger")
         self.bank = _PinBank(cfg)
@@ -491,18 +508,21 @@ class _Sim:
         # until the next full step: (i_ph, i_pl, in window) -> the at_rest
         # verdict, and dominant -> the resting_levels verdict
         self.resting: dict = {}
-        # the attacker's pin pairs: high and low phase for a pulse, else one
-        self.window_pins = atk.window_pins(cfg.attack) if cfg.attack is not None else ()
-        self.pulse = cfg.attack if isinstance(cfg.attack, atk.PulseAttack) else None
-        # each window pair's phase length: a pulse's high and low phase, else one unbounded
-        self.phase_lengths = (math.inf,)
-        if self.pulse is not None:
-            self.phase_origin = self.pulse.phase_origin
-            self.high_time = self.pulse.duty * self.pulse.period
-            self.phase_lengths = (self.high_time, self.pulse.period - self.high_time)
+        # the attack window, which never opens without an attack, and the
+        # attacker's pin pairs in it: a pulse's high and low phase, else one
+        self.t_start = self.t_end = math.inf
+        self.window_pins = ((INPUT, INPUT),)
+        if attack is not None:
+            self.t_start, self.t_end = attack.t_start, attack.t_end
+            self.window_pins = atk.window_pins(attack)
+        # the phase test's terms: a pulse's, else one unbounded phase
+        self.phase_origin, self.period, self.high_time = 0.0, math.inf, math.inf
+        pulse = isinstance(attack, atk.PulseAttack)
+        if pulse:
+            self.phase_origin, self.period = attack.phase_origin, attack.period
+            self.high_time = attack.duty * attack.period
         # a pulse on CANH drags the recovery out past each low phase
-        canh_pulse = self.pulse is not None and self.pulse.line == "canh"
-        self.extension = cfg.params.transition_extension if canh_pulse else 0.0
+        self.extension = cfg.params.transition_extension if pulse and attack.line == "canh" else 0.0
         self.sends: list = []
         for e in cfg.ecus:
             if e.role != "sender":
@@ -516,30 +536,28 @@ class _Sim:
         # sample ticks at 0, 1, ..., last_tick s, recorded after the run
         self.last_tick = int(cfg.duration)
         self.samples: dict = {}  # pins -> a tick's sample records at those pins
-        if cfg.attack is not None:
-            for t, kind in ((cfg.attack.t_start, "AttackStart"), (cfg.attack.t_end, "AttackEnd")):
-                if t <= cfg.duration:
-                    self.trace.add(t, kind, ecu=cfg.attack.node, detail=type(cfg.attack).__name__)
+        for t, kind in ((self.t_start, "AttackStart"), (self.t_end, "AttackEnd")):
+            if t <= cfg.duration:
+                self.trace.add(t, kind, ecu=attack.node, detail=type(attack).__name__)
 
     # -- attack pin state ---------------------------------------------------
 
     def pins_at(self, t: float, connected: tuple | None = None) -> tuple:
-        """Gated (P_H, P_L) modes of the VIDS node at time t.
-
-        Equals the gated `atk.pin_override`: a pulse picks its phase
-        pair with the phase test of `resolve_pulse`. `connected` gives
-        each pin's connectivity as (P_H, P_L); by default, the devices' now.
+        """Gated (P_H, P_L) modes of the VIDS node at time t: the window pair
+        of its `phase` inside the window, else inputs; this equals the gated
+        `atk.pin_override`. `connected` gives each pin's connectivity as
+        (P_H, P_L); by default, the devices' now.
         """
-        attack = self.attack
-        if attack is None or not attack.t_start <= t < attack.t_end:
-            p_h, p_l = INPUT, INPUT
-        elif self.pulse is None:
-            p_h, p_l = self.window_pins[0]
-        elif (t - self.phase_origin) % attack.period < self.high_time:
-            p_h, p_l = self.window_pins[0]
-        else:
-            p_h, p_l = self.window_pins[1]
-        return self.gate((p_h, p_l), connected)
+        pins = self.window_pins[self.phase(t)] if self.t_start <= t < self.t_end else (INPUT, INPUT)
+        return self.gate(pins, connected)
+
+    def phase(self, t: float) -> int:
+        """The index in `window_pins` of the pair the attacker applies at t
+        in the window: by the phase test of `electrical.resolve_pulse`, a
+        pulse's high phase 0 or low phase 1; 0 for a window of one pair,
+        whose period is unbounded."""
+        period = self.period
+        return 0 if (t - self.phase_origin) % period < self.high_time or period == math.inf else 1
 
     def gate(self, pins: tuple, connected: tuple | None = None) -> tuple:
         """(P_H, P_L) with each disconnected pin an input; `connected` as in `pins_at`."""
@@ -556,8 +574,9 @@ class _Sim:
         hit = self.solutions.get((dominant, pins))
         if hit is None:
             sol = solve_bus_detailed({"bus": dominant}, {self.vids: pins}, self.topo, self.params)
-            if self.source_limit is not None:
-                sol = _limit_pin_currents(sol, self.source_limit)
+            attack = self.attack
+            if isinstance(attack, atk.ActiveOvercurrent) and attack.source_limit is not None:
+                sol = _limit_pin_currents(sol, attack.source_limit)
             pc = sol.pin_currents[self.vids]
             hit = self.solutions[(dominant, pins)] = (sol, {"ph": pc.i_ph, "pl": pc.i_pl})
         return hit
@@ -570,23 +589,19 @@ class _Sim:
 
         The pulse edges are those `electrical.pulse_edges` lists over the
         window's part of [cut, b), with the same float arithmetic, walked
-        from the period that holds the previous cut up to the first one.
+        from the period that holds the previous cut up to the first one;
+        a window of one pair (unbounded period) has none.
         """
-        attack = self.attack
-        if attack is None:
-            yield b
-            return
-        t_start, t_end = attack.t_start, attack.t_end
-        pulse = self.pulse is not None
-        if pulse:
-            origin, period, high_time = self.phase_origin, attack.period, self.high_time
+        t_start, t_end = self.t_start, self.t_end
+        origin, period, high_time = self.phase_origin, self.period, self.high_time
+        pulsed = period < math.inf
         while a < b:
             end = b
             if a < t_start < end:
                 end = t_start
             if a < t_end < end:
                 end = t_end
-            if pulse:
+            if pulsed:
                 lo = t_start if t_start > a else a
                 hi = t_end if t_end < b else b
                 t = origin + math.floor((lo - origin) / period) * period
@@ -608,7 +623,6 @@ class _Sim:
         Tick k reads the attacker's pins at k, gated by the connectivity
         after every trip or flip stamped at or before k.
         """
-        attack = self.attack
         changes = sorted(self.changes, key=lambda c: c[0])
         on = {"ph": True, "pl": True}
         i, k = 0, 0
@@ -618,13 +632,11 @@ class _Sim:
                 i += 1
             # a run stops before the next connectivity change and window edge
             end = self.tick_before(changes[i][0]) if i < len(changes) else self.last_tick
-            if attack is not None and k < attack.t_end:
-                if k < attack.t_start:
-                    end = min(end, self.tick_before(attack.t_start))
-                elif self.pulse is not None:
-                    end = k
-                else:
-                    end = min(end, self.tick_before(attack.t_end))
+            if k < self.t_start:
+                end = min(end, self.tick_before(self.t_start))
+            elif k < self.t_end:
+                # a pulse's phase pair changes from tick to tick
+                end = k if self.period < math.inf else min(end, self.tick_before(self.t_end))
             pins = self.pins_at(float(k), (on["ph"], on["pl"]))
             self.trace.add_ticks(k, end, self.tick_samples(pins))
             k = end + 1
@@ -671,8 +683,7 @@ class _Sim:
         arithmetic runs on offsets from `a` so trip instants stay exact
         regardless of the absolute timestamp.
         """
-        attack = self.attack
-        in_window = attack is not None and attack.t_start <= a < attack.t_end
+        in_window = self.t_start <= a < self.t_end
         if self.at_rest(i_raw, in_window):
             return b
         # this step may change an accumulator or the connectivity
@@ -744,13 +755,13 @@ class _Sim:
         """No idle step over [a, b) can change an accumulator: the idle bus
         rests at the inputs outside the attack window and at every window
         pair (both pulse phases) inside it."""
-        attack = self.attack
-        if attack is None or a < attack.t_start or attack.t_end < b:
-            if self.resting_v_diffs(False, ((INPUT, INPUT),), False) is None:
-                return False
-        if attack is not None and attack.t_start < b and a < attack.t_end:
-            return self.resting_v_diffs(False, self.window_pins, True) is not None
-        return True
+        if (a < self.t_start or self.t_end < b) and (
+            self.resting_v_diffs(False, ((INPUT, INPUT),), False) is None
+        ):
+            return False
+        return not (self.t_start < b and a < self.t_end) or (
+            self.resting_v_diffs(False, self.window_pins, True) is not None
+        )
 
     def advance_idle(self, target: float) -> float:
         """Integrate the idle bus up to target; early-return on changes.
@@ -760,14 +771,12 @@ class _Sim:
         the module docstring); the idle bus carries no current in either
         pulse phase, so no pulse cuts.
         """
-        attack = self.attack
-        edges = (attack.t_start, attack.t_end) if attack is not None else ()
         while self.integrated_to < target:
             a = self.integrated_to
             if self.idle_inert(a, target):
                 self.integrated_to = target
                 break
-            edge = min([target, *(e for e in edges if a < e)])
+            edge = min([target, *(e for e in (self.t_start, self.t_end) if a < e)])
             if self.idle_inert(a, edge):
                 self.integrated_to = edge
                 continue
@@ -786,24 +795,13 @@ class _Sim:
         return self.vids_currents(dominant, t)[0].voltages.v_diff >= DOMINANT_THRESHOLD
 
     def attack_blocking(self, t: float) -> bool:
-        """The attack kills every attempt at t: a DoS whose gated pins keep
-        a dominant bit from engaging the comparator, or a pulse whose
-        masking phase on a connected pin outlasts the decode hold. Outside
-        the window the pins are inputs, so neither holds."""
-        attack = self.attack
-        if isinstance(attack, atk.DoS):
-            return not self.engages(True, t)
-        if isinstance(attack, atk.PulseAttack):
-            pins = self.pins_at(t)
-            attacked = pins[0] if attack.line == "canh" else pins[1]
-            return not isinstance(attacked, Input) and atk.pulse_blocks_bits(
-                attack.line,
-                attack.period,
-                attack.duty,
-                self.timing,
-                self.cfg.params.transition_extension,
-            )
-        return False
+        """The attack kills every attempt at t: t is in a DoS or pulse window
+        whose gated pairs do not read a dominant bit as driven
+        (`phases_read_driven`)."""
+        if not (isinstance(self.attack, _BLOCKING) and self.t_start <= t < self.t_end):
+            return False
+        solves = (self.solved(True, self.gate(pins))[0] for pins in self.window_pins)
+        return not self.phases_read_driven(True, tuple(sol.voltages.v_diff for sol in solves))
 
     # -- frame transmission ---------------------------------------------------------
 
@@ -812,10 +810,9 @@ class _Sim:
         accumulator moves: no attack window overlaps it and the
         accumulators rest at the idle inputs, or the window holds it, to
         strictly before its end as in `drive`, and is `steady`."""
-        attack = self.attack
-        if attack is None or not (attack.t_start < t1 and t0 < attack.t_end):
+        if not (self.t_start < t1 and t0 < self.t_end):
             return self.resting_v_diffs(False, ((INPUT, INPUT),), False) is not None
-        return attack.t_start <= t0 and t1 < attack.t_end and self.steady()
+        return self.t_start <= t0 and t1 < self.t_end and self.steady()
 
     def steady(self) -> bool:
         """At each driven level every gated window pair rests and
@@ -830,14 +827,18 @@ class _Sim:
         return self.resting["steady"]
 
     def phases_read_driven(self, dominant: bool, levels: tuple) -> bool:
-        """`link.reads_driven` for the window's phases at `levels`, a v_diff
-        per window pair. A piece ends within a few ulps of its true edge,
-        so a phase counts 64 ulps of the window's latest edge longer (an
-        unbounded window passes only phases that read as driven)."""
+        """`link.reads_driven` for the window's phases (a pulse's high and
+        low phase, else one unbounded phase) at `levels`, a v_diff per
+        window pair. A piece ends within a few ulps of its true edge,
+        so a phase counts 64 ulps of the latest instant a piece can end in
+        the window longer: the window's end, or the end of an attempt that
+        starts before the run ends, its frame and error flag at most."""
         driven = BitDecision.DOMINANT if dominant else BitDecision.RECESSIVE
-        phases = tuple(zip(self.phase_lengths, levels))
-        slop = 64 * math.ulp(self.attack.t_end)
-        return reads_driven(phases, driven, self.timing, self.extension, slop)
+        period, high = self.period, self.high_time
+        lengths = (high, period - high) if period < math.inf else (math.inf,)
+        longest = max((len(bits) for bits, _ in self.encoded.values()), default=0) + ERROR_FLAG_BITS
+        slop = 64 * math.ulp(min(self.t_end, self.cfg.duration + longest * self.bit_time))
+        return reads_driven(tuple(zip(lengths, levels)), driven, self.timing, self.extension, slop)
 
     def simulate_attempt(self, ecu: str, tx: _QueuedTx, t0: float) -> tuple:
         """Run one transmission attempt; returns (delivered, t_bus_free)."""
@@ -858,9 +859,8 @@ class _Sim:
             # outside the window its pins cannot fire it
             error_bit, error_reason = None, ""
             b0 = t0 + ack_delim * bt
-            if tx.attempts == 0 and self.attack is not None and self.attack.active(t0) and (
-                self.fra_stretch_corrupts(b0)
-            ):
+            in_window = self.t_start <= t0 < self.t_end
+            if tx.attempts == 0 and in_window and self.fra_stretch_corrupts(b0):
                 error_bit, error_reason = ack_delim, "form_error_ack_delimiter"
                 t_last = b0 + bt
             self.integrated_to = max(self.integrated_to, t_last)
@@ -894,21 +894,16 @@ class _Sim:
         """
         pieces = []
         cursor = a
-        pulse = self.pulse
-        # b stays below the window's end: a sliver's midpoint can round to b
-        levels = (
-            self.resting_levels(dominant)
-            if pulse is not None and pulse.t_start <= a and b < pulse.t_end
-            else None
-        )
+        # b stays below the window's end: a sliver's midpoint can round to b;
+        # a bit in a window of one pair is one piece, with nothing to skip
+        pulsed = self.period < math.inf and self.t_start <= a and b < self.t_end
+        levels = self.resting_levels(dominant) if pulsed else None
         if levels is not None:
             # no piece can change an accumulator: cut, and pick each
-            # piece's phase by the test of `pins_at`
-            v_high, v_low = levels
-            origin, period, high_time = self.phase_origin, pulse.period, self.high_time
+            # piece's phase pair as `pins_at` does
+            phase = self.phase
             for cut in self.cuts(a, b):
-                mid = 0.5 * (cursor + cut)
-                pieces.append((cursor, cut, v_high if (mid - origin) % period < high_time else v_low))
+                pieces.append((cursor, cut, levels[phase(0.5 * (cursor + cut))]))
                 cursor = cut
         else:
             cuts = self.cuts(a, b)
@@ -1005,7 +1000,7 @@ class _Sim:
             # an idle bus that engages the comparator lets no frame start;
             # only an attack raises it, so park until the window ends
             if self.engages(False, t_next):
-                tx.retry_at = self.attack.t_end
+                tx.retry_at = self.t_end
                 continue
 
             delivered, bus_free = self.simulate_attempt(name, tx, t_next)
@@ -1013,7 +1008,7 @@ class _Sim:
                 self.queues[name].pop(0)
             else:
                 tx.attempts += 1
-                tx.retry_at = self.attack.t_end if self.attack_blocking(bus_free) else bus_free
+                tx.retry_at = self.t_end if self.attack_blocking(bus_free) else bus_free
 
         self.record_ticks()
         return self.trace, self.summarize()
@@ -1043,22 +1038,18 @@ class _Sim:
         return senders[0].period if senders else 1.0
 
     def attack_succeeded(self) -> bool:
+        """A DoS or pulse lets no frame sent in its window through, though
+        one was sent; a forced retransmission forces one in its window; an
+        overcurrent damages a pin. No attack never succeeds."""
         a = self.attack
-        if a is None:
-            return False
-        if isinstance(a, (atk.PassiveOvercurrent, atk.ActiveOvercurrent)):
-            return self.bank.damaged
-        if isinstance(a, atk.ForcedRetransmission):
-            return any(
-                r.kind == "Retransmission" and a.t_start <= r.t < a.t_end
-                for r in self.trace.events
+        if isinstance(a, _BLOCKING):
+            expected = any(a.active(t) for t, _, _ in self.sends)
+            return expected and not any(
+                r.kind == "FrameReceived" and a.active(r.t) for r in self.trace.events
             )
-        expected = [t for t, _, _ in self.sends if a.t_start <= t < a.t_end]
-        delivered = any(
-            r.kind == "FrameReceived" and a.t_start <= r.t < a.t_end
-            for r in self.trace.events
-        )
-        return bool(expected) and not delivered
+        if isinstance(a, atk.ForcedRetransmission):
+            return any(r.kind == "Retransmission" and a.active(r.t) for r in self.trace.events)
+        return isinstance(a, (atk.PassiveOvercurrent, atk.ActiveOvercurrent)) and self.bank.damaged
 
 
 def run_scenario(cfg: ScenarioConfig) -> tuple:

@@ -1,5 +1,6 @@
 """Attack classification, pin overrides, and threshold predictors."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,10 @@ from canvolt.attacks import (
 from canvolt.cli import parse_config
 from canvolt.engine import _Sim, set_sweep_value
 from canvolt.electrical import INPUT, Input, OutputHigh, OutputLow, Pulse
+from canvolt.irs import FuseState
 from canvolt.link import BitTiming
+
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 PIN_TABLE = [
     (Input(), Input(), AttackClass.NOT_AN_ATTACK),
@@ -169,6 +173,22 @@ def test_tau_bit_table_matches_reference_within_tolerance():
         assert abs(table[v] - ref) / ref <= 0.12
 
 
+def sweep_sims(name):
+    """A `_Sim` per grid point of a shipped sweep config."""
+    cfg = parse_config((CONFIGS / f"{name}.ini").read_text())
+    for value in cfg.sweep.values():
+        yield value, _Sim(set_sweep_value(cfg, cfg.sweep.path, value))
+
+
+def blocking_outside_the_window_or_cut_off(sim, pin):
+    """Whether `attack_blocking` parks just before the window, at its end,
+    or inside it once the device on `pin` has blown."""
+    a = sim.attack
+    outside = [sim.attack_blocking(t) for t in (a.t_start - 1e-6, a.t_end, a.t_end + 1.0)]
+    sim.bank.devices[pin] = FuseState(tripped=True)
+    return any(outside) or sim.attack_blocking(0.5 * (a.t_start + a.t_end))
+
+
 @pytest.mark.parametrize("name, first_blocking", [
     ("pulse_canl_sweep", 680e-9),
     ("pulse_canh_sweep", 570e-9),
@@ -176,17 +196,45 @@ def test_tau_bit_table_matches_reference_within_tolerance():
 def test_the_steady_rule_agrees_with_pulse_blocks_bits(name, first_blocking):
     """At full connectivity, the engine's steady rule passes a dominant bit
     under a sweep's pulse exactly where the predictor says it is not
-    blocked; the first point it fails is the paper's threshold."""
-    cfg = parse_config((Path(__file__).parent.parent / "configs" / f"{name}.ini").read_text())
+    blocked, and parking inside the window follows it; the first point it
+    fails is the paper's threshold. Outside the window, or once the pulsed
+    pin's fuse has blown, nothing parks."""
     failing = []
-    for period in cfg.sweep.values():
-        sim = _Sim(set_sweep_value(cfg, cfg.sweep.path, period))
+    for period, sim in sweep_sims(name):
         levels = tuple(sim.solved(True, pins)[0].voltages.v_diff for pins in sim.window_pins)
         a = sim.attack
         blocks = pulse_blocks_bits(
-            a.line, a.period, a.duty, sim.timing, cfg.params.transition_extension
+            a.line, a.period, a.duty, sim.timing, sim.cfg.params.transition_extension
         )
         assert sim.phases_read_driven(True, levels) is not blocks, period
+        assert sim.attack_blocking(0.5 * (a.t_start + a.t_end)) is blocks, period
+        pulsed = "ph" if a.line == "canh" else "pl"
+        assert not blocking_outside_the_window_or_cut_off(sim, pulsed), period
         if blocks:
             failing.append(period)
     assert failing[0] == pytest.approx(first_blocking, abs=1e-12)
+
+
+def test_dos_parking_agrees_with_dominant_blocked():
+    """Over the DoS sweep's 0.1-5.0 V grid, a failed attempt in the window
+    parks exactly where the predictor says the raised CANL blocks a
+    dominant bit, and nowhere once the CANL pin's fuse has blown."""
+    for v, sim in sweep_sims("dos_sweep"):
+        a = sim.attack
+        blocked = dominant_blocked(v, sim.params, sim.topo)
+        assert sim.attack_blocking(0.5 * (a.t_start + a.t_end)) is blocked, v
+        assert not blocking_outside_the_window_or_cut_off(sim, "pl"), v
+
+
+def test_forced_retransmission_and_overcurrent_never_park():
+    """A forced retransmission succeeds by a retransmission in its window,
+    so it never parks, not even at 2.0 V, where no dominant bit engages
+    the comparator; nor does an overcurrent."""
+    cfg = parse_config((CONFIGS / "fra_sweep.ini").read_text())
+    window = dict(t_start=cfg.attack.t_start, t_end=cfg.attack.t_end, node=cfg.attack.node)
+    attacks = [ForcedRetransmission(v_attack_h=v, **window) for v in (2.0, 2.5, 3.5, 4.5, 5.0)]
+    attacks += [ActiveOvercurrent(**window), PassiveOvercurrent(**window)]
+    for attack in attacks:
+        sim = _Sim(replace(cfg, attack=attack, sweep=None))
+        for t in (attack.t_start, 0.5 * (attack.t_start + attack.t_end), attack.t_end - 1e-6):
+            assert not sim.attack_blocking(t), (attack, t)

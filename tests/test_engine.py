@@ -382,7 +382,9 @@ def test_active_overcurrent_source_limit_caps_pin_current(limit):
 
 def first_cut_after(attack, a, b):
     """The first cut after a in the sorted set {a, b}, window edges and
-    `pulse_edges` over the window's part of [a, b)."""
+    `pulse_edges` over the window's part of [a, b); b without an attack."""
+    if attack is None:
+        return b
     cuts = {b, attack.t_start, attack.t_end}
     cuts.update(
         pulse_edges(attack, attack.phase_origin, max(a, attack.t_start), min(b, attack.t_end))
@@ -390,7 +392,7 @@ def first_cut_after(attack, a, b):
     return min(c for c in cuts if c > a)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)  # about a third without an attack
 @given(
     base=st.sampled_from([0.0, 10.0, 3.6e3, 8.64e4, 1e6]),
     start=st.floats(0.0, 1e-3),
@@ -403,23 +405,30 @@ def first_cut_after(attack, a, b):
     cursor=st.floats(-0.5, 1.5),
     span=st.floats(1e-9, 4e-6),
     open_pins=st.sets(st.sampled_from(["ph", "pl"])),
+    attacked=st.sampled_from([True, True, False]),
 )
 @example(
     base=1e6, start=0.0, width=1e-3, period=600e-9, duty=0.5, phase=0.0, line="canl",
-    v_low=0.0, cursor=0.5, span=2e-6, open_pins=set(),
+    v_low=0.0, cursor=0.5, span=2e-6, open_pins=set(), attacked=True,
 )
 @example(  # binary-exact edges: the phase test meets its bound exactly
     base=0.0, start=0.0, width=1e-4, period=2.0**-20, duty=0.5, phase=0.0, line="canh",
-    v_low=1.0, cursor=0.0, span=4e-6, open_pins={"pl"},
+    v_low=1.0, cursor=0.0, span=4e-6, open_pins={"pl"}, attacked=True,
+)
+@example(  # no attack: a window that never opens
+    base=1e6, start=0.0, width=1e-3, period=600e-9, duty=0.5, phase=0.0, line="canl",
+    v_low=0.0, cursor=0.5, span=2e-6, open_pins=set(), attacked=False,
 )
 def test_cursor_cuts_and_phase_pins_match_the_reference(
-    base, start, width, period, duty, phase, line, v_low, cursor, span, open_pins
+    base, start, width, period, duty, phase, line, v_low, cursor, span, open_pins, attacked
 ):
+    """Each cut, gated pin pair and phase pair of a pulse window, or of no
+    attack, against `pulse_edges` and `pin_override`."""
     t_start = base + start
     attack = PulseAttack(
         t_start=t_start, t_end=t_start + width, line=line, period=period, duty=duty,
         phase=phase, v_low=v_low,
-    )
+    ) if attacked else None
     sim = _Sim(ScenarioConfig(duration=1.0, ecus=(EcuSpec("A", "vids-host"),), attack=attack))
     for pin in open_pins:
         sim.bank.devices[pin] = FuseState(tripped=True)
@@ -436,7 +445,13 @@ def test_cursor_cuts_and_phase_pins_match_the_reference(
         assert nxt == first_cut_after(attack, a, b)
         for t in (a, 0.5 * (a + nxt)):
             assert sim.pins_at(t) == gated_reference(t)
+            if attack is None or attack.active(t):
+                assert sim.window_pins[sim.phase(t)] == pin_override(attack, t)
         a = nxt
         pieces += 1
         assert pieces <= 4 * (span / period + 2)  # no runaway walk
     assert a == b
+    if attack is None:
+        for t in (-1e6, 0.0, 1e6):
+            assert sim.pins_at(t) == (INPUT, INPUT)
+            assert sim.window_pins[sim.phase(t)] == pin_override(None, t)

@@ -1,12 +1,13 @@
-"""DoS parking against the unparked retries it replaces.
+"""Parking against the unparked retries it replaces.
 
-A frame that fails while a DoS keeps every dominant bit from engaging
-the comparator at the gated pins is parked until the window ends or a
-device changes connectivity, instead of retrying every error frame.
-These tests run generated buses with parking and with it patched off,
-and require the same outcome: success flag, first failure reason,
-indicator and delivered frames. Retransmission counts differ on purpose:
-that is the work parking saves.
+A frame that fails inside a DoS or pulse window whose gated window
+pairs do not read a dominant bit as driven (the steady rule,
+`_Sim.phases_read_driven`) is parked until the window ends or a device
+changes connectivity, instead of retrying every error frame. These
+tests run generated buses with parking and with it patched off, and
+require the same outcome: success flag, first failure reason, indicator
+and delivered frames. Retransmission counts differ on purpose: that is
+the work parking saves.
 
 Without parking the first frame after the window is delivered up to one
 error frame (36 us) later, so each window ends early in an indicator
@@ -25,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canvolt import engine
-from canvolt.attacks import DoS
+from canvolt.attacks import DoS, PulseAttack
 from canvolt.engine import EcuSpec, IrsConfig, ScenarioConfig, run_scenario
 from canvolt.link import Frame
 
@@ -118,6 +119,74 @@ def test_dos_parking_keeps_the_outcome_of_unparked_retries():
         plan = [(Frame(id=fid, data=data), off * 1e-6) for fid, data, off in senders]
         t_end = (slot + end_in_slot / 100) * PERIOD
         attack = DoS(t_start=t_end - width_us * 1e-6, t_end=t_end, v_attack_l=decivolts / 10)
+        cfg = bus(plan, attack, device, pins)
+
+        trace, summary, parks = run_counting_parks(cfg)
+        assert outcome(trace, summary) == outcome(*run_unparked(cfg))
+        parked.append(parks)
+
+    check()
+    assert sum(parked) > 0
+
+
+def test_pulse_parking_keeps_the_outcome_of_unparked_retries():
+    """Pulses on either line from 500 to 1200 ns, on both sides of the
+    paper's blocking periods (680 ns on CANL, 570 ns on CANH)."""
+    parked = []
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        senders=senders,
+        line=st.sampled_from(["canl", "canh"]),
+        period_ns=st.integers(500, 1200),
+        slot=st.integers(1, 2),
+        end_in_slot=st.integers(5, 50),  # percent of the slot
+        width_us=st.integers(1_000, 5_000),
+        device=st.sampled_from(["none", "fuse", "breaker", "resettable_fuse"]),
+        pins=st.sampled_from(["both", "ph", "pl"]),
+    )
+    # a blocking CANL pulse on an unprotected bus: parked until the window
+    # ends (a 1000 ns pulse would not do: its phases keep in step with the
+    # 2 us bits, and its masking phase never covers a sample point)
+    @example(
+        senders=[(0x10, b"\x01", 0), (0x20, b"", 3_000)],
+        line="canl",
+        period_ns=900,
+        slot=1,
+        end_in_slot=30,
+        width_us=5_000,
+        device="none",
+        pins="both",
+    )
+    # the pulsed pin leaks through an open resettable fuse: still parked
+    @example(
+        senders=[(0x10, b"\x01", 0), (0x20, b"", 3_000)],
+        line="canl",
+        period_ns=700,
+        slot=1,
+        end_in_slot=30,
+        width_us=5_000,
+        device="resettable_fuse",
+        pins="both",
+    )
+    # the fuse on the pulsed CANH pin blows in the first failed attempt,
+    # and the retry is delivered
+    @example(
+        senders=[(0x10, b"\x01", 0), (0x20, b"", 3_000)],
+        line="canh",
+        period_ns=800,
+        slot=1,
+        end_in_slot=30,
+        width_us=5_000,
+        device="fuse",
+        pins="ph",
+    )
+    def check(senders, line, period_ns, slot, end_in_slot, width_us, device, pins):
+        plan = [(Frame(id=fid, data=data), off * 1e-6) for fid, data, off in senders]
+        t_end = (slot + end_in_slot / 100) * PERIOD
+        attack = PulseAttack(
+            t_start=t_end - width_us * 1e-6, t_end=t_end, line=line, period=period_ns * 1e-9
+        )
         cfg = bus(plan, attack, device, pins)
 
         trace, summary, parks = run_counting_parks(cfg)

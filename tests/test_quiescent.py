@@ -10,6 +10,10 @@ of the decode hold, and require the same trace and summary as the
 per-bit path, which stays the reference.
 """
 
+import math
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,7 +26,8 @@ from canvolt.attacks import (
     PassiveOvercurrent,
     PulseAttack,
 )
-from canvolt.engine import EcuSpec, IrsConfig, ScenarioConfig, run_scenario
+from canvolt.cli import parse_config
+from canvolt.engine import EcuSpec, IrsConfig, ScenarioConfig, run_scenario, set_sweep_value
 from canvolt.link import Frame, ack_delimiter_index, ack_slot_index, frame_bit_length
 
 BIT = 2e-6  # 500 kbit/s
@@ -296,3 +301,21 @@ def test_pinned_canl_pulses(period, shift, steady):
     """A CANL pulse at 50% duty with resettable fuses on both pins."""
     got = check_pulse_window(PINNED, period, 0.5, 0.0, "canl", "resettable_fuse", shift)
     assert got == steady
+
+
+@pytest.mark.parametrize("name, period", [("pulse_canh_sweep", 500e-9), ("pulse_canl_sweep", 600e-9)])
+def test_an_unbounded_pulse_window_goes_steady(name, period):
+    """A pulse short of the blocking period with `end = inf` runs as one
+    whose end lies past the run, and goes steady: a phase's float slop
+    scales with the latest instant a piece can end, not the window's end.
+    Every frame is delivered."""
+    cfg = parse_config((Path(__file__).parent.parent / "configs" / f"{name}.ini").read_text())
+    point = set_sweep_value(cfg, cfg.sweep.path, period)
+    runs = [
+        run_counting_quiescent(replace(point, attack=replace(point.attack, t_end=end)))
+        for end in (math.inf, 2 * point.duration)
+    ]
+    (trace, summary, _, steady), (past_trace, past_summary, _, past_steady) = runs
+    assert (trace.records, summary) == (past_trace.records, past_summary)
+    assert steady == past_steady > 0
+    assert summary.messages_received == summary.messages_sent
