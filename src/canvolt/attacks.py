@@ -288,7 +288,14 @@ def pulse_blocks_bits(
     timing: BitTiming | None = None,
     transition_extension: float = TRANSITION_EXTENSION_DEFAULT,
 ) -> bool:
-    """True when the masking phase persists past the controller's hold."""
+    """True when the masking phase persists past the controller's hold.
+
+    "Blocks every bit" assumes a pulse phase that drifts against the
+    bits, so that the masking phase covers some bit's sample point. A
+    pulse locked to the bit grid can miss every sample point and block
+    none: a 1000 ns, 50% CANL pulse whose phase origin lies on the 2 us
+    grid masks only the first 500 ns of each bit.
+    """
     timing = timing or BitTiming()
     return pulse_blocking_duration(line, period, duty, transition_extension) >= timing.decode_hold
 
@@ -299,7 +306,11 @@ def min_pulse_period(
     timing: BitTiming | None = None,
     transition_extension: float = TRANSITION_EXTENSION_DEFAULT,
 ) -> float:
-    """Smallest blocking pulse period, swept 500-700 ns in 10 ns steps."""
+    """Smallest blocking pulse period, swept 500-700 ns in 10 ns steps.
+
+    Blocking as `pulse_blocks_bits` counts it, for a phase that drifts
+    against the bits.
+    """
     timing = timing or BitTiming()
     for nanos in range(500, 701, 10):
         period = nanos * 1e-9

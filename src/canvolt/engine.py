@@ -1,11 +1,12 @@
 """Deterministic scenario engine.
 
-Frames advance event by event. A frame attempt that an attack or a
-heating device could affect runs bit by bit; sub-bit physics (pulse
-phases, recovery tails, device trips) stay closed form. Device and
-damage accumulators integrate over piecewise-constant current segments,
-so a fuse can blow in the middle of a bit and the rest of the frame sees
-the recovered bus.
+Frames advance event by event. A frame attempt runs bit by bit when an
+attack could keep one of its bits from reading as driven, or an
+accumulator could trip, flip or run at two currents during it; sub-bit
+physics (pulse phases, recovery tails, device trips) stay closed form.
+Device and damage accumulators integrate over piecewise-constant current
+segments, so a fuse can blow in the middle of a bit and the rest of the
+frame sees the recovered bus.
 
 The engine owns the timeline and composes the library's models: bus
 solves and pulse phase edges from `electrical`, the receiver comparator
@@ -48,17 +49,25 @@ damage timer sees the current its pin's device passes; a device sees
 set (a thermostat's only), else its pin current, as it passes it.
 `_Sim.at_rest` asks the rule and keeps each verdict until the next step
 that is taken; `resting_v_diffs` asks it for a set of pin pairs. It is
-applied in four places:
+applied in four places, the first of which widens it to devices that
+move at one current:
 
-- *Quiescent frames.* A frame skips the per-bit work when every bit
-  samples as driven and no accumulator moves: no attack window overlaps
-  it while the idle inputs rest, or a *steady* window holds it. A window
-  is steady while, at each driven level, every gated window pair rests
-  and `link.reads_driven` passes its phases at their v_diffs: one
-  unbounded phase for a static attack, a pulse's high and low phase.
-  So a pulse whose masking phase is shorter than the decode hold is
-  steady once its accumulators rest. Inside the window the first
-  attempt still asks the FRA check at its ACK delimiter.
+- *Quiescent frames.* A frame skips the per-bit work when no attack
+  window overlaps it, or a window holds it, and `crossing` passes:
+  every bit samples as driven, which in a window needs
+  `link.reads_driven` to pass its phases at the gated window pairs'
+  v_diffs at each driven level (one unbounded phase for a static
+  attack, a pulse's high and low phase); every damage timer rests; and
+  each device rests at every pin pair and level, or sees one current at
+  all of them (`_PinBank.moving`). So a pulse whose masking phase is
+  shorter than the decode hold is steady once its accumulators rest,
+  and a coil that heats or cools at one current does not stop the
+  frame. Inside the window the first attempt still asks the FRA check
+  at its ACK delimiter. Each moving device is then folded over the
+  frame's pieces, cut as `drive` cuts them, by `irs` `steps`: the
+  per-bit path's own step arithmetic, without its solves, gating or
+  comparator. A device that would open or close in them sends the frame
+  bit by bit, from the state before it.
 - *Skipped steps.* `advance_constant` skips a step that rests, be it a
   piece of a driven bit or an idle slice.
 - *Resting pulse bits.* A bit inside a pulse window, while both gated
@@ -452,6 +461,26 @@ class _PinBank:
             self.damage[pin].at_rest(self.gated_current(pin, i_raw[pin])) for pin in ("ph", "pl")
         )
 
+    def moving(self, raws: list, in_window: bool):
+        """The devices that steps at each of these raw pin currents move,
+        as (pin, current) pairs, when every damage timer rests at all of
+        them and each device rests at every current it sees there or sees
+        one current; else None."""
+        seen = {pin: set() for pin in self.devices}
+        for i_raw in raws:
+            for pin in ("ph", "pl"):
+                if not self.damage[pin].at_rest(self.gated_current(pin, i_raw[pin])):
+                    return None
+            for pin, currents in seen.items():
+                currents.add(self.device_current(pin, i_raw[pin], in_window))
+        moving = []
+        for pin, currents in seen.items():
+            if not all(map(self.devices[pin].at_rest, currents)):
+                if len(currents) > 1:
+                    return None
+                moving.append((pin, *currents))
+        return tuple(moving)
+
     def device_current(self, pin: str, i_raw: float, in_window: bool) -> float:
         """The current through the pin's device: the bench drive in the
         attack window when one is set (a thermostat's only), else the pin
@@ -805,26 +834,74 @@ class _Sim:
 
     # -- frame transmission ---------------------------------------------------------
 
-    def quiescent(self, t0: float, t1: float) -> bool:
-        """Every bit of a frame over [t0, t1) reads as driven and no
-        accumulator moves: no attack window overlaps it and the
-        accumulators rest at the idle inputs, or the window holds it, to
-        strictly before its end as in `drive`, and is `steady`."""
-        if not (self.t_start < t1 and t0 < self.t_end):
-            return self.resting_v_diffs(False, ((INPUT, INPUT),), False) is not None
-        return self.t_start <= t0 and t1 < self.t_end and self.steady()
+    def quiescent(self, bits: list, ack_delim: int, first_attempt: bool, t0: float):
+        """The outcome of `sample_bits` for the frame, reached without per-bit
+        work, or None when the frame must run bit by bit.
 
-    def steady(self) -> bool:
-        """At each driven level every gated window pair rests and
-        `phases_read_driven` at their v_diffs; kept until the next full
-        accumulator step."""
-        if "steady" not in self.resting:
-            verdict = True
-            for dominant in (True, False):
-                levels = self.resting_levels(dominant)
-                verdict = verdict and levels is not None and self.phases_read_driven(dominant, levels)
-            self.resting["steady"] = verdict
-        return self.resting["steady"]
+        A frame is crossed when no attack window overlaps it, or the window
+        holds it (to strictly before its end, as in `drive`), and
+        `crossing` finds that every bit reads as driven, every damage timer
+        rests and each device rests or moves at one current. Inside the
+        window the first attempt still asks the FRA check at its ACK
+        delimiter, and ends after that bit when it fires. Each moving
+        device then folds `steps` over the pieces of the bits crossed, cut
+        as `drive` cuts them; when one would open or close in them, nothing
+        is committed and the frame runs bit by bit.
+        """
+        bt, n_bits = self.bit_time, len(bits)
+        # the end of the last bit, rounded exactly as the per-bit loop does
+        t1 = t0 + (n_bits - 1) * bt + bt
+        in_window = self.t_start < t1 and t0 < self.t_end
+        if in_window and not (self.t_start <= t0 and t1 < self.t_end):
+            return None
+        moving = self.crossing(in_window)
+        if moving is None:
+            return None
+        outcome = None, ""
+        if first_attempt and in_window and self.fra_stretch_corrupts(t0 + ack_delim * bt):
+            outcome, n_bits = (ack_delim, "form_error_ack_delimiter"), ack_delim + 1
+            t1 = t0 + ack_delim * bt + bt
+        if moving:
+            spans = []
+            for k in range(n_bits):
+                a = t0 + k * bt
+                for cut in self.cuts(a, a + bt):
+                    spans.append(cut - a)
+                    a = cut
+            devices = self.bank.devices
+            folded = {pin: devices[pin].steps(i, spans) for pin, i in moving}
+            if None in folded.values():
+                return None
+            devices.update(folded)
+            self.resting.clear()
+        self.integrated_to = max(self.integrated_to, t1)
+        return outcome
+
+    def crossing(self, in_window: bool):
+        """`bank.moving` over the pin pairs a frame takes in or out of the
+        attack window, when every bit reads as driven; else None. Kept
+        until the next full accumulator step.
+
+        Outside the window the pins are inputs, which draw nothing at
+        either driven level, so the recessive level stands for both.
+        Inside, each driven level must read as driven by
+        `phases_read_driven` at the gated window pairs' v_diffs.
+        """
+        key = "inside" if in_window else "outside"
+        if key not in self.resting:
+            pairs = self.window_pins if in_window else ((INPUT, INPUT),)
+            self.resting[key] = None  # the verdict of each early return
+            raws = []
+            # the dominant level first: an attack that blocks it fails an
+            # attempt at its SOF, before any recessive level is solved
+            for dominant in (True, False) if in_window else (False,):
+                solves = [self.solved(dominant, self.gate(pins)) for pins in pairs]
+                v_diffs = tuple(sol.voltages.v_diff for sol, _ in solves)
+                if in_window and not self.phases_read_driven(dominant, v_diffs):
+                    return None
+                raws += [i for _, i in solves]
+            self.resting[key] = self.bank.moving(raws, in_window)
+        return self.resting[key]
 
     def phases_read_driven(self, dominant: bool, levels: tuple) -> bool:
         """`link.reads_driven` for the window's phases (a pulse's high and
@@ -832,7 +909,12 @@ class _Sim:
         window pair. A piece ends within a few ulps of its true edge,
         so a phase counts 64 ulps of the latest instant a piece can end in
         the window longer: the window's end, or the end of an attempt that
-        starts before the run ends, its frame and error flag at most."""
+        starts before the run ends, its frame and error flag at most.
+
+        A False verdict, taken as "blocks every bit", assumes a pulse
+        phase that drifts against the bits: one locked to the bit grid
+        can keep its masking phase off every sample point, and the frame
+        is delivered (`tests/test_parking.py` pins such a pulse)."""
         driven = BitDecision.DOMINANT if dominant else BitDecision.RECESSIVE
         period, high = self.period, self.high_time
         lengths = (high, period - high) if period < math.inf else (math.inf,)
@@ -852,20 +934,10 @@ class _Sim:
             self.retransmissions += 1
             self.trace.add(t0, "Retransmission", ecu=ecu, value=float(f.id), detail=str(tx.attempts))
 
-        # the end of the last bit, rounded exactly as the per-bit loop does
-        t_last = t0 + (len(bits) - 1) * bt + bt
-        if self.quiescent(t0, t_last):
-            # only the ACK delimiter check of `sample_bits` is left, and
-            # outside the window its pins cannot fire it
-            error_bit, error_reason = None, ""
-            b0 = t0 + ack_delim * bt
-            in_window = self.t_start <= t0 < self.t_end
-            if tx.attempts == 0 and in_window and self.fra_stretch_corrupts(b0):
-                error_bit, error_reason = ack_delim, "form_error_ack_delimiter"
-                t_last = b0 + bt
-            self.integrated_to = max(self.integrated_to, t_last)
-        else:
-            error_bit, error_reason = self.sample_bits(bits, ack_delim, tx.attempts == 0, t0)
+        outcome = self.quiescent(bits, ack_delim, tx.attempts == 0, t0)
+        if outcome is None:
+            outcome = self.sample_bits(bits, ack_delim, tx.attempts == 0, t0)
+        error_bit, error_reason = outcome
 
         if error_bit is None:
             t_end = t0 + len(bits) * bt

@@ -7,8 +7,10 @@ serves as the microcontroller pin's damage accumulator. The thermostat
 is a first-order thermal model stepped on a grid of tau_thermal/10.
 
 Every device answers `at_rest(i)`, `conducting` (its pin stays on the
-bus), `passes(i)` (the current through it) and `step(i, dt)`: its state
-after dt of constant current, or at its first open/close change.
+bus), `passes(i)` (the current through it), `step(i, dt)`: its state
+after dt of constant current, or at its first open/close change, and
+`steps(i, spans)`: `step` folded over consecutive spans of one current,
+or None when the device opens or closes in them.
 """
 
 from __future__ import annotations
@@ -30,6 +32,18 @@ class _Switch:
 
     def passes(self, i: float) -> float:
         return 0.0 if self.open else i
+
+    def steps(self, i: float, spans):
+        """The state after `step(i, dt)` for each dt of `spans` in turn, a
+        span skipped while at rest, as the engine steps a device piece by
+        piece; None when an open/close change falls inside."""
+        state = self
+        for dt in spans:
+            if not state.at_rest(i):
+                state = state.step(i, dt)[0]
+                if state.open != self.open:
+                    return None
+        return state
 
 
 @dataclass(frozen=True)
@@ -138,21 +152,61 @@ class ThermostatCoil(_Switch):
     def at_rest(self, i: float) -> bool:
         """Closed, within 1e-6 degC of ambient and carrying no current: a
         step of any length leaves the coil closed at ambient, so it is skipped."""
-        return not self.open and not i and abs(self.temp - self.t_ambient) < 1e-6
+        return self._rests(self.temp, self.open, i)
+
+    def _rests(self, temp: float, is_open: bool, i: float) -> bool:
+        """`at_rest(i)` for this coil at temp with its switch open or not."""
+        return not is_open and not i and abs(temp - self.t_ambient) < 1e-6
 
     def step(self, i: float, dt: float) -> tuple:
         """(state, elapsed): `thermostat_step` on a tau_thermal/10 grid from
         now, the last step shorter, stopped at the first open/close flip;
         elapsed is capped at dt, which the float sum of the steps can pass."""
-        max_dt = self.tau_thermal / 10.0
-        state, elapsed = self, 0.0
-        while elapsed < dt:
-            h = min(max_dt, dt - elapsed)
-            state = thermostat_step(state, i, h)
-            elapsed += h
-            if state.open != self.open:
+        temp, is_open, elapsed = self._heat(i, self.temp, self.open, (dt,))
+        return self._at(temp, is_open), min(elapsed, dt)
+
+    def steps(self, i: float, spans):
+        """`_Switch.steps` on the coil's floats, with one state at the end."""
+        temp, is_open, _ = self._heat(i, self.temp, self.open, spans, settle=True)
+        return None if is_open != self.open else self._at(temp, is_open)
+
+    def _heat(self, i: float, temp: float, is_open: bool, spans, settle: bool = False) -> tuple:
+        """(temp, open, elapsed) after current i from (temp, open) over each
+        dt of `spans` in turn: explicit Euler steps of the first-order model
+        on a tau_thermal/10 grid started afresh at each span, the last step
+        of a span shorter, each followed by the switch rule. Stops at the
+        first open/close flip, elapsed counting from its span's start; with
+        `settle`, stops once the coil rests, which under one current lasts.
+        """
+        tau, limit, reclose = self.tau_thermal, self.t_limit, self.t_limit - self.hysteresis
+        max_dt = tau / 10.0
+        target = self.t_ambient + self.thermal_gain * i * i * self.r_coil
+        was, elapsed = is_open, 0.0
+        for dt in spans:
+            if settle and self._rests(temp, is_open, i):
                 break
-        return state, min(elapsed, dt)
+            elapsed = 0.0
+            while elapsed < dt:
+                h = dt - elapsed
+                if h > max_dt:
+                    h = max_dt
+                temp = temp + (h / tau) * (target - temp)
+                if not is_open and temp > limit:
+                    is_open = True
+                elif is_open and temp < reclose:
+                    is_open = False
+                elapsed += h
+                if is_open != was:
+                    return temp, is_open, elapsed
+        return temp, is_open, elapsed
+
+    def _at(self, temp: float, is_open: bool) -> "ThermostatCoil":
+        """This coil at temp with its switch open or not."""
+        return ThermostatCoil(
+            r_coil=self.r_coil, temp=temp, t_ambient=self.t_ambient, t_limit=self.t_limit,
+            hysteresis=self.hysteresis, thermal_gain=self.thermal_gain,
+            tau_thermal=self.tau_thermal, open=is_open,
+        )
 
 
 def thermostat_step(state: ThermostatCoil, i: float, dt: float) -> ThermostatCoil:
@@ -164,14 +218,8 @@ def thermostat_step(state: ThermostatCoil, i: float, dt: float) -> ThermostatCoi
         raise ValueError("dt must be positive")
     if dt > state.tau_thermal / 10.0:
         raise ValueError(f"dt {dt!r} exceeds tau_thermal/10 stability bound")
-    target = state.t_ambient + state.thermal_gain * i * i * state.r_coil
-    temp = state.temp + (dt / state.tau_thermal) * (target - state.temp)
-    is_open = state.open
-    if not is_open and temp > state.t_limit:
-        is_open = True
-    elif is_open and temp < state.t_limit - state.hysteresis:
-        is_open = False
-    return replace(state, temp=temp, open=is_open)
+    temp, is_open, _ = state._heat(i, state.temp, state.open, (dt,))
+    return state._at(temp, is_open)
 
 
 def device_step(device, i: float, dt: float):

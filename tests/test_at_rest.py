@@ -63,8 +63,8 @@ def run_counting_skips(cfg):
 
 
 def run_every_step(cfg):
-    """run_scenario with every step taken; the resting-bit path, which
-    rests on `at_rest`, never fires."""
+    """run_scenario with every step taken and every frame run bit by bit;
+    the resting-bit path, which rests on `at_rest`, never fires."""
     verdicts = []
     original = engine._Sim.resting_levels
 
@@ -74,6 +74,8 @@ def run_every_step(cfg):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine._Sim, "at_rest", lambda self, i_raw, in_window: False)
+        # a frame crossing folds moving devices without asking `at_rest`
+        mp.setattr(engine._Sim, "quiescent", lambda self, *frame: None)
         mp.setattr(engine._Sim, "resting_levels", recording)
         result = run_scenario(cfg)
     assert all(levels is None for levels in verdicts)

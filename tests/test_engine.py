@@ -455,3 +455,29 @@ def test_cursor_cuts_and_phase_pins_match_the_reference(
         for t in (-1e6, 0.0, 1e6):
             assert sim.pins_at(t) == (INPUT, INPUT)
             assert sim.window_pins[sim.phase(t)] == pin_override(None, t)
+
+
+@pytest.mark.parametrize(
+    "attack",
+    [
+        None,
+        DoS(t_start=10.0, t_end=20.0),
+        ForcedRetransmission(t_start=10.0, t_end=20.0),
+        PulseAttack(t_start=10.0, t_end=20.0),
+        ActiveOvercurrent(t_start=10.0, t_end=20.0),
+        PassiveOvercurrent(t_start=10.0, t_end=20.0),
+    ],
+    ids=lambda a: type(a).__name__,
+)
+@pytest.mark.parametrize("device", [None, "fuse", "breaker", "resettable_fuse", "thermostat"])
+def test_a_run_keeps_fewer_than_30_attributes(attack, device):
+    """CPython 3.11 keeps an instance's attributes in its class's shared
+    layout only while there are fewer than 30; past that every `self.x`
+    load in the engine is slower (see `_Sim`). Counted before and after
+    a run, so no attribute is added on the way."""
+    drive = 1.0 if device == "thermostat" else None
+    irs = None if device is None else IrsConfig(device=device, coil_drive=drive)
+    sim = _Sim(scenario(attack, irs, duration=30.0))
+    assert len(vars(sim)) < 30
+    sim.run()
+    assert len(vars(sim)) < 30

@@ -4,7 +4,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canvolt.cli import parse_config
@@ -246,3 +246,81 @@ def test_every_device_steps_to_dt_or_to_its_first_change(dev, i, dt):
         assert dev.passes(i) == 0.0
     elif not dev.open:
         assert dev.passes(i) == i
+
+
+def fold_steps(dev, i, spans):
+    """`step` over each span in turn, a span skipped while at rest, as the
+    engine steps a device piece by piece; None at an open/close change."""
+    state = dev
+    for dt in spans:
+        if not state.at_rest(i):
+            state, _ = state.step(i, dt)
+            if state.open != dev.open:
+                return None
+    return state
+
+
+def test_a_device_folds_its_steps_over_the_spans():
+    """`steps` is `step` folded over the spans with the at-rest skip, and
+    None exactly when some span's step opens or closes the device."""
+    outcomes = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dev=devices(),
+        i=st.sampled_from([0.0, -0.0, 1e-3, 0.05, -0.5, 1.0]) | st.floats(-2.0, 2.0),
+        # each span in units of the device's own time: tau_thermal/10 for
+        # a coil, the opening time for a trip device; shorter and longer
+        scales=st.lists(st.floats(1e-3, 3.0), max_size=40),
+    )
+    @example(dev=ThermostatCoil(temp=39.9), i=1.0, scales=[0.3, 1.0, 2.5])  # opens
+    @example(dev=FuseState(), i=0.06, scales=[0.4, 0.4, 0.4])  # blows in the third
+    @example(dev=BreakerState(over_timer=5e-7), i=0.005, scales=[0.5, 2.0])  # clears, rests
+    def check(dev, i, scales):
+        unit = dev.tau_thermal / 10.0 if isinstance(dev, ThermostatCoil) else dev.opening_time
+        spans = [s * unit for s in scales]
+        folded = dev.steps(i, spans)
+        assert folded == fold_steps(dev, i, spans)
+        outcomes.add(folded is None)
+
+    check()
+    assert outcomes == {False, True}
+
+
+def test_a_coil_fold_skips_the_spans_after_it_comes_to_rest():
+    """A fast coil cools to within 1e-6 degC of ambient on the way; the
+    later spans are skipped, so the coil stays where it came to rest."""
+    coil = ThermostatCoil(temp=25.0 + 2e-6, tau_thermal=1e-5)
+    spans = [1e-6] * 40
+    folded = coil.steps(0.0, spans)
+    assert folded == fold_steps(coil, 0.0, spans)
+    assert folded.at_rest(0.0)
+    assert folded.temp != device_step(coil, 0.0, sum(spans)).temp
+
+
+@pytest.mark.parametrize(
+    "coil, i, dt, temp, is_open, elapsed",
+    [
+        (ThermostatCoil(tau_thermal=1.7), 0.93, 0.41, 32.727118352941176, False, 0.41),
+        (ThermostatCoil(temp=39.9, tau_thermal=1.3), 0.77, 5.0, 40.7816, True, 0.13),
+        (ThermostatCoil(temp=44.0, open=True, tau_thermal=0.9), 0.0, 3.3, 37.4659, False, 0.36),
+        (ThermostatCoil(temp=30.0, tau_thermal=1e-4), 0.5, 7.3e-5, 32.680260035, False, 7.3e-5),
+    ],
+)
+def test_a_coil_step_keeps_its_floats(coil, i, dt, temp, is_open, elapsed):
+    """Outputs of `ThermostatCoil.step` as recorded before it shared its
+    Euler law with `steps`; equal to the last bit."""
+    after, took = coil.step(i, dt)
+    assert (after.temp, after.open, took) == (temp, is_open, elapsed)
+
+
+@pytest.mark.parametrize(
+    "coil, i, dt, temp, is_open",
+    [
+        (ThermostatCoil(temp=39.99, tau_thermal=1.1), 0.93, 0.11, 41.9506, True),
+        (ThermostatCoil(temp=38.01, open=True, tau_thermal=0.7), 0.0, 0.013, 37.768385714285714, False),
+    ],
+)
+def test_thermostat_step_keeps_its_floats(coil, i, dt, temp, is_open):
+    after = thermostat_step(coil, i, dt)
+    assert (after.temp, after.open) == (temp, is_open)

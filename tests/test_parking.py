@@ -26,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canvolt import engine
-from canvolt.attacks import DoS, PulseAttack
+from canvolt.attacks import DoS, PulseAttack, pulse_blocks_bits
 from canvolt.engine import EcuSpec, IrsConfig, ScenarioConfig, run_scenario
 from canvolt.link import Frame
 
@@ -195,3 +195,26 @@ def test_pulse_parking_keeps_the_outcome_of_unparked_retries():
 
     check()
     assert sum(parked) > 0
+
+
+@pytest.mark.parametrize("shift_us", [0.0, 0.3])
+def test_a_pulse_locked_to_the_bit_grid_blocks_no_bit(shift_us):
+    """A 1000 ns, 50% CANL pulse whose window opens on the 2 us bit grid
+    masks only the first 500 ns of each bit of a frame sent on the grid,
+    never the sample point: the frame is delivered, though the steady
+    rule counts the pulse as blocking every bit. Moved by 0.3 us, its
+    masking phase covers the sample point of the first dominant bit; the
+    attempt fails and is parked until the window ends."""
+    assert pulse_blocks_bits("canl", 1000e-9)
+    frame = Frame(id=0x10, data=b"\x01")
+    attack = PulseAttack(t_start=8e-3 + shift_us * 1e-6, t_end=13e-3, line="canl", period=1000e-9)
+    trace, summary = run_scenario(bus([(frame, 10e-3)], attack, "none", "both"))
+
+    errors = [(e.t, e.detail) for e in trace.of_kind("ErrorFrame")]
+    retries = [r.t for r in trace.of_kind("Retransmission")]
+    if shift_us:
+        assert errors == [(10e-3 + 2e-6, "bit_error")]
+        assert retries == [13e-3]
+    else:
+        assert errors == retries == []
+    assert summary.messages_received == summary.messages_sent == 3

@@ -1,13 +1,14 @@
 """The quiescent-frame shortcut against the per-bit path it replaces.
 
-A frame is delivered without per-bit physics when no attack window
-overlaps it while every accumulator rests at the idle inputs, or when a
-steady attack window holds it: every gated window pair rests at each
-driven level, and `link.reads_driven` reads every bit under the
-window's phases as driven. These tests place attack windows on the
-edges of frames, around them and across them, run pulses short and long
-of the decode hold, and require the same trace and summary as the
-per-bit path, which stays the reference.
+A frame is crossed without per-bit physics when no attack window
+overlaps it, or a window holds it, while every bit reads as driven
+(`link.reads_driven` under the window's phases at each driven level),
+every damage timer rests, and each device rests or sees one current;
+a device that moves is folded over the frame's pieces. These tests
+place attack windows on the edges of frames, around them and across
+them, run pulses short and long of the decode hold, heat and cool coils
+and run over-timers across frames, and require the same trace and
+summary as the per-bit path, which stays the reference.
 """
 
 import math
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from canvolt import engine
+from canvolt import engine, irs
 from canvolt.attacks import (
     ActiveOvercurrent,
     DoS,
@@ -52,12 +53,12 @@ def run_counting_quiescent(cfg):
     taken = []
     original = engine._Sim.quiescent
 
-    def counting(self, t0, t1):
-        q = original(self, t0, t1)
-        if q:
-            a = self.attack
+    def counting(self, bits, ack_delim, first_attempt, t0):
+        outcome = original(self, bits, ack_delim, first_attempt, t0)
+        if outcome is not None:
+            a, t1 = self.attack, t0 + (len(bits) - 1) * BIT + BIT
             taken.append(a is not None and a.t_start < t1 and t0 < a.t_end)
-        return q
+        return outcome
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine._Sim, "quiescent", counting)
@@ -67,7 +68,7 @@ def run_counting_quiescent(cfg):
 
 def run_per_bit(cfg):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine._Sim, "quiescent", lambda self, t0, t1: False)
+        mp.setattr(engine._Sim, "quiescent", lambda self, *frame: None)
         return run_scenario(cfg)
 
 
@@ -319,3 +320,98 @@ def test_an_unbounded_pulse_window_goes_steady(name, period):
     assert (trace.records, summary) == (past_trace.records, past_summary)
     assert steady == past_steady > 0
     assert summary.messages_received == summary.messages_sent
+
+
+def run_counting_folds(cfg):
+    """run_scenario, plus how many device folds crossed a frame."""
+    folds = []
+
+    def counting(original):
+        def steps(self, i, spans):
+            folded = original(self, i, spans)
+            folds.append(folded is not None)
+            return folded
+        return steps
+
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in (irs._Switch, irs.ThermostatCoil):
+            mp.setattr(cls, "steps", counting(cls.steps))
+        trace, summary = run_scenario(cfg)
+    return trace, summary, sum(folds)
+
+
+def moving_device(device, coil_drive, tau_exp, opening_exp):
+    if device == "thermostat":
+        return IrsConfig(device="thermostat", coil_drive=coil_drive, tau_thermal=10.0**tau_exp)
+    return IrsConfig(device=device, opening_time=10.0**opening_exp)
+
+
+# a 3 A drive opens a 100 us coil within the window's first frame, and the
+# coil then flips open and closed inside later frames
+FLIPPING = dict(
+    senders=[(0x10, b"\x01", 0), (0x20, b"", 200)],
+    kind="dos",
+    line="canl",
+    start_us=500,
+    width_us=2000,
+    device="thermostat",
+    coil_drive=3.0,
+    tau_exp=-4.0,
+    opening_exp=-3.0,
+)
+
+
+def moving_bus(senders, kind, line, start_us, width_us, device, coil_drive, tau_exp, opening_exp):
+    plan = [(Frame(id=fid, data=data), off * 1e-6) for fid, data, off in senders]
+    attack = make_attack(kind, start_us * 1e-6, (start_us + width_us) * 1e-6, line)
+    return bus(plan, attack, moving_device(device, coil_drive, tau_exp, opening_exp))
+
+
+def test_frames_under_moving_devices_match_the_per_bit_path():
+    """Coils heated by a bench drive or their pin current, or cooling,
+    from 100 us to 2 s time constants, and fuses and breakers whose
+    over-timers run for 10 us to 10 ms, under each attack kind."""
+    fired = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        senders=senders,
+        kind=st.sampled_from(["dos", "fra", "pulse", "active", "passive"]),
+        line=st.sampled_from(["canl", "canh"]),
+        start_us=st.integers(0, 3000),
+        width_us=st.integers(1, 3000),
+        # coils weighted twice, and fast ones that flip inside frames
+        device=st.sampled_from(["thermostat", "thermostat", "fuse", "breaker"]),
+        coil_drive=st.sampled_from([None, 0.5, 3.0]),
+        tau_exp=st.floats(-4.0, -2.5) | st.floats(-4.0, math.log10(2.0)),
+        opening_exp=st.floats(-5.0, -2.0),
+    )
+    @example(**FLIPPING)
+    def check(**case):
+        cfg = moving_bus(**case)
+        trace, summary, folds = run_counting_folds(cfg)
+        ref_trace, ref_summary = run_per_bit(cfg)
+        assert trace.records == ref_trace.records
+        assert summary == ref_summary
+        fired.append(folds)
+
+    check()
+    assert sum(fired) > 0
+
+
+def test_a_fold_that_ignores_flips_is_caught():
+    """A coil fold that commits a state past an open/close change loses
+    the change's trace record and the heating after it."""
+
+    def ignoring_flips(self, i, spans):
+        temp, is_open, _ = self._heat(i, self.temp, self.open, spans, settle=True)
+        return self._at(temp, is_open)
+
+    cfg = moving_bus(**FLIPPING)
+    ref_trace, ref_summary = run_per_bit(cfg)
+    trace, summary = run_scenario(cfg)
+    assert (trace.records, summary) == (ref_trace.records, ref_summary)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(irs.ThermostatCoil, "steps", ignoring_flips)
+        trace, _ = run_scenario(cfg)
+    assert trace.records != ref_trace.records
