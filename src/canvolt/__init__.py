@@ -30,9 +30,9 @@ from .electrical import (
     PinCurrents,
     PinMode,
     Pulse,
+    PulseClock,
     TransceiverParams,
     measure_tau_bit,
-    pin_current_profile,
     pulse,
     recovery_waveform,
     solve_bus,

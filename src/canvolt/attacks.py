@@ -21,10 +21,10 @@ from .electrical import (
     OutputLow,
     PinMode,
     Pulse,
+    PulseClock,
     TransceiverParams,
     measure_tau_bit,
     pulse_levels,
-    resolve_pulse,
     solve_bus,
     TAU_RC_DEFAULT,
 )
@@ -107,6 +107,10 @@ class PulseAttack(AttackSpec):
     def phase_origin(self) -> float:
         return self.t_start + self.phase * self.period
 
+    @property
+    def clock(self) -> PulseClock:
+        return PulseClock(self.phase_origin, self.period, self.duty * self.period)
+
     def pulse_mode(self) -> Pulse:
         return Pulse(self.period, self.duty, self.v_high, self.v_low)
 
@@ -157,7 +161,7 @@ def pin_override(spec: Optional[AttackSpec], t: float) -> tuple:
     if isinstance(spec, ForcedRetransmission):
         return (OutputHigh(spec.v_attack_h), INPUT)
     if isinstance(spec, PulseAttack):
-        return _on_line(spec, resolve_pulse(spec.pulse_mode(), t, spec.phase_origin))
+        return _on_line(spec, pulse_levels(spec.pulse_mode())[spec.clock.phase(t)])
     raise TypeError(f"unknown attack spec {spec!r}")
 
 

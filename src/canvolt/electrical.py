@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 # Time constant of the CANL recovery when an attacker holds CANH up,
 # fixed so the 1.5 V -> 90% of 5.0 V climb takes 1.16 us.
@@ -103,41 +103,58 @@ def pulse(period: float, duty: float, v_high: float, v_low: float = 0.0) -> PinM
     return Pulse(period, duty, v_high, v_low)
 
 
-def resolve_pulse(mode: PinMode, t: float, phase_origin: float = 0.0) -> PinMode:
-    """Instantaneous static level of a pin mode at time t.
-
-    Non-pulse modes pass through. The pulse phase starts high at
-    phase_origin.
-    """
-    if not isinstance(mode, Pulse):
-        return mode
-    high, low = pulse_levels(mode)
-    phase = (t - phase_origin) % mode.period
-    return high if phase < mode.duty * mode.period else low
-
-
 def pulse_levels(mode: Pulse) -> tuple:
     """The static (high phase, low phase) levels a pulse alternates between."""
     low = OutputHigh(mode.v_low) if mode.v_low > 0.0 else OUTPUT_LOW
     return OutputHigh(mode.v_high), low
 
 
-def pulse_edges(pulse, phase_origin: float, lo: float, hi: float) -> list:
-    """Phase edges in [lo, hi) of a pulse whose high phase starts at phase_origin.
+@dataclass(frozen=True)
+class PulseClock:
+    """The phase clock of a pulse: high for `high` seconds from `origin`,
+    then low to the end of the period, again every `period`.
 
-    `pulse` is anything with a period and a duty, such as a Pulse mode
-    or a pulse attack.
+    The default clock is unbounded: period and high time are infinite, and
+    every t, before the origin too, is in the high phase.
     """
-    period = pulse.period
-    high = pulse.duty * period
-    t = phase_origin + math.floor((lo - phase_origin) / period) * period
-    edges = []
-    while t < hi:
-        for edge in (t, t + high):
-            if lo <= edge < hi:
-                edges.append(edge)
-        t += period
-    return edges
+
+    origin: float = 0.0
+    period: float = math.inf
+    high: float = math.inf
+
+    @property
+    def lengths(self) -> tuple:
+        """Each phase's length: (high, low), or one unbounded phase."""
+        return (self.high, self.period - self.high) if self.period < math.inf else (self.high,)
+
+    def phase(self, t: float) -> int:
+        """0 in the high phase at t, 1 in the low phase."""
+        period = self.period
+        # `-5 % inf` is inf in Python, so the unbounded clock is tested apart
+        return 0 if (t - self.origin) % period < self.high or period == math.inf else 1
+
+    def next_edge(self, a: float) -> float:
+        """The first phase edge strictly after a, walked from the period
+        that holds a; inf on the unbounded clock.
+
+        The walk steps by whole periods, so it ends only where the phases
+        outlast the rounding of the times it passes (`steps_at`).
+        """
+        origin, period, high = self.origin, self.period, self.high
+        if period == math.inf:
+            return math.inf
+        t = origin + math.floor((a - origin) / period) * period
+        while True:
+            if a < t:
+                return t
+            if a < t + high:
+                return t + high
+            t += period
+
+    def steps_at(self, t: float) -> bool:
+        """Each phase is longer than one ulp of t, so the edge walk
+        moves at every time up to t."""
+        return min(self.lengths) > math.ulp(t)
 
 
 @dataclass(frozen=True)
@@ -373,44 +390,3 @@ def measure_tau_bit(
     target = 0.9 * max(v_attack_h, 2.5)
     climb = time_to_reach(1.5, v_attack_h, tau_rc, target)
     return dominant_duration + climb
-
-
-def pin_current_profile(
-    schedule: Iterable[tuple],
-    p_h: PinMode,
-    p_l: PinMode,
-    topo: BusTopology | None = None,
-    params: TransceiverParams | None = None,
-    phase_origin: float = 0.0,
-) -> dict:
-    """Piecewise-constant attacker-pin currents over a bit schedule.
-
-    schedule yields (t_start, t_end, dominant) intervals. Pulse pins are
-    subdivided at phase boundaries. Returns {'p_h': [(duration, amps)],
-    'p_l': [...]} with adjacent equal segments merged.
-    """
-    segs_h: list = []
-    segs_l: list = []
-
-    def emit(segs, duration, amps):
-        if duration <= 0.0:
-            return
-        if segs and segs[-1][1] == amps:
-            segs[-1] = (segs[-1][0] + duration, amps)
-        else:
-            segs.append((duration, amps))
-
-    for t0, t1, dominant in schedule:
-        cuts = {t0, t1}
-        for mode in (p_h, p_l):
-            if isinstance(mode, Pulse):
-                cuts.update(pulse_edges(mode, phase_origin, t0, t1))
-        ordered = sorted(cuts)
-        for s0, s1 in zip(ordered, ordered[1:]):
-            mid = 0.5 * (s0 + s1)
-            modes = (resolve_pulse(p_h, mid, phase_origin), resolve_pulse(p_l, mid, phase_origin))
-            _, currents = solve_bus({"tx": dominant}, {"atk": modes}, topo, params)
-            pc = currents["atk"]
-            emit(segs_h, s1 - s0, pc.i_ph)
-            emit(segs_l, s1 - s0, pc.i_pl)
-    return {"p_h": segs_h, "p_l": segs_l}

@@ -30,7 +30,9 @@ predictor the engine still calls is the FRA ACK delimiter check
 The attack window is one set of fields: its edges, which are infinite
 without an attack so the window never opens; the attacker's pin pairs
 in it (`attacks.window_pins`: a pulse's high and low phase, else one);
-and one phase rule, `phase`, which picks the pair at a time.
+and its phase clock (`electrical.PulseClock`: a pulse's, else the
+unbounded clock, always in its first phase), whose `phase` picks the
+pair at a time.
 
 Bus solves depend only on the driven level and the attacker pin modes
 (topology and parameters are fixed for a run), so each scenario solves
@@ -72,7 +74,7 @@ move at one current:
   piece of a driven bit or an idle slice.
 - *Resting pulse bits.* A bit inside a pulse window, while both gated
   phase pairs rest at its level, costs only its cuts and the
-  comparator: each piece takes the v_diff of its `phase`, with no pin
+  comparator: each piece takes the v_diff of its clock phase, with no pin
   lookup, solve lookup or accumulator step.
 - *Idle jumps.* `advance_idle` crosses the idle stretch up to the next
   event or window edge in one step when the idle bus rests at each pin
@@ -86,12 +88,11 @@ move at one current:
 A driven bit is cut into pieces, and each piece costs constant work:
 
 - *Cut from the cursor.* `cuts` yields each cut from the one before it:
-  the first window edge or pulse phase edge after it, found with
-  `electrical.pulse_edges`' arithmetic from its period, without listing
-  the bit's cuts. A trip that ends a piece early restarts it there.
+  the first window edge after it or, inside the window, the clock's
+  `next_edge` when that comes first, without listing the bit's cuts. A
+  trip that ends a piece early restarts it there.
 - *Phase-pin lookup.* The attacker's pin pairs are built once per run;
-  a piece picks its pair with `phase`, the phase test of
-  `electrical.resolve_pulse`.
+  a piece picks its pair with the clock's `phase`.
 
 The 1 Hz samples are a function of the run's history, built once after
 the run (`record_ticks`): tick k records the idle bus at the attacker's
@@ -116,6 +117,7 @@ from .electrical import (
     BusTopology,
     OutputHigh,
     PinCurrents,
+    PulseClock,
     TransceiverParams,
     TAU_RC_DEFAULT,
     NOMINAL_TRANSITION,
@@ -367,8 +369,10 @@ def validate_config(cfg: ScenarioConfig) -> None:
                     f"ecu.{e.name}.period",
                     f"period {e.period} not above frame time {tx_times[-1]:.6g}",
                 )
+    # an attempt started before the run ends lasts its frame and error flag at most
+    run_end = cfg.duration + max(tx_times, default=0.0) + ERROR_FLAG_BITS * bit_time
     if cfg.attack is not None:
-        _validate_attack(cfg.attack, hosts[0].name, tx_times)
+        _validate_attack(cfg.attack, hosts[0].name, tx_times, run_end)
     dev = cfg.irs_config
     if dev is not None:
         if dev.pins not in ("both", "ph", "pl"):
@@ -396,10 +400,10 @@ def validate_config(cfg: ScenarioConfig) -> None:
         # a sweep point differs from the config in its attack only
         for value in sweep.values():
             point = set_sweep_value(cfg, sweep.path, value)
-            _validate_attack(point.attack, hosts[0].name, tx_times)
+            _validate_attack(point.attack, hosts[0].name, tx_times, run_end)
 
 
-def _validate_attack(attack: atk.AttackSpec, host: str, tx_times: list) -> None:
+def _validate_attack(attack: atk.AttackSpec, host: str, tx_times: list, run_end: float) -> None:
     if attack.node != host:
         raise ConfigError("attack.node", "attack must originate at the vids-host")
     # the window's edges may be infinite, but a pulse's start anchors its phase
@@ -409,6 +413,15 @@ def _validate_attack(attack: atk.AttackSpec, host: str, tx_times: list) -> None:
         raise ConfigError(
             "attack.period",
             f"pulse period {attack.period} not below frame time {min(tx_times):.6g}",
+        )
+    # the edge walk stalls where a phase is lost in the float time: check at
+    # the latest instant a piece can end in the window
+    latest = min(attack.t_end, run_end)
+    if pulse and not attack.clock.steps_at(latest):
+        raise ConfigError(
+            "attack.period",
+            f"pulse phase {min(attack.clock.lengths):.3g} s not above the float step "
+            f"{math.ulp(latest):.3g} s at {latest:.6g} s",
         )
     try:
         atk.window_pins(attack)
@@ -544,12 +557,9 @@ class _Sim:
         if attack is not None:
             self.t_start, self.t_end = attack.t_start, attack.t_end
             self.window_pins = atk.window_pins(attack)
-        # the phase test's terms: a pulse's, else one unbounded phase
-        self.phase_origin, self.period, self.high_time = 0.0, math.inf, math.inf
+        # the window's phase clock: a pulse's, else one unbounded phase
         pulse = isinstance(attack, atk.PulseAttack)
-        if pulse:
-            self.phase_origin, self.period = attack.phase_origin, attack.period
-            self.high_time = attack.duty * attack.period
+        self.clock = attack.clock if pulse else PulseClock()
         # a pulse on CANH drags the recovery out past each low phase
         self.extension = cfg.params.transition_extension if pulse and attack.line == "canh" else 0.0
         self.sends: list = []
@@ -572,21 +582,14 @@ class _Sim:
     # -- attack pin state ---------------------------------------------------
 
     def pins_at(self, t: float, connected: tuple | None = None) -> tuple:
-        """Gated (P_H, P_L) modes of the VIDS node at time t: the window pair
-        of its `phase` inside the window, else inputs; this equals the gated
-        `atk.pin_override`. `connected` gives each pin's connectivity as
-        (P_H, P_L); by default, the devices' now.
+        """Gated (P_H, P_L) modes of the VIDS node at time t: inside the
+        window, the window pair of the clock's phase at t (a pulse's high
+        phase 0 or low phase 1; 0 on the unbounded clock), else inputs; this
+        equals the gated `atk.pin_override`. `connected` gives each pin's
+        connectivity as (P_H, P_L); by default, the devices' now.
         """
-        pins = self.window_pins[self.phase(t)] if self.t_start <= t < self.t_end else (INPUT, INPUT)
+        pins = self.window_pins[self.clock.phase(t)] if self.t_start <= t < self.t_end else (INPUT, INPUT)
         return self.gate(pins, connected)
-
-    def phase(self, t: float) -> int:
-        """The index in `window_pins` of the pair the attacker applies at t
-        in the window: by the phase test of `electrical.resolve_pulse`, a
-        pulse's high phase 0 or low phase 1; 0 for a window of one pair,
-        whose period is unbounded."""
-        period = self.period
-        return 0 if (t - self.phase_origin) % period < self.high_time or period == math.inf else 1
 
     def gate(self, pins: tuple, connected: tuple | None = None) -> tuple:
         """(P_H, P_L) with each disconnected pin an input; `connected` as in `pins_at`."""
@@ -614,33 +617,25 @@ class _Sim:
 
     def cuts(self, a: float, b: float):
         """Yield the cuts after a up to b, each the first window edge or
-        pulse phase edge after the cut before it, the last one b.
+        phase edge after the cut before it, the last one b.
 
-        The pulse edges are those `electrical.pulse_edges` lists over the
-        window's part of [cut, b), with the same float arithmetic, walked
-        from the period that holds the previous cut up to the first one;
-        a window of one pair (unbounded period) has none.
+        A cut inside the window asks the clock for its `next_edge`, which
+        is kept when it falls before the next window edge and b; a cut
+        outside the window has no phase edge before the window's next
+        edge. The unbounded clock has none.
         """
         t_start, t_end = self.t_start, self.t_end
-        origin, period, high_time = self.phase_origin, self.period, self.high_time
-        pulsed = period < math.inf
+        next_edge = self.clock.next_edge
         while a < b:
             end = b
             if a < t_start < end:
                 end = t_start
             if a < t_end < end:
                 end = t_end
-            if pulsed:
-                lo = t_start if t_start > a else a
-                hi = t_end if t_end < b else b
-                t = origin + math.floor((lo - origin) / period) * period
-                while t < hi and t < end:
-                    edge = t if a < t and lo <= t else t + high_time
-                    if a < edge and lo <= edge:
-                        if edge < end and edge < hi:
-                            end = edge
-                        break
-                    t += period
+            if t_start <= a < t_end:
+                edge = next_edge(a)
+                if edge < end:
+                    end = edge
             a = end
             yield a
 
@@ -665,7 +660,7 @@ class _Sim:
                 end = min(end, self.tick_before(self.t_start))
             elif k < self.t_end:
                 # a pulse's phase pair changes from tick to tick
-                end = k if self.period < math.inf else min(end, self.tick_before(self.t_end))
+                end = k if self.clock.period < math.inf else min(end, self.tick_before(self.t_end))
             pins = self.pins_at(float(k), (on["ph"], on["pl"]))
             self.trace.add_ticks(k, end, self.tick_samples(pins))
             k = end + 1
@@ -904,8 +899,8 @@ class _Sim:
         return self.resting[key]
 
     def phases_read_driven(self, dominant: bool, levels: tuple) -> bool:
-        """`link.reads_driven` for the window's phases (a pulse's high and
-        low phase, else one unbounded phase) at `levels`, a v_diff per
+        """`link.reads_driven` for the clock's phase lengths (a pulse's high
+        and low phase, else one unbounded phase) at `levels`, a v_diff per
         window pair. A piece ends within a few ulps of its true edge,
         so a phase counts 64 ulps of the latest instant a piece can end in
         the window longer: the window's end, or the end of an attempt that
@@ -916,8 +911,7 @@ class _Sim:
         can keep its masking phase off every sample point, and the frame
         is delivered (`tests/test_parking.py` pins such a pulse)."""
         driven = BitDecision.DOMINANT if dominant else BitDecision.RECESSIVE
-        period, high = self.period, self.high_time
-        lengths = (high, period - high) if period < math.inf else (math.inf,)
+        lengths = self.clock.lengths
         longest = max((len(bits) for bits, _ in self.encoded.values()), default=0) + ERROR_FLAG_BITS
         slop = 64 * math.ulp(min(self.t_end, self.cfg.duration + longest * self.bit_time))
         return reads_driven(tuple(zip(lengths, levels)), driven, self.timing, self.extension, slop)
@@ -968,12 +962,12 @@ class _Sim:
         cursor = a
         # b stays below the window's end: a sliver's midpoint can round to b;
         # a bit in a window of one pair is one piece, with nothing to skip
-        pulsed = self.period < math.inf and self.t_start <= a and b < self.t_end
+        pulsed = self.clock.period < math.inf and self.t_start <= a and b < self.t_end
         levels = self.resting_levels(dominant) if pulsed else None
         if levels is not None:
             # no piece can change an accumulator: cut, and pick each
             # piece's phase pair as `pins_at` does
-            phase = self.phase
+            phase = self.clock.phase
             for cut in self.cuts(a, b):
                 pieces.append((cursor, cut, levels[phase(0.5 * (cursor + cut))]))
                 cursor = cut

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canvolt.electrical import (
     INPUT,
@@ -15,13 +17,12 @@ from canvolt.electrical import (
     OutputHigh,
     OutputLow,
     Pulse,
+    PulseClock,
     TransceiverParams,
     TAU_RC_DEFAULT,
     measure_tau_bit,
-    pin_current_profile,
     pulse,
     recovery_waveform,
-    resolve_pulse,
     solve_bus,
     solve_bus_detailed,
     time_to_reach,
@@ -182,37 +183,6 @@ def test_tau_bit_monotone_above_three_and_a_half():
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
-def test_profile_passive_overcurrent_active_on_dominant_bits_only():
-    schedule = [(0.0, 2e-6, True), (2e-6, 4e-6, False), (4e-6, 6e-6, True)]
-    prof = pin_current_profile(schedule, INPUT, OUTPUT_LOW)
-    amps = [i for _, i in prof["p_l"]]
-    assert amps == pytest.approx([0.0583333, 0.0, 0.0583333], abs=1e-4)
-    assert all(i == 0.0 for _, i in prof["p_h"])
-
-
-def test_profile_active_overcurrent_is_one_flat_segment():
-    schedule = [(0.0, 2e-6, True), (2e-6, 4e-6, False), (4e-6, 6e-6, True)]
-    prof = pin_current_profile(schedule, OutputHigh(5.0), OUTPUT_LOW)
-    assert len(prof["p_l"]) == 1
-    dur, amps = prof["p_l"][0]
-    assert dur == pytest.approx(6e-6)
-    assert amps == pytest.approx(5.0 / 60.0)
-
-
-def test_profile_idle_inputs_all_zero():
-    prof = pin_current_profile([(0.0, 1e-3, False)], INPUT, INPUT)
-    assert prof["p_h"] == [(1e-3, 0.0)]
-    assert prof["p_l"] == [(1e-3, 0.0)]
-
-
-def test_profile_pulse_splits_phases():
-    mode = Pulse(1e-6, 0.5, 5.0)
-    prof = pin_current_profile([(0.0, 2e-6, True)], INPUT, mode)
-    # alternating sink draw and supply draw, two half-periods each
-    amps = [round(i, 6) for _, i in prof["p_l"]]
-    assert amps == [-0.28125, 0.058333, -0.28125, 0.058333]
-
-
 def test_pulse_normalization():
     assert pulse(1e-6, 1.0, 5.0) == OutputHigh(5.0)
     assert pulse(1e-6, 0.0, 5.0) == OutputLow()
@@ -222,9 +192,46 @@ def test_pulse_normalization():
         Pulse(1e-6, 1.5, 5.0)
 
 
-def test_resolve_pulse_phases():
-    mode = Pulse(1e-6, 0.5, 5.0)
-    assert resolve_pulse(mode, 0.25e-6) == OutputHigh(5.0)
-    assert resolve_pulse(mode, 0.75e-6) == OutputLow()
-    assert resolve_pulse(mode, 1.25e-6) == OutputHigh(5.0)
-    assert resolve_pulse(INPUT, 0.0) is INPUT
+def test_pulse_clock_phases():
+    clock = PulseClock(0.0, 1e-6, 0.5e-6)
+    assert clock.phase(0.25e-6) == 0
+    assert clock.phase(0.75e-6) == 1
+    assert clock.phase(1.25e-6) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.sampled_from([0.0, 10.0, 3.6e3, 8.64e4, 1e6]),
+    offset=st.floats(-1e-3, 1e-3),
+    period=st.floats(1e-7, 1e-4),
+    duty=st.floats(0.01, 0.99),
+    cursor=st.floats(-1e-3, 1e-3),
+    fraction=st.floats(0.0, 1.0),
+)
+def test_the_clock_holds_its_phase_up_to_the_next_edge(base, offset, period, duty, cursor, fraction):
+    """next_edge(a) lies after a, within the longer phase; the phase is
+    constant on (a, next_edge(a)), away from the float rounding at either
+    end, and is the phase test written out here."""
+    origin, high = base + offset, duty * period
+    clock = PulseClock(origin, period, high)
+    a = base + cursor
+    edge = clock.next_edge(a)
+    assert a < edge
+    rounding = 64 * math.ulp(abs(base) + 1.0)
+    assert edge - a <= max(high, period - high) + rounding
+    phases = set()
+    for f in (fraction, 0.5):
+        t = a + f * (edge - a)
+        if min(t - a, edge - t) > rounding:
+            phase = clock.phase(t)
+            assert phase == (0 if (t - origin) % period < high else 1)
+            phases.add(phase)
+    assert len(phases) <= 1
+
+
+def test_the_unbounded_clock_is_high_at_every_time():
+    clock = PulseClock()
+    assert clock.lengths == (math.inf,)
+    for t in (-1e6, 0.0, 1e6):
+        assert clock.phase(t) == 0
+        assert clock.next_edge(t) == math.inf

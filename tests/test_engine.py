@@ -1,5 +1,7 @@
 """Scenario engine: timelines, determinism, conservation, damage."""
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from canvolt.attacks import (
     overcurrent_current,
     pin_override,
 )
-from canvolt.electrical import INPUT, pulse_edges
+from canvolt.electrical import INPUT
 from canvolt.engine import (
     ConfigError,
     DamageParams,
@@ -346,6 +348,29 @@ def test_validation_rejects_bad_configs():
             validate_config(scenario(irs=IrsConfig(device=device, coil_drive=1.0)))
 
 
+@pytest.mark.parametrize(
+    "base, t_end, valid",
+    [(1e8, 1e8 + 0.005, True), (1e10, 1e10 + 0.005, False), (1e10, math.inf, False), (0.0, 0.005, True)],
+)
+def test_a_pulse_phase_lost_in_float_time_is_a_config_error(base, t_end, valid):
+    """One float step near 1e10 s (about 1.9 us) is longer than each 300 ns
+    phase of a 600 ns pulse, so its edge walk cannot move and the run
+    would never end; only validated here. The check is made at the latest
+    instant a piece can end in the window: its end, or the end of an
+    attempt started before a run of 1e10 s ends."""
+    sender = EcuSpec("C", "sender", period=1.0, frame=FRAME, offset=base + 0.002)
+    cfg = ScenarioConfig(
+        duration=1e10 + 0.01,
+        ecus=(EcuSpec("A", "vids-host"), sender),
+        attack=PulseAttack(t_start=base + 0.001, t_end=t_end, period=600e-9),
+    )
+    if valid:
+        validate_config(cfg)
+    else:
+        with pytest.raises(ConfigError, match="^attack.period: pulse phase 3e-07 s"):
+            validate_config(cfg)
+
+
 def test_validation_rejects_negative_limits():
     # with a negative limit an idle pin would count as over it
     with pytest.raises(ConfigError, match="irs.rating"):
@@ -378,6 +403,22 @@ def test_active_overcurrent_source_limit_caps_pin_current(limit):
     assert summary.damaged == predicted.exceeds_i_max
     if summary.damaged:
         assert summary.damage_time == pytest.approx(1.0 + 1e-6, abs=1e-9)
+
+
+def pulse_edges(pulse, phase_origin, lo, hi):
+    """Phase edges in [lo, hi) of a pulse whose high phase starts at
+    phase_origin, listed period by period: the reference for the clock's
+    `next_edge`. `pulse` is anything with a period and a duty."""
+    period = pulse.period
+    high = pulse.duty * period
+    t = phase_origin + math.floor((lo - phase_origin) / period) * period
+    edges = []
+    while t < hi:
+        for edge in (t, t + high):
+            if lo <= edge < hi:
+                edges.append(edge)
+        t += period
+    return edges
 
 
 def first_cut_after(attack, a, b):
@@ -446,7 +487,7 @@ def test_cursor_cuts_and_phase_pins_match_the_reference(
         for t in (a, 0.5 * (a + nxt)):
             assert sim.pins_at(t) == gated_reference(t)
             if attack is None or attack.active(t):
-                assert sim.window_pins[sim.phase(t)] == pin_override(attack, t)
+                assert sim.window_pins[sim.clock.phase(t)] == pin_override(attack, t)
         a = nxt
         pieces += 1
         assert pieces <= 4 * (span / period + 2)  # no runaway walk
@@ -454,7 +495,7 @@ def test_cursor_cuts_and_phase_pins_match_the_reference(
     if attack is None:
         for t in (-1e6, 0.0, 1e6):
             assert sim.pins_at(t) == (INPUT, INPUT)
-            assert sim.window_pins[sim.phase(t)] == pin_override(None, t)
+            assert sim.window_pins[sim.clock.phase(t)] == pin_override(None, t)
 
 
 @pytest.mark.parametrize(

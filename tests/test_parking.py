@@ -218,3 +218,19 @@ def test_a_pulse_locked_to_the_bit_grid_blocks_no_bit(shift_us):
     else:
         assert errors == retries == []
     assert summary.messages_received == summary.messages_sent == 3
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 5: the steady rule counts a pulse that drifts 10 ns per bit "
+    "as blocking every bit, so parking holds frames that unparked retries deliver",
+)
+def test_a_near_locked_pulse_parks_as_unparked_retries_fare():
+    """A 995 ns CANL pulse drifts only 10 ns per 2 us bit against the bits,
+    so an unparked retry inside the window can keep its masking phase off
+    every sample point; parking, by the steady rule, waits for the window
+    end instead, and the two runs disagree on the attack's success."""
+    plan = [(Frame(id=1, data=b""), 0.0), (Frame(id=2, data=b""), 0.0)]
+    attack = PulseAttack(t_start=9.5e-3, t_end=10.5e-3, line="canl", period=995e-9)
+    cfg = bus(plan, attack, "none", "both")
+    assert outcome(*run_scenario(cfg)) == outcome(*run_unparked(cfg))
