@@ -37,15 +37,17 @@ from .electrical import (
     recovery_waveform,
     solve_bus,
 )
-from .engine import (
+from .config import (
     CalibratedParams,
     ConfigError,
     DamageParams,
     EcuSpec,
     IrsConfig,
     ScenarioConfig,
-    Summary,
     SweepSpec,
+)
+from .engine import (
+    Summary,
     Trace,
     TraceRecord,
     message_indicator,

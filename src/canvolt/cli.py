@@ -1,7 +1,7 @@
 """Command-line front end: scenario configs, runs, sweeps, calibration.
 
-Config files are INI sections ([bus], [ecu.<name>], [attack], [irs],
-[damage], [sweep], [check]) so scenario cookbooks stay hand-editable.
+A scenario file is the INI sections `config` reads, plus [check]: the
+expectations `simulate --check` compares with the run's summary.
 """
 
 from __future__ import annotations
@@ -9,32 +9,20 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import functools
 import io
 import json
 import math
 import os
 import sys
-from dataclasses import MISSING, fields, replace
-from operator import attrgetter
-from typing import Callable, NamedTuple, get_args
+from dataclasses import fields, replace
 
 from . import attacks as atk
-from .electrical import measure_tau_bit
-from .engine import (
-    CalibratedParams,
-    ConfigError,
-    DamageParams,
-    EcuSpec,
-    IrsConfig,
-    ScenarioConfig,
-    Summary,
-    SweepSpec,
-    Trace,
-    run_scenario,
-    run_sweep,
+from .config import (  # noqa: F401 - serialize_config stays importable from the cli
+    BOOL, CalibratedParams, Codec, ConfigError, ScenarioConfig, read_config, read_value, serialize_config,
     validate_config,
 )
+from .electrical import measure_tau_bit
+from .engine import Summary, Trace, run_scenario, run_sweep
 
 PARAMS_ENV = "CANVOLT_PARAMS"
 
@@ -74,162 +62,7 @@ def _run(fn, cfg: ScenarioConfig):
         raise RunFailed(f"{type(exc).__name__}: {exc}") from exc
 
 
-# --- the scenario format ----------------------------------------------------
-# Each INI key maps to one field of the dataclass its section builds
-# ("frame.id" is a field of the `frame` field). The dataclasses hold every
-# default and, in their annotations, every value's type: a key left out or
-# left empty takes its field's default, and a field without a default
-# needs its key.
-
-
-class _Codec(NamedTuple):
-    parse: Callable  # INI text -> value
-    what: str  # what the text must be
-    text: Callable = str  # value -> INI text
-
-
-_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
-          "false": False, "no": False, "off": False, "0": False}
-_BOOL = _Codec(lambda raw: _BOOLS[raw.strip().lower()], "a boolean", lambda v: str(v).lower())
-_CODECS = {  # field type -> its codec
-    float: _Codec(float, "a number", repr),
-    int: _Codec(functools.partial(int, base=0), "an integer", "{:#x}".format),
-    bytes: _Codec(bytes.fromhex, "hex bytes", bytes.hex),
-    bool: _BOOL,
-    str: _Codec(str, "text"),
-}
-
-
-def _value(path: str, raw: str, codec: _Codec):
-    try:
-        return codec.parse(raw)
-    except (ValueError, KeyError):
-        raise ConfigError(path, f"not {codec.what}: {raw!r}") from None
-
-
-@functools.cache
-def _field_type(cls, name: str) -> type:
-    """The type a field's annotation names, Optional unwrapped.
-
-    Only the annotations the tables name are evaluated: typing caches an
-    evaluated `Optional[<class>]` for the life of the process, which would
-    keep each re-imported copy of the package alive.
-    """
-    hint = eval(cls.__dataclass_fields__[name].type, vars(sys.modules[cls.__module__]))
-    return next((a for a in get_args(hint) if a is not type(None)), hint)
-
-
-def _build(sec, path: str, cls, keys: dict, given: dict):
-    """`cls` from the section's values for `keys`, on top of `given`."""
-    kwargs, nested = dict(given), {}
-    for key, name in keys.items():
-        head, dot, rest = name.partition(".")
-        if dot:
-            nested.setdefault(head, {})[key] = rest
-        elif sec.get(key):
-            kwargs[name] = _value(f"{path}.{key}", sec[key], _CODECS[_field_type(cls, name)])
-    for head, sub in nested.items():
-        kwargs[head] = _build(sec, path, _field_type(cls, head), sub, {})
-    for f in fields(cls):
-        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
-            key = next(k for k, n in keys.items() if n == f.name)
-            raise ConfigError(f"{path}.{key}", "missing")
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
-
-
-class _Section:
-    """An INI section: the dataclass it builds and the keys it takes.
-
-    The value of the `selector` key picks a row of `rows`: the dataclass
-    and every key it takes. A section without a selector has one row,
-    under None. Any other key is rejected.
-    """
-
-    def __init__(self, rows: dict, selector: str | None = None):
-        self.rows = rows  # selector value -> (dataclass, INI key -> field)
-        self.selector = selector
-
-    def read(self, sec, path: str, **given):
-        value = sec.get(self.selector)
-        if value not in self.rows:
-            problem = "missing" if value is None else f"unknown {self.selector} {value!r}"
-            raise ConfigError(f"{path}.{self.selector}", problem)
-        cls, keys = self.rows[value]
-        for key in sec:
-            if key not in keys and key != self.selector:
-                raise ConfigError(f"{path}.{key}", "unknown key")
-        return _build(sec, path, cls, keys, given)
-
-    def write(self, header: str, obj) -> list:
-        """The section's INI lines for `obj`; a field that is None is left out."""
-        lines = [f"[{header}]"]
-        # obj's row: its class, with the selector's value where that is a field
-        value, keys = next(
-            (v, keys) for v, (cls, keys) in self.rows.items()
-            if cls is type(obj) and getattr(obj, keys.get(self.selector, ""), v) == v
-        )
-        if self.selector is not None and self.selector not in keys:
-            lines.append(f"{self.selector} = {value}")
-        for key, name in keys.items():
-            v = attrgetter(name)(obj)
-            if v is not None:
-                lines.append(f"{key} = {_CODECS[type(v)].text(v)}")
-        return lines + [""]
-
-
-def _plain(cls, keys: dict) -> _Section:
-    return _Section({None: (cls, keys)})
-
-
-_BUS = _plain(
-    ScenarioConfig, {"speed": "bus_speed", "duration": "duration", "termination": "termination"}
-)
-_ROLE = {"role": "role"}
-_ECU = _Section({
-    "vids-host": (EcuSpec, _ROLE),
-    "logger": (EcuSpec, _ROLE),
-    "sender": (EcuSpec, {
-        **_ROLE, "period": "period", "offset": "offset",
-        "id": "frame.id", "data": "frame.data", "rtr": "frame.rtr",
-    }),
-}, "role")
-_WINDOW = {"node": "node", "start": "t_start", "end": "t_end"}
-_ATTACK = _Section({
-    "dos": (atk.DoS, {**_WINDOW, "v": "v_attack_l"}),
-    "fra": (atk.ForcedRetransmission, {**_WINDOW, "v": "v_attack_h"}),
-    "passive_overcurrent": (atk.PassiveOvercurrent, _WINDOW),
-    "active_overcurrent": (
-        atk.ActiveOvercurrent, {**_WINDOW, "v_high": "v_high", "current_limit": "source_limit"}
-    ),
-    "pulse": (atk.PulseAttack, {
-        **_WINDOW, "line": "line", "period": "period", "duty": "duty",
-        "v_high": "v_high", "v_low": "v_low", "phase": "phase",
-    }),
-}, "type")
-_DEVICE = {"device": "device", "pins": "pins"}
-_TRIP = {**_DEVICE, "rating": "rating", "opening_time": "opening_time"}
-_IRS = _Section({
-    "fuse": (IrsConfig, _TRIP),
-    "breaker": (IrsConfig, _TRIP),
-    "resettable_fuse": (IrsConfig, {**_TRIP, "leakage": "leakage_current"}),
-    "thermostat": (IrsConfig, {
-        **_DEVICE, "r_coil": "r_coil", "t_limit": "t_limit", "t_ambient": "t_ambient",
-        "hysteresis": "coil_hysteresis", "thermal_gain": "thermal_gain",
-        "tau_thermal": "tau_thermal", "coil_drive": "coil_drive",
-    }),
-}, "device")
-_PARTS = {  # INI section -> (ScenarioConfig field, its section)
-    "attack": ("attack", _ATTACK),
-    "irs": ("irs_config", _IRS),
-    "damage": ("damage", _plain(DamageParams, {"i_max": "i_max", "damage_time": "damage_time"})),
-    "sweep": ("sweep", _plain(
-        SweepSpec, {"path": "path", "start": "start", "stop": "stop", "step": "step"}
-    )),
-}
-
+# --- parsing: the config's sections and [check] ----------------------------
 
 def _slot_range(raw: str) -> tuple:
     """'lo-hi': the first and last indicator slot expected to read 0."""
@@ -240,12 +73,12 @@ def _slot_range(raw: str) -> tuple:
     return lo, hi
 
 
-_COUNT = _Codec(int, "an integer")
+_COUNT = Codec(int, "an integer")
 _CHECKS = {  # [check] key -> the codec of its expected value
-    "indicator_all_one": _BOOL,
-    "indicator_zeros": _Codec(_slot_range, "slots lo-hi"),
-    "attack_success": _BOOL,
-    "damaged": _BOOL,
+    "indicator_all_one": BOOL,
+    "indicator_zeros": Codec(_slot_range, "slots lo-hi"),
+    "attack_success": BOOL,
+    "damaged": BOOL,
     "min_retransmissions": _COUNT,
     "received": _COUNT,
 }
@@ -255,7 +88,7 @@ def _expected(key: str, raw: str):
     """The expected value of a [check] key, from its INI text."""
     if key not in _CHECKS:
         raise ConfigError(f"check.{key}", "unknown key")
-    return _value(f"check.{key}", raw, _CHECKS[key])
+    return read_value(f"check.{key}", raw, _CHECKS[key])
 
 
 def parse_config_full(text: str, params: CalibratedParams | None = None) -> tuple:
@@ -272,23 +105,8 @@ def parse_config_full(text: str, params: CalibratedParams | None = None) -> tupl
         raise ConfigError("file", str(exc).replace("\n", " "), line=line)
 
     sections = {name: dict(cp.items(name, raw=True)) for name in cp.sections()}
-    for name in sections:
-        if name not in (*_PARTS, "bus", "check") and not name.startswith("ecu."):
-            raise ConfigError(name, "unknown section")
-    given = {
-        field_name: part.read(sections[name], name)
-        for name, (field_name, part) in _PARTS.items()
-        if name in sections
-    }
-    given["ecus"] = tuple(
-        _ECU.read(sec, header, name=header[4:])
-        for header, sec in sections.items()
-        if header.startswith("ecu.")
-    )
-    if params is not None:
-        given["params"] = params
-    cfg = _BUS.read(sections.get("bus", {}), "bus", **given)
-    checks = sections.get("check", {})
+    checks = sections.pop("check", {})
+    cfg = read_config(sections, params)
     for key, raw in checks.items():
         _expected(key, raw)
     validate_config(cfg)
@@ -297,17 +115,6 @@ def parse_config_full(text: str, params: CalibratedParams | None = None) -> tupl
 
 def parse_config(text: str, params: CalibratedParams | None = None) -> ScenarioConfig:
     return parse_config_full(text, params)[0]
-
-
-def serialize_config(cfg: ScenarioConfig) -> str:
-    """Config back to INI text; parse(serialize(cfg)) is equivalent."""
-    lines = _BUS.write("bus", cfg)
-    for e in cfg.ecus:
-        lines += _ECU.write(f"ecu.{e.name}", e)
-    for section, (name, part) in _PARTS.items():
-        if getattr(cfg, name) is not None:
-            lines += part.write(section, getattr(cfg, name))
-    return "\n".join(lines)
 
 
 # --- outputs ------------------------------------------------------------------

@@ -107,20 +107,21 @@ then FrameSent and Retransmission.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Optional
+from dataclasses import dataclass, replace
 
 from . import attacks as atk
 from . import irs
+# the config names stay importable from the engine
+from .config import (  # noqa: F401
+    MAX_SWEEP_POINTS, CalibratedParams, ConfigError, DamageParams, EcuSpec, IrsConfig, ScenarioConfig,
+    SweepSpec, set_sweep_value, validate_config,
+)
 from .electrical import (
     INPUT,
     BusTopology,
     OutputHigh,
     PinCurrents,
     PulseClock,
-    TransceiverParams,
-    TAU_RC_DEFAULT,
-    NOMINAL_TRANSITION,
     solve_bus_detailed,
 )
 from .link import (
@@ -129,162 +130,15 @@ from .link import (
     ERROR_FLAG_BITS,
     INTERMISSION_BITS,
     BitDecision,
-    BitTiming,
     Frame,
     arbitrate,
     bus_bits,
     ack_delimiter_index,
-    frame_bit_length,
     reads_driven,
     sample_bit,
 )
 # the trace names stay importable from the engine
 from .trace import TRACE_KINDS, Trace, TraceRecord  # noqa: F401
-
-# a sweep point is a full run; a grid finer than this is a typo, and
-# listing it alone would take seconds
-MAX_SWEEP_POINTS = 10_001
-
-
-class ConfigError(ValueError):
-    """Invalid scenario configuration; carries the offending field path."""
-
-    def __init__(self, path: str, message: str, line: int | None = None):
-        self.path = path
-        self.line = line
-        super().__init__(f"{path}: {message}")
-
-
-@dataclass(frozen=True)
-class CalibratedParams:
-    """Calibrated electrical and timing constants in one place."""
-
-    r_drive_high: float = 26.7
-    r_sink_offset: float = 1.4
-    r_sink: float = 12.8
-    tau_rc: float = TAU_RC_DEFAULT
-    nominal_transition: float = NOMINAL_TRANSITION
-    sample_point: float = 0.359
-    decode_hold: float = 340e-9
-    hysteresis: float = 0.15
-    transition_extension: float = atk.TRANSITION_EXTENSION_DEFAULT
-
-    def transceiver(self) -> TransceiverParams:
-        return TransceiverParams(
-            r_drive_high=self.r_drive_high,
-            r_sink_offset=self.r_sink_offset,
-            r_sink=self.r_sink,
-        )
-
-    def timing(self, bus_speed: float = 500_000.0) -> BitTiming:
-        return BitTiming(
-            bus_speed=bus_speed,
-            sample_point=self.sample_point,
-            decode_hold=self.decode_hold,
-            hysteresis=self.hysteresis,
-        )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CalibratedParams":
-        known = set(cls().to_dict())
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"params.{sorted(unknown)[0]}", "unknown parameter")
-        for key, value in d.items():
-            # a JSON true or false is a Python int; it is not a number here
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"params.{key}", f"not a number: {value!r}")
-        return cls(**d)
-
-
-@dataclass(frozen=True)
-class EcuSpec:
-    """One node: the compromised VIDS host, a sender, or a logger."""
-
-    name: str
-    role: str  # 'vids-host' | 'sender' | 'logger'
-    period: float | None = None
-    frame: Frame | None = None
-    offset: float = 0.0
-
-
-@dataclass(frozen=True)
-class IrsConfig:
-    """Protective devices wired in series with the monitored pins."""
-
-    device: str  # 'fuse' | 'breaker' | 'resettable_fuse' | 'thermostat'
-    pins: str = "both"  # 'both' | 'ph' | 'pl'
-    rating: float = 0.010
-    opening_time: float = 1e-6
-    leakage_current: float = 0.100
-    r_coil: float = 1.0
-    t_limit: float = 40.0
-    t_ambient: float = 25.0
-    coil_hysteresis: float = 2.0
-    thermal_gain: float = 40.0
-    tau_thermal: float = 2.0
-    coil_drive: float | None = None  # bench-supply amps forced through the coil in-window
-
-    def build(self):
-        if self.device == "fuse":
-            return irs.FuseState(rating=self.rating, opening_time=self.opening_time)
-        if self.device == "breaker":
-            return irs.BreakerState(rating=self.rating, opening_time=self.opening_time)
-        if self.device == "resettable_fuse":
-            return irs.ResettableFuseState(
-                rating=self.rating,
-                opening_time=self.opening_time,
-                leakage_current=self.leakage_current,
-            )
-        if self.device == "thermostat":
-            return irs.ThermostatCoil(
-                r_coil=self.r_coil,
-                temp=self.t_ambient,
-                t_ambient=self.t_ambient,
-                t_limit=self.t_limit,
-                hysteresis=self.coil_hysteresis,
-                thermal_gain=self.thermal_gain,
-                tau_thermal=self.tau_thermal,
-            )
-        raise ConfigError("irs.device", f"unknown device {self.device!r}")
-
-
-@dataclass(frozen=True)
-class DamageParams:
-    i_max: float = 0.040
-    damage_time: float = 1e-6
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    path: str  # dotted attack parameter, e.g. 'attack.v_attack_l'
-    start: float
-    stop: float
-    step: float
-
-    def size(self) -> float:
-        """The number of grid points; inf when the step is too fine to count them."""
-        span = (self.stop - self.start) / self.step + 0.5
-        return math.floor(span) + 1 if math.isfinite(span) else math.inf
-
-    def values(self) -> list:
-        return [round(self.start + k * self.step, 12) for k in range(self.size())]
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    duration: float = 60.0
-    bus_speed: float = 500_000.0
-    ecus: tuple = ()
-    attack: Optional[atk.AttackSpec] = None
-    irs_config: Optional[IrsConfig] = None
-    damage: DamageParams = field(default_factory=DamageParams)
-    sweep: Optional[SweepSpec] = None
-    params: CalibratedParams = field(default_factory=CalibratedParams)
-    termination: float = 120.0
 
 
 @dataclass(frozen=True)
@@ -308,125 +162,6 @@ def _limit_pin_currents(sol, limit: float):
 
     currents = {n: PinCurrents(cap(pc.i_ph), cap(pc.i_pl)) for n, pc in sol.pin_currents.items()}
     return replace(sol, pin_currents=currents)
-
-
-# field name -> its INI key, where the two differ
-_INI_KEYS = {"bus_speed": "speed", "t_start": "start", "t_end": "end", "v_attack_l": "v",
-             "v_attack_h": "v", "source_limit": "current_limit", "leakage_current": "leakage",
-             "coil_hysteresis": "hysteresis"}
-_POSITIVE = {"duration", "bus_speed", "termination", "period", "opening_time", "tau_thermal", "r_coil"}
-# a negative limit (rating, i_max) would count a pin carrying no current as over it
-_NON_NEGATIVE = {
-    "offset", "rating", "leakage_current", "i_max", "damage_time", "coil_hysteresis", "thermal_gain"
-}
-
-
-def _check_numbers(section: str, obj, skip: tuple = ()) -> None:
-    """Each number field of `obj` but those in `skip` must be finite, and
-    positive or non-negative where its name is listed so (NaN is neither);
-    an error names `<section>.<key>`."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if f.name in skip or not isinstance(value, (int, float)):
-            continue
-        sign = "positive" if f.name in _POSITIVE else "non-negative" if f.name in _NON_NEGATIVE else ""
-        if not math.isfinite(value) or (sign and value < 0.0) or (sign == "positive" and value == 0.0):
-            rule = f"{sign} and finite" if sign else "finite"
-            raise ConfigError(f"{section}.{_INI_KEYS.get(f.name, f.name)}", f"must be {rule}")
-
-
-def validate_config(cfg: ScenarioConfig) -> None:
-    """Raise a ConfigError, at the `<section>.<key>` at fault, for a config
-    that cannot run."""
-    _check_numbers("bus", cfg)
-    _check_numbers("params", cfg.params)
-    _check_numbers("damage", cfg.damage)
-    try:
-        cfg.params.transceiver()
-        cfg.params.timing(cfg.bus_speed)
-    except ValueError as exc:
-        raise ConfigError("params", str(exc))
-    if not cfg.ecus:
-        raise ConfigError("ecu", "at least one ECU required")
-    names = [e.name for e in cfg.ecus]
-    if len(set(names)) != len(names):
-        raise ConfigError("ecu", "duplicate ECU names")
-    hosts = [e for e in cfg.ecus if e.role == "vids-host"]
-    if len(hosts) != 1:
-        raise ConfigError("ecu", f"exactly one vids-host required, found {len(hosts)}")
-    bit_time = 1.0 / cfg.bus_speed
-    tx_times = []  # each sender's frame time
-    for e in cfg.ecus:
-        if e.role not in ("vids-host", "sender", "logger"):
-            raise ConfigError(f"ecu.{e.name}.role", f"unknown role {e.role!r}")
-        if e.role == "sender":
-            if e.period is None or e.frame is None:
-                raise ConfigError(f"ecu.{e.name}", "sender needs period and frame")
-            _check_numbers(f"ecu.{e.name}", e)
-            tx_times.append(frame_bit_length(e.frame) * bit_time)
-            if e.period <= tx_times[-1]:
-                raise ConfigError(
-                    f"ecu.{e.name}.period",
-                    f"period {e.period} not above frame time {tx_times[-1]:.6g}",
-                )
-    # an attempt started before the run ends lasts its frame and error flag at most
-    run_end = cfg.duration + max(tx_times, default=0.0) + ERROR_FLAG_BITS * bit_time
-    if cfg.attack is not None:
-        _validate_attack(cfg.attack, hosts[0].name, tx_times, run_end)
-    dev = cfg.irs_config
-    if dev is not None:
-        if dev.pins not in ("both", "ph", "pl"):
-            raise ConfigError("irs.pins", f"unknown pin selection {dev.pins!r}")
-        _check_numbers("irs", dev)
-        if dev.coil_drive is not None and dev.device != "thermostat":
-            raise ConfigError("irs.coil_drive", "only a thermostat has a coil to drive")
-        # a coil at rest is closed at ambient, so ambient must be under the
-        # limit; an open coil recloses only once it cools below the
-        # reclose point, so ambient must be under that too
-        if dev.device == "thermostat":
-            if dev.t_limit <= dev.t_ambient:
-                raise ConfigError("irs.t_limit", "must be above t_ambient")
-            if dev.t_limit - dev.coil_hysteresis <= dev.t_ambient:
-                raise ConfigError("irs.hysteresis", "must be below t_limit - t_ambient")
-    sweep = cfg.sweep
-    if sweep is not None:
-        grid = (sweep.start, sweep.stop, sweep.step)
-        if not (all(map(math.isfinite, grid)) and sweep.step > 0 and sweep.stop >= sweep.start):
-            raise ConfigError("sweep", "grid must be finite, with positive step and stop >= start")
-        if sweep.size() > MAX_SWEEP_POINTS:
-            raise ConfigError(
-                "sweep.step", f"grid has {sweep.size()} points, more than {MAX_SWEEP_POINTS}"
-            )
-        # a sweep point differs from the config in its attack only
-        for value in sweep.values():
-            point = set_sweep_value(cfg, sweep.path, value)
-            _validate_attack(point.attack, hosts[0].name, tx_times, run_end)
-
-
-def _validate_attack(attack: atk.AttackSpec, host: str, tx_times: list, run_end: float) -> None:
-    if attack.node != host:
-        raise ConfigError("attack.node", "attack must originate at the vids-host")
-    # the window's edges may be infinite, but a pulse's start anchors its phase
-    pulse = isinstance(attack, atk.PulseAttack)
-    _check_numbers("attack", attack, skip=("t_end",) if pulse else ("t_start", "t_end"))
-    if pulse and tx_times and attack.period >= min(tx_times):
-        raise ConfigError(
-            "attack.period",
-            f"pulse period {attack.period} not below frame time {min(tx_times):.6g}",
-        )
-    # the edge walk stalls where a phase is lost in the float time: check at
-    # the latest instant a piece can end in the window
-    latest = min(attack.t_end, run_end)
-    if pulse and not attack.clock.steps_at(latest):
-        raise ConfigError(
-            "attack.period",
-            f"pulse phase {min(attack.clock.lengths):.3g} s not above the float step "
-            f"{math.ulp(latest):.3g} s at {latest:.6g} s",
-        )
-    try:
-        atk.window_pins(attack)
-    except ValueError as exc:
-        raise ConfigError("attack", str(exc))
 
 
 # --- internal simulation -------------------------------------------------
@@ -1143,20 +878,6 @@ def message_indicator(
         if 0 <= k < slots:
             flags[k] = 1
     return flags
-
-
-def set_sweep_value(cfg: ScenarioConfig, path: str, value: float) -> ScenarioConfig:
-    """Return a config with one dotted attack parameter replaced."""
-    scope, _, name = path.partition(".")
-    if scope != "attack" or cfg.attack is None:
-        raise ConfigError("sweep.path", f"unsupported sweep path {path!r}")
-    if name not in cfg.attack.__dataclass_fields__:
-        raise ConfigError("sweep.path", f"attack has no parameter {name!r}")
-    try:
-        attack = replace(cfg.attack, **{name: value})
-    except ValueError as exc:
-        raise ConfigError("sweep", f"{path} = {value!r}: {exc}") from None
-    return replace(cfg, attack=attack, sweep=None)
 
 
 @dataclass(frozen=True)

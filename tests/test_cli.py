@@ -7,10 +7,11 @@ import json
 import math
 import string
 import tempfile
+from dataclasses import MISSING
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, reject, settings
 from hypothesis import strategies as st
 
 from canvolt.cli import (
@@ -20,23 +21,21 @@ from canvolt.cli import (
     load_params,
     main,
     parse_config,
-    parse_config_full,
     run_checks,
     save_params,
     serialize_config,
 )
 from canvolt import attacks as atk
-from canvolt import cli, engine
+from canvolt import config, engine
 from canvolt.engine import (
     MAX_SWEEP_POINTS,
     CalibratedParams,
     ConfigError,
-    DamageParams,
     EcuSpec,
-    IrsConfig,
     ScenarioConfig,
     SweepSpec,
     run_scenario,
+    validate_config,
 )
 from canvolt.link import Frame
 from canvolt.trace import SAMPLE_KINDS, Trace
@@ -101,10 +100,11 @@ def test_parse_rejects_non_numeric():
 
 
 def test_roundtrip_serialize_parse():
-    for name in ("dos_fuse.ini", "pulse_canl_sweep.ini", "active_overcurrent_resettable.ini"):
-        cfg, _ = parse_config_full((CONFIGS / name).read_text())
-        again = parse_config(serialize_config(cfg))
-        assert again == cfg
+    paths = sorted(CONFIGS.glob("*.ini"))
+    assert paths
+    for path in paths:
+        cfg = parse_config(path.read_text())
+        assert parse_config(serialize_config(cfg)) == cfg, path.name
 
 
 def test_cookbook_configs_all_parse():
@@ -555,102 +555,119 @@ def test_a_sender_needs_its_frame_id():
     assert err.value.path == "ecu.C.id"
 
 
-# --- parse(serialize(cfg)) == cfg over configs the parser can produce ----------
+# --- parse(serialize(cfg)) == cfg over configs drawn from the key table ---------
 
 NAMES = st.text(string.ascii_letters + string.digits + "_-", min_size=1, max_size=4)
 
 
+def key_values(row, default=MISSING):
+    """The values the row's codec writes and its bound keeps, and `default`."""
+    if row.codec is config.FLOAT:
+        low = 0.0 if row.bound in ("positive", "non-negative") else None
+        values = st.floats(low, exclude_min=row.bound == "positive", allow_nan=False,
+                           allow_infinity=row.bound == "any")
+    elif isinstance(row.bound, tuple):
+        values = st.sampled_from(row.bound)
+    else:  # a frame's keys: Frame takes an 11-bit id and up to 8 data bytes
+        values = {config.INT: st.integers(0, 0x7FF), config.HEX: st.binary(max_size=8),
+                  config.BOOL: st.booleans()}[row.codec]
+    return values if default is MISSING else st.just(default) | values
+
+
+@st.composite
+def built(draw, kind, value, **given):
+    """The dataclass a section of this kind builds for the selector value:
+    each field not `given` drawn from its row's `key_values`, its default
+    among them."""
+    section = config.SECTIONS[kind]
+    cls = section.classes[value]
+    if section.selector in cls.__dataclass_fields__:
+        given[section.selector] = value
+    for row in config.ROWS[kind, value].values():
+        head = row.field.partition(".")[0]
+        if head not in given:
+            given[head] = draw(key_values(row, cls.__dataclass_fields__[head].default))
+    try:
+        return cls(**given)
+    except ValueError:  # the dataclass's own rules, such as an empty attack window
+        reject()
+
+
+@st.composite
+def senders(draw, name):
+    """A sender: it needs a period, and a remote frame has no data field."""
+    rows = config.ROWS["ecu", "sender"]
+    rtr = draw(key_values(rows["rtr"]))
+    frame = Frame(
+        id=draw(key_values(rows["id"])), data=b"" if rtr else draw(key_values(rows["data"])), rtr=rtr
+    )
+    return draw(built("ecu", "sender", name=name, period=draw(key_values(rows["period"])), frame=frame))
+
+
 @st.composite
 def ecus(draw):
+    """Exactly one vids-host, and each other node of any role."""
     names = draw(st.lists(NAMES, min_size=1, max_size=6, unique=True))
-    roles = ["vids-host"] + draw(
-        st.lists(st.sampled_from(["logger", "sender"]), min_size=len(names) - 1,
-                 max_size=len(names) - 1)
-    )
-    roles = draw(st.permutations(roles))
-    out = []
-    for name, role in zip(names, roles):
-        if role != "sender":
-            out.append(EcuSpec(name, role))
-            continue
-        frame = Frame(
-            id=draw(st.integers(0, 2047)), data=draw(st.binary(max_size=8)), rtr=draw(st.booleans())
-        )
-        out.append(EcuSpec(
-            name, role, period=draw(st.floats(0.01, 10.0)), frame=frame,
-            offset=draw(st.floats(0.0, 10.0)),
-        ))
-    return tuple(out)
-
-
-@st.composite
-def attacks(draw, node):
-    start = draw(st.floats(0.0, 50.0))
-    window = dict(node=node, t_start=start, t_end=start + draw(st.floats(1e-3, 50.0)))
-    volts = st.floats(0.1, 5.0)
-    kind = draw(st.sampled_from(sorted(ATTACK_KEYS)))
-    if kind == "dos":
-        return atk.DoS(v_attack_l=draw(volts), **window)
-    if kind == "fra":
-        return atk.ForcedRetransmission(v_attack_h=draw(volts), **window)
-    if kind == "passive_overcurrent":
-        return atk.PassiveOvercurrent(**window)
-    if kind == "active_overcurrent":
-        limit = draw(st.none() | st.floats(1e-3, 1.0))
-        return atk.ActiveOvercurrent(v_high=draw(volts), source_limit=limit, **window)
-    return atk.PulseAttack(
-        line=draw(st.sampled_from(["canh", "canl"])), period=draw(st.floats(1e-7, 4e-5)),
-        duty=draw(st.floats(0.01, 0.99)), v_high=draw(st.floats(0.5, 5.0)),
-        v_low=draw(st.floats(0.0, 0.4)), phase=draw(st.floats(0.0, 1.0)), **window,
+    others = st.sampled_from(sorted(set(config.SECTIONS["ecu"].classes) - {"vids-host"}))
+    roles = draw(st.permutations(
+        ["vids-host"] + draw(st.lists(others, min_size=len(names) - 1, max_size=len(names) - 1))
+    ))
+    return tuple(
+        draw(senders(name)) if role == "sender" else draw(built("ecu", role, name=name))
+        for name, role in zip(names, roles)
     )
 
 
 @st.composite
-def devices(draw):
-    device = draw(st.sampled_from(sorted(DEVICE_KEYS)))
-    own = {"pins": draw(st.sampled_from(["both", "ph", "pl"]))}
-    if device != "thermostat":
-        own.update(rating=draw(st.floats(0.0, 1.0)), opening_time=draw(st.floats(1e-7, 1.0)))
-    if device == "resettable_fuse":
-        own["leakage_current"] = draw(st.floats(0.0, 1.0))
-    if device == "thermostat":
-        own.update(
-            r_coil=draw(st.floats(0.1, 10.0)), t_limit=draw(st.floats(30.0, 90.0)),
-            # ambient stays under the lowest reclose point, 30 - 5 degC
-            t_ambient=draw(st.floats(0.0, 24.0)), coil_hysteresis=draw(st.floats(0.1, 5.0)),
-            thermal_gain=draw(st.floats(1.0, 100.0)), tau_thermal=draw(st.floats(0.1, 10.0)),
-            coil_drive=draw(st.none() | st.floats(0.0, 2.0)),
-        )
-    return IrsConfig(device=device, **own)
+def attacks(draw, host):
+    """An attack from the vids-host, its window edges in order; a pulse is on
+    CANH or CANL."""
+    kind = draw(st.sampled_from(sorted(config.SECTIONS["attack"].classes)))
+    rows = config.ROWS["attack", kind]
+    t_start, t_end = sorted(
+        draw(key_values(rows[key], getattr(atk.AttackSpec, f))) for key, f in (("start", "t_start"), ("end", "t_end"))
+    )
+    given = {"node": host, "t_start": t_start, "t_end": t_end}
+    if kind == "pulse":
+        given["line"] = draw(st.sampled_from(["canh", "canl"]))
+    return draw(built("attack", kind, **given))
 
 
 @st.composite
 def scenarios(draw):
     cast = draw(ecus())
     host = next(e.name for e in cast if e.role == "vids-host")
-    attack = draw(st.none() | attacks(host))
+    attack = draw(attacks(host)) if draw(st.booleans()) else None
     sweep = None
     if attack is not None and draw(st.booleans()):
-        step = draw(st.floats(0.1, 5.0))
-        end = attack.t_end + draw(st.integers(0, 5)) * step
-        sweep = SweepSpec(path="attack.t_end", start=attack.t_end, stop=end, step=step)
-    return ScenarioConfig(
-        duration=draw(st.floats(0.1, 100.0)),
-        bus_speed=draw(st.floats(1e5, 1e6)),
-        termination=draw(st.floats(1.0, 1000.0)),
-        ecus=cast,
-        attack=attack,
-        irs_config=draw(st.none() | devices()),
-        damage=draw(st.builds(DamageParams, i_max=st.floats(0.0, 1.0),
-                              damage_time=st.floats(1e-7, 1.0))),
-        sweep=sweep,
-    )
+        rows = config.ROWS["attack", config.selected("attack", attack)].values()
+        numbers = sorted(row.field for row in rows if row.codec is config.FLOAT)
+        sweep = draw(built("sweep", None, path="attack." + draw(st.sampled_from(numbers))))
+    device = None
+    if draw(st.booleans()):
+        device = draw(built("irs", draw(st.sampled_from(sorted(config.SECTIONS["irs"].classes)))))
+    return draw(built(
+        "bus", None, ecus=cast, attack=attack, irs_config=device,
+        damage=draw(built("damage", None)), sweep=sweep,
+    ))
 
 
 @settings(max_examples=200, deadline=None)
 @given(scenarios())
 def test_parse_of_serialize_is_the_identity(cfg):
-    assert parse_config(serialize_config(cfg), cfg.params) == cfg
+    """A drawn config that validates parses back from its INI text to
+    itself; one that does not is rejected there for the same reason."""
+    text = serialize_config(cfg)
+    try:
+        validate_config(cfg)
+    except ConfigError as exc:
+        event("rejected")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text, cfg.params)
+        assert str(err.value) == str(exc)
+    else:
+        event("valid")
+        assert parse_config(text, cfg.params) == cfg
 
 
 # --- error paths, bounds and the trace writer ------------------------------------
@@ -670,6 +687,7 @@ SECTIONS = {  # the section a case adds to BASELINE
     "fuse": "[irs]\ndevice = fuse\n",
     "thermostat": "[irs]\ndevice = thermostat\n",
     "damage": "[damage]\n",
+    "active_overcurrent": "[attack]\ntype = active_overcurrent\nnode = A\nstart = 1.0\nend = 2.0\n",
 }
 
 
@@ -686,6 +704,7 @@ SECTIONS = {  # the section a case adds to BASELINE
     ("attack.phase", "nan", "pulse"),
     ("attack.phase", "inf", "pulse"),
     ("attack.start", "-inf", "pulse"),
+    ("attack.current_limit", "-1", "active_overcurrent"),
     ("irs.opening_time", "0", "fuse"),
     ("irs.opening_time", "-1", "fuse"),
     ("irs.opening_time", "nan", "fuse"),
@@ -718,21 +737,25 @@ def test_validate_rejects_numbers_out_of_range_at_their_key(tmp_path, capsys, pa
     assert f"config error: {path}: must be" in capsys.readouterr().err
 
 
-def test_the_engine_names_each_renamed_key_as_the_tables_do():
-    """`engine._INI_KEYS` gives, for error paths, the INI key of a field
-    whose key differs from its name; the cli section tables declare it."""
-    sections = [cli._BUS, cli._ECU] + [section for _, section in cli._PARTS.values()]
-    pairs = {  # (dataclass, INI key, field) for every key of every table
-        (cls, key, name)
-        for section in sections for cls, keys in section.rows.values() for key, name in keys.items()
-    }
-    for name, key in engine._INI_KEYS.items():
-        assert {k for _, k, n in pairs if n == name} == {key}, name
-    renamed = {
-        name for cls, key, name in pairs
-        if key != name and "." not in name and cli._field_type(cls, name) in (int, float)
-    }
-    assert renamed <= set(engine._INI_KEYS)
+@pytest.mark.parametrize("text, path, message", [
+    pytest.param(
+        BASELINE + "\n" + DOS_SWEEP + "[sweep]\npath = attack.node\nstart = 1\nstop = 2\nstep = 1\n",
+        "sweep.path", "attack.node is not a number parameter of the attack", id="sweep-over-the-node",
+    ),
+    pytest.param(
+        BASELINE + "\n[attack]\ntype = pulse\nperiod = 1e-6\nstart = 1\nend = 2\n"
+        "[sweep]\npath = attack.line\nstart = 0\nstop = 1\nstep = 1\n",
+        "sweep.path", "attack.line is not a number parameter of the attack", id="sweep-over-the-pulse-line",
+    ),
+    pytest.param(
+        BASELINE.replace("data = 01", "data = 0102030405060708\nrtr = true"),
+        "ecu.C.data", "a remote frame carries no data", id="remote-frame-with-data",
+    ),
+])
+def test_a_config_is_rejected_at_the_key_at_fault(text, path, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert (err.value.path, str(err.value)) == (path, f"{path}: {message}")
 
 
 @pytest.mark.parametrize("attack", [

@@ -1,8 +1,11 @@
-"""README's python blocks run as written, so a renamed or removed name
-cannot leave the README stale."""
+"""README's python blocks run as written, and its key table and bounds
+agree with `config`'s rows, so a renamed or removed name or key cannot
+leave the README stale."""
 
 import re
 from pathlib import Path
+
+from canvolt import config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -12,3 +15,48 @@ def test_every_readme_python_block_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_the_key_table_lists_each_selector_values_keys():
+    """README's key table lists, for each section and selector value,
+    exactly the keys `config.ROWS` takes; an `every` row adds its keys to
+    each value the table lists."""
+    body = README.read_text().split("| Section | Key set by | Keys it takes |\n")[1]
+    listed, every = {}, {}
+    for line in body.splitlines()[1:]:
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if cells[0]:
+            section = re.fullmatch(r"`\[(\w+)(\.<name>)?\]`", cells[0]).group(1)
+        keys = set() if cells[2].startswith("none") else set(re.findall(r"`(\w+)`", cells[2]))
+        setters = re.findall(r"`([^`]+)`", cells[1])
+        if cells[1].startswith("every"):
+            assert setters == [config.SECTIONS[section].selector]
+            every[section] = keys
+            continue
+        values = [None]
+        if setters:
+            selector, _, first = setters[0].partition(" = ")
+            assert selector == config.SECTIONS[section].selector
+            values = [first, *setters[1:]]
+        for value in values:
+            listed.setdefault((section, value), set()).update(keys)
+    got = {(s, v): keys | every.get(s, set()) for (s, v), keys in listed.items()}
+    assert got == {sel: set(rows) for sel, rows in config.ROWS.items()}
+
+
+def clause_keys(text: str, pattern: str) -> set:
+    """The keys in backticks in the clause that `pattern` matches."""
+    return set(re.findall(r"`(\w+)`", re.search(pattern, text).group(1)))
+
+
+def test_the_bounds_paragraph_names_each_keys_bound():
+    text = " ".join(README.read_text().split())
+    bounds = {
+        "positive": clause_keys(text, r"([^;.]*) must be positive;"),
+        "non-negative": clause_keys(text, r"([^;.]*) must not be negative\."),
+        "any": clause_keys(text, r"Every number must be finite, except ([^(]*)\("),
+    }
+    numbers = [row for row in config.KEYS if row.codec is config.FLOAT]
+    assert bounds == {b: {row.key for row in numbers if row.bound == b} for b in bounds}
