@@ -48,11 +48,17 @@ class AttackClass(enum.Enum):
 
 @dataclass(frozen=True)
 class AttackSpec:
-    """One attack with its electrical parameters and active window."""
+    """One attack with its electrical parameters and active window.
+
+    `clock` picks the pin pair of `window_pins` at a time in the window:
+    a pulse's phase clock, else the unbounded one, always in its first
+    phase.
+    """
 
     t_start: float = 10.0
     t_end: float = 30.0
     node: str = "A"
+    clock = PulseClock()  # a class attribute, not a field
 
     def __post_init__(self):
         if not self.t_start < self.t_end:
@@ -149,36 +155,32 @@ def classify_pin_combo(p_h: PinMode, p_l: PinMode) -> AttackClass:
 
 
 def pin_override(spec: Optional[AttackSpec], t: float) -> tuple:
-    """(P_H, P_L) modes the compromised node applies at time t."""
+    """(P_H, P_L) modes the compromised node applies at time t: inside
+    its window, the pair of `window_pins` its clock's phase at t picks."""
     if spec is None or not spec.active(t):
         return (INPUT, INPUT)
-    if isinstance(spec, PassiveOvercurrent):
-        return (INPUT, OUTPUT_LOW)
-    if isinstance(spec, ActiveOvercurrent):
-        return (OutputHigh(spec.v_high), OUTPUT_LOW)
-    if isinstance(spec, DoS):
-        return (INPUT, OutputHigh(spec.v_attack_l))
-    if isinstance(spec, ForcedRetransmission):
-        return (OutputHigh(spec.v_attack_h), INPUT)
-    if isinstance(spec, PulseAttack):
-        return _on_line(spec, pulse_levels(spec.pulse_mode())[spec.clock.phase(t)])
-    raise TypeError(f"unknown attack spec {spec!r}")
-
-
-def _on_line(spec: PulseAttack, mode: PinMode) -> tuple:
-    """(P_H, P_L) with the pulse's static level on its line's pin."""
-    return (mode, INPUT) if spec.line == "canh" else (INPUT, mode)
+    return window_pins(spec)[spec.clock.phase(t)]
 
 
 def window_pins(spec: AttackSpec) -> tuple:
     """Every (P_H, P_L) pair the attack applies inside its window.
 
-    A pulse gives its (high phase, low phase) pairs, any other attack
-    its one pair. Raises for a level no pin can drive.
+    A pulse gives its (high phase, low phase) pairs, with its level on
+    its line's pin; any other attack its one pair. Raises for a level no
+    pin can drive.
     """
+    if isinstance(spec, PassiveOvercurrent):
+        return ((INPUT, OUTPUT_LOW),)
+    if isinstance(spec, ActiveOvercurrent):
+        return ((OutputHigh(spec.v_high), OUTPUT_LOW),)
+    if isinstance(spec, DoS):
+        return ((INPUT, OutputHigh(spec.v_attack_l)),)
+    if isinstance(spec, ForcedRetransmission):
+        return ((OutputHigh(spec.v_attack_h), INPUT),)
     if isinstance(spec, PulseAttack):
-        return tuple(_on_line(spec, m) for m in pulse_levels(spec.pulse_mode()))
-    return (pin_override(spec, spec.t_start),)
+        levels = pulse_levels(spec.pulse_mode())
+        return tuple((m, INPUT) if spec.line == "canh" else (INPUT, m) for m in levels)
+    raise TypeError(f"unknown attack spec {spec!r}")
 
 
 @dataclass(frozen=True)

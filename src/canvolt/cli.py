@@ -19,7 +19,7 @@ from dataclasses import fields, replace
 from . import attacks as atk
 from .config import (  # noqa: F401 - serialize_config stays importable from the cli
     BOOL, CalibratedParams, Codec, ConfigError, ScenarioConfig, read_config, read_value, serialize_config,
-    validate_config,
+    set_sweep_value, validate_config,
 )
 from .electrical import measure_tau_bit
 from .engine import Summary, Trace, run_scenario, run_sweep
@@ -198,7 +198,8 @@ def summary_to_dict(summary: Summary) -> dict:
 
 
 def write_sweep_csv(points, path: str, cfg: ScenarioConfig) -> None:
-    """Sweep table; forced-retransmission sweeps also get the bit length."""
+    """Sweep table; forced-retransmission sweeps also get the bit length
+    at each point's attack voltage."""
     fra = isinstance(cfg.attack, atk.ForcedRetransmission)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -209,8 +210,9 @@ def write_sweep_csv(points, path: str, cfg: ScenarioConfig) -> None:
         for p in points:
             row = [repr(p.value), int(p.success), p.summary.first_failure_reason]
             if fra:
+                v = set_sweep_value(cfg, cfg.sweep.path, p.value).attack.v_attack_h
                 tau = measure_tau_bit(
-                    1.0 / cfg.bus_speed, p.value, cfg.params.tau_rc, cfg.params.nominal_transition
+                    1.0 / cfg.bus_speed, v, cfg.params.tau_rc, cfg.params.nominal_transition
                 )
                 row.append(repr(tau))
             w.writerow(row)

@@ -30,9 +30,9 @@ predictor the engine still calls is the FRA ACK delimiter check
 The attack window is one set of fields: its edges, which are infinite
 without an attack so the window never opens; the attacker's pin pairs
 in it (`attacks.window_pins`: a pulse's high and low phase, else one);
-and its phase clock (`electrical.PulseClock`: a pulse's, else the
-unbounded clock, always in its first phase), whose `phase` picks the
-pair at a time.
+and its phase clock (the attack's `clock`: a pulse's, else the
+unbounded `electrical.PulseClock`, always in its first phase), whose
+`phase` picks the pair at a time.
 
 Bus solves depend only on the driven level and the attacker pin modes
 (topology and parameters are fixed for a run), so each scenario solves
@@ -45,37 +45,37 @@ a device stepped past it is stepped again to it.
 
 One rest rule decides every shortcut: a step at given pin currents,
 inside the attack window or not, leaves every accumulator as it is when
-each device and damage timer is at rest at the current it sees. A
-damage timer sees the current its pin's device passes; a device sees
+each device and damage timer is at rest at the current it sees
+(`_PinBank.moving` finds nothing to move). A damage timer sees the
+current its pin's device passes; a device sees
 `_PinBank.device_current`: the bench drive in the window when one is
 set (a thermostat's only), else its pin current, as it passes it.
 `_Sim.at_rest` asks the rule and keeps each verdict until the next step
-that is taken; `resting_v_diffs` asks it for a set of pin pairs. It is
-applied in four places, the first of which widens it to devices that
-move at one current:
+that is taken. It is applied in three places, the first of which widens
+it to devices that move at one current:
 
-- *Quiescent frames.* A frame skips the per-bit work when no attack
-  window overlaps it, or a window holds it, and `crossing` passes:
-  every bit samples as driven, which in a window needs
-  `link.reads_driven` to pass its phases at the gated window pairs'
-  v_diffs at each driven level (one unbounded phase for a static
-  attack, a pulse's high and low phase); every damage timer rests; and
-  each device rests at every pin pair and level, or sees one current at
-  all of them (`_PinBank.moving`). So a pulse whose masking phase is
-  shorter than the decode hold is steady once its accumulators rest,
-  and a coil that heats or cools at one current does not stop the
-  frame. Inside the window the first attempt still asks the FRA check
-  at its ACK delimiter. Each moving device is then folded over the
-  frame's pieces, cut as `drive` cuts them, by `irs` `steps`: the
-  per-bit path's own step arithmetic, without its solves, gating or
-  comparator. A device that would open or close in them sends the frame
-  bit by bit, from the state before it.
+- *Quiescent frames.* A frame skips the per-bit work from its SOF, or
+  from any later bit, when no attack window overlaps the bits left, or
+  a window holds them, and `crossing` passes: every bit samples as
+  driven, which in a window needs `link.reads_driven` to pass its
+  phases at the gated window pairs' v_diffs at each driven level (one
+  unbounded phase for a static attack, a pulse's high and low phase);
+  every damage timer rests; and each device rests at every pin pair and
+  level, or sees one current at all of them (`_PinBank.moving`). So a
+  pulse whose masking phase is shorter than the decode hold is steady
+  once its accumulators rest, and a coil that heats or cools at one
+  current does not stop the frame. Inside the window the first attempt
+  still asks the FRA check at its ACK delimiter. Each moving device is
+  then folded over the pieces of the bits crossed, cut as `drive` cuts
+  them, by `irs` `steps`: the per-bit path's own step arithmetic,
+  without its solves, gating or comparator. A device that would open or
+  close in them sends those bits one by one, from the state before
+  them. A frame run bit by bit asks again for the rest of it after a
+  bit in which a device opened or closed or a damage timer tripped, and
+  at its first bit past a window edge: a fuse or damage limit that
+  trips early in a frame leaves the rest of it steady.
 - *Skipped steps.* `advance_constant` skips a step that rests, be it a
   piece of a driven bit or an idle slice.
-- *Resting pulse bits.* A bit inside a pulse window, while both gated
-  phase pairs rest at its level, costs only its cuts and the
-  comparator: each piece takes the v_diff of its clock phase, with no pin
-  lookup, solve lookup or accumulator step.
 - *Idle jumps.* `advance_idle` crosses the idle stretch up to the next
   event or window edge in one step when the idle bus rests at each pin
   pair it takes there: the inputs outside the attack window, each
@@ -198,36 +198,24 @@ class _PinBank:
         self.trip_times: dict = {}
         self.damaged_at: float | None = None
 
-    def at_rest(self, i_raw: dict, in_window: bool) -> bool:
-        """A step at these raw pin currents, in the attack window or not,
-        leaves every accumulator as it is: each device is at rest at the
-        current it sees, and each damage timer at its gated current."""
-        for pin, dev in self.devices.items():
-            if not dev.at_rest(self.device_current(pin, i_raw[pin], in_window)):
-                return False
-        return all(
-            self.damage[pin].at_rest(self.gated_current(pin, i_raw[pin])) for pin in ("ph", "pl")
-        )
-
-    def moving(self, raws: list, in_window: bool):
+    def moving(self, raws, in_window: bool):
         """The devices that steps at each of these raw pin currents move,
         as (pin, current) pairs, when every damage timer rests at all of
         them and each device rests at every current it sees there or sees
-        one current; else None."""
-        seen = {pin: set() for pin in self.devices}
+        one current; else None. A step at one set of currents leaves every
+        accumulator as it is when this is ()."""
         for i_raw in raws:
             for pin in ("ph", "pl"):
                 if not self.damage[pin].at_rest(self.gated_current(pin, i_raw[pin])):
                     return None
-            for pin, currents in seen.items():
-                currents.add(self.device_current(pin, i_raw[pin], in_window))
-        moving = []
-        for pin, currents in seen.items():
-            if not all(map(self.devices[pin].at_rest, currents)):
+        moving = ()
+        for pin, dev in self.devices.items():
+            currents = {self.device_current(pin, i_raw[pin], in_window) for i_raw in raws}
+            if not all(map(dev.at_rest, currents)):
                 if len(currents) > 1:
                     return None
-                moving.append((pin, *currents))
-        return tuple(moving)
+                moving += ((pin, *currents),)
+        return moving
 
     def device_current(self, pin: str, i_raw: float, in_window: bool) -> float:
         """The current through the pin's device: the bench drive in the
@@ -243,6 +231,12 @@ class _PinBank:
     def gated_current(self, pin: str, i_raw: float) -> float:
         dev = self.devices.get(pin)
         return i_raw if dev is None else dev.passes(i_raw)
+
+    def switched(self) -> tuple:
+        """Each device's open flag and each damage timer's tripped flag:
+        every trip, thermostat flip and Damage stamp changes one."""
+        return (*(dev.open for dev in self.devices.values()),
+                self.damage["ph"].tripped, self.damage["pl"].tripped)
 
     @property
     def damaged(self) -> bool:
@@ -283,20 +277,21 @@ class _Sim:
         }
         self.solutions: dict = {}  # (dominant, pins) -> (BusSolution, VIDS pin currents)
         # until the next full step: (i_ph, i_pl, in window) -> the at_rest
-        # verdict, and dominant -> the resting_levels verdict
+        # verdict, and "inside"/"outside" -> the crossing verdict
         self.resting: dict = {}
-        # the attack window, which never opens without an attack, and the
-        # attacker's pin pairs in it: a pulse's high and low phase, else one
+        # the attack window, which never opens without an attack, the
+        # attacker's pin pairs in it (a pulse's high and low phase, else
+        # one) and its phase clock (a pulse's, else one unbounded phase)
         self.t_start = self.t_end = math.inf
         self.window_pins = ((INPUT, INPUT),)
+        self.clock = PulseClock()
         if attack is not None:
             self.t_start, self.t_end = attack.t_start, attack.t_end
             self.window_pins = atk.window_pins(attack)
-        # the window's phase clock: a pulse's, else one unbounded phase
-        pulse = isinstance(attack, atk.PulseAttack)
-        self.clock = attack.clock if pulse else PulseClock()
+            self.clock = attack.clock
         # a pulse on CANH drags the recovery out past each low phase
-        self.extension = cfg.params.transition_extension if pulse and attack.line == "canh" else 0.0
+        canh_pulse = isinstance(attack, atk.PulseAttack) and attack.line == "canh"
+        self.extension = cfg.params.transition_extension if canh_pulse else 0.0
         self.sends: list = []
         for e in cfg.ecus:
             if e.role != "sender":
@@ -492,34 +487,27 @@ class _Sim:
         return t_stop if changed else b
 
     def at_rest(self, i_raw: dict, in_window: bool) -> bool:
-        """`bank.at_rest(i_raw, in_window)`, kept until the next full accumulator step."""
+        """A step at these raw pin currents, in the attack window or not,
+        leaves every accumulator as it is: `bank.moving` finds nothing to
+        move. Kept until the next full accumulator step."""
         key = (i_raw["ph"], i_raw["pl"], in_window)
         verdict = self.resting.get(key)
         if verdict is None:
-            verdict = self.resting[key] = self.bank.at_rest(i_raw, in_window)
+            verdict = self.resting[key] = self.bank.moving((i_raw,), in_window) == ()
         return verdict
 
-    def resting_v_diffs(self, dominant: bool, pairs: tuple, in_window: bool):
-        """The v_diff at each pin pair, gated by the connectivity now, when
-        every pair is at rest at this driven level; else None."""
-        v_diffs = []
-        for pins in pairs:
-            sol, i = self.solved(dominant, self.gate(pins))
-            if not self.at_rest(i, in_window):
-                return None
-            v_diffs.append(sol.voltages.v_diff)
-        return tuple(v_diffs)
-
     def idle_inert(self, a: float, b: float) -> bool:
-        """No idle step over [a, b) can change an accumulator: the idle bus
-        rests at the inputs outside the attack window and at every window
-        pair (both pulse phases) inside it."""
-        if (a < self.t_start or self.t_end < b) and (
-            self.resting_v_diffs(False, ((INPUT, INPUT),), False) is None
-        ):
+        """No idle step over [a, b) can change an accumulator: the idle bus,
+        gated by the connectivity now, rests at the inputs outside the
+        attack window and at every window pair (both pulse phases) inside it."""
+
+        def rests(pins, in_window):
+            return self.at_rest(self.solved(False, self.gate(pins))[1], in_window)
+
+        if (a < self.t_start or self.t_end < b) and not rests((INPUT, INPUT), False):
             return False
-        return not (self.t_start < b and a < self.t_end) or (
-            self.resting_v_diffs(False, self.window_pins, True) is not None
+        return not (self.t_start < b and a < self.t_end) or all(
+            rests(pins, True) for pins in self.window_pins
         )
 
     def advance_idle(self, target: float) -> float:
@@ -564,37 +552,44 @@ class _Sim:
 
     # -- frame transmission ---------------------------------------------------------
 
-    def quiescent(self, bits: list, ack_delim: int, first_attempt: bool, t0: float):
-        """The outcome of `sample_bits` for the frame, reached without per-bit
-        work, or None when the frame must run bit by bit.
+    def quiescent(self, bits: list, ack_delim: int, first_attempt: bool, t0: float, k: int = 0):
+        """The outcome of `sample_bits` for the frame from t0, with bits
+        k.. reached without per-bit work, or None when they must run bit
+        by bit.
 
-        A frame is crossed when no attack window overlaps it, or the window
-        holds it (to strictly before its end, as in `drive`), and
-        `crossing` finds that every bit reads as driven, every damage timer
-        rests and each device rests or moves at one current. Inside the
-        window the first attempt still asks the FRA check at its ACK
-        delimiter, and ends after that bit when it fires. Each moving
-        device then folds `steps` over the pieces of the bits crossed, cut
-        as `drive` cuts them; when one would open or close in them, nothing
-        is committed and the frame runs bit by bit.
+        Bits k.. are crossed when no attack window overlaps them, or the
+        window holds them (from bit k's start to strictly before the
+        frame's end, as in `drive`), and `crossing` finds that every bit
+        reads as driven, every damage timer rests and each device rests or
+        moves at one current. Its reading holds from either comparator
+        state and at any phase, so bit k may follow bits sampled one by
+        one. Inside the window the first attempt still asks the FRA check
+        at its ACK delimiter, unless bit k is past it, and ends after that
+        bit when it fires: the per-bit loop reaches that bit only after
+        reading the dominant ACK slot as driven. Each moving device then
+        folds `steps` over the pieces of the bits crossed, cut as `drive`
+        cuts them; when one would open or close in them, nothing is
+        committed and the bits run one by one.
         """
         bt, n_bits = self.bit_time, len(bits)
+        tk = t0 + k * bt
         # the end of the last bit, rounded exactly as the per-bit loop does
         t1 = t0 + (n_bits - 1) * bt + bt
-        in_window = self.t_start < t1 and t0 < self.t_end
-        if in_window and not (self.t_start <= t0 and t1 < self.t_end):
+        in_window = self.t_start < t1 and tk < self.t_end
+        if in_window and not (self.t_start <= tk and t1 < self.t_end):
             return None
         moving = self.crossing(in_window)
         if moving is None:
             return None
         outcome = None, ""
-        if first_attempt and in_window and self.fra_stretch_corrupts(t0 + ack_delim * bt):
+        fra = first_attempt and in_window and k <= ack_delim
+        if fra and self.fra_stretch_corrupts(t0 + ack_delim * bt):
             outcome, n_bits = (ack_delim, "form_error_ack_delimiter"), ack_delim + 1
             t1 = t0 + ack_delim * bt + bt
         if moving:
             spans = []
-            for k in range(n_bits):
-                a = t0 + k * bt
+            for j in range(k, n_bits):
+                a = t0 + j * bt
                 for cut in self.cuts(a, a + bt):
                     spans.append(cut - a)
                     a = cut
@@ -695,50 +690,45 @@ class _Sim:
         """
         pieces = []
         cursor = a
-        # b stays below the window's end: a sliver's midpoint can round to b;
-        # a bit in a window of one pair is one piece, with nothing to skip
-        pulsed = self.clock.period < math.inf and self.t_start <= a and b < self.t_end
-        levels = self.resting_levels(dominant) if pulsed else None
-        if levels is not None:
-            # no piece can change an accumulator: cut, and pick each
-            # piece's phase pair as `pins_at` does
-            phase = self.clock.phase
-            for cut in self.cuts(a, b):
-                pieces.append((cursor, cut, levels[phase(0.5 * (cursor + cut))]))
-                cursor = cut
-        else:
-            cuts = self.cuts(a, b)
-            while cursor < b:
-                hi = next(cuts)
-                sol, i = self.vids_currents(dominant, 0.5 * (cursor + hi))
-                reached = self.advance_constant(cursor, hi, i)
-                pieces.append((cursor, reached, sol.voltages.v_diff))
-                if reached < hi:
-                    cuts = self.cuts(reached, b)
-                cursor = reached
+        cuts = self.cuts(a, b)
+        while cursor < b:
+            hi = next(cuts)
+            sol, i = self.vids_currents(dominant, 0.5 * (cursor + hi))
+            reached = self.advance_constant(cursor, hi, i)
+            pieces.append((cursor, reached, sol.voltages.v_diff))
+            if reached < hi:
+                cuts = self.cuts(reached, b)
+            cursor = reached
         self.integrated_to = max(self.integrated_to, b)
         return pieces
 
-    def resting_levels(self, dominant: bool):
-        """The v_diff of each window pair (a pulse's high and low phase) at
-        this driven level when every gated pair is at rest, else None; kept
-        until the next full accumulator step."""
-        if dominant not in self.resting:
-            self.resting[dominant] = self.resting_v_diffs(dominant, self.window_pins, True)
-        return self.resting[dominant]
-
     def sample_bits(self, bits: list, ack_delim: int, first_attempt: bool, t0: float) -> tuple:
-        """Drive and sample the frame bit by bit from t0.
+        """Drive and sample the frame bit by bit from t0, which `quiescent`
+        could not cross. The rest of the frame is handed to it again
+        wherever the state it reads may have changed: after a bit in which
+        a device opened or closed or a damage timer tripped, and at the
+        first bit that starts on the other side of a window edge. Asking at
+        every bit would refold a moving device over the rest of the frame
+        at each one.
 
         Returns (error bit index, reason), or (None, "") when every bit
         reads as driven.
         """
         bt = self.bit_time
+        t_start, t_end = self.t_start, self.t_end
+        switched = self.bank.switched
         comparator = (BitDecision.RECESSIVE, t0 - 1.0)  # idle bus precedes the frame
         prev_sampled = BitDecision.RECESSIVE
+        asked = (switched(), (t_start <= t0) + (t_end <= t0))  # the caller asked at the SOF
 
         for k, bit in enumerate(bits):
             b0 = t0 + k * bt
+            state = (switched(), (t_start <= b0) + (t_end <= b0))
+            if state != asked:
+                asked = state
+                outcome = self.quiescent(bits, ack_delim, first_attempt, t0, k)
+                if outcome is not None:
+                    return outcome
             b1 = b0 + bt
             dominant = bit == 0
             pieces = self.drive(dominant, b0, b1)

@@ -304,6 +304,22 @@ def test_cli_sweep_table(tmp_path):
     assert taus[5.0] == pytest.approx(3.16e-6, abs=1e-12)
 
 
+def test_a_sweep_of_another_key_reports_the_bit_length_at_the_attack_voltage(tmp_path):
+    """An FRA sweep over its window's end runs at 5.0 V at every point, so
+    each row's bit length is the one at 5.0 V, not at the swept value."""
+    text = (CONFIGS / "fra_sweep.ini").read_text()
+    text = text.replace("path = attack.v_attack_h", "path = attack.t_end").replace("stop = 5.0", "stop = 3.5")
+    cfg = tmp_path / "end_sweep.ini"
+    cfg.write_text(text)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(cfg), "--out", str(out)]) == 0
+    with open(out) as fh:
+        rows = list(csv.reader(fh))
+    assert [float(r[0]) for r in rows[1:]] == [2.5, 3.0, 3.5]
+    for r in rows[1:]:
+        assert float(r[3]) == pytest.approx(3.16e-6, abs=1e-12)
+
+
 def test_params_env_override(tmp_path, monkeypatch):
     # a deliberately detuned drive impedance moves the blocking threshold
     save_params(CalibratedParams(r_drive_high=0.001), str(tmp_path / "p.json"))

@@ -48,14 +48,15 @@ def bus(senders, attack=None, irs=None, period=PERIOD, shift=0.0):
 
 
 def run_counting_quiescent(cfg):
-    """run_scenario, plus how many attempts took the shortcut outside any
-    attack window and how many inside a steady one."""
+    """run_scenario, plus how many attempts took the shortcut from their
+    SOF outside any attack window and how many inside a steady one; a
+    crossing of a frame's remaining bits is not counted."""
     taken = []
     original = engine._Sim.quiescent
 
-    def counting(self, bits, ack_delim, first_attempt, t0):
-        outcome = original(self, bits, ack_delim, first_attempt, t0)
-        if outcome is not None:
+    def counting(self, bits, ack_delim, first_attempt, t0, k=0):
+        outcome = original(self, bits, ack_delim, first_attempt, t0, k)
+        if outcome is not None and k == 0:
             a, t1 = self.attack, t0 + (len(bits) - 1) * BIT + BIT
             taken.append(a is not None and a.t_start < t1 and t0 < a.t_end)
         return outcome

@@ -1,9 +1,14 @@
-"""Resting pulse bits against the piece-by-piece path they replace.
+"""Crossings of a frame's remaining bits against the per-bit path.
 
-A driven bit inside a pulse window, while both phase pin pairs leave
-every accumulator at rest, is cut and sampled without an accumulator
-step per piece. These tests run generated pulse buses with that path and
-with it switched off, and require the same trace CSV and summary.
+A frame run bit by bit hands the rest of it to the quiescent crossing
+after a bit in which a device opened or closed or a damage timer
+tripped, and at its first bit that starts on the other side of a window
+edge: from there its bits rest, and are crossed in one step. These tests
+run generated pulse and static buses, whose windows open and close
+inside frames and whose fuses and pin damage trip inside them, with
+those crossings and with them switched off (`quiescent` still crosses
+whole frames from their SOF), and require the same trace CSV and
+summary.
 """
 
 import tempfile
@@ -14,28 +19,29 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canvolt import engine
-from canvolt.attacks import PulseAttack
-from canvolt.cli import emit_outputs
-from canvolt.electrical import INPUT
-from canvolt.engine import DamageParams, EcuSpec, IrsConfig, ScenarioConfig, run_scenario
-from canvolt.link import Frame
+from canvolt.attacks import ActiveOvercurrent, DoS, ForcedRetransmission, PassiveOvercurrent, PulseAttack
+from canvolt.cli import emit_outputs, parse_config
+from canvolt.engine import DamageParams, EcuSpec, IrsConfig, ScenarioConfig, run_scenario, set_sweep_value
+from canvolt.link import Frame, frame_bit_length
 
 BIT = 2e-6  # 500 kbit/s
 PERIOD = 1e-3
 DURATION = 3e-3
 
 
-def bus(senders, attack, device, pins, rating, i_max):
+def bus(senders, attack, device, pins="both", rating=0.010, i_max=0.040, opening_time=1e-6,
+        tau_thermal=1e-4):
     ecus = [EcuSpec("A", "vids-host"), EcuSpec("B", "logger")]
     for k, (frame, offset) in enumerate(senders):
         ecus.append(EcuSpec(f"S{k}", "sender", period=PERIOD, frame=frame, offset=offset))
     irs = None
     if device != "none":
-        # a fast thermostat heats and opens within the run; a driven one
-        # carries the bench's 3 A in the window, whatever its pins carry
+        # a driven thermostat carries the bench's 3 A in the window,
+        # whatever its pins carry
         device, drive = ("thermostat", 3.0) if device == "driven_thermostat" else (device, None)
         irs = IrsConfig(
-            device=device, pins=pins, rating=rating, tau_thermal=1e-4, coil_drive=drive
+            device=device, pins=pins, rating=rating, opening_time=opening_time,
+            tau_thermal=tau_thermal, coil_drive=drive,
         )
     return ScenarioConfig(
         duration=DURATION,
@@ -55,26 +61,55 @@ def outputs(cfg):
         return trace_path.read_text(), summary_path.read_text()
 
 
-def run_counting_resting(cfg):
-    """outputs(cfg), plus how many bits took the resting path."""
-    fired = []
-    original = engine._Sim.resting_levels
+def run_counting_remainders(cfg):
+    """outputs(cfg), plus (frame start, bit) of each remainder crossed."""
+    crossed = []
+    original = engine._Sim.quiescent
 
-    def counting(self, dominant):
-        levels = original(self, dominant)
-        fired.append(levels is not None)
-        return levels
+    def counting(self, bits, ack_delim, first_attempt, t0, k=0):
+        outcome = original(self, bits, ack_delim, first_attempt, t0, k)
+        if outcome is not None and k > 0:
+            crossed.append((t0, k))
+        return outcome
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine._Sim, "resting_levels", counting)
+        mp.setattr(engine._Sim, "quiescent", counting)
         texts = outputs(cfg)
-    return texts, sum(fired)
+    return texts, crossed
 
 
-def run_piece_by_piece(cfg):
+def run_without_remainders(cfg):
+    original = engine._Sim.quiescent
+
+    def from_sof_only(self, bits, ack_delim, first_attempt, t0, k=0):
+        return original(self, bits, ack_delim, first_attempt, t0) if k == 0 else None
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine._Sim, "resting_levels", lambda self, dominant: None)
+        mp.setattr(engine._Sim, "quiescent", from_sof_only)
         return outputs(cfg)
+
+
+def check_remainders(cfg):
+    """The outputs with and without remainder crossings agree; returns
+    the remainders crossed."""
+    texts, crossed = run_counting_remainders(cfg)
+    assert texts == run_without_remainders(cfg)
+    return crossed
+
+
+def make_attack(kind, start, end, period_ns, duty, phase):
+    if kind == "dos":
+        return DoS(t_start=start, t_end=end, v_attack_l=5.0)
+    if kind == "fra":
+        return ForcedRetransmission(t_start=start, t_end=end, v_attack_h=5.0)
+    if kind == "active":
+        return ActiveOvercurrent(t_start=start, t_end=end)
+    if kind == "passive":
+        return PassiveOvercurrent(t_start=start, t_end=end)
+    line = "canl" if kind == "pulse_canl" else "canh"
+    return PulseAttack(
+        t_start=start, t_end=end, line=line, period=period_ns * 1e-9, duty=duty, phase=phase
+    )
 
 
 senders = st.lists(
@@ -89,11 +124,11 @@ senders = st.lists(
 )
 
 # the run's whole span under a 600 ns CANL pulse with resettable fuses on
-# both pins: the fuses trip, then leak enough to damage a pin, and from
-# there every bit rests
+# both pins: the fuses trip in the first frame, then leak enough to
+# damage a pin, and from there every bit rests
 ATTACKED_BUS = dict(
     senders=[(0x10, b"\x01\x02", 0), (0x20, b"\xff" * 8, 150)],
-    line="canl",
+    kind="pulse_canl",
     period_ns=600,
     duty=0.5,
     phase=0.0,
@@ -103,75 +138,126 @@ ATTACKED_BUS = dict(
     pins="both",
     rating=0.010,
     i_max=0.040,
+    opening_us=1.0,
+    tau_thermal=1e-4,
 )
 
 
-@settings(max_examples=12, deadline=None)
-@given(
-    senders=senders,
-    line=st.sampled_from(["canl", "canh"]),
-    period_ns=st.integers(100, 4000),
-    duty=st.floats(0.05, 0.95),
-    phase=st.floats(0.0, 1.0),
-    # window edges in bits from the first sender's first frame: they land
-    # inside frames and inside bits
-    start_bits=st.floats(-20.0, 150.0),
-    width_bits=st.floats(0.5, 1500.0),
-    device=st.sampled_from(
-        ["none", "fuse", "breaker", "resettable_fuse", "thermostat", "driven_thermostat"]
-    ),
-    pins=st.sampled_from(["both", "ph", "pl"]),
-    # around the phase currents of a pulsed pin (tens to hundreds of mA)
-    rating=st.sampled_from([0.010, 0.1, 0.3]),
-    i_max=st.sampled_from([0.040, 0.3, 1.0]),
-)
-@example(**ATTACKED_BUS)
-@example(  # a window of one bit, edges on bit edges: only that bit rests
-    senders=[(1, b"", 0)], line="canl", period_ns=100, duty=0.5, phase=0.0,
-    start_bits=1.0, width_bits=1.0, device="none", pins="both", rating=0.01, i_max=0.3,
-)
-@example(  # the window opens on the first recessive bit (a stuff bit): the
-    # bench drive heats the coil there, so no bit may rest
-    senders=[(1, b"", 0)], line="canl", period_ns=600, duty=0.5, phase=0.0,
-    start_bits=5.0, width_bits=40.0, device="driven_thermostat", pins="both",
-    rating=0.01, i_max=0.3,
-)
-def test_resting_bits_match_the_piece_by_piece_path(**case):
-    plan = [(Frame(id=fid, data=data), off * 1e-6) for fid, data, off in case["senders"]]
-    start = plan[0][1] + case["start_bits"] * BIT
-    attack = PulseAttack(
-        t_start=start, t_end=start + case["width_bits"] * BIT, line=case["line"],
-        period=case["period_ns"] * 1e-9, duty=case["duty"], phase=case["phase"],
+def test_remainders_match_the_per_bit_path():
+    fired = []
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        senders=senders,
+        kind=st.sampled_from(["pulse_canl", "pulse_canh", "dos", "fra", "active", "passive"]),
+        period_ns=st.integers(100, 4000),
+        duty=st.floats(0.05, 0.95),
+        phase=st.floats(0.0, 1.0),
+        # window edges in bits from the first sender's first frame: they land
+        # inside frames and inside bits
+        start_bits=st.floats(-20.0, 150.0),
+        width_bits=st.floats(0.5, 1500.0),
+        device=st.sampled_from(
+            ["none", "fuse", "breaker", "resettable_fuse", "thermostat", "driven_thermostat"]
+        ),
+        pins=st.sampled_from(["both", "ph", "pl"]),
+        # around the phase currents of a pulsed pin (tens to hundreds of mA)
+        rating=st.sampled_from([0.010, 0.1, 0.3]),
+        i_max=st.sampled_from([0.040, 0.3, 1.0]),
+        # devices that trip inside a bit, inside a frame and past it, and
+        # coils that flip inside a frame or heat and cool across frames
+        opening_us=st.sampled_from([0.2, 1.0, 30.0, 300.0]),
+        tau_thermal=st.sampled_from([1e-4, 2e-3, 0.05]),
     )
-    cfg = bus(plan, attack, case["device"], case["pins"], case["rating"], case["i_max"])
+    @example(**ATTACKED_BUS)
+    @example(  # a window of one bit, edges on bit edges: the frame's bits after
+        # it are crossed
+        senders=[(1, b"", 0)], kind="pulse_canl", period_ns=100, duty=0.5, phase=0.0,
+        start_bits=1.0, width_bits=1.0, device="none", pins="both", rating=0.01, i_max=0.3,
+        opening_us=1.0, tau_thermal=1e-4,
+    )
+    @example(  # the window opens on the first recessive bit (a stuff bit): the
+        # bench drive heats the coil there, so only the bits after it are crossed
+        senders=[(1, b"", 0)], kind="pulse_canl", period_ns=600, duty=0.5, phase=0.0,
+        start_bits=5.0, width_bits=40.0, device="driven_thermostat", pins="both",
+        rating=0.01, i_max=0.3, opening_us=1.0, tau_thermal=1e-4,
+    )
+    def check(senders, kind, period_ns, duty, phase, start_bits, width_bits, opening_us, **devices):
+        plan = [(Frame(id=fid, data=data), off * 1e-6) for fid, data, off in senders]
+        start = plan[0][1] + start_bits * BIT
+        attack = make_attack(kind, start, start + width_bits * BIT, period_ns, duty, phase)
+        cfg = bus(plan, attack, opening_time=opening_us * 1e-6, **devices)
+        fired.append(len(check_remainders(cfg)))
 
-    texts, fired = run_counting_resting(cfg)
-    assert texts == run_piece_by_piece(cfg)
-    if case == ATTACKED_BUS:
-        assert fired > 0
+    check()
+    assert sum(fired) > 0
+
+
+def test_damage_one_microsecond_into_a_frame_leaves_its_rest_steady():
+    """`pulse_canl_sweep` at 600 ns: the host's P_L carries 281 and 58 mA
+    in the two phases of a dominant bit, both above i_max, so the pin is
+    damaged 1 us into the 1.0 s frame, inside its SOF; the rest of that
+    frame is crossed from its next bit."""
+    cfg = parse_config((Path(__file__).parent.parent / "configs" / "pulse_canl_sweep.ini").read_text())
+    point = set_sweep_value(cfg, cfg.sweep.path, 600e-9)
+    _, summary = run_scenario(point)
+    assert summary.damage_time == pytest.approx(1.0 + 1e-6, abs=1e-12)
+    assert summary.messages_received == summary.messages_sent
+    assert check_remainders(point) == [(1.0, 1)]
+
+
+@pytest.mark.parametrize("edge", ["opens", "closes"])
+def test_a_frame_that_straddles_a_window_edge(edge):
+    """A 600 ns CANL pulse that opens or closes 30.3 bits into a frame:
+    the frame runs bit by bit up to its first bit on the window's other
+    side, which crosses the rest of it."""
+    frame = Frame(id=0x123, data=b"\x55\xaa")
+    t0 = 1e-3
+    inside = t0 + 30.3 * BIT
+    start, end = (inside, 2.5e-3) if edge == "opens" else (0.5e-3, inside)
+    attack = make_attack("pulse_canl", start, end, 600, 0.5, 0.0)
+    cfg = bus([(frame, t0)], attack, "none", i_max=1.0)
+    # the window's edge lies inside the frame
+    assert t0 < end and start < t0 + frame_bit_length(frame) * BIT
+    assert check_remainders(cfg) == [(t0, 31)]
+
+
+def test_a_fuse_that_blows_mid_frame_under_a_dos():
+    """A DoS window opens 21.5 bits into a frame, inside a run of
+    recessive bits, which carry no pin current; its first bit in the
+    window runs bit by bit, since the DoS would mask a dominant bit. The
+    P_L fuse blows 0.2 us into the next dominant bit, too soon for the
+    DoS to mask it, and the frame's bits after that one cross in one
+    step. The frame is delivered without a retransmission."""
+    frame = Frame(id=0x7FF, data=b"\xff")
+    t0 = 1e-3
+    attack = DoS(t_start=t0 + 21.5 * BIT, t_end=2.5e-3, v_attack_l=5.0)
+    cfg = bus([(frame, t0)], attack, "fuse", pins="pl", opening_time=0.2e-6)
+    _, summary = run_scenario(cfg)
+    assert summary.device_trips == {"pl": pytest.approx(t0 + 26.1 * BIT, abs=1e-12)}
+    assert summary.messages_received == summary.messages_sent
+    assert summary.retransmissions == 0
+    assert check_remainders(cfg) == [(t0, 27)]
 
 
 def test_a_trip_clears_the_resting_verdict():
-    """The verdict holds until the next full accumulator step: once the
-    pulsed pin's fuse blows, a dominant bit rests at the idle pins.
+    """The crossing verdict is kept until the next full accumulator step:
+    once the pulsed pin's fuse blows, a frame in the window rests at the
+    idle pins.
 
-    A run cannot show a stale verdict: a recessive bit carries no pin
-    current and the same v_diff at any gating, and once a dominant bit
-    rests no later step changes anything. So it is checked here.
-    """
+    A 100 mA fuse on P_L sits between the two phase currents of a
+    dominant bit (281 and 58 mA), so the fuse moves at two currents and
+    no frame is crossed until it blows."""
     attack = PulseAttack(t_start=0.0, t_end=1.0, line="canl", period=600e-9)
     sim = engine._Sim(ScenarioConfig(
         duration=1.0,
         ecus=(EcuSpec("A", "vids-host"),),
         attack=attack,
-        # above both phase currents of a dominant bit (281 and 58 mA)
-        irs_config=IrsConfig(device="fuse", pins="pl", rating=0.3),
+        irs_config=IrsConfig(device="fuse", pins="pl", rating=0.1),
         damage=DamageParams(i_max=1.0),
     ))
-    idle = sim.solved(True, (INPUT, INPUT))[0].voltages.v_diff
-    pulsed = sim.resting_levels(True)
-    assert pulsed is not None and pulsed != (idle, idle)
+    assert sim.crossing(True) is None
 
     sim.advance_constant(0.0, 1e-3, {"ph": 0.0, "pl": 1.0})
     assert sim.bank.devices["pl"].tripped
-    assert sim.resting_levels(True) == (idle, idle)
+    assert sim.crossing(True) == ()
