@@ -40,8 +40,9 @@ each pair once (`solved`) and keeps it with the host's pin currents.
 
 The engine asks a protective device the `irs` device questions, and
 its kind only to name its trace record. `advance_constant` steps each
-device not at rest; the earliest open/close change bounds the step, and
-a device stepped past it is stepped again to it.
+device and advances each damage timer that is not at rest; the earliest
+open/close change bounds the step, and a device stepped past it is
+stepped again to it.
 
 One rest rule decides every shortcut: a step at given pin currents,
 inside the attack window or not, leaves every accumulator as it is when
@@ -49,10 +50,10 @@ each device and damage timer is at rest at the current it sees
 (`_PinBank.moving` finds nothing to move). A damage timer sees the
 current its pin's device passes; a device sees
 `_PinBank.device_current`: the bench drive in the window when one is
-set (a thermostat's only), else its pin current, as it passes it.
-`_Sim.at_rest` asks the rule and keeps each verdict until the next step
-that is taken. It is applied in three places, the first of which widens
-it to devices that move at one current:
+set (a thermostat's only), else its pin current, as it passes it. Each
+verdict is kept in `_Sim.resting` until a step moves an accumulator. It
+is applied in two places, the first of which widens it to devices that
+move at one current:
 
 - *Quiescent frames.* A frame skips the per-bit work from its SOF, or
   from any later bit, when no attack window overlaps the bits left, or
@@ -70,12 +71,10 @@ it to devices that move at one current:
   them, by `irs` `steps`: the per-bit path's own step arithmetic,
   without its solves, gating or comparator. A device that would open or
   close in them sends those bits one by one, from the state before
-  them. A frame run bit by bit asks again for the rest of it after a
-  bit in which a device opened or closed or a damage timer tripped, and
-  at its first bit past a window edge: a fuse or damage limit that
-  trips early in a frame leaves the rest of it steady.
-- *Skipped steps.* `advance_constant` skips a step that rests, be it a
-  piece of a driven bit or an idle slice.
+  them. An attempt asks at its SOF, and again for the rest of the frame
+  after a bit in which a device opened or closed or a damage timer
+  tripped, and at its first bit past a window edge: a fuse or damage
+  limit that trips early in a frame leaves the rest of it steady.
 - *Idle jumps.* `advance_idle` crosses the idle stretch up to the next
   event or window edge in one step when the idle bus rests at each pin
   pair it takes there: the inputs outside the attack window, each
@@ -197,6 +196,7 @@ class _PinBank:
         self.damage = {"ph": dmg, "pl": dmg}
         self.trip_times: dict = {}
         self.damaged_at: float | None = None
+        self.flips = 0  # every trip, thermostat flip and damage trip counts one
 
     def moving(self, raws, in_window: bool):
         """The devices that steps at each of these raw pin currents move,
@@ -232,12 +232,6 @@ class _PinBank:
         dev = self.devices.get(pin)
         return i_raw if dev is None else dev.passes(i_raw)
 
-    def switched(self) -> tuple:
-        """Each device's open flag and each damage timer's tripped flag:
-        every trip, thermostat flip and Damage stamp changes one."""
-        return (*(dev.open for dev in self.devices.values()),
-                self.damage["ph"].tripped, self.damage["pl"].tripped)
-
     @property
     def damaged(self) -> bool:
         return self.damage["ph"].tripped or self.damage["pl"].tripped
@@ -271,13 +265,14 @@ class _Sim:
         self.queues: dict = {e.name: [] for e in cfg.ecus if e.role == "sender"}
         # a sender has one frame: its bus bits and ACK delimiter index
         self.encoded = {
-            e.name: (bus_bits(e.frame, acked=True), ack_delimiter_index(e.frame))
+            e.name: (bus_bits(e.frame), ack_delimiter_index(e.frame))
             for e in cfg.ecus
             if e.role == "sender"
         }
         self.solutions: dict = {}  # (dominant, pins) -> (BusSolution, VIDS pin currents)
-        # until the next full step: (i_ph, i_pl, in window) -> the at_rest
-        # verdict, and "inside"/"outside" -> the crossing verdict
+        # until a step moves an accumulator, per side of the attack window:
+        # "inside"/"outside" -> the crossing verdict, and "idle inside"/
+        # "idle outside" -> the idle bus's rest verdict
         self.resting: dict = {}
         # the attack window, which never opens without an attack, the
         # attacker's pin pairs in it (a pulse's high and low phase, else
@@ -424,6 +419,7 @@ class _Sim:
             irs.ThermostatCoil: ("ThermostatOpen" if dev.open else "ThermostatClosed", ""),
         }[type(dev)]
         self.trace.add(t, kind, ecu=self.vids, line=pin, detail=detail)
+        self.bank.flips += 1
         if dev.conducting != was.conducting:
             self.changes.append((t, pin, dev.conducting))
         if dev.open and pin not in self.bank.trip_times:
@@ -433,15 +429,12 @@ class _Sim:
         """Advance accumulators over [a, b) of constant raw pin currents.
 
         Returns the time actually reached; stops early when a device
-        opens or closes so the caller can re-solve the bus. Timer
-        arithmetic runs on offsets from `a` so trip instants stay exact
-        regardless of the absolute timestamp.
+        opens or closes so the caller can re-solve the bus. A device or
+        damage timer at rest is left as it is; `resting` is cleared only
+        when one is not. Timer arithmetic runs on offsets from `a` so trip
+        instants stay exact regardless of the absolute timestamp.
         """
         in_window = self.t_start <= a < self.t_end
-        if self.at_rest(i_raw, in_window):
-            return b
-        # this step may change an accumulator or the connectivity
-        self.resting.clear()
         bank = self.bank
         span = b - a
 
@@ -459,19 +452,26 @@ class _Sim:
         # damage triggers strictly inside the bounded exposure: when a
         # device trips at the damage deadline it cuts the current first,
         # leaving the damage timer full but not tripped
+        moved = bool(stepped)
         for pin in ("ph", "pl"):
             dmg = bank.damage[pin]
-            if dmg.tripped:
-                continue
             i = bank.gated_current(pin, i_raw[pin])
+            if dmg.at_rest(i):
+                continue
+            moved = True
             deadline = dmg.time_to_trip(i)
             if deadline == stop_off:
                 bank.damage[pin] = replace(dmg, over_timer=dmg.opening_time)
                 continue
             bank.damage[pin] = dmg.advance(i, stop_off)
-            if deadline < stop_off and bank.damaged_at is None:
-                bank.damaged_at = a + deadline
-                self.trace.add(a + deadline, "Damage", ecu=self.vids, line=pin)
+            if deadline < stop_off:
+                bank.flips += 1
+                if bank.damaged_at is None:
+                    bank.damaged_at = a + deadline
+                    self.trace.add(a + deadline, "Damage", ecu=self.vids, line=pin)
+        # a step that moves an accumulator ends every kept rest verdict
+        if moved:
+            self.resting.clear()
 
         # commit each device at the bound, stepping again one that went past it
         changed = False
@@ -486,29 +486,24 @@ class _Sim:
                 self._emit_trip(t_stop, pin, was, after)
         return t_stop if changed else b
 
-    def at_rest(self, i_raw: dict, in_window: bool) -> bool:
-        """A step at these raw pin currents, in the attack window or not,
-        leaves every accumulator as it is: `bank.moving` finds nothing to
-        move. Kept until the next full accumulator step."""
-        key = (i_raw["ph"], i_raw["pl"], in_window)
-        verdict = self.resting.get(key)
-        if verdict is None:
-            verdict = self.resting[key] = self.bank.moving((i_raw,), in_window) == ()
-        return verdict
-
     def idle_inert(self, a: float, b: float) -> bool:
         """No idle step over [a, b) can change an accumulator: the idle bus,
         gated by the connectivity now, rests at the inputs outside the
-        attack window and at every window pair (both pulse phases) inside it."""
+        attack window and at every window pair (both pulse phases) inside
+        it. Each side's verdict is kept in `resting`."""
 
-        def rests(pins, in_window):
-            return self.at_rest(self.solved(False, self.gate(pins))[1], in_window)
+        def rests(in_window):
+            key = "idle inside" if in_window else "idle outside"
+            verdict = self.resting.get(key)
+            if verdict is None:
+                pairs = self.window_pins if in_window else ((INPUT, INPUT),)
+                raws = [self.solved(False, self.gate(pins))[1] for pins in pairs]
+                verdict = self.resting[key] = self.bank.moving(raws, in_window) == ()
+            return verdict
 
-        if (a < self.t_start or self.t_end < b) and not rests((INPUT, INPUT), False):
+        if (a < self.t_start or self.t_end < b) and not rests(False):
             return False
-        return not (self.t_start < b and a < self.t_end) or all(
-            rests(pins, True) for pins in self.window_pins
-        )
+        return not (self.t_start < b and a < self.t_end) or rests(True)
 
     def advance_idle(self, target: float) -> float:
         """Integrate the idle bus up to target; early-return on changes.
@@ -555,7 +550,8 @@ class _Sim:
     def quiescent(self, bits: list, ack_delim: int, first_attempt: bool, t0: float, k: int = 0):
         """The outcome of `sample_bits` for the frame from t0, with bits
         k.. reached without per-bit work, or None when they must run bit
-        by bit.
+        by bit. `sample_bits` asks at bit 0 and after each change of the
+        state read here.
 
         Bits k.. are crossed when no attack window overlaps them, or the
         window holds them (from bit k's start to strictly before the
@@ -658,10 +654,7 @@ class _Sim:
             self.retransmissions += 1
             self.trace.add(t0, "Retransmission", ecu=ecu, value=float(f.id), detail=str(tx.attempts))
 
-        outcome = self.quiescent(bits, ack_delim, tx.attempts == 0, t0)
-        if outcome is None:
-            outcome = self.sample_bits(bits, ack_delim, tx.attempts == 0, t0)
-        error_bit, error_reason = outcome
+        error_bit, error_reason = self.sample_bits(bits, ack_delim, tx.attempts == 0, t0)
 
         if error_bit is None:
             t_end = t0 + len(bits) * bt
@@ -703,47 +696,40 @@ class _Sim:
         return pieces
 
     def sample_bits(self, bits: list, ack_delim: int, first_attempt: bool, t0: float) -> tuple:
-        """Drive and sample the frame bit by bit from t0, which `quiescent`
-        could not cross. The rest of the frame is handed to it again
-        wherever the state it reads may have changed: after a bit in which
-        a device opened or closed or a damage timer tripped, and at the
-        first bit that starts on the other side of a window edge. Asking at
-        every bit would refold a moving device over the rest of the frame
-        at each one.
+        """Drive and sample the frame bit by bit from t0, handing the rest
+        of it to `quiescent` at bit 0 and again wherever the state it reads
+        may have changed: after a bit in which a device opened or closed or
+        a damage timer tripped (`bank.flips` moved), and at the first bit
+        that starts on the other side of a window edge. Asking at every bit
+        would refold a moving device over the rest of the frame at each one.
 
+        The bit before the ACK delimiter is the ACK slot, driven dominant,
+        so the FRA check there follows a dominant bit read as driven.
         Returns (error bit index, reason), or (None, "") when every bit
         reads as driven.
         """
         bt = self.bit_time
         t_start, t_end = self.t_start, self.t_end
-        switched = self.bank.switched
+        bank = self.bank
         comparator = (BitDecision.RECESSIVE, t0 - 1.0)  # idle bus precedes the frame
-        prev_sampled = BitDecision.RECESSIVE
-        asked = (switched(), (t_start <= t0) + (t_end <= t0))  # the caller asked at the SOF
+        flips = side = None
 
         for k, bit in enumerate(bits):
             b0 = t0 + k * bt
-            state = (switched(), (t_start <= b0) + (t_end <= b0))
-            if state != asked:
-                asked = state
+            here = (t_start <= b0) + (t_end <= b0)  # the window side bit k starts on
+            if bank.flips != flips or here != side:
+                flips, side = bank.flips, here
                 outcome = self.quiescent(bits, ack_delim, first_attempt, t0, k)
                 if outcome is not None:
                     return outcome
-            b1 = b0 + bt
             dominant = bit == 0
-            pieces = self.drive(dominant, b0, b1)
+            pieces = self.drive(dominant, b0, b0 + bt)
             driven = BitDecision.DOMINANT if dominant else BitDecision.RECESSIVE
             sampled, comparator = sample_bit(pieces, driven, self.timing, comparator, self.extension)
             if dominant and sampled is BitDecision.RECESSIVE:
                 return k, "bit_error"
-            if (
-                k == ack_delim
-                and first_attempt
-                and prev_sampled is BitDecision.DOMINANT
-                and self.fra_stretch_corrupts(b0)
-            ):
+            if k == ack_delim and first_attempt and self.fra_stretch_corrupts(b0):
                 return k, "form_error_ack_delimiter"
-            prev_sampled = sampled
         return None, ""
 
     def fra_stretch_corrupts(self, b0: float) -> bool:

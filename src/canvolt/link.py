@@ -160,11 +160,10 @@ def encode_frame(f: Frame) -> list:
     return list(_stuffed(f)) + [1, 1, 1] + [1] * 7
 
 
-def bus_bits(f: Frame, acked: bool = True) -> list:
-    """On-wire bitstream, with the ACK slot driven dominant when acked."""
+def bus_bits(f: Frame) -> list:
+    """On-wire bitstream, with the ACK slot driven dominant by a receiver."""
     bits = encode_frame(f)
-    if acked:
-        bits[ack_slot_index(f)] = 0
+    bits[ack_slot_index(f)] = 0
     return bits
 
 

@@ -174,7 +174,7 @@ def test_criterion_8_encoder_transition_count():
     # on the acked wire), which is frozen here as the full-frame count
     body_portion = stuff_bits(frame_body_bits(FRAME))
     assert dominant_to_recessive_transitions(body_portion) == 7
-    assert dominant_to_recessive_transitions(bus_bits(FRAME, acked=True)) == 13
+    assert dominant_to_recessive_transitions(bus_bits(FRAME)) == 13
     _ok(8, "7 dominant->recessive transitions through the data field (13 full frame)")
 
 

@@ -1,10 +1,13 @@
-"""The accumulator skip against the full step it replaces.
+"""The rest rule against every step taken.
 
-A step is skipped when its pin currents leave every accumulator as it
-is: each trip device and damage timer is tripped, or at most its rating
-with a zero over-timer, and each thermostat is closed at ambient with no
-coil current. These tests run generated attacked buses with the skip and with
-every step taken, and require the same trace and summary.
+An accumulator is at rest when its pin currents leave it as it is: each
+trip device and damage timer is tripped, or at most its rating with a
+zero over-timer, and each thermostat is closed at ambient with no coil
+current. `advance_constant` leaves a device or damage timer at rest as
+it is, and the frame crossings and idle jumps ask `_PinBank.moving`
+whether anything moves. These tests run generated attacked buses as they are and with
+every frame run bit by bit and every idle stretch sliced, and require
+the same trace and summary.
 """
 
 import pytest
@@ -47,27 +50,26 @@ def bus(senders, attack, device, rating, i_max):
 
 
 def run_counting_skips(cfg):
-    """run_scenario, plus how many steps were skipped."""
-    skipped = []
-    original = engine._Sim.at_rest
+    """run_scenario, plus how many rest verdicts found nothing to move."""
+    rests = []
+    original = engine._PinBank.moving
 
-    def counting(self, i_raw, in_window):
-        rest = original(self, i_raw, in_window)
-        skipped.append(rest)
-        return rest
+    def counting(self, raws, in_window):
+        moving = original(self, raws, in_window)
+        rests.append(moving == ())
+        return moving
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine._Sim, "at_rest", counting)
+        mp.setattr(engine._PinBank, "moving", counting)
         trace, summary = run_scenario(cfg)
-    return trace, summary, sum(skipped)
+    return trace, summary, sum(rests)
 
 
 def run_every_step(cfg):
-    """run_scenario with every step taken and every frame run bit by bit,
-    from its SOF and from any later bit."""
+    """run_scenario with every frame run bit by bit, from its SOF and from
+    any later bit, and every idle stretch sliced at whole seconds."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine._Sim, "at_rest", lambda self, i_raw, in_window: False)
-        # a frame crossing folds moving devices without asking `at_rest`
+        mp.setattr(engine._Sim, "idle_inert", lambda self, a, b: False)
         mp.setattr(engine._Sim, "quiescent", lambda self, *frame: None)
         return run_scenario(cfg)
 

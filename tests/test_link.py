@@ -126,7 +126,7 @@ def test_an_encoding_is_a_fresh_list_each_call():
 
 
 def test_decode_accepts_acked_stream():
-    assert decode_bitstream(bus_bits(CANONICAL, acked=True)) == CANONICAL
+    assert decode_bitstream(bus_bits(CANONICAL)) == CANONICAL
 
 
 def test_every_single_bit_flip_is_detected():
@@ -185,7 +185,7 @@ def test_transition_count_through_data_field():
 def test_transition_count_full_frame_is_frozen():
     # the full acked frame adds CRC, delimiter, and ACK transitions on
     # top of the seven in the id/data region
-    assert dominant_to_recessive_transitions(bus_bits(CANONICAL, acked=True)) == 13
+    assert dominant_to_recessive_transitions(bus_bits(CANONICAL)) == 13
 
 
 def read(pieces, driven, entry=REC, timing=None):
