@@ -121,6 +121,7 @@ def parse_config(text: str, params: CalibratedParams | None = None) -> ScenarioC
 
 TRACE_COLUMNS = ("time_s", "kind", "ecu", "line", "value", "detail")
 TICKS_PER_WRITE = 4096  # bounds the text of a write of ticks outside whole blocks
+ROWS_PER_WRITE = 4096  # bounds the text of a write of event rows
 # Below 10**15, repr(float(k)) == f"{k}.0" (from 10**16 on it has an
 # exponent), so ticks k..k+99, for k >= 100 a multiple of 100, are
 # str(k // 100) joined over their rows' texts, each led by its tick's last
@@ -133,27 +134,48 @@ BLOCKS_END = 10**15
 def emit_outputs(trace: Trace, summary: Summary, trace_path: str, summary_path: str) -> None:
     """Write the trace CSV and summary JSON.
 
-    Sample ticks are written by run: each of a tick's rows is formatted
-    once without its time, by a writer of the same dialect (so a name
-    that needs quoting is quoted alike), and every tick of the run puts
-    its time in front of each. A run's whole blocks of `TICKS_PER_BLOCK`
-    aligned ticks are written with one join and one write each; its
-    other ticks at most `TICKS_PER_WRITE` to a write.
+    Every text a row takes from a name is formatted once, by a writer of
+    the same dialect (so a name that needs quoting is quoted alike). An
+    event's row joins `repr` of its time and value with the texts of its
+    `(kind, ecu, line)` and its detail; event rows are written at most
+    `ROWS_PER_WRITE` to a write. Sample ticks are written by run: each
+    of a tick's rows is formatted once without its time, and every tick
+    of the run puts its time in front of each. A run's whole blocks of
+    `TICKS_PER_BLOCK` aligned ticks are written with one join and one
+    write each; its other ticks at most `TICKS_PER_WRITE` to a write.
     """
     with open(trace_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(TRACE_COLUMNS)
+        eol = len(w.dialect.lineterminator)
+        # (kind, ecu, line) -> their text between the time and the value,
+        # commas included; detail -> its text after the value, comma and
+        # line end included
+        heads: dict = {}
+        tails: dict = {}
+        rows: list = []  # event rows not yet written
         # id(samples) -> ("", each row's text after its time): the time
         # joins these into the tick's rows
         suffixes: dict = {}
         # id(samples) -> ("", each row of a block led by its tick's last
         # two digits): str(k // 100) joins these into ticks k..k+99
         blocks: dict = {}
-        for r, ticks in trace.segments():
-            if r is not None:
-                value = "" if r.value is None else repr(r.value)
-                w.writerow([repr(r.t), r.kind, r.ecu, r.line, value, r.detail])
+        for row, ticks in trace.segments():
+            if row is not None:
+                t, kind, ecu, line, value, detail = row
+                head = heads.get((kind, ecu, line))
+                if head is None:
+                    head = heads[kind, ecu, line] = _row_text(w.dialect, ["", kind, ecu, line, ""])[:-eol]
+                tail = tails.get(detail)
+                if tail is None:
+                    tail = tails[detail] = _row_text(w.dialect, ["", detail])
+                rows.append(f"{t!r}{head}{tail}" if value is None else f"{t!r}{head}{value!r}{tail}")
+                if len(rows) >= ROWS_PER_WRITE:
+                    fh.write("".join(rows))
+                    rows.clear()
                 continue
+            fh.write("".join(rows))
+            rows.clear()
             first, last, samples = ticks
             parts = suffixes.get(id(samples))
             if parts is None:
@@ -174,6 +196,7 @@ def emit_outputs(trace: Trace, summary: Summary, trace_path: str, summary_path: 
                     fh.write(str(q).join(block))
                 first = hi * TICKS_PER_BLOCK
             _write_ticks(fh, parts, first, last + 1)
+        fh.write("".join(rows))
     with open(summary_path, "w") as fh:
         json.dump(summary_to_dict(summary), fh, indent=2, sort_keys=True)
         fh.write("\n")

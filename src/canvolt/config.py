@@ -371,6 +371,15 @@ def remote_frame_without_data(e: EcuSpec) -> None:
         raise ConfigError(f"ecu.{e.name}.data", "a remote frame carries no data")
 
 
+def unique_sender_id(e: EcuSpec, senders: dict) -> None:
+    """No two senders share an identifier: ISO 11898-1 requires unique
+    data-frame identifiers, and arbitration could not pick between
+    them. `senders` maps each identifier seen so far to its sender."""
+    first = senders.setdefault(e.frame.id, e.name)
+    if first != e.name:
+        raise ConfigError(f"ecu.{e.name}.id", f"id {e.frame.id:#x} already taken by ecu.{first}")
+
+
 def pulse_period_below_frame_time(attack: atk.PulseAttack, tx_times: list) -> None:
     if tx_times and attack.period >= min(tx_times):
         tx_time = min(tx_times)
@@ -412,11 +421,13 @@ def validate_config(cfg: ScenarioConfig) -> None:
     host = one_vids_host(cfg.ecus)
     bit_time = 1.0 / cfg.bus_speed
     tx_times = []  # each sender's frame time
+    senders: dict = {}  # frame id -> its sender's name
     for e in cfg.ecus:
         _check_keys("ecu", f"ecu.{e.name}", e)
         if e.role == "sender":
             tx_times.append(period_above_frame_time(e, bit_time))
             remote_frame_without_data(e)
+            unique_sender_id(e, senders)
     # an attempt started before the run ends lasts its frame and error flag at most
     run_end = cfg.duration + max(tx_times, default=0.0) + ERROR_FLAG_BITS * bit_time
     if cfg.attack is not None:

@@ -100,7 +100,15 @@ thermostat flip stamped at or before k. Ticks with the same records
 form one run `[first, last, samples]`; inside a pulse window each tick
 picks its phase pair. Records sort by time, and at equal stamps by kind
 (`trace.Trace.add`): every other event, AttackStart, the tick, AttackEnd,
-then FrameSent and Retransmission.
+then FrameSent and Retransmission. The trace keeps each event as a plain
+row `(t, kind, ecu, line, value, detail)`, and the summary reads those
+rows (`Trace.event_rows`), so a run builds no `TraceRecord`: `events`
+and `records` build them when a caller asks.
+
+Each step of the main loop finds the next event time and the frames
+ready then in one pass over the senders' queue heads, and `arbitrate`
+picks among those; its winner is the very frame it was given, so the
+winner's queue entry is found by identity.
 """
 
 from __future__ import annotations
@@ -743,36 +751,46 @@ class _Sim:
     # -- main loop ---------------------------------------------------------------------
 
     def run(self) -> tuple:
-        cfg = self.cfg
+        duration = self.cfg.duration
+        queues, sends = self.queues, self.sends
         send_idx = 0
         bus_free = 0.0
         while True:
-            ready = {name: max(bus_free, q[0].retry_at) for name, q in self.queues.items() if q}
-            t_next = min([cfg.duration, *ready.values()])
-            if send_idx < len(self.sends):
-                t_next = min(t_next, self.sends[send_idx][0])
+            # one pass over the queue heads: the earliest time one is
+            # ready, and the heads ready then
+            t_next, contenders = duration, []
+            for name, q in queues.items():
+                if q:
+                    tx = q[0]
+                    t = tx.retry_at if tx.retry_at > bus_free else bus_free
+                    if t < t_next:
+                        t_next, contenders = t, [(name, tx)]
+                    elif t == t_next:
+                        contenders.append((name, tx))
+            if send_idx < len(sends) and sends[send_idx][0] < t_next:
+                t_next = sends[send_idx][0]
 
             reached = self.advance_idle(t_next)
             if reached < t_next:
                 # a device changed state: a frame parked on the attack
                 # retries now; any other head is due no later than before
-                for q in self.queues.values():
+                for q in queues.values():
                     if q:
                         q[0].retry_at = min(q[0].retry_at, reached)
                 continue
-            if t_next >= cfg.duration:
+            if t_next >= duration:
                 break
 
-            if send_idx < len(self.sends) and self.sends[send_idx][0] <= t_next:
-                t, name, frame = self.sends[send_idx]
+            if send_idx < len(sends) and sends[send_idx][0] <= t_next:
+                t, name, frame = sends[send_idx]
                 send_idx += 1
-                self.queues[name].append(_QueuedTx(frame, t))
+                queues[name].append(_QueuedTx(frame, t))
                 continue
 
-            # no send is due, so t_next is the earliest ready time
-            contenders = [(name, self.queues[name][0]) for name, t in ready.items() if t <= t_next]
+            # no send is due, so t_next is the earliest ready time and
+            # the contenders are the heads ready then
             winner = arbitrate([tx.frame for _, tx in contenders])
-            name, tx = next(c for c in contenders if c[1].frame == winner)
+            name, tx = next(c for c in contenders if c[1].frame is winner)
 
             # an idle bus that engages the comparator lets no frame start;
             # only an attack raises it, so park until the window ends
@@ -782,7 +800,7 @@ class _Sim:
 
             delivered, bus_free = self.simulate_attempt(name, tx, t_next)
             if delivered:
-                self.queues[name].pop(0)
+                queues[name].pop(0)
             else:
                 tx.attempts += 1
                 tx.retry_at = self.t_end if self.attack_blocking(bus_free) else bus_free
@@ -800,7 +818,7 @@ class _Sim:
         )
         return Summary(
             messages_sent=len(self.sends),
-            messages_received=len(self.trace.of_kind("FrameReceived")),
+            messages_received=sum(row[1] == "FrameReceived" for row in self.trace.event_rows),
             indicator=tuple(indicator),
             retransmissions=self.retransmissions,
             attack_success=self.attack_succeeded(),
@@ -822,10 +840,10 @@ class _Sim:
         if isinstance(a, _BLOCKING):
             expected = any(a.active(t) for t, _, _ in self.sends)
             return expected and not any(
-                r.kind == "FrameReceived" and a.active(r.t) for r in self.trace.events
+                row[1] == "FrameReceived" and a.active(row[0]) for row in self.trace.event_rows
             )
         if isinstance(a, atk.ForcedRetransmission):
-            return any(r.kind == "Retransmission" and a.active(r.t) for r in self.trace.events)
+            return any(row[1] == "Retransmission" and a.active(row[0]) for row in self.trace.event_rows)
         return isinstance(a, (atk.PassiveOvercurrent, atk.ActiveOvercurrent)) and self.bank.damaged
 
 
@@ -845,12 +863,12 @@ def message_indicator(
         duration = trace.end
     slots = int(round(duration / period))
     flags = [0] * slots
-    for r in trace.events:
-        if r.kind != "FrameReceived":
+    for t, kind, ecu, _, _, _ in trace.event_rows:
+        if kind != "FrameReceived":
             continue
-        if receiver is not None and r.ecu != receiver:
+        if receiver is not None and ecu != receiver:
             continue
-        k = int(r.t // period)
+        k = int(t // period)
         if 0 <= k < slots:
             flags[k] = 1
     return flags

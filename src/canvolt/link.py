@@ -268,7 +268,10 @@ def decode_bitstream(bits: Sequence[int]) -> Frame:
 
 
 def arbitrate(contenders: Sequence[Frame]) -> Frame:
-    """Lowest identifier wins bus access."""
+    """Lowest identifier wins bus access; the winner is returned as given,
+    a lone contender at once."""
+    if len(contenders) == 1:
+        return contenders[0]
     if not contenders:
         raise ValueError("arbitration requires at least one contender")
     ids = [f.id for f in contenders]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 TRACE_KINDS = (
     "FrameSent",
@@ -50,27 +51,31 @@ class TraceRecord:
 # a record's rank among those at its stamp: 0 for a kind not listed, _TICK for samples
 _TICK = 2
 _RANKS = {"AttackStart": 1, "AttackEnd": 3, "FrameSent": 4, "Retransmission": 4}
+_STAMP = itemgetter(0, 1)  # an event's (t, rank)
 
 
 class Trace:
     """A run's records in time order: events, plus sample ticks kept as runs.
 
-    Events and window markers are records. Each run `[first, last,
-    samples]` stands for the ticks at first..last seconds, each with one
-    record per `(kind, ecu, line, value)` in `samples`. `records`
-    expands and merges both on first access; `events` and `segments`
-    do not expand the ticks.
+    Events and window markers are kept as plain rows `(t, kind, ecu,
+    line, value, detail)`, the fields of a `TraceRecord`. Each run
+    `[first, last, samples]` stands for the ticks at first..last seconds,
+    each with one record per `(kind, ecu, line, value)` in `samples`.
+    `event_rows` and `segments` read the rows as they are and do not
+    expand the ticks; `events`, `records` and `of_kind` build
+    `TraceRecord`s when asked, and `records` expands and merges both on
+    first access.
     """
 
     def __init__(self):
         self.runs: list = []
-        self._side: list = []  # (t, rank, record) of events and markers
+        self._side: list = []  # (t, rank, row) of events and markers
         self._ordered = True
         self._records = None
 
     def add(self, t, kind, ecu="", line="", value=None, detail=""):
         """A record at t, ranked by its kind among the records at t."""
-        self._side.append((t, _RANKS.get(kind, 0), TraceRecord(t, kind, ecu, line, value, detail)))
+        self._side.append((t, _RANKS.get(kind, 0), (t, kind, ecu, line, value, detail)))
         self._ordered = False
         self._records = None
 
@@ -86,14 +91,19 @@ class Trace:
 
     def _side_in_order(self) -> list:
         if not self._ordered:
-            self._side.sort(key=lambda e: (e[0], e[1]))  # stable: insertion order on ties
+            self._side.sort(key=_STAMP)  # stable: insertion order on ties
             self._ordered = True
         return self._side
 
     @property
+    def event_rows(self) -> list:
+        """Every record but the samples as a plain row, in order."""
+        return [row for _, _, row in self._side_in_order()]
+
+    @property
     def events(self) -> list:
         """Every record but the samples, in order."""
-        return [r for _, _, r in self._side_in_order()]
+        return [TraceRecord(*row) for row in self.event_rows]
 
     @property
     def end(self) -> float:
@@ -102,8 +112,9 @@ class Trace:
         return max([t for t, _, _ in self._side] + last_tick, default=0.0)
 
     def segments(self):
-        """The records in order: each event as `(record, None)`, each
-        stretch of ticks between events as `(None, (first, last, samples))`."""
+        """The records in order: each event as `(row, None)`, its plain
+        row, each stretch of ticks between events as `(None, (first,
+        last, samples))`."""
         side = self._side_in_order()
         i, n = 0, len(side)
         for first, last, samples in self.runs:
@@ -129,9 +140,9 @@ class Trace:
         """Every record in order, ticks expanded; built on first access."""
         if self._records is None:
             out = []
-            for r, ticks in self.segments():
-                if r is not None:
-                    out.append(r)
+            for row, ticks in self.segments():
+                if row is not None:
+                    out.append(TraceRecord(*row))
                     continue
                 first, last, samples = ticks
                 for k in range(first, last + 1):

@@ -8,13 +8,16 @@ import math
 import string
 import tempfile
 from dataclasses import MISSING
+from itertools import accumulate
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import event, example, given, reject, settings
 from hypothesis import strategies as st
 
 from canvolt.cli import (
+    EXIT_CONFIG,
     InfeasibleTarget,
     calibrate,
     emit_outputs,
@@ -26,7 +29,7 @@ from canvolt.cli import (
     serialize_config,
 )
 from canvolt import attacks as atk
-from canvolt import config, engine
+from canvolt import cli, config, engine
 from canvolt.engine import (
     MAX_SWEEP_POINTS,
     CalibratedParams,
@@ -571,6 +574,19 @@ def test_a_sender_needs_its_frame_id():
     assert err.value.path == "ecu.C.id"
 
 
+def test_a_duplicate_sender_id_is_a_config_error(tmp_path, capsys):
+    """Two senders on one id at equal offsets would collide in
+    arbitration; both `validate` and `simulate` reject the config first."""
+    bad = tmp_path / "dup.ini"
+    bad.write_text(BASELINE + "\n[ecu.D]\nrole = sender\nperiod = 1.0\nid = 0x01\n")
+    assert main(["validate", str(bad)]) == EXIT_CONFIG
+    outputs = ["--trace", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.json")]
+    assert main(["simulate", str(bad), *outputs]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("config error: ecu.D.id: id 0x1 already taken by ecu.C") == 2
+    assert not (tmp_path / "t.csv").exists()
+
+
 # --- parse(serialize(cfg)) == cfg over configs drawn from the key table ---------
 
 NAMES = st.text(string.ascii_letters + string.digits + "_-", min_size=1, max_size=4)
@@ -803,23 +819,66 @@ def test_the_largest_sweep_grid_is_accepted():
     assert parse_config(text).sweep.size() == MAX_SWEEP_POINTS
 
 
-def test_trace_csv_quotes_ecu_names_like_csv_writer(tmp_path):
-    host = 'a,"b"'
-    cfg = ScenarioConfig(
-        duration=4.0,
-        ecus=(
-            EcuSpec(host, "vids-host"),
-            EcuSpec("B", "logger"),
-            EcuSpec("C", "sender", period=1.0, frame=Frame(id=1, data=b"\x01"), offset=0.5),
-        ),
-        attack=atk.DoS(node=host, t_start=1.0, t_end=2.5, v_attack_l=5.0),
-    )
-    trace, summary = run_scenario(cfg)
-    path = tmp_path / "t.csv"
-    emit_outputs(trace, summary, str(path), str(tmp_path / "s.json"))
+QUOTED = 'a,"b"'  # a name csv.writer must quote, with its quote doubled
 
-    assert '"a,""b"""' in path.read_text()
-    assert path.read_bytes() == _row_by_row_csv(trace)
+
+@st.composite
+def quoted_buses(draw):
+    """A vids-host, a logger and 2-8 senders with unique ids whose offsets
+    collide, one node of the lot named `QUOTED`, under an optional DoS
+    window that fails and parks attempts (ErrorFrame and Retransmission
+    rows, the latter with their attempt counts)."""
+    gaps = draw(st.lists(st.integers(1, 255), min_size=1, max_size=7))
+    ids = draw(st.permutations(list(accumulate(gaps, initial=draw(st.integers(0, 255))))))
+    names = ["H", "L", *(f"S{k}" for k in range(len(ids)))]
+    names[draw(st.integers(0, len(names) - 1))] = QUOTED
+    senders = tuple(
+        EcuSpec(
+            name, "sender", period=draw(st.sampled_from([0.25, 0.5, 1.0])),
+            frame=Frame(id=fid, data=draw(st.binary(max_size=8))),
+            offset=draw(st.sampled_from([0.0, 0.0, 0.125])),
+        )
+        for name, fid in zip(names[2:], ids)
+    )
+    attack = None
+    if draw(st.booleans()):
+        t_start = draw(st.sampled_from([0.0, 0.125, 0.6]))
+        t_end = t_start + draw(st.sampled_from([0.25, 1.0, 5.0]))
+        attack = atk.DoS(node=names[0], t_start=t_start, t_end=t_end, v_attack_l=5.0)
+    ecus = (EcuSpec(names[0], "vids-host"), EcuSpec(names[1], "logger"), *senders)
+    return ScenarioConfig(duration=2.0, ecus=ecus, attack=attack)
+
+
+@settings(max_examples=40, deadline=None)
+@given(quoted_buses())
+def test_trace_csv_quotes_ecu_names_like_csv_writer(cfg):
+    """On generated buses the trace CSV equals one written row by row, and
+    the summary's counts equal those recounted from the records."""
+    trace, summary = run_scenario(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        emit_outputs(trace, summary, str(path), str(Path(tmp) / "s.json"))
+        text = path.read_bytes()
+        # event rows written a few to a write, as a long trace writes them
+        with mock.patch.object(cli, "ROWS_PER_WRITE", 3):
+            emit_outputs(trace, summary, str(path), str(Path(tmp) / "s.json"))
+        assert path.read_bytes() == text
+    assert text == _row_by_row_csv(trace)
+    records = trace.records
+    assert (b'"a,""b"""' in text) == any(r.ecu == QUOTED for r in records)
+    for kind in ("ErrorFrame", "Retransmission"):
+        event(f"{kind} rows: {'yes' if any(r.kind == kind for r in records) else 'no'}")
+
+    received = [r for r in records if r.kind == "FrameReceived"]
+    assert summary.messages_received == len(received)
+    period = cfg.ecus[2].period
+    slots = [int(r.t // period) for r in received if r.ecu == cfg.ecus[1].name]
+    assert summary.indicator == tuple(int(k in slots) for k in range(round(cfg.duration / period)))
+    a = cfg.attack
+    sends = [e.offset + k * e.period for e in cfg.ecus[2:] for k in range(int(cfg.duration / e.period) + 1)]
+    sends = [t for t in sends if t < cfg.duration]
+    blocked = a is not None and any(a.active(t) for t in sends) and not any(a.active(r.t) for r in received)
+    assert summary.attack_success == blocked
 
 
 def _row_by_row_csv(trace) -> bytes:

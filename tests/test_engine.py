@@ -32,6 +32,7 @@ from canvolt.engine import (
 )
 from canvolt.irs import FuseState, ThermostatCoil, TripTimer
 from canvolt.link import Frame
+from canvolt.trace import TraceRecord
 
 FRAME = Frame(id=0x01, data=b"\x01")
 
@@ -522,3 +523,25 @@ def test_a_run_keeps_fewer_than_30_attributes(attack, device):
     assert len(vars(sim)) < 30
     sim.run()
     assert len(vars(sim)) < 30
+
+
+@pytest.mark.parametrize(
+    "attack",
+    [None, DoS(t_start=10.0, t_end=20.0), ForcedRetransmission(t_start=10.0, t_end=20.0)],
+    ids=lambda a: type(a).__name__,
+)
+def test_a_run_builds_no_trace_record(attack, monkeypatch):
+    """A run and its summary read the trace's plain rows; `TraceRecord`s
+    are built only when a caller asks for `events` or `records`."""
+    built = []
+    init = TraceRecord.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TraceRecord, "__init__", counted)
+    trace, summary = run_scenario(scenario(attack, duration=30.0))
+    assert built == [] and summary.messages_received > 0
+    assert [TraceRecord(*row) for row in trace.event_rows] == trace.events
+    assert len(built) == 2 * len(trace.event_rows)

@@ -236,6 +236,12 @@ def test_arbitration_lowest_id_wins():
     assert arbitrate([b, a]) == b
     assert arbitrate([Frame(id=0x7FF), Frame(id=0x000)]).id == 0
     assert arbitrate([a]) == a
+    # the winner is the very frame given, alone or among others, so the
+    # engine finds its queue entry by identity
+    assert arbitrate([a]) is a
+    c = Frame(id=0x001)  # equal to b, but another object
+    assert arbitrate([a, b]) is b and arbitrate([c, a]) is c
+    assert arbitrate([Frame(id=0x7FF), b, a]) is b
 
 
 def test_arbitration_rejects_duplicate_ids():
