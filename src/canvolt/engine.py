@@ -16,16 +16,11 @@ frames and retransmission timing are computed here and nowhere else.
 
 A frame that an attack would kill on every attempt is *parked*: its one
 retry time moves to the window end, and a device that changes
-connectivity before then wakes it. Parking reads the engine's own
-cached solves at the gated pins: an idle bus that engages the
-comparator (a jam) parks a frame before it starts, and a failed attempt
-inside a DoS or pulse window parks when the gated window pairs do not
-read a dominant bit as driven, by the rule that decides steady windows
-(`phases_read_driven`). A forced retransmission is never parked: it
-succeeds by a retransmission inside its window, so parking its frames
-would move those records and its verdict. The one closed-form
-predictor the engine still calls is the FRA ACK delimiter check
-(`attacks.fra_ack_delimiter_corrupted`).
+connectivity before then wakes it. A forced retransmission is never
+parked: it succeeds by a retransmission inside its window, so parking
+its frames would move those records and its verdict. The one
+closed-form predictor the engine still calls is the FRA ACK delimiter
+check (`attacks.fra_ack_delimiter_corrupted`).
 
 The attack window is one set of fields: its edges, which are infinite
 without an attack so the window never opens; the attacker's pin pairs
@@ -44,25 +39,24 @@ device and advances each damage timer that is not at rest; the earliest
 open/close change bounds the step, and a device stepped past it is
 stepped again to it.
 
-One rest rule decides every shortcut: a step at given pin currents,
-inside the attack window or not, leaves every accumulator as it is when
-each device and damage timer is at rest at the current it sees
-(`_PinBank.moving` finds nothing to move). A damage timer sees the
-current its pin's device passes; a device sees
-`_PinBank.device_current`: the bench drive in the window when one is
-set (a thermostat's only), else its pin current, as it passes it. Each
-verdict is kept in `_Sim.resting` until a step moves an accumulator. It
-is applied in two places, the first of which widens it to devices that
-move at one current:
+One reading per side of the attack window decides every shortcut and
+every park. `side` gates that side's pin pairs (the inputs outside the
+window, each window pair inside), solves them, and keeps the record in
+`_Sim.resting` until a step moves an accumulator; every connectivity
+change is such a step. A step at given pin currents leaves every
+accumulator as it is when each device and damage timer is at rest at the
+current it sees (`_PinBank.moving` finds nothing to move). A damage
+timer sees the current its pin's device passes; a device sees
+`_PinBank.device_current`: the bench drive in the window when one is set
+(a thermostat's only), else its pin current, as it passes it. The record
+is read in three places:
 
 - *Quiescent frames.* A frame skips the per-bit work from its SOF, or
-  from any later bit, when no attack window overlaps the bits left, or
-  a window holds them, and `crossing` passes: every bit samples as
-  driven, which in a window needs `link.reads_driven` to pass its
-  phases at the gated window pairs' v_diffs at each driven level (one
-  unbounded phase for a static attack, a pulse's high and low phase);
-  every damage timer rests; and each device rests at every pin pair and
-  level, or sees one current at all of them (`_PinBank.moving`). So a
+  from any later bit, when no attack window overlaps the bits left, or a
+  window holds them, and the frame verdict passes: every bit samples as
+  driven (in a window, `link.reads_driven` passes the clock's phases at
+  each driven level); every damage timer rests; and each device rests at
+  every pin pair and level, or sees one current at all of them. So a
   pulse whose masking phase is shorter than the decode hold is steady
   once its accumulators rest, and a coil that heats or cools at one
   current does not stop the frame. Inside the window the first attempt
@@ -70,19 +64,25 @@ move at one current:
   then folded over the pieces of the bits crossed, cut as `drive` cuts
   them, by `irs` `steps`: the per-bit path's own step arithmetic,
   without its solves, gating or comparator. A device that would open or
-  close in them sends those bits one by one, from the state before
-  them. An attempt asks at its SOF, and again for the rest of the frame
-  after a bit in which a device opened or closed or a damage timer
-  tripped, and at its first bit past a window edge: a fuse or damage
+  close in them sends those bits one by one, from the state before them.
+  An attempt asks at its SOF, and again for the rest of the frame after
+  a bit in which a device opened or closed or a damage timer tripped or
+  cleared, and at its first bit past a window edge: a fuse or damage
   limit that trips early in a frame leaves the rest of it steady.
 - *Idle jumps.* `advance_idle` crosses the idle stretch up to the next
-  event or window edge in one step when the idle bus rests at each pin
-  pair it takes there: the inputs outside the attack window, each
-  window pair inside. Otherwise that stretch is sliced at every whole
-  second.
+  event or window edge in one step when the idle bus rests on each side
+  it reaches. Otherwise that stretch is sliced at every whole second,
+  and a slice reads its pins at its start: it never straddles a window
+  edge, and the idle bus draws no current in either pulse phase.
   `irs.ThermostatCoil.step` starts its tau/10 step grid afresh at each
   call, so only this slicing keeps the thermostat and over-timer
   numerics fixed.
+- *Parks.* A frame due inside the window whose idle bus engages the
+  comparator at that instant's phase (a jam) is parked before it
+  starts. A failed attempt inside a DoS or pulse window is parked when
+  a dominant bit is blocked: the gated window pairs do not read it as
+  driven, by the rule that decides steady windows
+  (`phases_read_driven`).
 
 A driven bit is cut into pieces, and each piece costs constant work:
 
@@ -115,6 +115,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import attacks as atk
 from . import irs
@@ -178,6 +179,17 @@ def _limit_pin_currents(sol, limit: float):
 _BLOCKING = (atk.DoS, atk.PulseAttack)
 
 
+class _Side(NamedTuple):
+    """What the gated pin pairs on one side of the attack window give."""
+
+    # `bank.moving` over both driven levels when every bit reads as
+    # driven, else None
+    frame: tuple | None
+    idle_rests: bool  # an idle step leaves every accumulator as it is
+    blocked: bool  # a dominant bit does not read as driven
+    engaged: tuple  # per window pair (none outside): the idle bus reads dominant
+
+
 @dataclass
 class _QueuedTx:
     frame: Frame
@@ -204,7 +216,7 @@ class _PinBank:
         self.damage = {"ph": dmg, "pl": dmg}
         self.trip_times: dict = {}
         self.damaged_at: float | None = None
-        self.flips = 0  # every trip, thermostat flip and damage trip counts one
+        self.flips = 0  # each trip, flip, and damage timer that trips or clears counts one
 
     def moving(self, raws, in_window: bool):
         """The devices that steps at each of these raw pin currents move,
@@ -278,9 +290,7 @@ class _Sim:
             if e.role == "sender"
         }
         self.solutions: dict = {}  # (dominant, pins) -> (BusSolution, VIDS pin currents)
-        # until a step moves an accumulator, per side of the attack window:
-        # "inside"/"outside" -> the crossing verdict, and "idle inside"/
-        # "idle outside" -> the idle bus's rest verdict
+        # in_window -> that side's `_Side`, until a step moves an accumulator
         self.resting: dict = {}
         # the attack window, which never opens without an attack, the
         # attacker's pin pairs in it (a pulse's high and low phase, else
@@ -328,10 +338,6 @@ class _Sim:
         """(P_H, P_L) with each disconnected pin an input; `connected` as in `pins_at`."""
         ph_on, pl_on = connected or (self.bank.connected("ph"), self.bank.connected("pl"))
         return pins[0] if ph_on else INPUT, pins[1] if pl_on else INPUT
-
-    def vids_currents(self, dominant: bool, t: float) -> tuple:
-        """(bus solution, VIDS raw pin currents) at time t, cached on (dominant, pins)."""
-        return self.solved(dominant, self.pins_at(t))
 
     def solved(self, dominant: bool, pins: tuple) -> tuple:
         """(bus solution, VIDS raw pin currents) at the driven level and gated
@@ -471,12 +477,13 @@ class _Sim:
             if deadline == stop_off:
                 bank.damage[pin] = replace(dmg, over_timer=dmg.opening_time)
                 continue
-            bank.damage[pin] = dmg.advance(i, stop_off)
-            if deadline < stop_off:
+            bank.damage[pin] = after = dmg.advance(i, stop_off)
+            if after.at_rest(i):
+                # it tripped or its over-timer cleared: `quiescent` may pass now
                 bank.flips += 1
-                if bank.damaged_at is None:
-                    bank.damaged_at = a + deadline
-                    self.trace.add(a + deadline, "Damage", ecu=self.vids, line=pin)
+            if deadline < stop_off and bank.damaged_at is None:
+                bank.damaged_at = a + deadline
+                self.trace.add(a + deadline, "Damage", ecu=self.vids, line=pin)
         # a step that moves an accumulator ends every kept rest verdict
         if moved:
             self.resting.clear()
@@ -495,31 +502,21 @@ class _Sim:
         return t_stop if changed else b
 
     def idle_inert(self, a: float, b: float) -> bool:
-        """No idle step over [a, b) can change an accumulator: the idle bus,
-        gated by the connectivity now, rests at the inputs outside the
-        attack window and at every window pair (both pulse phases) inside
-        it. Each side's verdict is kept in `resting`."""
-
-        def rests(in_window):
-            key = "idle inside" if in_window else "idle outside"
-            verdict = self.resting.get(key)
-            if verdict is None:
-                pairs = self.window_pins if in_window else ((INPUT, INPUT),)
-                raws = [self.solved(False, self.gate(pins))[1] for pins in pairs]
-                verdict = self.resting[key] = self.bank.moving(raws, in_window) == ()
-            return verdict
-
-        if (a < self.t_start or self.t_end < b) and not rests(False):
+        """No idle step over [a, b) can change an accumulator: the idle bus
+        rests on each side of the attack window that [a, b) reaches
+        (`side`)."""
+        if (a < self.t_start or self.t_end < b) and not self.side(False).idle_rests:
             return False
-        return not (self.t_start < b and a < self.t_end) or rests(True)
+        return not (self.t_start < b and a < self.t_end) or self.side(True).idle_rests
 
     def advance_idle(self, target: float) -> float:
         """Integrate the idle bus up to target; early-return on changes.
 
         Jumps to target when `idle_inert`, else to the next window edge
         when inert up to it, else slices at the next whole second (see
-        the module docstring); the idle bus carries no current in either
-        pulse phase, so no pulse cuts.
+        the module docstring). A slice reads its pins at its start, which
+        sits on its side of the window; the idle bus carries no current in
+        either pulse phase, so no pulse cuts.
         """
         while self.integrated_to < target:
             a = self.integrated_to
@@ -531,27 +528,52 @@ class _Sim:
                 self.integrated_to = edge
                 continue
             b = min(edge, float(math.floor(a) + 1))
-            _, i = self.vids_currents(False, 0.5 * (a + b))
+            _, i = self.solved(False, self.pins_at(a))
             self.integrated_to = self.advance_constant(a, b, i)
             if self.integrated_to < b:
                 return self.integrated_to  # connectivity changed; caller re-plans
         return target
 
-    # -- bus state ---------------------------------------------------------------
+    # -- window sides -------------------------------------------------------------
 
-    def engages(self, dominant: bool, t: float) -> bool:
-        """The bus at this driven level and the gated pins at t engages the
-        receiver comparator."""
-        return self.vids_currents(dominant, t)[0].voltages.v_diff >= DOMINANT_THRESHOLD
+    def side(self, in_window: bool) -> _Side:
+        """The `_Side` of the gated pin pairs in or out of the attack
+        window, kept in `resting`.
+
+        Outside the window the pins are inputs, which draw nothing at
+        either driven level, so the recessive level stands for both and
+        one `bank.moving` gives the frame and idle verdicts. Inside, each
+        driven level must read as driven by `phases_read_driven` at the
+        gated window pairs' v_diffs; a blocked dominant level, read
+        first, settles the frame verdict.
+        """
+        kept = self.resting.get(in_window)
+        if kept is not None:
+            return kept
+        moving = self.bank.moving
+        if not in_window:
+            frame = moving([self.solved(False, (INPUT, INPUT))[1]], False)
+            kept = _Side(frame, frame == (), False, ())
+        else:
+            pairs = [self.gate(pins) for pins in self.window_pins]
+            dominant = [self.solved(True, pins) for pins in pairs]
+            blocked = not self.phases_read_driven(True, tuple(sol.voltages.v_diff for sol, _ in dominant))
+            recessive = [self.solved(False, pins) for pins in pairs]
+            v_diffs = tuple(sol.voltages.v_diff for sol, _ in recessive)
+            idle = [i for _, i in recessive]
+            frame = None
+            if not blocked and self.phases_read_driven(False, v_diffs):
+                frame = moving([i for _, i in dominant] + idle, True)
+            engaged = tuple(v >= DOMINANT_THRESHOLD for v in v_diffs)
+            kept = _Side(frame, moving(idle, True) == (), blocked, engaged)
+        self.resting[in_window] = kept
+        return kept
 
     def attack_blocking(self, t: float) -> bool:
         """The attack kills every attempt at t: t is in a DoS or pulse window
-        whose gated pairs do not read a dominant bit as driven
-        (`phases_read_driven`)."""
-        if not (isinstance(self.attack, _BLOCKING) and self.t_start <= t < self.t_end):
-            return False
-        solves = (self.solved(True, self.gate(pins))[0] for pins in self.window_pins)
-        return not self.phases_read_driven(True, tuple(sol.voltages.v_diff for sol in solves))
+        whose gated pairs do not read a dominant bit as driven (`side`)."""
+        in_window = self.t_start <= t < self.t_end
+        return in_window and isinstance(self.attack, _BLOCKING) and self.side(True).blocked
 
     # -- frame transmission ---------------------------------------------------------
 
@@ -563,9 +585,8 @@ class _Sim:
 
         Bits k.. are crossed when no attack window overlaps them, or the
         window holds them (from bit k's start to strictly before the
-        frame's end, as in `drive`), and `crossing` finds that every bit
-        reads as driven, every damage timer rests and each device rests or
-        moves at one current. Its reading holds from either comparator
+        frame's end, as in `drive`), and the `side` they lie on gives a
+        frame verdict. Its reading holds from either comparator
         state and at any phase, so bit k may follow bits sampled one by
         one. Inside the window the first attempt still asks the FRA check
         at its ACK delimiter, unless bit k is past it, and ends after that
@@ -582,7 +603,7 @@ class _Sim:
         in_window = self.t_start < t1 and tk < self.t_end
         if in_window and not (self.t_start <= tk and t1 < self.t_end):
             return None
-        moving = self.crossing(in_window)
+        moving = self.side(in_window).frame
         if moving is None:
             return None
         outcome = None, ""
@@ -605,32 +626,6 @@ class _Sim:
             self.resting.clear()
         self.integrated_to = max(self.integrated_to, t1)
         return outcome
-
-    def crossing(self, in_window: bool):
-        """`bank.moving` over the pin pairs a frame takes in or out of the
-        attack window, when every bit reads as driven; else None. Kept
-        until the next full accumulator step.
-
-        Outside the window the pins are inputs, which draw nothing at
-        either driven level, so the recessive level stands for both.
-        Inside, each driven level must read as driven by
-        `phases_read_driven` at the gated window pairs' v_diffs.
-        """
-        key = "inside" if in_window else "outside"
-        if key not in self.resting:
-            pairs = self.window_pins if in_window else ((INPUT, INPUT),)
-            self.resting[key] = None  # the verdict of each early return
-            raws = []
-            # the dominant level first: an attack that blocks it fails an
-            # attempt at its SOF, before any recessive level is solved
-            for dominant in (True, False) if in_window else (False,):
-                solves = [self.solved(dominant, self.gate(pins)) for pins in pairs]
-                v_diffs = tuple(sol.voltages.v_diff for sol, _ in solves)
-                if in_window and not self.phases_read_driven(dominant, v_diffs):
-                    return None
-                raws += [i for _, i in solves]
-            self.resting[key] = self.bank.moving(raws, in_window)
-        return self.resting[key]
 
     def phases_read_driven(self, dominant: bool, levels: tuple) -> bool:
         """`link.reads_driven` for the clock's phase lengths (a pulse's high
@@ -694,7 +689,7 @@ class _Sim:
         cuts = self.cuts(a, b)
         while cursor < b:
             hi = next(cuts)
-            sol, i = self.vids_currents(dominant, 0.5 * (cursor + hi))
+            sol, i = self.solved(dominant, self.pins_at(0.5 * (cursor + hi)))
             reached = self.advance_constant(cursor, hi, i)
             pieces.append((cursor, reached, sol.voltages.v_diff))
             if reached < hi:
@@ -704,12 +699,13 @@ class _Sim:
         return pieces
 
     def sample_bits(self, bits: list, ack_delim: int, first_attempt: bool, t0: float) -> tuple:
-        """Drive and sample the frame bit by bit from t0, handing the rest
-        of it to `quiescent` at bit 0 and again wherever the state it reads
-        may have changed: after a bit in which a device opened or closed or
-        a damage timer tripped (`bank.flips` moved), and at the first bit
-        that starts on the other side of a window edge. Asking at every bit
-        would refold a moving device over the rest of the frame at each one.
+        """Drive and sample the frame bit by bit from t0, handing the
+        rest of it to `quiescent` at bit 0 and again wherever the state
+        it reads may have changed: after a bit in which a device opened
+        or closed or a damage timer tripped or cleared (`bank.flips`
+        moved), and at the first bit that starts on the other side of a
+        window edge. Asking at every bit would refold a moving device
+        over the rest of the frame at each one.
 
         The bit before the ACK delimiter is the ACK slot, driven dominant,
         so the FRA check there follows a dominant bit read as driven.
@@ -720,13 +716,13 @@ class _Sim:
         t_start, t_end = self.t_start, self.t_end
         bank = self.bank
         comparator = (BitDecision.RECESSIVE, t0 - 1.0)  # idle bus precedes the frame
-        flips = side = None
+        flips = last_side = None
 
         for k, bit in enumerate(bits):
             b0 = t0 + k * bt
             here = (t_start <= b0) + (t_end <= b0)  # the window side bit k starts on
-            if bank.flips != flips or here != side:
-                flips, side = bank.flips, here
+            if bank.flips != flips or here != last_side:
+                flips, last_side = bank.flips, here
                 outcome = self.quiescent(bits, ack_delim, first_attempt, t0, k)
                 if outcome is not None:
                     return outcome
@@ -792,9 +788,10 @@ class _Sim:
             winner = arbitrate([tx.frame for _, tx in contenders])
             name, tx = next(c for c in contenders if c[1].frame is winner)
 
-            # an idle bus that engages the comparator lets no frame start;
-            # only an attack raises it, so park until the window ends
-            if self.engages(False, t_next):
+            # an idle bus that engages the comparator (a jam) lets no frame
+            # start; only an attack raises it, so park until the window ends
+            in_window = self.t_start <= t_next < self.t_end
+            if in_window and self.side(True).engaged[self.clock.phase(t_next)]:
                 tx.retry_at = self.t_end
                 continue
 

@@ -182,10 +182,13 @@ def sweep_sims(name):
 
 def blocking_outside_the_window_or_cut_off(sim, pin):
     """Whether `attack_blocking` parks just before the window, at its end,
-    or inside it once the device on `pin` has blown."""
+    or inside it once the device on `pin` has blown. The blown fuse drops
+    the kept window verdicts, as every engine step that moves an
+    accumulator does."""
     a = sim.attack
     outside = [sim.attack_blocking(t) for t in (a.t_start - 1e-6, a.t_end, a.t_end + 1.0)]
     sim.bank.devices[pin] = FuseState(tripped=True)
+    sim.resting.clear()
     return any(outside) or sim.attack_blocking(0.5 * (a.t_start + a.t_end))
 
 

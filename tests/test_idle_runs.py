@@ -195,17 +195,12 @@ def test_sample_runs_and_idle_jumps_match_per_tick_references(cfg):
     check_against_references(cfg)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 2: float time; the engine stamps the trip at 1030.000001 s "
-    "and the per-second reference at 1030.0000009999999 s",
-)
 def test_a_trip_after_a_frame_that_ends_as_the_window_opens_matches_the_references():
     """The frame's last bit ends at 1029.9999999999998 s, one ulp before
     the window opens. The engine jumps that sliver at the idle inputs;
-    the reference steps it, and the step's midpoint rounds to 1030.0 s,
-    inside the window, so its breaker over-timer starts a sliver early."""
+    the reference steps it, at the pins of the sliver's start, outside
+    the window (its midpoint rounds to 1030.0 s, inside), so both trip
+    the breaker at 1030.000001 s."""
     check_against_references(WINDOW_START_CASE)
 
 
@@ -316,7 +311,7 @@ def late_window_bus():
 
 
 def test_idle_cost_follows_events_not_simulated_seconds():
-    calls = {"advance_constant": 0, "vids_currents": 0}
+    calls = {"advance_constant": 0, "solved": 0}
 
     def counting(name):
         original = getattr(engine._Sim, name)

@@ -9,6 +9,11 @@ require the same outcome: success flag, first failure reason, indicator
 and delivered frames. Retransmission counts differ on purpose: that is
 the work parking saves.
 
+An idle bus that the attack raises past the comparator's threshold (a
+jam) parks a frame before its first attempt. That park is pinned on
+its own, by its send times, since the comparisons here patch out only
+the park after a failed attempt.
+
 Without parking the first frame after the window is delivered up to one
 error frame (36 us) later, so each window ends early in an indicator
 slot, and each sender sends at most once per window: the frames held by
@@ -26,7 +31,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canvolt import engine
-from canvolt.attacks import DoS, PulseAttack, pulse_blocks_bits
+from canvolt.attacks import ActiveOvercurrent, DoS, PulseAttack, pulse_blocks_bits
 from canvolt.engine import EcuSpec, IrsConfig, ScenarioConfig, run_scenario
 from canvolt.link import Frame
 
@@ -218,6 +223,35 @@ def test_a_pulse_locked_to_the_bit_grid_blocks_no_bit(shift_us):
     else:
         assert errors == retries == []
     assert summary.messages_received == summary.messages_sent == 3
+
+
+@pytest.mark.parametrize("device", ["none", "breaker"])
+def test_a_jammed_idle_bus_parks_frames_until_the_window_ends_or_a_trip(device):
+    """A 5 V active overcurrent raises the idle bus past the comparator's
+    threshold, so no frame may start in its window [1, 2) s: the frames
+    due at 1.0 and 1.5 s are parked, unattempted, and go out from 2.0 s.
+    A breaker on P_H trips 1 us into the window and frees the bus; the
+    frame due at 1.0 s is sent at the trip."""
+    ecus = (
+        EcuSpec("A", "vids-host"),
+        EcuSpec("B", "logger"),
+        EcuSpec("S0", "sender", period=0.5, frame=Frame(id=0x10, data=b"\x01")),
+    )
+    irs = None if device == "none" else IrsConfig(device=device, pins="ph")
+    attack = ActiveOvercurrent(t_start=1.0, t_end=2.0, v_high=5.0)
+    trace, summary = run_scenario(ScenarioConfig(duration=3.0, ecus=ecus, attack=attack, irs_config=irs))
+
+    sent = [r.t for r in trace.of_kind("FrameSent")]
+    assert len(sent) == summary.messages_sent == 6
+    assert summary.retransmissions == 0
+    if device == "none":
+        assert not [t for t in sent if 1.0 <= t < 2.0]
+        assert sent[:3] == [0.0, 0.5, 2.0]
+        assert sent[3] < sent[4] < sent[5] == 2.5
+    else:
+        assert summary.device_trips == {"ph": pytest.approx(1.000001, abs=1e-12)}
+        assert sent[2] == summary.device_trips["ph"]
+        assert sent == [0.0, 0.5, sent[2], 1.5, 2.0, 2.5]
 
 
 @pytest.mark.xfail(

@@ -7,8 +7,8 @@ edge: from there its bits rest, and are crossed in one step. These tests
 run generated pulse and static buses, whose windows open and close
 inside frames and whose fuses and pin damage trip inside them, with
 those crossings and with them switched off (`quiescent` still crosses
-whole frames from their SOF), and require the same trace CSV and
-summary.
+whole frames from their SOF), and with no window verdict kept between
+asks, and require the same trace CSV and summary.
 """
 
 import tempfile
@@ -89,11 +89,32 @@ def run_without_remainders(cfg):
         return outputs(cfg)
 
 
+class Forgetful(dict):
+    """A `_Sim.resting` that keeps no verdict."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def run_forgetting_verdicts(cfg):
+    """outputs(cfg) with each window side read afresh at every ask."""
+    init = engine._Sim.__init__
+
+    def forgetful(self, cfg):
+        init(self, cfg)
+        self.resting = Forgetful()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine._Sim, "__init__", forgetful)
+        return outputs(cfg)
+
+
 def check_remainders(cfg):
-    """The outputs with and without remainder crossings agree; returns
-    the remainders crossed."""
+    """The outputs with and without remainder crossings, and without kept
+    window verdicts, agree; returns the remainders crossed."""
     texts, crossed = run_counting_remainders(cfg)
     assert texts == run_without_remainders(cfg)
+    assert texts == run_forgetting_verdicts(cfg)
     return crossed
 
 
@@ -206,6 +227,20 @@ def test_damage_one_microsecond_into_a_frame_leaves_its_rest_steady():
     assert check_remainders(point) == [(1.0, 1)]
 
 
+def test_a_damage_timer_that_clears_leaves_the_rest_of_its_frame_steady():
+    """`active_overcurrent_fuse`: both fuses blow 1 us into the jammed
+    window, as the pins' damage timers reach their limit, which leaves
+    the timers full but not tripped. The parked frame is sent at the
+    trip; its first bit clears both timers, and the rest of it is
+    crossed from its next bit."""
+    path = Path(__file__).parent.parent / "configs" / "active_overcurrent_fuse.ini"
+    cfg = parse_config(path.read_text())
+    _, summary = run_scenario(cfg)
+    assert summary.device_trips == dict.fromkeys(("ph", "pl"), pytest.approx(10.000001, abs=1e-12))
+    assert not summary.damaged
+    assert check_remainders(cfg) == [(pytest.approx(10.000001, abs=1e-12), 1)]
+
+
 @pytest.mark.parametrize("edge", ["opens", "closes"])
 def test_a_frame_that_straddles_a_window_edge(edge):
     """A 600 ns CANL pulse that opens or closes 30.3 bits into a frame:
@@ -241,7 +276,7 @@ def test_a_fuse_that_blows_mid_frame_under_a_dos():
 
 
 def test_a_trip_clears_the_resting_verdict():
-    """The crossing verdict is kept until the next full accumulator step:
+    """The window's verdict is kept until the next full accumulator step:
     once the pulsed pin's fuse blows, a frame in the window rests at the
     idle pins.
 
@@ -256,8 +291,8 @@ def test_a_trip_clears_the_resting_verdict():
         irs_config=IrsConfig(device="fuse", pins="pl", rating=0.1),
         damage=DamageParams(i_max=1.0),
     ))
-    assert sim.crossing(True) is None
+    assert sim.side(True).frame is None
 
     sim.advance_constant(0.0, 1e-3, {"ph": 0.0, "pl": 1.0})
     assert sim.bank.devices["pl"].tripped
-    assert sim.crossing(True) == ()
+    assert sim.side(True).frame == ()
