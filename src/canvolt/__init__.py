@@ -48,8 +48,6 @@ from .config import (
 )
 from .engine import (
     Summary,
-    Trace,
-    TraceRecord,
     message_indicator,
     run_scenario,
     run_sweep,
@@ -78,5 +76,6 @@ from .link import (
     encode_frame,
     sample_bit,
 )
+from .trace import Trace, TraceRecord
 
 __version__ = "0.1.0"

@@ -17,9 +17,9 @@ import sys
 from dataclasses import fields, replace
 
 from . import attacks as atk
-from .config import (  # noqa: F401 - serialize_config stays importable from the cli
-    BOOL, CalibratedParams, Codec, ConfigError, ScenarioConfig, read_config, read_value, serialize_config,
-    set_sweep_value, validate_config,
+from .config import (
+    BOOL, CalibratedParams, Codec, ConfigError, ScenarioConfig, read_config, read_value, set_sweep_value,
+    validate_config,
 )
 from .electrical import measure_tau_bit
 from .engine import Summary, Trace, run_scenario, run_sweep

@@ -69,11 +69,12 @@ is read in three places:
   a bit in which a device opened or closed or a damage timer tripped or
   cleared, and at its first bit past a window edge: a fuse or damage
   limit that trips early in a frame leaves the rest of it steady.
-- *Idle jumps.* `advance_idle` crosses the idle stretch up to the next
-  event or window edge in one step when the idle bus rests on each side
-  it reaches. Otherwise that stretch is sliced at every whole second,
-  and a slice reads its pins at its start: it never straddles a window
-  edge, and the idle bus draws no current in either pulse phase.
+- *Idle jumps.* `advance_idle` walks the idle time up to the next event
+  in stretches that end at each window edge, with one rest test per
+  stretch: the `side` it lies on. A stretch whose idle bus rests is
+  crossed in one step; any other is sliced at every whole second, and a
+  slice reads its pins at its start: it never straddles a window edge,
+  and the idle bus draws no current in either pulse phase.
   `irs.ThermostatCoil.step` starts its tau/10 step grid afresh at each
   call, so only this slicing keeps the thermostat and over-timer
   numerics fixed.
@@ -119,11 +120,7 @@ from typing import NamedTuple
 
 from . import attacks as atk
 from . import irs
-# the config names stay importable from the engine
-from .config import (  # noqa: F401
-    MAX_SWEEP_POINTS, CalibratedParams, ConfigError, DamageParams, EcuSpec, IrsConfig, ScenarioConfig,
-    SweepSpec, set_sweep_value, validate_config,
-)
+from .config import ConfigError, ScenarioConfig, set_sweep_value, validate_config
 from .electrical import (
     INPUT,
     BusTopology,
@@ -145,8 +142,7 @@ from .link import (
     reads_driven,
     sample_bit,
 )
-# the trace names stay importable from the engine
-from .trace import TRACE_KINDS, Trace, TraceRecord  # noqa: F401
+from .trace import Trace
 
 
 @dataclass(frozen=True)
@@ -501,33 +497,26 @@ class _Sim:
                 self._emit_trip(t_stop, pin, was, after)
         return t_stop if changed else b
 
-    def idle_inert(self, a: float, b: float) -> bool:
-        """No idle step over [a, b) can change an accumulator: the idle bus
-        rests on each side of the attack window that [a, b) reaches
-        (`side`)."""
-        if (a < self.t_start or self.t_end < b) and not self.side(False).idle_rests:
-            return False
-        return not (self.t_start < b and a < self.t_end) or self.side(True).idle_rests
-
     def advance_idle(self, target: float) -> float:
         """Integrate the idle bus up to target; early-return on changes.
 
-        Jumps to target when `idle_inert`, else to the next window edge
-        when inert up to it, else slices at the next whole second (see
-        the module docstring). A slice reads its pins at its start, which
-        sits on its side of the window; the idle bus carries no current in
-        either pulse phase, so no pulse cuts.
+        Walks the stretches between window edges: each ends at the next
+        window edge after its start, or at target when that comes first.
+        A stretch is crossed in one step when the idle bus rests on its
+        side of the window (`side`), else sliced at the next whole second
+        (see the module docstring). A slice reads its pins at its start,
+        which sits on its side of the window; the idle bus carries no
+        current in either pulse phase, so no pulse cuts.
         """
+        t_start, t_end = self.t_start, self.t_end
         while self.integrated_to < target:
             a = self.integrated_to
-            if self.idle_inert(a, target):
-                self.integrated_to = target
-                break
-            edge = min([target, *(e for e in (self.t_start, self.t_end) if a < e)])
-            if self.idle_inert(a, edge):
-                self.integrated_to = edge
+            edge = t_start if a < t_start else t_end if a < t_end else target
+            b = min(edge, target)
+            if self.side(t_start <= a < t_end).idle_rests:
+                self.integrated_to = b
                 continue
-            b = min(edge, float(math.floor(a) + 1))
+            b = min(b, float(math.floor(a) + 1))
             _, i = self.solved(False, self.pins_at(a))
             self.integrated_to = self.advance_constant(a, b, i)
             if self.integrated_to < b:
@@ -849,15 +838,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple:
     return _Sim(cfg).run()
 
 
-def message_indicator(
-    trace: Trace,
-    period: float = 1.0,
-    duration: float | None = None,
-    receiver: str | None = None,
-) -> list:
+def message_indicator(trace: Trace, period: float, duration: float, receiver: str | None = None) -> list:
     """Per-slot delivery flags: 1 when a frame arrived inside the slot."""
-    if duration is None:
-        duration = trace.end
     slots = int(round(duration / period))
     flags = [0] * slots
     for t, kind, ecu, _, _, _ in trace.event_rows:

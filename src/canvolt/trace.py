@@ -105,12 +105,6 @@ class Trace:
         """Every record but the samples, in order."""
         return [TraceRecord(*row) for row in self.event_rows]
 
-    @property
-    def end(self) -> float:
-        """The latest stamp of any record; 0.0 for an empty trace."""
-        last_tick = [float(self.runs[-1][1])] if self.runs else []
-        return max([t for t, _, _ in self._side] + last_tick, default=0.0)
-
     def segments(self):
         """The records in order: each event as `(row, None)`, its plain
         row, each stretch of ticks between events as `(None, (first,

@@ -31,14 +31,8 @@ from canvolt.electrical import (
     TransceiverParams,
     solve_bus_detailed,
 )
-from canvolt.engine import (
-    EcuSpec,
-    IrsConfig,
-    ScenarioConfig,
-    SweepSpec,
-    run_scenario,
-    run_sweep,
-)
+from canvolt.config import EcuSpec, IrsConfig, ScenarioConfig, SweepSpec
+from canvolt.engine import run_scenario, run_sweep
 from canvolt.irs import ThermostatCoil, thermostat_step
 from canvolt.link import (
     BitTiming,

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from canvolt import engine, irs
 from canvolt.attacks import ActiveOvercurrent, DoS, PulseAttack
-from canvolt.engine import DamageParams, EcuSpec, IrsConfig, ScenarioConfig, run_scenario
+from canvolt.config import DamageParams, EcuSpec, IrsConfig, ScenarioConfig
+from canvolt.engine import run_scenario
 from canvolt.link import Frame
 
 PERIOD = 1e-3
@@ -68,8 +69,9 @@ def run_counting_skips(cfg):
 def run_every_step(cfg):
     """run_scenario with every frame run bit by bit, from its SOF and from
     any later bit, and every idle stretch sliced at whole seconds."""
+    side = engine._Sim.side
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine._Sim, "idle_inert", lambda self, a, b: False)
+        mp.setattr(engine._Sim, "side", lambda self, in_window: side(self, in_window)._replace(idle_rests=False))
         mp.setattr(engine._Sim, "quiescent", lambda self, *frame: None)
         return run_scenario(cfg)
 

@@ -25,7 +25,8 @@ from canvolt.attacks import (
     tau_bit_table,
 )
 from canvolt.cli import parse_config
-from canvolt.engine import _Sim, set_sweep_value
+from canvolt.config import set_sweep_value
+from canvolt.engine import _Sim
 from canvolt.electrical import INPUT, Input, OutputHigh, OutputLow, Pulse
 from canvolt.irs import FuseState
 from canvolt.link import BitTiming

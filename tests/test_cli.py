@@ -26,20 +26,20 @@ from canvolt.cli import (
     parse_config,
     run_checks,
     save_params,
-    serialize_config,
 )
 from canvolt import attacks as atk
 from canvolt import cli, config, engine
-from canvolt.engine import (
+from canvolt.config import (
     MAX_SWEEP_POINTS,
     CalibratedParams,
     ConfigError,
     EcuSpec,
     ScenarioConfig,
     SweepSpec,
-    run_scenario,
+    serialize_config,
     validate_config,
 )
+from canvolt.engine import run_scenario
 from canvolt.link import Frame
 from canvolt.trace import SAMPLE_KINDS, Trace
 

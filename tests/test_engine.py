@@ -16,23 +16,25 @@ from canvolt.attacks import (
     pin_override,
 )
 from canvolt.electrical import INPUT
-from canvolt.engine import (
+from canvolt.config import (
     ConfigError,
     DamageParams,
     EcuSpec,
     IrsConfig,
     ScenarioConfig,
     SweepSpec,
+    set_sweep_value,
+    validate_config,
+)
+from canvolt.engine import (
     _Sim,
     message_indicator,
     run_scenario,
     run_sweep,
-    set_sweep_value,
-    validate_config,
 )
 from canvolt.irs import FuseState, ThermostatCoil, TripTimer
 from canvolt.link import Frame
-from canvolt.trace import TraceRecord
+from canvolt.trace import TRACE_KINDS, TraceRecord
 
 FRAME = Frame(id=0x01, data=b"\x01")
 
@@ -272,8 +274,6 @@ def test_pulse_threshold_invariant_under_phase_offset():
 
 
 def test_trace_kinds_stay_in_schema():
-    from canvolt.engine import TRACE_KINDS
-
     trace, _ = run_scenario(
         scenario(DoS(v_attack_l=5.0), IrsConfig(device="thermostat", coil_drive=1.0), duration=20.0)
     )

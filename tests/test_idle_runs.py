@@ -24,16 +24,10 @@ from canvolt import attacks as atk
 from canvolt import engine, irs
 from canvolt import trace as trace_module
 from canvolt.electrical import INPUT, BusTopology, solve_bus_detailed
-from canvolt.engine import (
-    EcuSpec,
-    IrsConfig,
-    ScenarioConfig,
-    TraceRecord,
-    message_indicator,
-    run_scenario,
-)
+from canvolt.config import EcuSpec, IrsConfig, ScenarioConfig
+from canvolt.engine import run_scenario
 from canvolt.link import Frame, bus_bits
-from canvolt.trace import SAMPLE_KINDS
+from canvolt.trace import SAMPLE_KINDS, TraceRecord
 
 BIT = 2e-6  # 500 kbit/s
 HOST = "A"
@@ -82,7 +76,7 @@ def bus(duration, frame, period, offset, attack, device):
 def run_logged(cfg):
     """run_scenario, plus every record in the order the engine made it."""
     log = []
-    add, add_ticks = engine.Trace.add, engine.Trace.add_ticks
+    add, add_ticks = trace_module.Trace.add, trace_module.Trace.add_ticks
 
     def logged_add(self, t, kind, ecu="", line="", value=None, detail=""):
         log.append(TraceRecord(t, kind, ecu, line, value, detail))
@@ -94,8 +88,8 @@ def run_logged(cfg):
         add_ticks(self, first, last, samples)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine.Trace, "add", logged_add)
-        mp.setattr(engine.Trace, "add_ticks", logged_ticks)
+        mp.setattr(trace_module.Trace, "add", logged_add)
+        mp.setattr(trace_module.Trace, "add_ticks", logged_ticks)
         trace, summary = run_scenario(cfg)
     return trace, summary, log
 
@@ -103,8 +97,9 @@ def run_logged(cfg):
 def run_reference(cfg):
     """Idle time sliced at every whole second; records as made, stably
     sorted by time and rank."""
+    side = engine._Sim.side
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine._Sim, "idle_inert", lambda self, a, b: False)
+        mp.setattr(engine._Sim, "side", lambda self, in_window: side(self, in_window)._replace(idle_rests=False))
         _, summary, log = run_logged(cfg)
     return sorted(log, key=lambda r: (r.t, RANK.get(r.kind, 0))), summary, log
 
@@ -182,9 +177,6 @@ def check_against_references(cfg):
     assert oracle_mismatches(cfg, ref_log) == []
     assert trace.records == ref_records
     assert summary == ref_summary
-    # the indicator's default span reaches the last record, a tick included
-    end = max(r.t for r in ref_records)
-    assert message_indicator(trace) == message_indicator(trace, duration=end)
 
 
 @settings(max_examples=20, deadline=None)
@@ -270,20 +262,20 @@ def test_a_tick_shows_the_devices_at_its_stamp():
 def test_jumping_while_a_coil_is_not_idle_is_caught():
     """An idle jump that ignores the thermostat skips its heating in the
     window and its cooling after it."""
-    original = engine._Sim.idle_inert
+    original = engine._Sim.side
 
-    def ignoring_coils(self, a, b):
+    def ignoring_coils(self, in_window):
         devices = self.bank.devices
         self.bank.devices = {
             pin: dev for pin, dev in devices.items() if not isinstance(dev, irs.ThermostatCoil)
         }
         try:
-            return original(self, a, b)
+            return original(self, in_window)
         finally:
             self.bank.devices = devices
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine._Sim, "idle_inert", ignoring_coils)
+        mp.setattr(engine._Sim, "side", ignoring_coils)
         trace, summary = run_scenario(COOLING_CASE)
     ref_records, ref_summary, _ = run_reference(COOLING_CASE)
     assert any(r.kind == "ThermostatOpen" for r in ref_records)

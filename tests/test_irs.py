@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canvolt.cli import parse_config
-from canvolt.engine import IrsConfig, run_scenario
+from canvolt.config import IrsConfig
+from canvolt.engine import run_scenario
 from canvolt.irs import (
     BreakerState,
     FuseState,

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from canvolt.attacks import ForcedRetransmission, fra_ack_delimiter_corrupted
 from canvolt.electrical import TAU_RC_DEFAULT, time_to_reach
-from canvolt.engine import EcuSpec, ScenarioConfig, run_scenario
+from canvolt.config import EcuSpec, ScenarioConfig
+from canvolt.engine import run_scenario
 from canvolt.link import (
     DOMINANT_THRESHOLD,
     HOLD_SLOP,

@@ -32,7 +32,8 @@ from hypothesis import strategies as st
 
 from canvolt import engine
 from canvolt.attacks import ActiveOvercurrent, DoS, PulseAttack, pulse_blocks_bits
-from canvolt.engine import EcuSpec, IrsConfig, ScenarioConfig, run_scenario
+from canvolt.config import EcuSpec, IrsConfig, ScenarioConfig
+from canvolt.engine import run_scenario
 from canvolt.link import Frame
 
 PERIOD = 10e-3  # every sender's period, and so the indicator slot

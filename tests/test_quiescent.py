@@ -28,7 +28,8 @@ from canvolt.attacks import (
     PulseAttack,
 )
 from canvolt.cli import parse_config
-from canvolt.engine import EcuSpec, IrsConfig, ScenarioConfig, run_scenario, set_sweep_value
+from canvolt.config import EcuSpec, IrsConfig, ScenarioConfig, set_sweep_value
+from canvolt.engine import run_scenario
 from canvolt.link import Frame, ack_delimiter_index, ack_slot_index, frame_bit_length
 
 BIT = 2e-6  # 500 kbit/s

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from canvolt import engine
 from canvolt.attacks import ActiveOvercurrent, DoS, ForcedRetransmission, PassiveOvercurrent, PulseAttack
 from canvolt.cli import emit_outputs, parse_config
-from canvolt.engine import DamageParams, EcuSpec, IrsConfig, ScenarioConfig, run_scenario, set_sweep_value
+from canvolt.config import DamageParams, EcuSpec, IrsConfig, ScenarioConfig, set_sweep_value
+from canvolt.engine import run_scenario
 from canvolt.link import Frame, frame_bit_length
 
 BIT = 2e-6  # 500 kbit/s
@@ -202,6 +203,13 @@ def test_remainders_match_the_per_bit_path():
         senders=[(1, b"", 0)], kind="pulse_canl", period_ns=600, duty=0.5, phase=0.0,
         start_bits=5.0, width_bits=40.0, device="driven_thermostat", pins="both",
         rating=0.01, i_max=0.3, opening_us=1.0, tau_thermal=1e-4,
+    )
+    @example(  # an overcurrent jams the idle bus 20 us before the frame, and
+        # both fuses blow 1 us later: the window's kept verdict must go with
+        # the jam, or the frame is parked to the window's end
+        senders=[(0x10, b"\x01", 100)], kind="active", period_ns=100, duty=0.5, phase=0.0,
+        start_bits=-10.0, width_bits=1000.0, device="fuse", pins="both", rating=0.01,
+        i_max=1.0, opening_us=1.0, tau_thermal=1e-4,
     )
     def check(senders, kind, period_ns, duty, phase, start_bits, width_bits, opening_us, **devices):
         plan = [(Frame(id=fid, data=data), off * 1e-6) for fid, data, off in senders]
