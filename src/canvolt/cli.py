@@ -95,7 +95,8 @@ def parse_config_full(text: str, params: CalibratedParams | None = None) -> tupl
     """Parse an INI scenario; returns (ScenarioConfig, check expectations).
 
     The expectations map each [check] key to its INI text, already
-    validated; `run_checks` reads them.
+    validated; `run_checks` reads them. A sweep runs no checks, so a
+    config with both [sweep] and [check] is rejected at `check`.
     """
     cp = configparser.ConfigParser(interpolation=None)
     try:
@@ -105,6 +106,8 @@ def parse_config_full(text: str, params: CalibratedParams | None = None) -> tupl
         raise ConfigError("file", str(exc).replace("\n", " "), line=line)
 
     sections = {name: dict(cp.items(name, raw=True)) for name in cp.sections()}
+    if "check" in sections and "sweep" in sections:
+        raise ConfigError("check", "a sweep runs no checks; [check] belongs to a config without [sweep]")
     checks = sections.pop("check", {})
     cfg = read_config(sections, params)
     for key, raw in checks.items():
@@ -428,6 +431,8 @@ def main(argv=None) -> int:
             params = _resolve_params(args)
             with open(args.config) as fh:
                 cfg, checks = parse_config_full(fh.read(), params)
+            if cfg.sweep is not None:
+                raise ConfigError("sweep", "simulate runs one scenario; run a sweep with `canvolt sweep`")
             trace, summary = _run(run_scenario, cfg)
             emit_outputs(trace, summary, args.trace, args.summary)
             print(

@@ -60,12 +60,14 @@ is read in three places:
   pulse whose masking phase is shorter than the decode hold is steady
   once its accumulators rest, and a coil that heats or cools at one
   current does not stop the frame. Inside the window the first attempt
-  still asks the FRA check at its ACK delimiter. Each moving device is
-  then folded over the pieces of the bits crossed, cut as `drive` cuts
-  them, by `irs` `steps`: the per-bit path's own step arithmetic,
-  without its solves, gating or comparator. A device that would open or
-  close in them sends those bits one by one, from the state before them.
-  An attempt asks at its SOF, and again for the rest of the frame after
+  still asks the FRA check at its ACK delimiter when a gated window
+  pair's P_H drives 3.5 V or more, the only pins at which it can fire
+  (`_Side.fra`). Each moving device is then folded over the pieces of
+  the bits crossed, cut as `drive` cuts them, by `irs` `steps`: the
+  per-bit path's own step arithmetic, without its solves, gating or
+  comparator. A device that would open or close in them sends those
+  bits one by one, from the state before them. An attempt asks once at
+  its SOF (`simulate_attempt`), and again for the rest of the frame after
   a bit in which a device opened or closed or a damage timer tripped or
   cleared, and at its first bit past a window edge: a fuse or damage
   limit that trips early in a frame leaves the rest of it steady.
@@ -107,9 +109,16 @@ rows (`Trace.event_rows`), so a run builds no `TraceRecord`: `events`
 and `records` build them when a caller asks.
 
 Each step of the main loop finds the next event time and the frames
-ready then in one pass over the senders' queue heads, and `arbitrate`
-picks among those; its winner is the very frame it was given, so the
-winner's queue entry is found by identity.
+ready then in one pass over the senders' queue heads; a send due before
+them moves the next event time to its own. Idle time is integrated up to
+that time first, and only then does each send due by it join its queue:
+one that heads an empty queue on a free bus is ready then and joins the
+contenders, so an attempt and the sends due at its start take one step.
+`arbitrate` picks among the contenders (ISO 11898-1: the lowest id among
+the frames ready at that instant); its winner is the very frame it was
+given, so the winner's queue entry is found by identity. A step with no
+contender, such as one that only queues a send behind a busy bus, ends
+there.
 """
 
 from __future__ import annotations
@@ -184,6 +193,13 @@ class _Side(NamedTuple):
     idle_rests: bool  # an idle step leaves every accumulator as it is
     blocked: bool  # a dominant bit does not read as driven
     engaged: tuple  # per window pair (none outside): the idle bus reads dominant
+    fra: bool  # a window pair's P_H stretches the recovery (`_stretches`): the FRA check can fire
+
+
+def _stretches(p_h) -> bool:
+    """P_H drives high enough to stretch the CANL recovery, so the FRA
+    check (`atk.fra_ack_delimiter_corrupted`) can fire."""
+    return isinstance(p_h, OutputHigh) and p_h.level >= 3.5
 
 
 @dataclass
@@ -279,9 +295,10 @@ class _Sim:
         self.retransmissions = 0
         self.first_failure = ""
         self.queues: dict = {e.name: [] for e in cfg.ecus if e.role == "sender"}
-        # a sender has one frame: its bus bits and ACK delimiter index
+        # a sender has one frame: its bus bits, ACK delimiter index, and
+        # the value and detail of its FrameSent and FrameReceived rows
         self.encoded = {
-            e.name: (bus_bits(e.frame), ack_delimiter_index(e.frame))
+            e.name: (bus_bits(e.frame), ack_delimiter_index(e.frame), float(e.frame.id), e.frame.data.hex())
             for e in cfg.ecus
             if e.role == "sender"
         }
@@ -542,7 +559,7 @@ class _Sim:
         moving = self.bank.moving
         if not in_window:
             frame = moving([self.solved(False, (INPUT, INPUT))[1]], False)
-            kept = _Side(frame, frame == (), False, ())
+            kept = _Side(frame, frame == (), False, (), False)
         else:
             pairs = [self.gate(pins) for pins in self.window_pins]
             dominant = [self.solved(True, pins) for pins in pairs]
@@ -554,7 +571,8 @@ class _Sim:
             if not blocked and self.phases_read_driven(False, v_diffs):
                 frame = moving([i for _, i in dominant] + idle, True)
             engaged = tuple(v >= DOMINANT_THRESHOLD for v in v_diffs)
-            kept = _Side(frame, moving(idle, True) == (), blocked, engaged)
+            fra = any(_stretches(p_h) for p_h, _ in pairs)
+            kept = _Side(frame, moving(idle, True) == (), blocked, engaged, fra)
         self.resting[in_window] = kept
         return kept
 
@@ -569,8 +587,8 @@ class _Sim:
     def quiescent(self, bits: list, ack_delim: int, first_attempt: bool, t0: float, k: int = 0):
         """The outcome of `sample_bits` for the frame from t0, with bits
         k.. reached without per-bit work, or None when they must run bit
-        by bit. `sample_bits` asks at bit 0 and after each change of the
-        state read here.
+        by bit. `simulate_attempt` asks at bit 0, and `sample_bits` after
+        each change of the state read here.
 
         Bits k.. are crossed when no attack window overlaps them, or the
         window holds them (from bit k's start to strictly before the
@@ -580,10 +598,11 @@ class _Sim:
         one. Inside the window the first attempt still asks the FRA check
         at its ACK delimiter, unless bit k is past it, and ends after that
         bit when it fires: the per-bit loop reaches that bit only after
-        reading the dominant ACK slot as driven. Each moving device then
-        folds `steps` over the pieces of the bits crossed, cut as `drive`
-        cuts them; when one would open or close in them, nothing is
-        committed and the bits run one by one.
+        reading the dominant ACK slot as driven; a side whose window
+        pairs cannot stretch the recovery (`_Side.fra`) skips it. Each
+        moving device then folds `steps` over the pieces of the bits
+        crossed, cut as `drive` cuts them; when one would open or close
+        in them, nothing is committed and the bits run one by one.
         """
         bt, n_bits = self.bit_time, len(bits)
         tk = t0 + k * bt
@@ -592,11 +611,12 @@ class _Sim:
         in_window = self.t_start < t1 and tk < self.t_end
         if in_window and not (self.t_start <= tk and t1 < self.t_end):
             return None
-        moving = self.side(in_window).frame
+        side = self.side(in_window)
+        moving = side.frame
         if moving is None:
             return None
         outcome = None, ""
-        fra = first_attempt and in_window and k <= ack_delim
+        fra = side.fra and first_attempt and k <= ack_delim
         if fra and self.fra_stretch_corrupts(t0 + ack_delim * bt):
             outcome, n_bits = (ack_delim, "form_error_ack_delimiter"), ack_delim + 1
             t1 = t0 + ack_delim * bt + bt
@@ -630,28 +650,35 @@ class _Sim:
         is delivered (`tests/test_parking.py` pins such a pulse)."""
         driven = BitDecision.DOMINANT if dominant else BitDecision.RECESSIVE
         lengths = self.clock.lengths
-        longest = max((len(bits) for bits, _ in self.encoded.values()), default=0) + ERROR_FLAG_BITS
+        longest = max((len(enc[0]) for enc in self.encoded.values()), default=0) + ERROR_FLAG_BITS
         slop = 64 * math.ulp(min(self.t_end, self.cfg.duration + longest * self.bit_time))
         return reads_driven(tuple(zip(lengths, levels)), driven, self.timing, self.extension, slop)
 
     def simulate_attempt(self, ecu: str, tx: _QueuedTx, t0: float) -> tuple:
-        """Run one transmission attempt; returns (delivered, t_bus_free)."""
-        f = tx.frame
-        bits, ack_delim = self.encoded[ecu]
-        bt = self.bit_time
+        """Run one transmission attempt; returns (delivered, t_bus_free).
 
-        if tx.attempts == 0:
-            self.trace.add(t0, "FrameSent", ecu=ecu, value=float(f.id), detail=f.data.hex())
+        The attempt asks `quiescent` to cross the frame from its SOF; only
+        a frame it cannot cross runs through `sample_bits`. Its rows take
+        their value and detail from `encoded`."""
+        bits, ack_delim, value, data = self.encoded[ecu]
+        bt = self.bit_time
+        first_attempt = tx.attempts == 0
+
+        if first_attempt:
+            self.trace.add(t0, "FrameSent", ecu=ecu, value=value, detail=data)
         else:
             self.retransmissions += 1
-            self.trace.add(t0, "Retransmission", ecu=ecu, value=float(f.id), detail=str(tx.attempts))
+            self.trace.add(t0, "Retransmission", ecu=ecu, value=value, detail=str(tx.attempts))
 
-        error_bit, error_reason = self.sample_bits(bits, ack_delim, tx.attempts == 0, t0)
+        outcome = self.quiescent(bits, ack_delim, first_attempt, t0)
+        if outcome is None:
+            outcome = self.sample_bits(bits, ack_delim, first_attempt, t0)
+        error_bit, error_reason = outcome
 
         if error_bit is None:
             t_end = t0 + len(bits) * bt
             for lg in self.loggers[:1]:
-                self.trace.add(t_end, "FrameReceived", ecu=lg, value=float(f.id), detail=f.data.hex())
+                self.trace.add(t_end, "FrameReceived", ecu=lg, value=value, detail=data)
             return True, t_end + INTERMISSION_BITS * bt
 
         # error frame: 6 dominant flag bits drive the bus, then 8
@@ -688,13 +715,15 @@ class _Sim:
         return pieces
 
     def sample_bits(self, bits: list, ack_delim: int, first_attempt: bool, t0: float) -> tuple:
-        """Drive and sample the frame bit by bit from t0, handing the
-        rest of it to `quiescent` at bit 0 and again wherever the state
-        it reads may have changed: after a bit in which a device opened
-        or closed or a damage timer tripped or cleared (`bank.flips`
-        moved), and at the first bit that starts on the other side of a
-        window edge. Asking at every bit would refold a moving device
-        over the rest of the frame at each one.
+        """Drive and sample the frame bit by bit from t0, which `quiescent`
+        could not cross from bit 0 (`simulate_attempt` asked it). So this
+        starts with the state and window side read there, and does not
+        ask again at bit 0. It hands the rest of the frame to `quiescent`
+        wherever the state it reads may have changed: after a bit in which
+        a device opened or closed or a damage timer tripped or cleared
+        (`bank.flips` moved), and at the first bit that starts on the
+        other side of a window edge. Asking at every bit would refold a
+        moving device over the rest of the frame at each one.
 
         The bit before the ACK delimiter is the ACK slot, driven dominant,
         so the FRA check there follows a dominant bit read as driven.
@@ -705,7 +734,8 @@ class _Sim:
         t_start, t_end = self.t_start, self.t_end
         bank = self.bank
         comparator = (BitDecision.RECESSIVE, t0 - 1.0)  # idle bus precedes the frame
-        flips = last_side = None
+        # `quiescent` was asked at bit 0 at this state and side
+        flips, last_side = bank.flips, (t_start <= t0) + (t_end <= t0)
 
         for k, bit in enumerate(bits):
             b0 = t0 + k * bt
@@ -729,16 +759,15 @@ class _Sim:
         """The recessive bit from b0, after a dominant one, still reads
         dominant at its sample point."""
         p_h, _ = self.pins_at(b0 + self.timing.sample_point * self.bit_time)
-        if not isinstance(p_h, OutputHigh) or p_h.level < 3.5:
-            return False
-        return atk.fra_ack_delimiter_corrupted(p_h.level, self.timing, self.cfg.params.tau_rc)
+        tau_rc = self.cfg.params.tau_rc
+        return _stretches(p_h) and atk.fra_ack_delimiter_corrupted(p_h.level, self.timing, tau_rc)
 
     # -- main loop ---------------------------------------------------------------------
 
     def run(self) -> tuple:
         duration = self.cfg.duration
         queues, sends = self.queues, self.sends
-        send_idx = 0
+        send_idx, n_sends = 0, len(sends)
         bus_free = 0.0
         while True:
             # one pass over the queue heads: the earliest time one is
@@ -752,8 +781,9 @@ class _Sim:
                         t_next, contenders = t, [(name, tx)]
                     elif t == t_next:
                         contenders.append((name, tx))
-            if send_idx < len(sends) and sends[send_idx][0] < t_next:
-                t_next = sends[send_idx][0]
+            # a send due first bounds the idle step, and no head is ready then
+            if send_idx < n_sends and sends[send_idx][0] < t_next:
+                t_next, contenders = sends[send_idx][0], []
 
             reached = self.advance_idle(t_next)
             if reached < t_next:
@@ -766,14 +796,21 @@ class _Sim:
             if t_next >= duration:
                 break
 
-            if send_idx < len(sends) and sends[send_idx][0] <= t_next:
+            # only now, with idle time integrated to t_next, do the sends
+            # due by then join their queues: a device change before t_next
+            # would pull a queued frame forward. Each is due at t_next (an
+            # earlier one would have bounded it), so one that heads its
+            # queue on a free bus is ready then and contends
+            while send_idx < n_sends and sends[send_idx][0] <= t_next:
                 t, name, frame = sends[send_idx]
                 send_idx += 1
-                queues[name].append(_QueuedTx(frame, t))
+                q, tx = queues[name], _QueuedTx(frame, t)
+                if not q and bus_free <= t_next:
+                    contenders.append((name, tx))
+                q.append(tx)
+            if not contenders:
                 continue
 
-            # no send is due, so t_next is the earliest ready time and
-            # the contenders are the heads ready then
             winner = arbitrate([tx.frame for _, tx in contenders])
             name, tx = next(c for c in contenders if c[1].frame is winner)
 

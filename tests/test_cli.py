@@ -393,6 +393,34 @@ def test_cli_sweep_config_error_is_a_config_error(tmp_path, monkeypatch):
     assert rc == 1
 
 
+@pytest.mark.parametrize("command", ["validate", "sweep", "simulate"])
+def test_a_sweep_config_with_checks_is_a_config_error(tmp_path, capsys, command):
+    """A sweep runs no checks, so a [check] beside a [sweep] would be
+    read and never compared: every command rejects it at `check`."""
+    bad = tmp_path / "bad.ini"
+    bad.write_text((CONFIGS / "dos_sweep.ini").read_text() + "\n[check]\nattack_success = false\n")
+    outputs = {
+        "validate": [],
+        "sweep": ["--out", str(tmp_path / "o.csv")],
+        "simulate": ["--trace", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.json"), "--check"],
+    }
+    assert main([command, str(bad), *outputs[command]]) == 1
+    assert "config error: check: a sweep runs no checks" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+def test_simulate_on_a_sweep_config_is_a_config_error(tmp_path, capsys):
+    """`simulate` runs one scenario: on a sweep config it would run only
+    the base attack, so it points to `canvolt sweep` and writes nothing."""
+    rc = main([
+        "simulate", str(CONFIGS / "dos_sweep.ini"),
+        "--trace", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.json"),
+    ])
+    assert rc == 1
+    assert "config error: sweep: simulate runs one scenario; run a sweep with `canvolt sweep`" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "targets",
     ["dos_threshold=3.0", "fra_threshold=3.0", "fra_threshold=4.2", "dos_threshold=abc", "unknown=1"],
