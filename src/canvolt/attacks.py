@@ -26,6 +26,7 @@ from .electrical import (
     measure_tau_bit,
     pulse_levels,
     solve_bus,
+    STRETCH_LEVEL,
     TAU_RC_DEFAULT,
 )
 from .link import DOMINANT_THRESHOLD, BitTiming
@@ -247,7 +248,7 @@ def fra_ack_delimiter_corrupted(
     """True when the stretched CANL recovery still reads dominant at the
     sample point of the recessive bit after a dominant bit."""
     timing = timing or BitTiming()
-    if v_attack_h < 3.5:
+    if v_attack_h < STRETCH_LEVEL:
         # the transceiver's own recovery applies; transition is nominal
         return False
     t_sample = timing.sample_point * timing.bit_time

@@ -21,7 +21,7 @@ from .config import (
     BOOL, CalibratedParams, Codec, ConfigError, ScenarioConfig, read_config, read_value, set_sweep_value,
     validate_config,
 )
-from .electrical import measure_tau_bit
+from .electrical import STRETCH_LEVEL, measure_tau_bit
 from .engine import Summary, Trace, run_scenario, run_sweep
 
 PARAMS_ENV = "CANVOLT_PARAMS"
@@ -304,9 +304,9 @@ def calibrate(targets: dict, bus_speed: float = 500_000.0) -> CalibratedParams:
 
     if "fra_threshold" in targets:
         v = targets["fra_threshold"]
-        # below 3.5 V the transceiver's own recovery applies; no pin drives above 5 V
-        if not 3.5 <= v <= 5.0:
-            raise InfeasibleTarget(f"fra_threshold {v!r} outside [3.5, 5.0]")
+        # below it the transceiver's own recovery applies; no pin drives above 5 V
+        if not STRETCH_LEVEL <= v <= 5.0:
+            raise InfeasibleTarget(f"fra_threshold {v!r} outside [{STRETCH_LEVEL}, 5.0]")
         # the recovery from 1.5 V toward v reads dominant at the sample
         # point until it falls below the release level; take the first
         # 0.001 step after the recovery toward the 0.5 V grid step below

@@ -18,6 +18,10 @@ TAU_RC_DEFAULT = 1.16e-6 / math.log(7.0)
 # Recessive recovery of an undisturbed transceiver (70-130 ns class).
 NOMINAL_TRANSITION = 100e-9
 
+# From this CANH level up, the attacker, not the transceiver, sets the
+# CANL recovery after a dominant bit: CANL climbs from 1.5 V toward it.
+STRETCH_LEVEL = 3.5
+
 # Residual saturation drop across the output stage beyond the two
 # 0.7 V junction drops; makes the dominant rails land on 3.5/1.5 V.
 _SATURATION_RESIDUAL = 0.1
@@ -377,15 +381,15 @@ def measure_tau_bit(
 ) -> float:
     """Bit length time: dominant duration plus the CANL climb to 90%.
 
-    Below 3.5 V the transceiver's own recessive recovery dominates and
-    the nominal transition applies; from 3.5 V up the attacker holds
-    CANH and CANL climbs exponentially from 1.5 V toward it.
+    Below `STRETCH_LEVEL` the transceiver's own recessive recovery
+    dominates and the nominal transition applies; from there up the
+    attacker holds CANH and CANL climbs exponentially from 1.5 V toward it.
     """
     if v_attack_h is None:
         return dominant_duration + nominal_transition
     if v_attack_h <= 0.0:
         raise InvalidVoltage(f"v_attack_h must be positive, got {v_attack_h!r}")
-    if v_attack_h < 3.5:
+    if v_attack_h < STRETCH_LEVEL:
         return dominant_duration + nominal_transition
     target = 0.9 * max(v_attack_h, 2.5)
     climb = time_to_reach(1.5, v_attack_h, tau_rc, target)

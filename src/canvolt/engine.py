@@ -20,7 +20,8 @@ connectivity before then wakes it. A forced retransmission is never
 parked: it succeeds by a retransmission inside its window, so parking
 its frames would move those records and its verdict. The one
 closed-form predictor the engine still calls is the FRA ACK delimiter
-check (`attacks.fra_ack_delimiter_corrupted`).
+check (`attacks.fra_ack_delimiter_corrupted`), once per window pair
+each time `side` reads the window.
 
 The attack window is one set of fields: its edges, which are infinite
 without an attack so the window never opens; the attacker's pin pairs
@@ -48,8 +49,12 @@ accumulator as it is when each device and damage timer is at rest at the
 current it sees (`_PinBank.moving` finds nothing to move). A damage
 timer sees the current its pin's device passes; a device sees
 `_PinBank.device_current`: the bench drive in the window when one is set
-(a thermostat's only), else its pin current, as it passes it. The record
-is read in three places:
+(a thermostat's only), else its pin current, as it passes it. Inside
+the window the record also keeps the FRA verdict per window pair
+(`_Side.fra`): its P_H stretches the CANL recovery past an ACK
+delimiter's sample point. A first attempt reads the pair of the clock's
+phase at its ACK delimiter's sample instant, when that lies in the
+window. The record is read in three places:
 
 - *Quiescent frames.* A frame skips the per-bit work from its SOF, or
   from any later bit, when no attack window overlaps the bits left, or a
@@ -59,18 +64,18 @@ is read in three places:
   every pin pair and level, or sees one current at all of them. So a
   pulse whose masking phase is shorter than the decode hold is steady
   once its accumulators rest, and a coil that heats or cools at one
-  current does not stop the frame. Inside the window the first attempt
-  still asks the FRA check at its ACK delimiter when a gated window
-  pair's P_H drives 3.5 V or more, the only pins at which it can fire
-  (`_Side.fra`). Each moving device is then folded over the pieces of
-  the bits crossed, cut as `drive` cuts them, by `irs` `steps`: the
-  per-bit path's own step arithmetic, without its solves, gating or
-  comparator. A device that would open or close in them sends those
-  bits one by one, from the state before them. An attempt asks once at
-  its SOF (`simulate_attempt`), and again for the rest of the frame after
-  a bit in which a device opened or closed or a damage timer tripped or
-  cleared, and at its first bit past a window edge: a fuse or damage
-  limit that trips early in a frame leaves the rest of it steady.
+  current does not stop the frame. Inside the window a first attempt
+  still fails at its ACK delimiter when a window pair's FRA verdict
+  fires there; a side with none firing skips it. Each moving device is
+  then folded over the pieces of the bits crossed, cut as `drive` cuts
+  them, by `irs` `steps`: the per-bit path's own step arithmetic,
+  without its solves, gating or comparator. A device that would open or
+  close in them sends those bits one by one, from the state before them.
+  An attempt asks once at its SOF (`simulate_attempt`), and again for
+  the rest of the frame after a bit in which a device opened or closed
+  or a damage timer tripped or cleared, and at its first bit past a
+  window edge: a fuse or damage limit that trips early in a frame leaves
+  the rest of it steady.
 - *Idle jumps.* `advance_idle` walks the idle time up to the next event
   in stretches that end at each window edge, with one rest test per
   stretch: the `side` it lies on. A stretch whose idle bus rests is
@@ -134,7 +139,6 @@ from .electrical import (
     INPUT,
     BusTopology,
     OutputHigh,
-    PinCurrents,
     PulseClock,
     solve_bus_detailed,
 )
@@ -167,16 +171,6 @@ class Summary:
     first_failure_reason: str
 
 
-def _limit_pin_currents(sol, limit: float):
-    """The solution with every pin current capped at `limit` amps either way."""
-
-    def cap(i: float) -> float:
-        return max(-limit, min(limit, i))
-
-    currents = {n: PinCurrents(cap(pc.i_ph), cap(pc.i_pl)) for n, pc in sol.pin_currents.items()}
-    return replace(sol, pin_currents=currents)
-
-
 # --- internal simulation -------------------------------------------------
 
 # the attacks that block frames: each keeps dominant bits from reading,
@@ -193,13 +187,9 @@ class _Side(NamedTuple):
     idle_rests: bool  # an idle step leaves every accumulator as it is
     blocked: bool  # a dominant bit does not read as driven
     engaged: tuple  # per window pair (none outside): the idle bus reads dominant
-    fra: bool  # a window pair's P_H stretches the recovery (`_stretches`): the FRA check can fire
-
-
-def _stretches(p_h) -> bool:
-    """P_H drives high enough to stretch the CANL recovery, so the FRA
-    check (`atk.fra_ack_delimiter_corrupted`) can fire."""
-    return isinstance(p_h, OutputHigh) and p_h.level >= 3.5
+    # per window pair (none outside): its P_H stretches the CANL recovery
+    # past an ACK delimiter's sample point (`atk.fra_ack_delimiter_corrupted`)
+    fra: tuple
 
 
 @dataclass
@@ -354,15 +344,18 @@ class _Sim:
 
     def solved(self, dominant: bool, pins: tuple) -> tuple:
         """(bus solution, VIDS raw pin currents) at the driven level and gated
-        pins, solved once per run."""
+        pins, solved once per run. An active overcurrent's `source_limit`
+        caps each pin current either way."""
         hit = self.solutions.get((dominant, pins))
         if hit is None:
             sol = solve_bus_detailed({"bus": dominant}, {self.vids: pins}, self.topo, self.params)
+            pc = sol.pin_currents[self.vids]
+            i = {"ph": pc.i_ph, "pl": pc.i_pl}
             attack = self.attack
             if isinstance(attack, atk.ActiveOvercurrent) and attack.source_limit is not None:
-                sol = _limit_pin_currents(sol, attack.source_limit)
-            pc = sol.pin_currents[self.vids]
-            hit = self.solutions[(dominant, pins)] = (sol, {"ph": pc.i_ph, "pl": pc.i_pl})
+                limit = attack.source_limit
+                i = {pin: max(-limit, min(limit, v)) for pin, v in i.items()}
+            hit = self.solutions[(dominant, pins)] = (sol, i)
         return hit
 
     # -- cuts -----------------------------------------------------------------
@@ -467,6 +460,7 @@ class _Sim:
 
         # each device's first open/close change bounds the step
         stop_off = span
+        switching = False  # a device opens or closes at stop_off
         stepped = {}  # pin -> (current, state, elapsed)
         for pin, dev in bank.devices.items():
             i = bank.device_current(pin, i_raw[pin], in_window)
@@ -474,11 +468,11 @@ class _Sim:
                 after, off = dev.step(i, stop_off)
                 stepped[pin] = (i, after, off)
                 if after.open != dev.open:
-                    stop_off = off
+                    stop_off, switching = off, True
 
-        # damage triggers strictly inside the bounded exposure: when a
-        # device trips at the damage deadline it cuts the current first,
-        # leaving the damage timer full but not tripped
+        # damage triggers inside the bounded exposure, or at its end; when a
+        # device opens or closes at the damage deadline it cuts the current
+        # first, leaving the damage timer full but not tripped
         moved = bool(stepped)
         for pin in ("ph", "pl"):
             dmg = bank.damage[pin]
@@ -487,14 +481,14 @@ class _Sim:
                 continue
             moved = True
             deadline = dmg.time_to_trip(i)
-            if deadline == stop_off:
+            if switching and deadline == stop_off:
                 bank.damage[pin] = replace(dmg, over_timer=dmg.opening_time)
                 continue
             bank.damage[pin] = after = dmg.advance(i, stop_off)
             if after.at_rest(i):
                 # it tripped or its over-timer cleared: `quiescent` may pass now
                 bank.flips += 1
-            if deadline < stop_off and bank.damaged_at is None:
+            if deadline <= stop_off and bank.damaged_at is None:
                 bank.damaged_at = a + deadline
                 self.trace.add(a + deadline, "Damage", ecu=self.vids, line=pin)
         # a step that moves an accumulator ends every kept rest verdict
@@ -551,7 +545,9 @@ class _Sim:
         one `bank.moving` gives the frame and idle verdicts. Inside, each
         driven level must read as driven by `phases_read_driven` at the
         gated window pairs' v_diffs; a blocked dominant level, read
-        first, settles the frame verdict.
+        first, settles the frame verdict. The FRA verdict is asked per
+        gated window pair: only an `OutputHigh` P_H can stretch the
+        recovery.
         """
         kept = self.resting.get(in_window)
         if kept is not None:
@@ -559,7 +555,7 @@ class _Sim:
         moving = self.bank.moving
         if not in_window:
             frame = moving([self.solved(False, (INPUT, INPUT))[1]], False)
-            kept = _Side(frame, frame == (), False, (), False)
+            kept = _Side(frame, frame == (), False, (), ())
         else:
             pairs = [self.gate(pins) for pins in self.window_pins]
             dominant = [self.solved(True, pins) for pins in pairs]
@@ -571,7 +567,10 @@ class _Sim:
             if not blocked and self.phases_read_driven(False, v_diffs):
                 frame = moving([i for _, i in dominant] + idle, True)
             engaged = tuple(v >= DOMINANT_THRESHOLD for v in v_diffs)
-            fra = any(_stretches(p_h) for p_h, _ in pairs)
+            corrupted, tau_rc = atk.fra_ack_delimiter_corrupted, self.cfg.params.tau_rc
+            fra = tuple(
+                isinstance(p_h, OutputHigh) and corrupted(p_h.level, self.timing, tau_rc) for p_h, _ in pairs
+            )
             kept = _Side(frame, moving(idle, True) == (), blocked, engaged, fra)
         self.resting[in_window] = kept
         return kept
@@ -595,12 +594,12 @@ class _Sim:
         frame's end, as in `drive`), and the `side` they lie on gives a
         frame verdict. Its reading holds from either comparator
         state and at any phase, so bit k may follow bits sampled one by
-        one. Inside the window the first attempt still asks the FRA check
-        at its ACK delimiter, unless bit k is past it, and ends after that
-        bit when it fires: the per-bit loop reaches that bit only after
-        reading the dominant ACK slot as driven; a side whose window
-        pairs cannot stretch the recovery (`_Side.fra`) skips it. Each
-        moving device then folds `steps` over the pieces of the bits
+        one. Inside the window the first attempt still reads the FRA
+        verdict (`_Side.fra`) of the pair at its ACK delimiter's sample
+        instant, unless bit k is past it, and ends after that bit when it
+        fires: the per-bit loop reaches that bit only after reading the
+        dominant ACK slot as driven; a side with no pair firing skips it.
+        Each moving device then folds `steps` over the pieces of the bits
         crossed, cut as `drive` cuts them; when one would open or close
         in them, nothing is committed and the bits run one by one.
         """
@@ -616,10 +615,11 @@ class _Sim:
         if moving is None:
             return None
         outcome = None, ""
-        fra = side.fra and first_attempt and k <= ack_delim
-        if fra and self.fra_stretch_corrupts(t0 + ack_delim * bt):
-            outcome, n_bits = (ack_delim, "form_error_ack_delimiter"), ack_delim + 1
-            t1 = t0 + ack_delim * bt + bt
+        if any(side.fra) and first_attempt and k <= ack_delim:
+            b0 = t0 + ack_delim * bt
+            if side.fra[self.clock.phase(b0 + self.timing.sample_point * bt)]:
+                outcome, n_bits = (ack_delim, "form_error_ack_delimiter"), ack_delim + 1
+                t1 = b0 + bt
         if moving:
             spans = []
             for j in range(k, n_bits):
@@ -726,7 +726,9 @@ class _Sim:
         moving device over the rest of the frame at each one.
 
         The bit before the ACK delimiter is the ACK slot, driven dominant,
-        so the FRA check there follows a dominant bit read as driven.
+        so the FRA check there follows a dominant bit read as driven: a
+        first attempt fails there when the delimiter's sample instant lies
+        in the window and the window pair of its phase fires (`_Side.fra`).
         Returns (error bit index, reason), or (None, "") when every bit
         reads as driven.
         """
@@ -751,16 +753,11 @@ class _Sim:
             sampled, comparator = sample_bit(pieces, driven, self.timing, comparator, self.extension)
             if dominant and sampled is BitDecision.RECESSIVE:
                 return k, "bit_error"
-            if k == ack_delim and first_attempt and self.fra_stretch_corrupts(b0):
-                return k, "form_error_ack_delimiter"
+            if k == ack_delim and first_attempt:
+                t_s = b0 + self.timing.sample_point * bt
+                if t_start <= t_s < t_end and self.side(True).fra[self.clock.phase(t_s)]:
+                    return k, "form_error_ack_delimiter"
         return None, ""
-
-    def fra_stretch_corrupts(self, b0: float) -> bool:
-        """The recessive bit from b0, after a dominant one, still reads
-        dominant at its sample point."""
-        p_h, _ = self.pins_at(b0 + self.timing.sample_point * self.bit_time)
-        tau_rc = self.cfg.params.tau_rc
-        return _stretches(p_h) and atk.fra_ack_delimiter_corrupted(p_h.level, self.timing, tau_rc)
 
     # -- main loop ---------------------------------------------------------------------
 

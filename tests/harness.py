@@ -1,0 +1,171 @@
+"""What the differential suites share.
+
+`test_at_rest`, `test_idle_runs`, `test_parking`, `test_quiescent` and
+`test_resting_bits` each run the engine as it is and with one shortcut
+switched off, and require the same outcome. This module holds what they
+share: the bus they build, the senders and attacks they draw, the
+references and a call counter. It is a plain module, with no fixtures
+and no pytest hooks; each suite keeps its own constants, strategy
+parameters and examples.
+
+The references are context managers. Each wraps its `_Sim` seam as it
+stands when the reference is called, so they compose:
+
+    with per_bit(), sliced_idle():
+        trace, summary = run_scenario(cfg)
+
+A new shortcut gets its reference here, and a seam that moves is
+retargeted here once.
+"""
+
+import inspect
+import tempfile
+from contextlib import contextmanager
+from pathlib import Path
+from typing import NamedTuple
+
+import pytest
+from hypothesis import strategies as st
+
+from canvolt import engine
+from canvolt.attacks import ActiveOvercurrent, DoS, ForcedRetransmission, PassiveOvercurrent, PulseAttack
+from canvolt.cli import emit_outputs
+from canvolt.config import EcuSpec, IrsConfig, ScenarioConfig
+from canvolt.engine import run_scenario
+from canvolt.link import Frame
+
+HOST = "A"
+
+
+def bus(senders, period, names=None, **fields) -> ScenarioConfig:
+    """Host A, logger B and a sender per (frame, offset), named S0, S1,
+    ... unless `names` names them, each sending every `period`; `fields`
+    set the rest of the config."""
+    names = names or [f"S{k}" for k in range(len(senders))]
+    ecus = [EcuSpec(HOST, "vids-host"), EcuSpec("B", "logger")]
+    for name, (frame, offset) in zip(names, senders):
+        ecus.append(EcuSpec(name, "sender", period=period, frame=frame, offset=offset))
+    return ScenarioConfig(ecus=tuple(ecus), **fields)
+
+
+def senders(max_offset_us, min_size, max_size):
+    """Lists of senders with distinct ids, each (id, data, offset in us)."""
+    sender = st.tuples(st.integers(1, 0x7FF), st.binary(max_size=8), st.integers(0, max_offset_us))
+    return st.lists(sender, min_size=min_size, max_size=max_size, unique_by=lambda s: s[0])
+
+
+def plan(drawn) -> list:
+    """The (frame, offset) of each drawn sender."""
+    return [(Frame(id=fid, data=data), off * 1e-6) for fid, data, off in drawn]
+
+
+_STATIC = {
+    "dos": DoS, "fra": ForcedRetransmission, "active": ActiveOvercurrent, "passive": PassiveOvercurrent,
+}
+
+
+def attack(kind, start, end, period=600e-9, duty=0.5, phase=0.0):
+    """The attack of a drawn kind over [start, end) on host A: "none",
+    "dos" (CANL at 5 V), "fra" (CANH at 5 V), "active", "passive", or a
+    pulse, "pulse_canl" or "pulse_canh", of this period, duty and phase."""
+    if kind == "none":
+        return None
+    if kind.startswith("pulse_"):
+        line = kind.removeprefix("pulse_")
+        return PulseAttack(t_start=start, t_end=end, line=line, period=period, duty=duty, phase=phase)
+    return _STATIC[kind](t_start=start, t_end=end)
+
+
+def irs_config(name, **fields):
+    """The protective devices of a drawn name: None for "none"; a
+    "driven_thermostat" carries the bench's 3 A in the attack window,
+    whatever its pins carry."""
+    if name == "none":
+        return None
+    if name == "driven_thermostat":
+        return IrsConfig(device="thermostat", coil_drive=3.0, **fields)
+    return IrsConfig(device=name, **fields)
+
+
+def outputs(cfg) -> tuple:
+    """The trace CSV and summary JSON texts of a run."""
+    trace, summary = run_scenario(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        trace_path, summary_path = Path(tmp, "trace.csv"), Path(tmp, "summary.json")
+        emit_outputs(trace, summary, str(trace_path), str(summary_path))
+        return trace_path.read_text(), summary_path.read_text()
+
+
+# --- seams -----------------------------------------------------------------------
+
+
+@contextmanager
+def _patched(owner, name, value):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(owner, name, value)
+        yield
+
+
+class Call(NamedTuple):
+    args: dict  # each parameter's value, `self` and defaults included
+    result: object
+
+
+@contextmanager
+def counting(owner, name):
+    """`owner.name` recording each call as a `Call`, in order; yields the list."""
+    original = getattr(owner, name)
+    signature = inspect.signature(original)
+    calls = []
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(Call(bound.arguments, result))
+        return result
+
+    with _patched(owner, name, recording):
+        yield calls
+
+
+def per_bit():
+    """Reference: every frame runs bit by bit, from its SOF and from any
+    later bit."""
+    return _patched(engine._Sim, "quiescent", lambda self, *frame: None)
+
+
+def no_remainders():
+    """Reference: a frame is crossed from its SOF only, never from a later bit."""
+    quiescent = engine._Sim.quiescent
+
+    def from_sof(self, bits, ack_delim, first_attempt, t0, k=0):
+        return quiescent(self, bits, ack_delim, first_attempt, t0) if k == 0 else None
+
+    return _patched(engine._Sim, "quiescent", from_sof)
+
+
+def sliced_idle():
+    """Reference: every idle stretch is sliced at whole seconds."""
+    side = engine._Sim.side
+
+    def restless(self, in_window):
+        return side(self, in_window)._replace(idle_rests=False)
+
+    return _patched(engine._Sim, "side", restless)
+
+
+def unparked():
+    """Reference: a failed attempt is never parked; it retries after its error frame."""
+    return _patched(engine._Sim, "attack_blocking", lambda self, t: False)
+
+
+def forgetful():
+    """Reference: no window side's verdict is kept; each ask reads it afresh."""
+    side = engine._Sim.side
+
+    def afresh(self, in_window):
+        self.resting.clear()
+        return side(self, in_window)
+
+    return _patched(engine._Sim, "side", afresh)

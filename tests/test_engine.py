@@ -133,6 +133,27 @@ def test_active_overcurrent_resettable_fuse_still_damages():
     assert summary.damage_time == summary.device_trips["ph"] == summary.device_trips["pl"]
 
 
+def test_an_overcurrent_of_exactly_damage_time_damages_unless_a_fuse_opens_then():
+    """A window exactly `damage_time` long damages a pin as it ends, as a
+    window twice as long does. Fuses that open at that same instant cut
+    the current first, and nothing is damaged."""
+    t_end = 0.5 + 2**-20
+    damage = DamageParams(damage_time=2**-20)
+    for width in (2**-20, 2**-19):
+        attack = ActiveOvercurrent(t_start=0.5, t_end=0.5 + width)
+        trace, summary = run_scenario(scenario(attack, duration=1.0, damage=damage))
+        assert summary.damaged
+        assert summary.damage_time == t_end
+        assert [r.t for r in trace.of_kind("Damage")] == [t_end]
+
+    attack = ActiveOvercurrent(t_start=0.5, t_end=t_end)
+    fuses = IrsConfig(device="fuse", opening_time=2**-20)
+    trace, summary = run_scenario(scenario(attack, fuses, duration=1.0, damage=damage))
+    assert summary.device_trips == {"ph": t_end, "pl": t_end}
+    assert not summary.damaged and summary.damage_time is None
+    assert trace.of_kind("Damage") == []
+
+
 def test_passive_overcurrent_damages_but_traffic_passes():
     _, summary = run_scenario(scenario(PassiveOvercurrent(), duration=12.0))
     assert summary.damaged

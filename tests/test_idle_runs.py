@@ -24,13 +24,14 @@ from canvolt import attacks as atk
 from canvolt import engine, irs
 from canvolt import trace as trace_module
 from canvolt.electrical import INPUT, BusTopology, solve_bus_detailed
-from canvolt.config import EcuSpec, IrsConfig, ScenarioConfig
+from canvolt.config import IrsConfig
 from canvolt.engine import run_scenario
 from canvolt.link import Frame, bus_bits
 from canvolt.trace import SAMPLE_KINDS, TraceRecord
+from harness import HOST, attack, bus, counting, sliced_idle
 
 BIT = 2e-6  # 500 kbit/s
-HOST = "A"
+PULSE = 20e-6  # a pulse attack's period
 
 DEVICES = {
     "none": None,
@@ -53,53 +54,28 @@ RANK = {
 }
 
 
-def make_attack(kind, start, end):
-    if kind == "none":
-        return None
-    if kind == "dos":
-        return atk.DoS(node=HOST, t_start=start, t_end=end, v_attack_l=5.0)
-    if kind == "active":
-        return atk.ActiveOvercurrent(node=HOST, t_start=start, t_end=end)
-    line = "canl" if kind == "pulse_canl" else "canh"
-    return atk.PulseAttack(node=HOST, t_start=start, t_end=end, line=line, period=20e-6)
-
-
-def bus(duration, frame, period, offset, attack, device):
-    ecus = (
-        EcuSpec(HOST, "vids-host"),
-        EcuSpec("B", "logger"),
-        EcuSpec("C", "sender", period=period, frame=frame, offset=offset),
-    )
-    return ScenarioConfig(duration=duration, ecus=ecus, attack=attack, irs_config=DEVICES[device])
+def idle_bus(duration, frame, period, offset, attack, device):
+    """One sender, C, over a long run."""
+    return bus([(frame, offset)], period, ["C"], duration=duration, attack=attack, irs_config=DEVICES[device])
 
 
 def run_logged(cfg):
-    """run_scenario, plus every record in the order the engine made it."""
-    log = []
-    add, add_ticks = trace_module.Trace.add, trace_module.Trace.add_ticks
-
-    def logged_add(self, t, kind, ecu="", line="", value=None, detail=""):
-        log.append(TraceRecord(t, kind, ecu, line, value, detail))
-        add(self, t, kind, ecu, line, value, detail)
-
-    def logged_ticks(self, first, last, samples):
-        for k in range(first, last + 1):
-            log.extend(TraceRecord(float(k), *fields) for fields in samples)
-        add_ticks(self, first, last, samples)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trace_module.Trace, "add", logged_add)
-        mp.setattr(trace_module.Trace, "add_ticks", logged_ticks)
+    """run_scenario, plus every record in the order the engine made it:
+    the events as added, then the ticks of each sample run (only samples
+    have their rank, so this order sorts as the interleaved one)."""
+    with counting(trace_module.Trace, "add") as events, counting(trace_module.Trace, "add_ticks") as runs:
         trace, summary = run_scenario(cfg)
+    log = [TraceRecord(*tuple(c.args.values())[1:]) for c in events]  # each argument but self
+    for c in runs:
+        for k in range(c.args["first"], c.args["last"] + 1):
+            log.extend(TraceRecord(float(k), *fields) for fields in c.args["samples"])
     return trace, summary, log
 
 
 def run_reference(cfg):
     """Idle time sliced at every whole second; records as made, stably
     sorted by time and rank."""
-    side = engine._Sim.side
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine._Sim, "side", lambda self, in_window: side(self, in_window)._replace(idle_rests=False))
+    with sliced_idle():
         _, summary, log = run_logged(cfg)
     return sorted(log, key=lambda r: (r.t, RANK.get(r.kind, 0))), summary, log
 
@@ -147,36 +123,39 @@ def idle_buses(draw):
     kind = draw(st.sampled_from(["none", "dos", "pulse_canl", "pulse_canh", "active"]))
     start = draw(st.integers(0, int(duration))) + draw(st.sampled_from([0.0, 0.5, -3e-6]))
     width = draw(st.integers(1, 40)) + draw(st.sampled_from([0.0, 0.5]))
-    attack = make_attack(kind, max(start, 0.0), max(start, 0.0) + width)
+    window = attack(kind, max(start, 0.0), max(start, 0.0) + width, period=PULSE)
     device = draw(st.sampled_from(sorted(DEVICES)))
-    return bus(duration, frame, period, offset, attack, device)
+    return idle_bus(duration, frame, period, offset, window, device)
 
 
-TIE_CASE = bus(
+TIE_CASE = idle_bus(
     60.0, Frame(id=0x123, data=b"\x01\x02"), 7.0, 3.0,
-    make_attack("pulse_canl", 9.0, 12.5), "fuse",
+    attack("pulse_canl", 9.0, 12.5, period=PULSE), "fuse",
 )
-COOLING_CASE = bus(
+COOLING_CASE = idle_bus(
     120.0, Frame(id=0x55, data=b""), 9.0, 2.5,
-    make_attack("dos", 20.0, 30.0), "driven_thermostat",
+    attack("dos", 20.0, 30.0), "driven_thermostat",
 )
 
 
 # a frame sent at 1029.999774 s ends as the window opens, and the
 # window's current trips the breaker 1 us later
-WINDOW_START_CASE = bus(
+WINDOW_START_CASE = idle_bus(
     1031.0, Frame(id=1, data=b"\x2f" * 8), 7.0, 1.0 - 113 * BIT,
-    make_attack("active", 1030.0, 1031.0), "breaker",
+    attack("active", 1030.0, 1031.0), "breaker",
 )
 
 
 def check_against_references(cfg):
+    """Both runs' samples match the oracle, and the run matches the
+    reference; returns the run's trace."""
     trace, summary, log = run_logged(cfg)
     ref_records, ref_summary, ref_log = run_reference(cfg)
     assert oracle_mismatches(cfg, log) == []
     assert oracle_mismatches(cfg, ref_log) == []
     assert trace.records == ref_records
     assert summary == ref_summary
+    return trace
 
 
 @settings(max_examples=20, deadline=None)
@@ -199,11 +178,8 @@ def test_a_trip_after_a_frame_that_ends_as_the_window_opens_matches_the_referenc
 @pytest.mark.parametrize("start, end", [(2.5, math.inf), (-math.inf, 3.5)])
 def test_windows_with_an_infinite_edge(start, end):
     """Ticks are split at the window edges, which may be infinite."""
-    cfg = bus(6.0, Frame(id=1, data=b""), 1.0, 0.5, make_attack("dos", start, end), "fuse")
-    trace, summary, log = run_logged(cfg)
-    ref_records, ref_summary, _ = run_reference(cfg)
-    assert oracle_mismatches(cfg, log) == []
-    assert (trace.records, summary) == (ref_records, ref_summary)
+    cfg = idle_bus(6.0, Frame(id=1, data=b""), 1.0, 0.5, attack("dos", start, end), "fuse")
+    trace = check_against_references(cfg)
     assert len(trace.records) == 4 * 7 + len(trace.events)
 
 
@@ -230,28 +206,22 @@ def test_a_flip_in_the_last_idle_stretch_does_not_end_the_run():
     """With no frame due, a thermostat heated through the window flips in
     the run's last idle stretch; the run still reaches its duration, with
     every tick and the window's end."""
-    cfg = ScenarioConfig(
-        duration=10.0,
-        ecus=(EcuSpec(HOST, "vids-host"), EcuSpec("B", "logger")),
-        attack=make_attack("dos", 0.0, 6.5),
-        irs_config=DEVICES["driven_thermostat"],
+    cfg = bus(
+        [], None, duration=10.0, attack=attack("dos", 0.0, 6.5), irs_config=DEVICES["driven_thermostat"]
     )
-    trace, summary, log = run_logged(cfg)
+    trace = check_against_references(cfg)
     assert sorted({r.t for r in trace.of_kind("LineVoltageSample")}) == [float(k) for k in range(11)]
     assert [r.t for r in trace.of_kind("AttackEnd")] == [6.5]
     flips = trace.of_kind("ThermostatOpen") + trace.of_kind("ThermostatClosed")
     assert max(r.t for r in flips) == pytest.approx(6.7)
-    assert oracle_mismatches(cfg, log) == []
-    ref_records, ref_summary, _ = run_reference(cfg)
-    assert (trace.records, summary) == (ref_records, ref_summary)
 
 
 def test_a_tick_shows_the_devices_at_its_stamp():
     """A frame spans the tick at 5 s and a pulse window opens just before
     it; the fuse blows 3 us after the tick, so the tick still sees the
     pulse's high phase drive both lines to 5 V."""
-    attack = make_attack("pulse_canl", 4.9999995, 6.0)
-    cfg = bus(8.0, Frame(id=0x7FF, data=b""), 100.0, 4.99999, attack, "fuse")
+    window = attack("pulse_canl", 4.9999995, 6.0, period=PULSE)
+    cfg = idle_bus(8.0, Frame(id=0x7FF, data=b""), 100.0, 4.99999, window, "fuse")
     trace, _, log = run_logged(cfg)
     assert [r.t for r in trace.of_kind("FuseBlown")] == [pytest.approx(5.000003)]
     at_five = {r.line: r.value for r in trace.records if r.t == 5.0 and r.kind in SAMPLE_KINDS}
@@ -296,32 +266,19 @@ def late_window_bus():
         sends.append(t)
         t = t + IDLE_PERIOD
     start = sends[-10] - 3e-6
-    return bus(
+    return idle_bus(
         IDLE_DURATION, Frame(id=0x123, data=bytes(range(8))), IDLE_PERIOD, 0.5,
-        make_attack("pulse_canl", start, start + 100e-6), "fuse",
+        attack("pulse_canl", start, start + 100e-6, period=PULSE), "fuse",
     )
 
 
 def test_idle_cost_follows_events_not_simulated_seconds():
-    calls = {"advance_constant": 0, "solved": 0}
-
-    def counting(name):
-        original = getattr(engine._Sim, name)
-
-        def wrapper(self, *args):
-            calls[name] += 1
-            return original(self, *args)
-
-        return wrapper
-
-    with pytest.MonkeyPatch.context() as mp:
-        for name in calls:
-            mp.setattr(engine._Sim, name, counting(name))
+    with counting(engine._Sim, "advance_constant") as steps, counting(engine._Sim, "solved") as solves:
         trace, summary = run_scenario(late_window_bus())
 
     assert summary.device_trips, "the fuse did not trip in the window"
     attempts = len(trace.of_kind("FrameSent")) + len(trace.of_kind("Retransmission"))
     assert attempts >= IDLE_DURATION // IDLE_PERIOD
-    for name, n in calls.items():
-        assert n < 50 * attempts, (name, n, attempts)
+    for name, calls in (("advance_constant", steps), ("solved", solves)):
+        assert len(calls) < 50 * attempts, (name, len(calls), attempts)
     assert len(trace.records) == 4 * (int(IDLE_DURATION) + 1) + len(trace.events)

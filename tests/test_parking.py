@@ -32,42 +32,26 @@ from hypothesis import strategies as st
 
 from canvolt import engine
 from canvolt.attacks import ActiveOvercurrent, DoS, PulseAttack, pulse_blocks_bits
-from canvolt.config import EcuSpec, IrsConfig, ScenarioConfig
 from canvolt.engine import run_scenario
 from canvolt.link import Frame
+from harness import bus, counting, irs_config, plan, senders, unparked
 
 PERIOD = 10e-3  # every sender's period, and so the indicator slot
 DURATION = 4 * PERIOD
 
 
-def bus(senders, attack, device, pins):
-    ecus = [EcuSpec("A", "vids-host"), EcuSpec("B", "logger")]
-    for k, (frame, offset) in enumerate(senders):
-        ecus.append(EcuSpec(f"S{k}", "sender", period=PERIOD, frame=frame, offset=offset))
-    irs = None if device == "none" else IrsConfig(device=device, pins=pins)
-    return ScenarioConfig(duration=DURATION, ecus=tuple(ecus), attack=attack, irs_config=irs)
+def parking_bus(senders, attack, device, pins):
+    return bus(senders, PERIOD, duration=DURATION, attack=attack, irs_config=irs_config(device, pins=pins))
 
 
-def run_counting_parks(cfg):
-    """run_scenario, plus how many failed attempts were parked."""
-    parks = []
-    original = engine._Sim.attack_blocking
-
-    def counting(self, t):
-        blocking = original(self, t)
-        parks.append(blocking)
-        return blocking
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine._Sim, "attack_blocking", counting)
+def check_parks_keep_the_outcome(cfg):
+    """The outcome with and without parking agree; returns how many failed
+    attempts were parked."""
+    with counting(engine._Sim, "attack_blocking") as parks:
         trace, summary = run_scenario(cfg)
-    return trace, summary, sum(parks)
-
-
-def run_unparked(cfg):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine._Sim, "attack_blocking", lambda self, t: False)
-        return run_scenario(cfg)
+    with unparked():
+        assert outcome(trace, summary) == outcome(*run_scenario(cfg))
+    return sum(c.result for c in parks)
 
 
 def outcome(trace, summary):
@@ -76,16 +60,7 @@ def outcome(trace, summary):
     return summary.attack_success, summary.first_failure_reason, summary.indicator, delivered
 
 
-senders = st.lists(
-    st.tuples(
-        st.integers(1, 0x7FF),
-        st.binary(max_size=8),
-        st.integers(0, 9_000),  # offset in us
-    ),
-    min_size=2,
-    max_size=3,
-    unique_by=lambda s: s[0],
-)
+SENDERS = senders(9_000, 2, 3)
 
 
 def test_dos_parking_keeps_the_outcome_of_unparked_retries():
@@ -93,7 +68,7 @@ def test_dos_parking_keeps_the_outcome_of_unparked_retries():
 
     @settings(max_examples=30, deadline=None)
     @given(
-        senders=senders,
+        senders=SENDERS,
         decivolts=st.integers(10, 50),
         slot=st.integers(1, 2),
         end_in_slot=st.integers(5, 50),  # percent of the slot
@@ -122,14 +97,9 @@ def test_dos_parking_keeps_the_outcome_of_unparked_retries():
         pins="pl",
     )
     def check(senders, decivolts, slot, end_in_slot, width_us, device, pins):
-        plan = [(Frame(id=fid, data=data), off * 1e-6) for fid, data, off in senders]
         t_end = (slot + end_in_slot / 100) * PERIOD
         attack = DoS(t_start=t_end - width_us * 1e-6, t_end=t_end, v_attack_l=decivolts / 10)
-        cfg = bus(plan, attack, device, pins)
-
-        trace, summary, parks = run_counting_parks(cfg)
-        assert outcome(trace, summary) == outcome(*run_unparked(cfg))
-        parked.append(parks)
+        parked.append(check_parks_keep_the_outcome(parking_bus(plan(senders), attack, device, pins)))
 
     check()
     assert sum(parked) > 0
@@ -142,7 +112,7 @@ def test_pulse_parking_keeps_the_outcome_of_unparked_retries():
 
     @settings(max_examples=30, deadline=None)
     @given(
-        senders=senders,
+        senders=SENDERS,
         line=st.sampled_from(["canl", "canh"]),
         period_ns=st.integers(500, 1200),
         slot=st.integers(1, 2),
@@ -188,16 +158,11 @@ def test_pulse_parking_keeps_the_outcome_of_unparked_retries():
         pins="ph",
     )
     def check(senders, line, period_ns, slot, end_in_slot, width_us, device, pins):
-        plan = [(Frame(id=fid, data=data), off * 1e-6) for fid, data, off in senders]
         t_end = (slot + end_in_slot / 100) * PERIOD
         attack = PulseAttack(
             t_start=t_end - width_us * 1e-6, t_end=t_end, line=line, period=period_ns * 1e-9
         )
-        cfg = bus(plan, attack, device, pins)
-
-        trace, summary, parks = run_counting_parks(cfg)
-        assert outcome(trace, summary) == outcome(*run_unparked(cfg))
-        parked.append(parks)
+        parked.append(check_parks_keep_the_outcome(parking_bus(plan(senders), attack, device, pins)))
 
     check()
     assert sum(parked) > 0
@@ -214,7 +179,7 @@ def test_a_pulse_locked_to_the_bit_grid_blocks_no_bit(shift_us):
     assert pulse_blocks_bits("canl", 1000e-9)
     frame = Frame(id=0x10, data=b"\x01")
     attack = PulseAttack(t_start=8e-3 + shift_us * 1e-6, t_end=13e-3, line="canl", period=1000e-9)
-    trace, summary = run_scenario(bus([(frame, 10e-3)], attack, "none", "both"))
+    trace, summary = run_scenario(parking_bus([(frame, 10e-3)], attack, "none", "both"))
 
     errors = [(e.t, e.detail) for e in trace.of_kind("ErrorFrame")]
     retries = [r.t for r in trace.of_kind("Retransmission")]
@@ -233,14 +198,10 @@ def test_a_jammed_idle_bus_parks_frames_until_the_window_ends_or_a_trip(device):
     due at 1.0 and 1.5 s are parked, unattempted, and go out from 2.0 s.
     A breaker on P_H trips 1 us into the window and frees the bus; the
     frame due at 1.0 s is sent at the trip."""
-    ecus = (
-        EcuSpec("A", "vids-host"),
-        EcuSpec("B", "logger"),
-        EcuSpec("S0", "sender", period=0.5, frame=Frame(id=0x10, data=b"\x01")),
-    )
-    irs = None if device == "none" else IrsConfig(device=device, pins="ph")
     attack = ActiveOvercurrent(t_start=1.0, t_end=2.0, v_high=5.0)
-    trace, summary = run_scenario(ScenarioConfig(duration=3.0, ecus=ecus, attack=attack, irs_config=irs))
+    cfg = bus([(Frame(id=0x10, data=b"\x01"), 0.0)], 0.5, duration=3.0, attack=attack,
+              irs_config=irs_config(device, pins="ph"))
+    trace, summary = run_scenario(cfg)
 
     sent = [r.t for r in trace.of_kind("FrameSent")]
     assert len(sent) == summary.messages_sent == 6
@@ -265,7 +226,6 @@ def test_a_near_locked_pulse_parks_as_unparked_retries_fare():
     so an unparked retry inside the window can keep its masking phase off
     every sample point; parking, by the steady rule, waits for the window
     end instead, and the two runs disagree on the attack's success."""
-    plan = [(Frame(id=1, data=b""), 0.0), (Frame(id=2, data=b""), 0.0)]
+    both_at_0 = [(Frame(id=1, data=b""), 0.0), (Frame(id=2, data=b""), 0.0)]
     attack = PulseAttack(t_start=9.5e-3, t_end=10.5e-3, line="canl", period=995e-9)
-    cfg = bus(plan, attack, "none", "both")
-    assert outcome(*run_scenario(cfg)) == outcome(*run_unparked(cfg))
+    check_parks_keep_the_outcome(parking_bus(both_at_0, attack, "none", "both"))

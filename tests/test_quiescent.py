@@ -20,70 +20,47 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canvolt import engine, irs
-from canvolt.attacks import (
-    ActiveOvercurrent,
-    DoS,
-    ForcedRetransmission,
-    PassiveOvercurrent,
-    PulseAttack,
-)
+from canvolt.attacks import DoS, ForcedRetransmission
 from canvolt.cli import parse_config
-from canvolt.config import EcuSpec, IrsConfig, ScenarioConfig, set_sweep_value
+from canvolt.config import IrsConfig, set_sweep_value
 from canvolt.engine import run_scenario
 from canvolt.link import Frame, ack_delimiter_index, ack_slot_index, frame_bit_length
+from harness import attack, bus, counting, per_bit, plan, senders
 
 BIT = 2e-6  # 500 kbit/s
 PERIOD = 1e-3
 DURATION = 4e-3
 
 
-def bus(senders, attack=None, irs=None, period=PERIOD, shift=0.0):
+def quiescent_bus(senders, attack=None, irs=None, period=PERIOD, shift=0.0):
     """Senders of (frame, offset) over DURATION; `shift` moves the offsets
     and the end of the run."""
-    ecus = [EcuSpec("A", "vids-host"), EcuSpec("B", "logger")]
-    for k, (frame, offset) in enumerate(senders):
-        ecus.append(EcuSpec(f"S{k}", "sender", period=period, frame=frame, offset=shift + offset))
-    return ScenarioConfig(
-        duration=shift + DURATION, ecus=tuple(ecus), attack=attack, irs_config=irs
-    )
+    moved = [(frame, shift + offset) for frame, offset in senders]
+    return bus(moved, period, duration=shift + DURATION, attack=attack, irs_config=irs)
 
 
 def run_counting_quiescent(cfg):
     """run_scenario, plus how many attempts took the shortcut from their
     SOF outside any attack window and how many inside a steady one; a
     crossing of a frame's remaining bits is not counted."""
-    taken = []
-    original = engine._Sim.quiescent
-
-    def counting(self, bits, ack_delim, first_attempt, t0, k=0):
-        outcome = original(self, bits, ack_delim, first_attempt, t0, k)
-        if outcome is not None and k == 0:
-            a, t1 = self.attack, t0 + (len(bits) - 1) * BIT + BIT
-            taken.append(a is not None and a.t_start < t1 and t0 < a.t_end)
-        return outcome
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine._Sim, "quiescent", counting)
+    with counting(engine._Sim, "quiescent") as calls:
         trace, summary = run_scenario(cfg)
+    taken = []
+    for c in calls:
+        if c.result is not None and c.args["k"] == 0:
+            a, t0 = c.args["self"].attack, c.args["t0"]
+            t1 = t0 + (len(c.args["bits"]) - 1) * BIT + BIT
+            taken.append(a is not None and a.t_start < t1 and t0 < a.t_end)
     return trace, summary, taken.count(False), taken.count(True)
 
 
 def run_per_bit(cfg):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine._Sim, "quiescent", lambda self, *frame: None)
+    with per_bit():
         return run_scenario(cfg)
 
 
 def make_attack(kind, start, end, line):
-    if kind == "dos":
-        return DoS(t_start=start, t_end=end, v_attack_l=5.0)
-    if kind == "fra":
-        return ForcedRetransmission(t_start=start, t_end=end, v_attack_h=5.0)
-    if kind == "active":
-        return ActiveOvercurrent(t_start=start, t_end=end)
-    if kind == "passive":
-        return PassiveOvercurrent(t_start=start, t_end=end)
-    return PulseAttack(t_start=start, t_end=end, line=line, period=600e-9, duty=0.5)
+    return attack(f"pulse_{line}" if kind == "pulse" else kind, start, end)
 
 
 IRS = {
@@ -95,16 +72,7 @@ IRS = {
     "thermostat": IrsConfig(device="thermostat", coil_drive=3.0, tau_thermal=1e-4),
 }
 
-senders = st.lists(
-    st.tuples(
-        st.integers(1, 0x7FF),
-        st.binary(max_size=8),
-        st.integers(0, 400),  # offset in us
-    ),
-    min_size=2,
-    max_size=4,
-    unique_by=lambda s: s[0],
-)
+SENDERS = senders(400, 2, 4)
 
 
 # window placements on a frame's edges, where other frames stay outside it
@@ -116,7 +84,7 @@ def test_quiescent_frames_match_the_per_bit_path():
 
     @settings(max_examples=24, deadline=None)
     @given(
-        senders=senders,
+        senders=SENDERS,
         kind=st.sampled_from(["dos", "fra", "pulse", "active", "passive"]),
         line=st.sampled_from(["canl", "canh"]),
         edge=st.sampled_from(
@@ -147,9 +115,9 @@ def test_quiescent_frames_match_the_per_bit_path():
         irs="fuse",
     )
     def check(senders, kind, line, edge, pick, width_bits, irs):
-        plan = [(Frame(id=fid, data=data), off * 1e-6) for fid, data, off in senders]
-        frames = {f"S{k}": frame for k, (frame, _) in enumerate(plan)}
-        unattacked, _ = run_scenario(bus(plan))
+        schedule = plan(senders)
+        frames = {f"S{k}": frame for k, (frame, _) in enumerate(schedule)}
+        unattacked, _ = run_scenario(quiescent_bus(schedule))
         sent = unattacked.of_kind("FrameSent")
         target = sent[pick % len(sent)]
         t0 = target.t
@@ -167,7 +135,7 @@ def test_quiescent_frames_match_the_per_bit_path():
             "opens_inside": (inside, t_end + width),
             "closes_inside": (t0 - width, inside),
         }[edge]
-        cfg = bus(plan, make_attack(kind, start, end, line), IRS[irs])
+        cfg = quiescent_bus(schedule, make_attack(kind, start, end, line), IRS[irs])
 
         trace, summary, outside, steady = run_counting_quiescent(cfg)
         ref_trace, ref_summary = run_per_bit(cfg)
@@ -189,7 +157,7 @@ def test_a_forced_retransmission_fails_each_first_attempt_and_retries_steady():
     is delivered in it."""
     frame = Frame(id=0x123, data=b"\x55")
     t0 = 1e-3
-    cfg = bus([(frame, t0)], ForcedRetransmission(t_start=0.5e-3, t_end=2.5e-3, v_attack_h=5.0))
+    cfg = quiescent_bus([(frame, t0)], ForcedRetransmission(t_start=0.5e-3, t_end=2.5e-3, v_attack_h=5.0))
     trace, summary, outside, steady = run_counting_quiescent(cfg)
 
     ack_error = (ack_delimiter_index(frame) + 1) * BIT
@@ -214,7 +182,7 @@ def test_a_static_window_goes_steady_once_a_fuse_blows(kind, later, closes_at_eo
     frame = Frame(id=0x123, data=b"\x55")
     n_bits = frame_bit_length(frame)
     end = 3e-3 + (n_bits - 1) * BIT + BIT if closes_at_eof else 3.5e-3
-    cfg = bus([(frame, 1e-3)], make_attack(kind, 1e-3, end, "canl"), IRS["fuse"])
+    cfg = quiescent_bus([(frame, 1e-3)], make_attack(kind, 1e-3, end, "canl"), IRS["fuse"])
     trace, summary, _, steady = run_counting_quiescent(cfg)
     assert summary.device_trips
     assert steady == later - closes_at_eof
@@ -231,7 +199,7 @@ def test_dos_opening_inside_the_ack_slot(into_bit, delivered):
     ack = ack_slot_index(frame)
     start = t0 + (ack + into_bit) * BIT
     attack = DoS(t_start=start, t_end=t0 + frame_bit_length(frame) * BIT, v_attack_l=5.0)
-    trace, summary = run_scenario(bus([(frame, t0)], attack))
+    trace, summary = run_scenario(quiescent_bus([(frame, t0)], attack))
 
     errors = trace.of_kind("ErrorFrame")
     assert summary.messages_received == summary.messages_sent
@@ -251,11 +219,8 @@ def check_pulse_window(senders, period, duty, phase, line, irs, shift):
     A shifted run's senders send once a second: the summary's indicator
     has a slot per sender period over the whole run. Traces compare by
     events and sample runs, which do not expand the run's ticks."""
-    plan = [(Frame(id=fid, data=data), off * 1e-6) for fid, data, off in senders]
-    attack = PulseAttack(
-        t_start=shift, t_end=shift + DURATION, line=line, period=period, duty=duty, phase=phase
-    )
-    cfg = bus(plan, attack, IRS[irs], period=PERIOD if shift == 0.0 else 1.0, shift=shift)
+    window = attack(f"pulse_{line}", shift, shift + DURATION, period, duty, phase)
+    cfg = quiescent_bus(plan(senders), window, IRS[irs], period=PERIOD if shift == 0.0 else 1.0, shift=shift)
     trace, summary, _, steady = run_counting_quiescent(cfg)
     ref_trace, ref_summary = run_per_bit(cfg)
     assert (trace.events, trace.runs) == (ref_trace.events, ref_trace.runs)
@@ -271,7 +236,7 @@ def test_pulse_windows_match_the_per_bit_path():
 
     @settings(max_examples=30, deadline=None)
     @given(
-        senders=senders,
+        senders=SENDERS,
         period=st.one_of(st.floats(100e-9, 4e-6), st.floats(560e-9, 700e-9)),
         duty=st.floats(0.05, 0.95),
         phase=st.floats(0.0, 1.0),
@@ -326,20 +291,9 @@ def test_an_unbounded_pulse_window_goes_steady(name, period):
 
 def run_counting_folds(cfg):
     """run_scenario, plus how many device folds crossed a frame."""
-    folds = []
-
-    def counting(original):
-        def steps(self, i, spans):
-            folded = original(self, i, spans)
-            folds.append(folded is not None)
-            return folded
-        return steps
-
-    with pytest.MonkeyPatch.context() as mp:
-        for cls in (irs._Switch, irs.ThermostatCoil):
-            mp.setattr(cls, "steps", counting(cls.steps))
+    with counting(irs._Switch, "steps") as switches, counting(irs.ThermostatCoil, "steps") as coils:
         trace, summary = run_scenario(cfg)
-    return trace, summary, sum(folds)
+    return trace, summary, sum(c.result is not None for c in switches + coils)
 
 
 def moving_device(device, coil_drive, tau_exp, opening_exp):
@@ -364,9 +318,8 @@ FLIPPING = dict(
 
 
 def moving_bus(senders, kind, line, start_us, width_us, device, coil_drive, tau_exp, opening_exp):
-    plan = [(Frame(id=fid, data=data), off * 1e-6) for fid, data, off in senders]
-    attack = make_attack(kind, start_us * 1e-6, (start_us + width_us) * 1e-6, line)
-    return bus(plan, attack, moving_device(device, coil_drive, tau_exp, opening_exp))
+    window = make_attack(kind, start_us * 1e-6, (start_us + width_us) * 1e-6, line)
+    return quiescent_bus(plan(senders), window, moving_device(device, coil_drive, tau_exp, opening_exp))
 
 
 def test_frames_under_moving_devices_match_the_per_bit_path():
@@ -377,7 +330,7 @@ def test_frames_under_moving_devices_match_the_per_bit_path():
 
     @settings(max_examples=60, deadline=None)
     @given(
-        senders=senders,
+        senders=SENDERS,
         kind=st.sampled_from(["dos", "fra", "pulse", "active", "passive"]),
         line=st.sampled_from(["canl", "canh"]),
         start_us=st.integers(0, 3000),

@@ -11,7 +11,6 @@ whole frames from their SOF), and with no window verdict kept between
 asks, and require the same trace CSV and summary.
 """
 
-import tempfile
 from pathlib import Path
 
 import pytest
@@ -19,131 +18,37 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canvolt import engine
-from canvolt.attacks import ActiveOvercurrent, DoS, ForcedRetransmission, PassiveOvercurrent, PulseAttack
-from canvolt.cli import emit_outputs, parse_config
+from canvolt.attacks import DoS, PulseAttack
+from canvolt.cli import parse_config
 from canvolt.config import DamageParams, EcuSpec, IrsConfig, ScenarioConfig, set_sweep_value
 from canvolt.engine import run_scenario
 from canvolt.link import Frame, frame_bit_length
+from harness import attack, bus, counting, forgetful, irs_config, no_remainders, outputs, plan, senders
 
 BIT = 2e-6  # 500 kbit/s
 PERIOD = 1e-3
 DURATION = 3e-3
 
 
-def bus(senders, attack, device, pins="both", rating=0.010, i_max=0.040, opening_time=1e-6,
-        tau_thermal=1e-4):
-    ecus = [EcuSpec("A", "vids-host"), EcuSpec("B", "logger")]
-    for k, (frame, offset) in enumerate(senders):
-        ecus.append(EcuSpec(f"S{k}", "sender", period=PERIOD, frame=frame, offset=offset))
-    irs = None
-    if device != "none":
-        # a driven thermostat carries the bench's 3 A in the window,
-        # whatever its pins carry
-        device, drive = ("thermostat", 3.0) if device == "driven_thermostat" else (device, None)
-        irs = IrsConfig(
-            device=device, pins=pins, rating=rating, opening_time=opening_time,
-            tau_thermal=tau_thermal, coil_drive=drive,
-        )
-    return ScenarioConfig(
-        duration=DURATION,
-        ecus=tuple(ecus),
-        attack=attack,
-        irs_config=irs,
-        damage=DamageParams(i_max=i_max),
-    )
-
-
-def outputs(cfg):
-    """The trace CSV and summary JSON texts of a run."""
-    trace, summary = run_scenario(cfg)
-    with tempfile.TemporaryDirectory() as tmp:
-        trace_path, summary_path = Path(tmp, "trace.csv"), Path(tmp, "summary.json")
-        emit_outputs(trace, summary, str(trace_path), str(summary_path))
-        return trace_path.read_text(), summary_path.read_text()
-
-
-def run_counting_remainders(cfg):
-    """outputs(cfg), plus (frame start, bit) of each remainder crossed."""
-    crossed = []
-    original = engine._Sim.quiescent
-
-    def counting(self, bits, ack_delim, first_attempt, t0, k=0):
-        outcome = original(self, bits, ack_delim, first_attempt, t0, k)
-        if outcome is not None and k > 0:
-            crossed.append((t0, k))
-        return outcome
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine._Sim, "quiescent", counting)
-        texts = outputs(cfg)
-    return texts, crossed
-
-
-def run_without_remainders(cfg):
-    original = engine._Sim.quiescent
-
-    def from_sof_only(self, bits, ack_delim, first_attempt, t0, k=0):
-        return original(self, bits, ack_delim, first_attempt, t0) if k == 0 else None
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine._Sim, "quiescent", from_sof_only)
-        return outputs(cfg)
-
-
-class Forgetful(dict):
-    """A `_Sim.resting` that keeps no verdict."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
-def run_forgetting_verdicts(cfg):
-    """outputs(cfg) with each window side read afresh at every ask."""
-    init = engine._Sim.__init__
-
-    def forgetful(self, cfg):
-        init(self, cfg)
-        self.resting = Forgetful()
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine._Sim, "__init__", forgetful)
-        return outputs(cfg)
+def resting_bus(senders, attack, device, pins="both", rating=0.010, i_max=0.040, opening_time=1e-6,
+                tau_thermal=1e-4):
+    irs = irs_config(device, pins=pins, rating=rating, opening_time=opening_time, tau_thermal=tau_thermal)
+    return bus(senders, PERIOD, duration=DURATION, attack=attack, irs_config=irs,
+               damage=DamageParams(i_max=i_max))
 
 
 def check_remainders(cfg):
     """The outputs with and without remainder crossings, and without kept
-    window verdicts, agree; returns the remainders crossed."""
-    texts, crossed = run_counting_remainders(cfg)
-    assert texts == run_without_remainders(cfg)
-    assert texts == run_forgetting_verdicts(cfg)
-    return crossed
+    window verdicts, agree; returns (frame start, bit) of each remainder
+    crossed."""
+    with counting(engine._Sim, "quiescent") as calls:
+        texts = outputs(cfg)
+    with no_remainders():
+        assert texts == outputs(cfg)
+    with forgetful():
+        assert texts == outputs(cfg)
+    return [(c.args["t0"], c.args["k"]) for c in calls if c.result is not None and c.args["k"] > 0]
 
-
-def make_attack(kind, start, end, period_ns, duty, phase):
-    if kind == "dos":
-        return DoS(t_start=start, t_end=end, v_attack_l=5.0)
-    if kind == "fra":
-        return ForcedRetransmission(t_start=start, t_end=end, v_attack_h=5.0)
-    if kind == "active":
-        return ActiveOvercurrent(t_start=start, t_end=end)
-    if kind == "passive":
-        return PassiveOvercurrent(t_start=start, t_end=end)
-    line = "canl" if kind == "pulse_canl" else "canh"
-    return PulseAttack(
-        t_start=start, t_end=end, line=line, period=period_ns * 1e-9, duty=duty, phase=phase
-    )
-
-
-senders = st.lists(
-    st.tuples(
-        st.integers(1, 0x7FF),
-        st.binary(max_size=8),
-        st.integers(0, 400),  # offset in us
-    ),
-    min_size=1,
-    max_size=3,
-    unique_by=lambda s: s[0],
-)
 
 # the run's whole span under a 600 ns CANL pulse with resettable fuses on
 # both pins: the fuses trip in the first frame, then leak enough to
@@ -170,7 +75,7 @@ def test_remainders_match_the_per_bit_path():
 
     @settings(max_examples=30, deadline=None)
     @given(
-        senders=senders,
+        senders=senders(400, 1, 3),
         kind=st.sampled_from(["pulse_canl", "pulse_canh", "dos", "fra", "active", "passive"]),
         period_ns=st.integers(100, 4000),
         duty=st.floats(0.05, 0.95),
@@ -212,10 +117,10 @@ def test_remainders_match_the_per_bit_path():
         i_max=1.0, opening_us=1.0, tau_thermal=1e-4,
     )
     def check(senders, kind, period_ns, duty, phase, start_bits, width_bits, opening_us, **devices):
-        plan = [(Frame(id=fid, data=data), off * 1e-6) for fid, data, off in senders]
-        start = plan[0][1] + start_bits * BIT
-        attack = make_attack(kind, start, start + width_bits * BIT, period_ns, duty, phase)
-        cfg = bus(plan, attack, opening_time=opening_us * 1e-6, **devices)
+        schedule = plan(senders)
+        start = schedule[0][1] + start_bits * BIT
+        window = attack(kind, start, start + width_bits * BIT, period_ns * 1e-9, duty, phase)
+        cfg = resting_bus(schedule, window, opening_time=opening_us * 1e-6, **devices)
         fired.append(len(check_remainders(cfg)))
 
     check()
@@ -258,8 +163,8 @@ def test_a_frame_that_straddles_a_window_edge(edge):
     t0 = 1e-3
     inside = t0 + 30.3 * BIT
     start, end = (inside, 2.5e-3) if edge == "opens" else (0.5e-3, inside)
-    attack = make_attack("pulse_canl", start, end, 600, 0.5, 0.0)
-    cfg = bus([(frame, t0)], attack, "none", i_max=1.0)
+    # 600 ns, as `period_ns * 1e-9` gives it
+    cfg = resting_bus([(frame, t0)], attack("pulse_canl", start, end, 600 * 1e-9), "none", i_max=1.0)
     # the window's edge lies inside the frame
     assert t0 < end and start < t0 + frame_bit_length(frame) * BIT
     assert check_remainders(cfg) == [(t0, 31)]
@@ -274,8 +179,8 @@ def test_a_fuse_that_blows_mid_frame_under_a_dos():
     step. The frame is delivered without a retransmission."""
     frame = Frame(id=0x7FF, data=b"\xff")
     t0 = 1e-3
-    attack = DoS(t_start=t0 + 21.5 * BIT, t_end=2.5e-3, v_attack_l=5.0)
-    cfg = bus([(frame, t0)], attack, "fuse", pins="pl", opening_time=0.2e-6)
+    window = DoS(t_start=t0 + 21.5 * BIT, t_end=2.5e-3, v_attack_l=5.0)
+    cfg = resting_bus([(frame, t0)], window, "fuse", pins="pl", opening_time=0.2e-6)
     _, summary = run_scenario(cfg)
     assert summary.device_trips == {"pl": pytest.approx(t0 + 26.1 * BIT, abs=1e-12)}
     assert summary.messages_received == summary.messages_sent
