@@ -21,7 +21,7 @@ parked: it succeeds by a retransmission inside its window, so parking
 its frames would move those records and its verdict. The one
 closed-form predictor the engine still calls is the FRA ACK delimiter
 check (`attacks.fra_ack_delimiter_corrupted`), once per window pair
-each time `side` reads the window.
+each time `pin_facts` reads the window at a new connectivity.
 
 The attack window is one set of fields: its edges, which are infinite
 without an attack so the window never opens; the attacker's pin pairs
@@ -41,20 +41,23 @@ open/close change bounds the step, and a device stepped past it is
 stepped again to it.
 
 One reading per side of the attack window decides every shortcut and
-every park. `side` gates that side's pin pairs (the inputs outside the
-window, each window pair inside), solves them, and keeps the record in
-`_Sim.resting` until a step moves an accumulator; every connectivity
-change is such a step. A step at given pin currents leaves every
+every park. Its pin facts (`pin_facts`) gate that side's pin pairs (the
+inputs outside the window, each window pair inside) and solve them;
+they change only with connectivity, so `_Sim.facts` keeps them per
+connectivity for the whole run. Its accumulator verdicts (`side`) read
+their currents; `_Sim.resting` keeps them until a step moves an
+accumulator, and only they are read afresh then (every connectivity
+change is such a step). A step at given pin currents leaves every
 accumulator as it is when each device and damage timer is at rest at the
 current it sees (`_PinBank.moving` finds nothing to move). A damage
 timer sees the current its pin's device passes; a device sees
 `_PinBank.device_current`: the bench drive in the window when one is set
 (a thermostat's only), else its pin current, as it passes it. Inside
-the window the record also keeps the FRA verdict per window pair
-(`_Side.fra`): its P_H stretches the CANL recovery past an ACK
+the window the pin facts also keep the FRA verdict per window pair
+(`_Pins.fra`): its P_H stretches the CANL recovery past an ACK
 delimiter's sample point. A first attempt reads the pair of the clock's
 phase at its ACK delimiter's sample instant, when that lies in the
-window. The record is read in three places:
+window. The reading is used in four places:
 
 - *Quiescent frames.* A frame skips the per-bit work from its SOF, or
   from any later bit, when no attack window overlaps the bits left, or a
@@ -85,12 +88,16 @@ window. The record is read in three places:
   `irs.ThermostatCoil.step` starts its tau/10 step grid afresh at each
   call, so only this slicing keeps the thermostat and over-timer
   numerics fixed.
-- *Parks.* A frame due inside the window whose idle bus engages the
-  comparator at that instant's phase (a jam) is parked before it
-  starts. A failed attempt inside a DoS or pulse window is parked when
-  a dominant bit is blocked: the gated window pairs do not read it as
-  driven, by the rule that decides steady windows
-  (`phases_read_driven`).
+- *Resting flags and pieces.* An error flag on one side of the window,
+  where every accumulator rests at the dominant pairs, is crossed in one
+  step (`error_flag`); a piece that `drive` cuts takes no step when its
+  kept side rests at its driven level.
+- *Parks*, from the pin facts alone. A frame due inside the window
+  whose idle bus engages the comparator at that instant's phase (a jam)
+  is parked before it starts. A failed attempt inside a DoS or pulse
+  window is parked when a dominant bit is blocked: the gated window
+  pairs do not read it as driven, by the rule that decides steady
+  windows (`phases_read_driven`).
 
 A driven bit is cut into pieces, and each piece costs constant work:
 
@@ -178,18 +185,38 @@ class Summary:
 _BLOCKING = (atk.DoS, atk.PulseAttack)
 
 
-class _Side(NamedTuple):
-    """What the gated pin pairs on one side of the attack window give."""
+class _Pins(NamedTuple):
+    """What the gated pin pairs on one side of the attack window give at
+    one connectivity; kept per connectivity for the whole run."""
 
-    # `bank.moving` over both driven levels when every bit reads as
-    # driven, else None
-    frame: tuple | None
-    idle_rests: bool  # an idle step leaves every accumulator as it is
+    # the VIDS raw pin currents per gated window pair (the inputs outside)
+    # at each driven level
+    dominant: tuple
+    recessive: tuple
     blocked: bool  # a dominant bit does not read as driven
+    driven: bool  # every bit reads as driven
     engaged: tuple  # per window pair (none outside): the idle bus reads dominant
     # per window pair (none outside): its P_H stretches the CANL recovery
     # past an ACK delimiter's sample point (`atk.fra_ack_delimiter_corrupted`)
     fra: tuple
+
+
+class _Side(NamedTuple):
+    """The accumulator verdicts at one side's `_Pins`; only these are read
+    afresh after a step moves an accumulator."""
+
+    pins: _Pins  # read at the connectivity now
+    # `bank.moving` over both driven levels when every bit reads as
+    # driven, else None
+    frame: tuple | None
+    idle_rests: bool  # a step at the recessive pairs leaves every accumulator as it is
+    # so does a step at the dominant pairs: an error flag here is crossed
+    # in one step
+    dominant_rests: bool
+
+    def rests(self, dominant: bool) -> bool:
+        """A step at the pairs of this driven level leaves every accumulator as it is."""
+        return self.dominant_rests if dominant else self.idle_rests
 
 
 @dataclass
@@ -293,6 +320,8 @@ class _Sim:
             if e.role == "sender"
         }
         self.solutions: dict = {}  # (dominant, pins) -> (BusSolution, VIDS pin currents)
+        # (in_window, P_H connected, P_L connected) -> that side's `_Pins`
+        self.facts: dict = {}
         # in_window -> that side's `_Side`, until a step moves an accumulator
         self.resting: dict = {}
         # the attack window, which never opens without an attack, the
@@ -536,50 +565,76 @@ class _Sim:
 
     # -- window sides -------------------------------------------------------------
 
-    def side(self, in_window: bool) -> _Side:
-        """The `_Side` of the gated pin pairs in or out of the attack
-        window, kept in `resting`.
+    def pin_facts(self, in_window: bool) -> _Pins:
+        """The `_Pins` in or out of the attack window at the devices'
+        connectivity now, kept in `facts`; a side kept in `resting` holds
+        them already, since every connectivity change drops it.
 
         Outside the window the pins are inputs, which draw nothing at
-        either driven level, so the recessive level stands for both and
-        one `bank.moving` gives the frame and idle verdicts. Inside, each
-        driven level must read as driven by `phases_read_driven` at the
-        gated window pairs' v_diffs; a blocked dominant level, read
-        first, settles the frame verdict. The FRA verdict is asked per
-        gated window pair: only an `OutputHigh` P_H can stretch the
-        recovery.
+        either driven level, so the recessive currents stand for both.
+        Inside, each driven level must read as driven by
+        `phases_read_driven` at the gated window pairs' v_diffs; a blocked
+        dominant level, read first, settles it. Only an `OutputHigh` P_H
+        can stretch the recovery (`fra`).
         """
         kept = self.resting.get(in_window)
         if kept is not None:
-            return kept
-        moving = self.bank.moving
+            return kept.pins
+        bank = self.bank
+        key = (in_window, bank.connected("ph"), bank.connected("pl"))
+        facts = self.facts.get(key)
+        if facts is not None:
+            return facts
         if not in_window:
-            frame = moving([self.solved(False, (INPUT, INPUT))[1]], False)
-            kept = _Side(frame, frame == (), False, (), ())
+            idle = (self.solved(False, (INPUT, INPUT))[1],)
+            facts = _Pins(idle, idle, False, True, (), ())
         else:
-            pairs = [self.gate(pins) for pins in self.window_pins]
-            dominant = [self.solved(True, pins) for pins in pairs]
-            blocked = not self.phases_read_driven(True, tuple(sol.voltages.v_diff for sol, _ in dominant))
-            recessive = [self.solved(False, pins) for pins in pairs]
-            v_diffs = tuple(sol.voltages.v_diff for sol, _ in recessive)
-            idle = [i for _, i in recessive]
-            frame = None
-            if not blocked and self.phases_read_driven(False, v_diffs):
-                frame = moving([i for _, i in dominant] + idle, True)
-            engaged = tuple(v >= DOMINANT_THRESHOLD for v in v_diffs)
+            pairs = [self.gate(pins, key[1:]) for pins in self.window_pins]
+            dom_sols, dominant = zip(*[self.solved(True, pins) for pins in pairs])
+            rec_sols, recessive = zip(*[self.solved(False, pins) for pins in pairs])
+            blocked = not self.phases_read_driven(True, tuple([sol.voltages.v_diff for sol in dom_sols]))
+            v_diffs = tuple([sol.voltages.v_diff for sol in rec_sols])
             corrupted, tau_rc = atk.fra_ack_delimiter_corrupted, self.cfg.params.tau_rc
-            fra = tuple(
-                isinstance(p_h, OutputHigh) and corrupted(p_h.level, self.timing, tau_rc) for p_h, _ in pairs
+            facts = _Pins(
+                dominant,
+                recessive,
+                blocked,
+                not blocked and self.phases_read_driven(False, v_diffs),
+                tuple([v >= DOMINANT_THRESHOLD for v in v_diffs]),
+                tuple([isinstance(p_h, OutputHigh) and corrupted(p_h.level, self.timing, tau_rc) for p_h, _ in pairs]),
             )
-            kept = _Side(frame, moving(idle, True) == (), blocked, engaged, fra)
-        self.resting[in_window] = kept
+        self.facts[key] = facts
+        return facts
+
+    def side(self, in_window: bool) -> _Side:
+        """The `_Side` of the accumulators at `pin_facts(in_window)`, kept
+        in `resting`. A frame verdict covers both levels: at () each
+        rests, and a device that moves at its one current moves at each.
+        """
+        kept = self.resting.get(in_window)
+        if kept is None:
+            pins, moving = self.pin_facts(in_window), self.bank.moving
+            frame = moving(pins.dominant + pins.recessive, in_window) if pins.driven else None
+            if frame is None:
+                rests = moving(pins.recessive, in_window) == (), moving(pins.dominant, in_window) == ()
+            else:
+                rests = frame == (), frame == ()
+            kept = self.resting[in_window] = _Side(pins, frame, *rests)
         return kept
+
+    def side_of(self, a: float, b: float) -> bool | None:
+        """The side of the attack window that holds [a, b) (True inside,
+        up to strictly before b), or None when a window edge cuts it."""
+        in_window = self.t_start < b and a < self.t_end
+        if in_window and not (self.t_start <= a and b < self.t_end):
+            return None
+        return in_window
 
     def attack_blocking(self, t: float) -> bool:
         """The attack kills every attempt at t: t is in a DoS or pulse window
-        whose gated pairs do not read a dominant bit as driven (`side`)."""
+        whose gated pairs do not read a dominant bit as driven (`pin_facts`)."""
         in_window = self.t_start <= t < self.t_end
-        return in_window and isinstance(self.attack, _BLOCKING) and self.side(True).blocked
+        return in_window and isinstance(self.attack, _BLOCKING) and self.pin_facts(True).blocked
 
     # -- frame transmission ---------------------------------------------------------
 
@@ -591,11 +646,11 @@ class _Sim:
 
         Bits k.. are crossed when no attack window overlaps them, or the
         window holds them (from bit k's start to strictly before the
-        frame's end, as in `drive`), and the `side` they lie on gives a
-        frame verdict. Its reading holds from either comparator
+        frame's end, as in `drive`; `side_of`), and the `side` they lie on
+        gives a frame verdict. Its reading holds from either comparator
         state and at any phase, so bit k may follow bits sampled one by
         one. Inside the window the first attempt still reads the FRA
-        verdict (`_Side.fra`) of the pair at its ACK delimiter's sample
+        verdict (`_Pins.fra`) of the pair at its ACK delimiter's sample
         instant, unless bit k is past it, and ends after that bit when it
         fires: the per-bit loop reaches that bit only after reading the
         dominant ACK slot as driven; a side with no pair firing skips it.
@@ -607,17 +662,17 @@ class _Sim:
         tk = t0 + k * bt
         # the end of the last bit, rounded exactly as the per-bit loop does
         t1 = t0 + (n_bits - 1) * bt + bt
-        in_window = self.t_start < t1 and tk < self.t_end
-        if in_window and not (self.t_start <= tk and t1 < self.t_end):
+        in_window = self.side_of(tk, t1)
+        if in_window is None:
             return None
-        side = self.side(in_window)
-        moving = side.frame
+        moving = self.side(in_window).frame
         if moving is None:
             return None
         outcome = None, ""
-        if any(side.fra) and first_attempt and k <= ack_delim:
+        fra = self.pin_facts(True).fra if in_window and first_attempt and k <= ack_delim else ()
+        if any(fra):
             b0 = t0 + ack_delim * bt
-            if side.fra[self.clock.phase(b0 + self.timing.sample_point * bt)]:
+            if fra[self.clock.phase(b0 + self.timing.sample_point * bt)]:
                 outcome, n_bits = (ack_delim, "form_error_ack_delimiter"), ack_delim + 1
                 t1 = b0 + bt
         if moving:
@@ -650,7 +705,7 @@ class _Sim:
         is delivered (`tests/test_parking.py` pins such a pulse)."""
         driven = BitDecision.DOMINANT if dominant else BitDecision.RECESSIVE
         lengths = self.clock.lengths
-        longest = max((len(enc[0]) for enc in self.encoded.values()), default=0) + ERROR_FLAG_BITS
+        longest = max([len(enc[0]) for enc in self.encoded.values()], default=0) + ERROR_FLAG_BITS
         slop = 64 * math.ulp(min(self.t_end, self.cfg.duration + longest * self.bit_time))
         return reads_driven(tuple(zip(lengths, levels)), driven, self.timing, self.extension, slop)
 
@@ -688,9 +743,20 @@ class _Sim:
         err_start = t0 + (error_bit + 1) * bt
         self.trace.add(err_start, "ErrorFrame", ecu=ecu, detail=error_reason)
         flag_end = err_start + ERROR_FLAG_BITS * bt
-        self.drive(True, err_start, flag_end)
+        self.error_flag(err_start, flag_end)
         t_free = flag_end + (ERROR_DELIMITER_BITS + INTERMISSION_BITS) * bt
         return False, t_free
+
+    def error_flag(self, a: float, b: float):
+        """Drive an error flag over [a, b). Nothing samples it, so one on
+        one side of the attack window (`side_of`), where every accumulator
+        rests at the dominant pairs, is crossed in one step:
+        `advance_constant` there changes nothing and reaches b."""
+        in_window = self.side_of(a, b)
+        if in_window is not None and self.side(in_window).dominant_rests:
+            self.integrated_to = max(self.integrated_to, b)
+        else:
+            self.drive(True, a, b)
 
     def drive(self, dominant: bool, a: float, b: float) -> list:
         """Drive one level over [a, b), piece by piece.
@@ -698,15 +764,27 @@ class _Sim:
         Returns the pieces (start, end, v_diff); a piece ends at the next
         cut or where a device changed connectivity. A piece is sampled at
         its midpoint: a cut time itself can fall on either side of a
-        pulse edge in floats.
+        pulse edge in floats. A piece takes no step when its side is kept
+        in `resting`, rests at its driven level, and holds both its start
+        (its step) and midpoint (its pins), which a one-ulp piece can round
+        onto a window edge. A side not kept is not read afresh: the step
+        that dropped it moved an accumulator that likely still moves.
         """
+        t_start, t_end = self.t_start, self.t_end
+        resting = self.resting
         pieces = []
         cursor = a
         cuts = self.cuts(a, b)
         while cursor < b:
             hi = next(cuts)
-            sol, i = self.solved(dominant, self.pins_at(0.5 * (cursor + hi)))
-            reached = self.advance_constant(cursor, hi, i)
+            mid = 0.5 * (cursor + hi)
+            sol, i = self.solved(dominant, self.pins_at(mid))
+            in_window = t_start <= cursor < t_end
+            one_side = in_window == (t_start <= mid < t_end)
+            if one_side and in_window in resting and self.side(in_window).rests(dominant):
+                reached = hi
+            else:
+                reached = self.advance_constant(cursor, hi, i)
             pieces.append((cursor, reached, sol.voltages.v_diff))
             if reached < hi:
                 cuts = self.cuts(reached, b)
@@ -728,7 +806,7 @@ class _Sim:
         The bit before the ACK delimiter is the ACK slot, driven dominant,
         so the FRA check there follows a dominant bit read as driven: a
         first attempt fails there when the delimiter's sample instant lies
-        in the window and the window pair of its phase fires (`_Side.fra`).
+        in the window and the window pair of its phase fires (`_Pins.fra`).
         Returns (error bit index, reason), or (None, "") when every bit
         reads as driven.
         """
@@ -755,7 +833,7 @@ class _Sim:
                 return k, "bit_error"
             if k == ack_delim and first_attempt:
                 t_s = b0 + self.timing.sample_point * bt
-                if t_start <= t_s < t_end and self.side(True).fra[self.clock.phase(t_s)]:
+                if t_start <= t_s < t_end and self.pin_facts(True).fra[self.clock.phase(t_s)]:
                     return k, "form_error_ack_delimiter"
         return None, ""
 
@@ -814,7 +892,7 @@ class _Sim:
             # an idle bus that engages the comparator (a jam) lets no frame
             # start; only an attack raises it, so park until the window ends
             in_window = self.t_start <= t_next < self.t_end
-            if in_window and self.side(True).engaged[self.clock.phase(t_next)]:
+            if in_window and self.pin_facts(True).engaged[self.clock.phase(t_next)]:
                 tx.retry_at = self.t_end
                 continue
 

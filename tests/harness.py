@@ -155,17 +155,54 @@ def sliced_idle():
     return _patched(engine._Sim, "side", restless)
 
 
+@contextmanager
+def every_step():
+    """Reference: every error flag is driven, and every piece of a driven
+    bit or flag steps the accumulators, whatever the kept verdicts say.
+
+    It replaces `_Sim.error_flag` and `_Sim.drive` with the plain walk
+    over `cuts` rather than forcing a verdict False, so it also sees a
+    crossing that ignores the verdict."""
+
+    def drive(self, dominant, a, b):
+        pieces, cursor, cuts = [], a, self.cuts(a, b)
+        while cursor < b:
+            hi = next(cuts)
+            sol, i = self.solved(dominant, self.pins_at(0.5 * (cursor + hi)))
+            reached = self.advance_constant(cursor, hi, i)
+            pieces.append((cursor, reached, sol.voltages.v_diff))
+            if reached < hi:
+                cuts = self.cuts(reached, b)
+            cursor = reached
+        self.integrated_to = max(self.integrated_to, b)
+        return pieces
+
+    def flag(self, a, b):
+        return drive(self, True, a, b)
+
+    with _patched(engine._Sim, "error_flag", flag), _patched(engine._Sim, "drive", drive):
+        yield
+
+
 def unparked():
     """Reference: a failed attempt is never parked; it retries after its error frame."""
     return _patched(engine._Sim, "attack_blocking", lambda self, t: False)
 
 
+@contextmanager
 def forgetful():
-    """Reference: no window side's verdict is kept; each ask reads it afresh."""
-    side = engine._Sim.side
+    """Reference: no pin fact and no window side's verdict is kept; each
+    ask derives it afresh, and a verdict from pin facts derived afresh."""
+    side, pin_facts = engine._Sim.side, engine._Sim.pin_facts
 
-    def afresh(self, in_window):
+    def side_afresh(self, in_window):
         self.resting.clear()
         return side(self, in_window)
 
-    return _patched(engine._Sim, "side", afresh)
+    def facts_afresh(self, in_window):
+        self.resting.clear()  # a kept side holds its pin facts
+        self.facts.clear()
+        return pin_facts(self, in_window)
+
+    with _patched(engine._Sim, "side", side_afresh), _patched(engine._Sim, "pin_facts", facts_afresh):
+        yield
