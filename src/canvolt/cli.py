@@ -123,8 +123,8 @@ def parse_config(text: str, params: CalibratedParams | None = None) -> ScenarioC
 # --- outputs ------------------------------------------------------------------
 
 TRACE_COLUMNS = ("time_s", "kind", "ecu", "line", "value", "detail")
-TICKS_PER_WRITE = 4096  # bounds the text of a write of ticks outside whole blocks
-ROWS_PER_WRITE = 4096  # bounds the text of a write of event rows
+# bounds the texts of a write: event rows, and ticks outside whole blocks
+TEXTS_PER_WRITE = 4096
 # Below 10**15, repr(float(k)) == f"{k}.0" (from 10**16 on it has an
 # exponent), so ticks k..k+99, for k >= 100 a multiple of 100, are
 # str(k // 100) joined over their rows' texts, each led by its tick's last
@@ -137,55 +137,49 @@ BLOCKS_END = 10**15
 def emit_outputs(trace: Trace, summary: Summary, trace_path: str, summary_path: str) -> None:
     """Write the trace CSV and summary JSON.
 
-    Every text a row takes from a name is formatted once, by a writer of
-    the same dialect (so a name that needs quoting is quoted alike). An
-    event's row joins `repr` of its time and value with the texts of its
-    `(kind, ecu, line)` and its detail; event rows are written at most
-    `ROWS_PER_WRITE` to a write. Sample ticks are written by run: each
-    of a tick's rows is formatted once without its time, and every tick
-    of the run puts its time in front of each. A run's whole blocks of
-    `TICKS_PER_BLOCK` aligned ticks are written with one join and one
-    write each; its other ticks at most `TICKS_PER_WRITE` to a write.
+    Every text a row takes from its fields is formatted once, by a
+    writer of the same dialect (so a name that needs quoting is quoted
+    alike). The trace is read a stretch at a time (`Trace.segments`). A
+    stretch of events costs one `repr` of each row's time, put in front
+    of the row's cached text after it (`_RowEnds`). A stretch of ticks
+    puts each tick's time in front of each of its rows' texts. When it
+    holds a whole block of `TICKS_PER_BLOCK` aligned ticks, its ticks
+    from 100 up to `BLOCKS_END` are slices of one table of a block's
+    rows: each whole block is written with one join and one write, and
+    the ticks before and after them take one join each. Its other ticks
+    take one join per tick. The texts outside whole blocks (an event
+    row, a tick's rows, or the ticks before or after whole blocks) are
+    written at most `TEXTS_PER_WRITE` to a write.
     """
     with open(trace_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(TRACE_COLUMNS)
-        eol = len(w.dialect.lineterminator)
-        # (kind, ecu, line) -> their text between the time and the value,
-        # commas included; detail -> its text after the value, comma and
-        # line end included
-        heads: dict = {}
-        tails: dict = {}
-        rows: list = []  # event rows not yet written
+        ends = _RowEnds(w.dialect)
         # id(samples) -> ("", each row's text after its time): the time
         # joins these into the tick's rows
         suffixes: dict = {}
-        # id(samples) -> ("", each row of a block led by its tick's last
-        # two digits): str(k // 100) joins these into ticks k..k+99
+        # id(samples) -> ["", each row of a block led by its tick's last
+        # two digits]: str(k // 100) joins these into ticks k..k+99
         blocks: dict = {}
-        for row, ticks in trace.segments():
-            if row is not None:
-                t, kind, ecu, line, value, detail = row
-                head = heads.get((kind, ecu, line))
-                if head is None:
-                    head = heads[kind, ecu, line] = _row_text(w.dialect, ["", kind, ecu, line, ""])[:-eol]
-                tail = tails.get(detail)
-                if tail is None:
-                    tail = tails[detail] = _row_text(w.dialect, ["", detail])
-                rows.append(f"{t!r}{head}{tail}" if value is None else f"{t!r}{head}{value!r}{tail}")
-                if len(rows) >= ROWS_PER_WRITE:
-                    fh.write("".join(rows))
-                    rows.clear()
+        out: list = []  # texts not yet written
+        for rows, ticks in trace.segments():
+            if rows is not None:
+                out += [
+                    f"{t!r}{ends[kind, ecu, line, value, detail, id(value)]}"
+                    for t, kind, ecu, line, value, detail in rows
+                ]
+                if len(out) >= TEXTS_PER_WRITE:
+                    _write(fh, out)
                 continue
-            fh.write("".join(rows))
-            rows.clear()
             first, last, samples = ticks
             parts = suffixes.get(id(samples))
             if parts is None:
                 parts = suffixes[id(samples)] = ("", *(
-                    _row_text(w.dialect, ["", kind, ecu, line, repr(value), ""])
-                    for kind, ecu, line, value in samples
+                    ends.text(["", kind, ecu, line, repr(value), ""]) for kind, ecu, line, value in samples
                 ))
+            if first == last:  # one tick, as between events a second apart
+                out.append(repr(float(first)).join(parts))
+                continue
             lo = -(-max(first, TICKS_PER_BLOCK) // TICKS_PER_BLOCK)  # first whole block
             hi = min(last + 1, BLOCKS_END) // TICKS_PER_BLOCK  # past the last
             if lo < hi:
@@ -194,28 +188,62 @@ def emit_outputs(trace: Trace, summary: Summary, trace_path: str, summary_path: 
                     block = blocks[id(samples)] = ["", *(
                         f"{d:0{BLOCK_DIGITS}d}.0{row}" for d in range(TICKS_PER_BLOCK) for row in parts[1:]
                     )]
-                _write_ticks(fh, parts, first, lo * TICKS_PER_BLOCK)
+                n = len(samples)  # a tick's entries in the table
+                start, stop = max(first, TICKS_PER_BLOCK), min(last + 1, BLOCKS_END)
+                _write_ticks(fh, out, parts, first, start)
+                if start % TICKS_PER_BLOCK:  # the ticks before the first whole block
+                    out.append(str(lo - 1).join(["", *block[1 + start % TICKS_PER_BLOCK * n:]]))
+                _write(fh, out)
                 for q in range(lo, hi):
                     fh.write(str(q).join(block))
-                first = hi * TICKS_PER_BLOCK
-            _write_ticks(fh, parts, first, last + 1)
-        fh.write("".join(rows))
+                if stop % TICKS_PER_BLOCK:  # the ticks after the last whole block
+                    out.append(str(hi).join(block[:1 + stop % TICKS_PER_BLOCK * n]))
+                first = stop
+            _write_ticks(fh, out, parts, first, last + 1)
+        _write(fh, out)
     with open(summary_path, "w") as fh:
-        json.dump(summary_to_dict(summary), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(summary_to_dict(summary), indent=2, sort_keys=True) + "\n")
 
 
-def _write_ticks(fh, parts: tuple, start: int, stop: int) -> None:
-    """Ticks start..stop-1, each time joined over its rows' texts."""
-    for lo in range(start, stop, TICKS_PER_WRITE):
-        hi = min(lo + TICKS_PER_WRITE, stop)
-        fh.write("".join([repr(float(k)).join(parts) for k in range(lo, hi)]))
+def _write_ticks(fh, out: list, parts: tuple, start: int, stop: int) -> None:
+    """Ticks start..stop-1 onto `out`, each time joined over its rows'
+    texts; `out` is written whenever it holds `TEXTS_PER_WRITE` texts."""
+    for lo in range(start, stop, TEXTS_PER_WRITE):
+        out += [repr(float(k)).join(parts) for k in range(lo, min(lo + TEXTS_PER_WRITE, stop))]
+        if len(out) >= TEXTS_PER_WRITE:
+            _write(fh, out)
 
 
-def _row_text(dialect, row: list) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, dialect).writerow(row)
-    return buf.getvalue()
+def _write(fh, texts: list) -> None:
+    """Write `texts` at most `TEXTS_PER_WRITE` to a write, and clear it."""
+    for lo in range(0, len(texts), TEXTS_PER_WRITE):
+        fh.write("".join(texts[lo:lo + TEXTS_PER_WRITE]))
+    texts.clear()
+
+
+class _RowEnds(dict):
+    """An event row's text after its time, commas and line end included,
+    keyed by `(kind, ecu, line, value, detail, id(value))` and built on
+    first use. The value's id tells apart values that compare equal but
+    print differently (0.0 and -0.0, 1 and 1.0); a trace being written
+    holds every value it keys, so no two of them share an id."""
+
+    def __init__(self, dialect):
+        super().__init__()
+        self.buf = io.StringIO()
+        self.writer = csv.writer(self.buf, dialect)
+
+    def text(self, row: list) -> str:
+        """`row` as the writer writes it."""
+        self.buf.seek(0)
+        self.buf.truncate()
+        self.writer.writerow(row)
+        return self.buf.getvalue()
+
+    def __missing__(self, key) -> str:
+        kind, ecu, line, value, detail, _ = key
+        end = self[key] = self.text(["", kind, ecu, line, "" if value is None else repr(value), detail])
+        return end
 
 
 def summary_to_dict(summary: Summary) -> dict:

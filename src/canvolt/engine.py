@@ -117,8 +117,9 @@ picks its phase pair. Records sort by time, and at equal stamps by kind
 (`trace.Trace.add`): every other event, AttackStart, the tick, AttackEnd,
 then FrameSent and Retransmission. The trace keeps each event as a plain
 row `(t, kind, ecu, line, value, detail)`, and the summary reads those
-rows (`Trace.event_rows`), so a run builds no `TraceRecord`: `events`
-and `records` build them when a caller asks.
+rows (`Trace.event_rows`, one list kept until the next event), so a run
+builds no `TraceRecord`: `events` and `records` build them when a caller
+asks.
 
 Each step of the main loop finds the next event time and the frames
 ready then in one pass over the senders' queue heads; a send due before
@@ -337,6 +338,9 @@ class _Sim:
         # a pulse on CANH drags the recovery out past each low phase
         canh_pulse = isinstance(attack, atk.PulseAttack) and attack.line == "canh"
         self.extension = cfg.params.transition_extension if canh_pulse else 0.0
+        # the slop `phases_read_driven` adds to a phase, fixed for the run
+        longest = max([len(enc[0]) for enc in self.encoded.values()], default=0) + ERROR_FLAG_BITS
+        self.phase_slop = 64 * math.ulp(min(self.t_end, cfg.duration + longest * self.bit_time))
         self.sends: list = []
         for e in cfg.ecus:
             if e.role != "sender":
@@ -695,19 +699,18 @@ class _Sim:
         """`link.reads_driven` for the clock's phase lengths (a pulse's high
         and low phase, else one unbounded phase) at `levels`, a v_diff per
         window pair. A piece ends within a few ulps of its true edge,
-        so a phase counts 64 ulps of the latest instant a piece can end in
-        the window longer: the window's end, or the end of an attempt that
-        starts before the run ends, its frame and error flag at most.
+        so a phase counts `phase_slop` longer: 64 ulps of the latest
+        instant a piece can end in the window, which is the window's end
+        or the end of an attempt that starts before the run ends, its
+        frame and error flag at most.
 
         A False verdict, taken as "blocks every bit", assumes a pulse
         phase that drifts against the bits: one locked to the bit grid
         can keep its masking phase off every sample point, and the frame
         is delivered (`tests/test_parking.py` pins such a pulse)."""
         driven = BitDecision.DOMINANT if dominant else BitDecision.RECESSIVE
-        lengths = self.clock.lengths
-        longest = max([len(enc[0]) for enc in self.encoded.values()], default=0) + ERROR_FLAG_BITS
-        slop = 64 * math.ulp(min(self.t_end, self.cfg.duration + longest * self.bit_time))
-        return reads_driven(tuple(zip(lengths, levels)), driven, self.timing, self.extension, slop)
+        phases = tuple(zip(self.clock.lengths, levels))
+        return reads_driven(phases, driven, self.timing, self.extension, self.phase_slop)
 
     def simulate_attempt(self, ecu: str, tx: _QueuedTx, t0: float) -> tuple:
         """Run one transmission attempt; returns (delivered, t_bus_free).

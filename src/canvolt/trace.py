@@ -17,6 +17,7 @@ Records of the same rank keep the order they were added in.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -63,21 +64,21 @@ class Trace:
     each with one record per `(kind, ecu, line, value)` in `samples`.
     `event_rows` and `segments` read the rows as they are and do not
     expand the ticks; `events`, `records` and `of_kind` build
-    `TraceRecord`s when asked, and `records` expands and merges both on
-    first access.
+    `TraceRecord`s when asked. `event_rows` is kept until the next
+    `add`, and `records`, which expands and merges both, until the next
+    `add` or `add_ticks`.
     """
 
     def __init__(self):
         self.runs: list = []
-        self._side: list = []  # (t, rank, row) of events and markers
-        self._ordered = True
+        self._side: list = []  # (t, rank, row) of events and markers; in order while `_rows` is kept
+        self._rows = None
         self._records = None
 
     def add(self, t, kind, ecu="", line="", value=None, detail=""):
         """A record at t, ranked by its kind among the records at t."""
         self._side.append((t, _RANKS.get(kind, 0), (t, kind, ecu, line, value, detail)))
-        self._ordered = False
-        self._records = None
+        self._rows = self._records = None
 
     def add_ticks(self, first: int, last: int, samples: tuple):
         """Ticks first..last with the records `samples`; extends the last
@@ -89,16 +90,15 @@ class Trace:
             runs.append([first, last, samples])
         self._records = None
 
-    def _side_in_order(self) -> list:
-        if not self._ordered:
-            self._side.sort(key=_STAMP)  # stable: insertion order on ties
-            self._ordered = True
-        return self._side
-
     @property
     def event_rows(self) -> list:
-        """Every record but the samples as a plain row, in order."""
-        return [row for _, _, row in self._side_in_order()]
+        """Every record but the samples as a plain row, in order; built
+        on first access after an `add`, and shared until the next, so a
+        caller reads it and does not change it."""
+        if self._rows is None:
+            self._side.sort(key=_STAMP)  # stable: insertion order on ties
+            self._rows = [row for _, _, row in self._side]
+        return self._rows
 
     @property
     def events(self) -> list:
@@ -106,18 +106,21 @@ class Trace:
         return [TraceRecord(*row) for row in self.event_rows]
 
     def segments(self):
-        """The records in order: each event as `(row, None)`, its plain
-        row, each stretch of ticks between events as `(None, (first,
+        """The records in order, a stretch at a time: each stretch of
+        events between ticks as `(rows, None)`, a list of their plain
+        rows, and each stretch of ticks between events as `(None, (first,
         last, samples))`."""
-        side = self._side_in_order()
+        rows = self.event_rows
+        side = self._side
         i, n = 0, len(side)
         for first, last, samples in self.runs:
             k = first
             while k <= last:
-                tick = (k, _TICK)  # no event shares a rank with a tick
-                while i < n and side[i] < tick:
-                    yield side[i][2], None
-                    i += 1
+                # the events before tick k; none shares a rank with a tick
+                j = bisect_left(side, (k, _TICK), i)
+                if i < j:
+                    yield rows[i:j], None
+                    i = j
                 end = last
                 if i < n:
                     # the last tick that sorts before the next event
@@ -126,17 +129,17 @@ class Trace:
                     end = min(last, j - 1 if j == t and rank < _TICK else j)
                 yield None, (k, end, samples)
                 k = end + 1
-        for _, _, r in side[i:]:
-            yield r, None
+        if i < n:
+            yield rows[i:], None
 
     @property
     def records(self) -> list:
         """Every record in order, ticks expanded; built on first access."""
         if self._records is None:
             out = []
-            for row, ticks in self.segments():
-                if row is not None:
-                    out.append(TraceRecord(*row))
+            for rows, ticks in self.segments():
+                if rows is not None:
+                    out += [TraceRecord(*row) for row in rows]
                     continue
                 first, last, samples = ticks
                 for k in range(first, last + 1):

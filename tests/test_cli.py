@@ -16,6 +16,7 @@ import pytest
 from hypothesis import event, example, given, reject, settings
 from hypothesis import strategies as st
 
+from harness import counting
 from canvolt.cli import (
     EXIT_CONFIG,
     InfeasibleTarget,
@@ -888,7 +889,7 @@ def test_trace_csv_quotes_ecu_names_like_csv_writer(cfg):
         emit_outputs(trace, summary, str(path), str(Path(tmp) / "s.json"))
         text = path.read_bytes()
         # event rows written a few to a write, as a long trace writes them
-        with mock.patch.object(cli, "ROWS_PER_WRITE", 3):
+        with mock.patch.object(cli, "TEXTS_PER_WRITE", 3):
             emit_outputs(trace, summary, str(path), str(Path(tmp) / "s.json"))
         assert path.read_bytes() == text
     assert text == _row_by_row_csv(trace)
@@ -951,6 +952,12 @@ _TICK_RUNS = st.lists(
 _QUOTED = (("PinCurrentSample", 'a,"b"', "CANL", 1e-07), ("LineVoltageSample", "A", "CANH", -2.5e20))
 
 
+# ticks 137..1936 split by events at 587.5 and 1187 s: like `long_idle`,
+# whose frames are 600 s apart, each stretch holds whole blocks and
+# ticks of a partial block on both sides
+_SPLIT_RUN = [(0, 1799, 0, [(450, 0.5, "FrameSent"), (1050, 0.0, "AttackStart")])]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     start=st.sampled_from([0, 1, 99, 100, 101, 10**15 - 150, 10**17 - 150]),
@@ -958,12 +965,21 @@ _QUOTED = (("PinCurrentSample", 'a,"b"', "CANL", 1e-07), ("LineVoltageSample", "
     runs=_TICK_RUNS,
 )
 # a run from 0 holding a whole block, one from an unaligned tick, one
-# across 10**15 and one near 10**17, where repr(float(k)) has an exponent
+# across 10**15, one near 10**17, where repr(float(k)) has an exponent,
+# and stretches with partial blocks on both sides
 @example(start=0, samples=(_QUOTED, _QUOTED), runs=[(0, 250, 0, [])])
 @example(start=1, samples=(_QUOTED, ()), runs=[(0, 250, 0, [(120, 0.5, "FuseBlown")]), (0, 199, 1, [])])
 @example(start=10**15 - 150, samples=(_QUOTED, _QUOTED), runs=[(0, 250, 0, [(150, 0.0, "AttackStart")])])
 @example(start=10**17 - 150, samples=(_QUOTED, _QUOTED), runs=[(0, 250, 0, [])])
+@example(start=137, samples=(_QUOTED, _QUOTED), runs=_SPLIT_RUN)
 def test_tick_blocks_match_row_by_row_csv(start, samples, runs):
+    trace = _tick_trace(start, samples, runs)
+    assert _emitted(trace) == _row_by_row_csv(trace)
+
+
+def _tick_trace(start, samples, runs) -> Trace:
+    """Tick runs from `start`, each `(gap before it, last - first, which
+    samples, events at first + offset + fraction)`."""
     trace = Trace()
     first = start
     for gap, length, which, events in runs:
@@ -972,8 +988,35 @@ def test_tick_blocks_match_row_by_row_csv(start, samples, runs):
         for offset, fraction, kind in events:
             trace.add(float(first + offset) + fraction, kind, "B", "CANL", 0.5, "x")
         first += length + 1
+    return trace
+
+
+def _emitted(trace) -> bytes:
+    """The trace CSV `emit_outputs` writes."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
         summary = engine.Summary(0, 0, (), 0, False, {}, False, None, "")
         emit_outputs(trace, summary, str(path), str(Path(tmp) / "s.json"))
-        assert path.read_bytes() == _row_by_row_csv(trace)
+        return path.read_bytes()
+
+
+@pytest.mark.parametrize("start", [37, 10**15 - 1000])
+def test_a_stretch_holding_a_whole_block_writes_its_ticks_from_100_as_slices(start):
+    """Only ticks below 100 and from `BLOCKS_END` on go one tick at a time
+    when their stretch holds a whole block."""
+    trace = _tick_trace(start, (_QUOTED, _QUOTED), _SPLIT_RUN)
+    with counting(cli, "_write_ticks") as calls:
+        text = _emitted(trace)
+    assert text == _row_by_row_csv(trace)
+    per_tick = [range(c.args["start"], c.args["stop"]) for c in calls]
+    assert any(per_tick)  # ticks below 100, or from BLOCKS_END on
+    assert not [r for r in per_tick if r and max(r.start, 100) < min(r.stop, cli.BLOCKS_END)]
+
+
+@pytest.mark.parametrize("values", [(0.0, -0.0), (-0.0, 0.0), (1, 1.0), (1.0, 1)])
+def test_event_rows_whose_values_compare_equal_keep_their_own_text(values):
+    """Values equal as dict keys, but printed apart, each print as themselves."""
+    trace = Trace()
+    for k, value in enumerate(values):
+        trace.add(0.5 + k, "FrameSent", "S", "", value, "01")
+    assert _emitted(trace) == _row_by_row_csv(trace)
