@@ -404,8 +404,10 @@ def thermostat_recloses_above_ambient(dev: IrsConfig) -> None:
         raise ConfigError("irs.hysteresis", "must be below t_limit - t_ambient")
 
 
-def validate_config(cfg: ScenarioConfig) -> None:
-    """Raise a ConfigError, at the `<section>.<key>` at fault, for a config that cannot run."""
+def validate_config(cfg: ScenarioConfig) -> list:
+    """Raise a ConfigError, at the `<section>.<key>` at fault, for a config
+    that cannot run; else return each sweep point's config in grid order
+    (none without a sweep), each checked as it is built."""
     _check_keys("bus", "bus", cfg)
     for f in fields(cfg.params):
         if not math.isfinite(getattr(cfg.params, f.name)):
@@ -440,6 +442,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
         if dev.device == "thermostat":
             thermostat_recloses_above_ambient(dev)
     sweep = cfg.sweep
+    points = []
     if sweep is not None:
         _check_keys("sweep", "sweep", sweep)
         if sweep.stop < sweep.start:
@@ -448,8 +451,9 @@ def validate_config(cfg: ScenarioConfig) -> None:
             raise ConfigError("sweep.step", f"grid has {sweep.size()} points, more than {MAX_SWEEP_POINTS}")
         # a sweep point differs from the config in its attack only
         for value in sweep.values():
-            point = set_sweep_value(cfg, sweep.path, value)
-            _validate_attack(point.attack, host, tx_times, run_end)
+            points.append(set_sweep_value(cfg, sweep.path, value))
+            _validate_attack(points[-1].attack, host, tx_times, run_end)
+    return points
 
 
 def _validate_attack(attack: atk.AttackSpec, host: str, tx_times: list, run_end: float) -> None:

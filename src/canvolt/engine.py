@@ -30,9 +30,19 @@ and its phase clock (the attack's `clock`: a pulse's, else the
 unbounded `electrical.PulseClock`, always in its first phase), whose
 `phase` picks the pair at a time.
 
-Bus solves depend only on the driven level and the attacker pin modes
-(topology and parameters are fixed for a run), so each scenario solves
-each pair once (`solved`) and keeps it with the host's pin currents.
+A run's *plan* (`_Plan`) holds what it takes from its config but for
+the attack: the topology, transceiver parameters and timing, the VIDS
+host and loggers, each sender's encoded frame, the sorted send schedule,
+and the raw bus solves. `run_scenario` validates its config and builds
+its plan. `run_sweep` validates the sweep once, the config and every
+point's attack, and runs each point through `run_scenario` on one plan:
+a point differs from its config in the attack only. A bus solve depends
+only on the driven level and the gated pin modes, which carry the
+attacker's levels, so a plan solves each pair once for all its runs
+(`solved`). Each run keeps the solve with the host's pin currents,
+capped by its own `source_limit`, which a sweep can move; its phase
+slop, window, clock, accumulators, pin facts and trace are its own too.
+No plan outlives the call that built it.
 
 The engine asks a protective device the `irs` device questions, and
 its kind only to name its trace record. `advance_constant` steps each
@@ -142,12 +152,14 @@ from typing import NamedTuple
 
 from . import attacks as atk
 from . import irs
+# `set_sweep_value` is re-exported: the benchmark builds sweep points through it
 from .config import ConfigError, ScenarioConfig, set_sweep_value, validate_config
 from .electrical import (
     INPUT,
     BusTopology,
     OutputHigh,
     PulseClock,
+    TransceiverParams,
     solve_bus_detailed,
 )
 from .link import (
@@ -156,6 +168,7 @@ from .link import (
     ERROR_FLAG_BITS,
     INTERMISSION_BITS,
     BitDecision,
+    BitTiming,
     Frame,
     arbitrate,
     bus_bits,
@@ -184,6 +197,50 @@ class Summary:
 # the attacks that block frames: each keeps dominant bits from reading,
 # and parks a frame it kills
 _BLOCKING = (atk.DoS, atk.PulseAttack)
+
+
+class _Plan(NamedTuple):
+    """What a run takes from its config but for the attack: built once
+    per `run_scenario`, and once per `run_sweep` for all its points,
+    which differ from their config in the attack only."""
+
+    topo: BusTopology
+    params: TransceiverParams
+    timing: BitTiming
+    vids: str
+    loggers: list
+    # a sender has one frame: its bus bits, ACK delimiter index, and
+    # the value and detail of its FrameSent and FrameReceived rows
+    encoded: dict
+    sends: list  # (t, sender, frame) of every send, by time and then sender
+    # (dominant, gated pins) -> BusSolution; the gated pins carry the
+    # attacker's levels, so a solve holds for every attack that gates to them
+    raw: dict
+
+    @classmethod
+    def of(cls, cfg: ScenarioConfig) -> "_Plan":
+        """The plan of a validated config."""
+        senders = [e for e in cfg.ecus if e.role == "sender"]
+        sends = []
+        for e in senders:
+            t = e.offset
+            while t < cfg.duration:
+                sends.append((t, e.name, e.frame))
+                t = t + e.period
+        sends.sort(key=lambda s: (s[0], s[1]))
+        return cls(
+            BusTopology(termination=cfg.termination),
+            cfg.params.transceiver(),
+            cfg.params.timing(cfg.bus_speed),
+            next(e.name for e in cfg.ecus if e.role == "vids-host"),
+            sorted(e.name for e in cfg.ecus if e.role == "logger"),
+            {
+                e.name: (bus_bits(e.frame), ack_delimiter_index(e.frame), float(e.frame.id), e.frame.data.hex())
+                for e in senders
+            },
+            sends,
+            {},
+        )
 
 
 class _Pins(NamedTuple):
@@ -297,29 +354,26 @@ class _Sim:
     there, not kept as an attribute.
     """
 
-    def __init__(self, cfg: ScenarioConfig):
-        validate_config(cfg)
+    def __init__(self, cfg: ScenarioConfig, plan: _Plan | None = None):
+        """A run of cfg, on `plan` when given: cfg is then a validated
+        config, or a point of the validated sweep the plan was built for."""
+        if plan is None:
+            validate_config(cfg)
+            plan = _Plan.of(cfg)
         self.cfg = cfg
-        self.topo = BusTopology(termination=cfg.termination)
-        self.params = cfg.params.transceiver()
-        self.timing = cfg.params.timing(cfg.bus_speed)
-        self.bit_time = self.timing.bit_time
+        self.plan = plan
+        self.timing = plan.timing
+        self.bit_time = plan.timing.bit_time
         self.attack = attack = cfg.attack
-        self.vids = next(e.name for e in cfg.ecus if e.role == "vids-host")
-        self.loggers = sorted(e.name for e in cfg.ecus if e.role == "logger")
+        self.vids = plan.vids
+        self.loggers = plan.loggers
         self.bank = _PinBank(cfg)
         self.trace = Trace()
         self.integrated_to = 0.0
         self.retransmissions = 0
         self.first_failure = ""
-        self.queues: dict = {e.name: [] for e in cfg.ecus if e.role == "sender"}
-        # a sender has one frame: its bus bits, ACK delimiter index, and
-        # the value and detail of its FrameSent and FrameReceived rows
-        self.encoded = {
-            e.name: (bus_bits(e.frame), ack_delimiter_index(e.frame), float(e.frame.id), e.frame.data.hex())
-            for e in cfg.ecus
-            if e.role == "sender"
-        }
+        self.queues: dict = {name: [] for name in plan.encoded}
+        self.encoded = plan.encoded
         self.solutions: dict = {}  # (dominant, pins) -> (BusSolution, VIDS pin currents)
         # (in_window, P_H connected, P_L connected) -> that side's `_Pins`
         self.facts: dict = {}
@@ -341,15 +395,7 @@ class _Sim:
         # the slop `phases_read_driven` adds to a phase, fixed for the run
         longest = max([len(enc[0]) for enc in self.encoded.values()], default=0) + ERROR_FLAG_BITS
         self.phase_slop = 64 * math.ulp(min(self.t_end, cfg.duration + longest * self.bit_time))
-        self.sends: list = []
-        for e in cfg.ecus:
-            if e.role != "sender":
-                continue
-            t = e.offset
-            while t < cfg.duration:
-                self.sends.append((t, e.name, e.frame))
-                t = t + e.period
-        self.sends.sort(key=lambda s: (s[0], s[1]))
+        self.sends = plan.sends
         self.changes: list = []  # (t, pin, connected) of every trip and thermostat flip
         # sample ticks at 0, 1, ..., last_tick s, recorded after the run
         self.last_tick = int(cfg.duration)
@@ -377,11 +423,17 @@ class _Sim:
 
     def solved(self, dominant: bool, pins: tuple) -> tuple:
         """(bus solution, VIDS raw pin currents) at the driven level and gated
-        pins, solved once per run. An active overcurrent's `source_limit`
-        caps each pin current either way."""
+        pins, kept per run and solved once per plan. An active overcurrent's
+        `source_limit` caps each pin current either way; a sweep can move
+        it, so the cap is applied per run."""
         hit = self.solutions.get((dominant, pins))
         if hit is None:
-            sol = solve_bus_detailed({"bus": dominant}, {self.vids: pins}, self.topo, self.params)
+            plan = self.plan
+            sol = plan.raw.get((dominant, pins))
+            if sol is None:
+                sol = plan.raw[(dominant, pins)] = solve_bus_detailed(
+                    {"bus": dominant}, {self.vids: pins}, plan.topo, plan.params
+                )
             pc = sol.pin_currents[self.vids]
             i = {"ph": pc.i_ph, "pl": pc.i_pl}
             attack = self.attack
@@ -948,9 +1000,11 @@ class _Sim:
         return isinstance(a, (atk.PassiveOvercurrent, atk.ActiveOvercurrent)) and self.bank.damaged
 
 
-def run_scenario(cfg: ScenarioConfig) -> tuple:
-    """Simulate one scenario; returns (Trace, Summary)."""
-    return _Sim(cfg).run()
+def run_scenario(cfg: ScenarioConfig, *, _plan: _Plan | None = None) -> tuple:
+    """Simulate one scenario; returns (Trace, Summary). Without `_plan`
+    the config is validated and planned here; `run_sweep` passes the plan
+    of the sweep it validated, which holds for each of its points."""
+    return _Sim(cfg, _plan).run()
 
 
 def message_indicator(trace: Trace, period: float, duration: float, receiver: str | None = None) -> list:
@@ -976,12 +1030,15 @@ class SweepPoint:
 
 
 def run_sweep(cfg: ScenarioConfig) -> list:
-    """Independent deterministic runs over the configured grid."""
+    """Independent deterministic runs over the configured grid, one
+    `run_scenario` per point. The config and every point's attack are
+    validated before any point runs, and the points share one plan."""
     if cfg.sweep is None:
         raise ConfigError("sweep", "config has no sweep section")
+    subs = validate_config(cfg)
+    plan = _Plan.of(cfg)
     points = []
-    for v in cfg.sweep.values():
-        sub = set_sweep_value(cfg, cfg.sweep.path, v)
-        _, summary = run_scenario(sub)
+    for v, sub in zip(cfg.sweep.values(), subs):
+        _, summary = run_scenario(sub, _plan=plan)
         points.append(SweepPoint(value=v, success=summary.attack_success, summary=summary))
     return points

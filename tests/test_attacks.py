@@ -225,7 +225,7 @@ def test_dos_parking_agrees_with_dominant_blocked():
     dominant bit, and nowhere once the CANL pin's fuse has blown."""
     for v, sim in sweep_sims("dos_sweep"):
         a = sim.attack
-        blocked = dominant_blocked(v, sim.params, sim.topo)
+        blocked = dominant_blocked(v, sim.plan.params, sim.plan.topo)
         assert sim.attack_blocking(0.5 * (a.t_start + a.t_end)) is blocked, v
         assert not blocking_outside_the_window_or_cut_off(sim, "pl"), v
 
