@@ -32,7 +32,7 @@ unbounded `electrical.PulseClock`, always in its first phase), whose
 
 A run's *plan* (`_Plan`) holds what it takes from its config but for
 the attack: the topology, transceiver parameters and timing, the VIDS
-host and loggers, each sender's encoded frame, the sorted send schedule,
+host and receiver, each sender's encoded frame, the sorted send schedule,
 and the raw bus solves. `run_scenario` validates its config and builds
 its plan. `run_sweep` validates the sweep once, the config and every
 point's attack, and runs each point through `run_scenario` on one plan:
@@ -124,12 +124,17 @@ pin pair at k seconds, gated by the connectivity after every trip or
 thermostat flip stamped at or before k. Ticks with the same records
 form one run `[first, last, samples]`; inside a pulse window each tick
 picks its phase pair. Records sort by time, and at equal stamps by kind
-(`trace.Trace.add`): every other event, AttackStart, the tick, AttackEnd,
+(`trace.Trace`): every other event, AttackStart, the tick, AttackEnd,
 then FrameSent and Retransmission. The trace keeps each event as a plain
-row `(t, kind, ecu, line, value, detail)`, and the summary reads those
-rows (`Trace.event_rows`, one list kept until the next event), so a run
-builds no `TraceRecord`: `events` and `records` build them when a caller
-asks.
+row `(t, kind, ecu, line, value, detail)`, appended unranked; the rows
+are ranked and sorted when a reader first asks for them
+(`Trace.event_rows`), so a run builds no `TraceRecord`: `events` and
+`records` build them when a caller asks. The summary reads no row: where
+the engine adds a FrameReceived row at the receiver (the first logger)
+or a Retransmission row, it also keeps that row's time, and the summary
+counts, flags its slots and decides the attack's success from those
+times alone (`summarize`). A run nobody reads the rows of, such as a
+sweep point, never sorts them.
 
 Each step of the main loop finds the next event time and the frames
 ready then in one pass over the senders' queue heads; a send due before
@@ -138,10 +143,11 @@ that time first, and only then does each send due by it join its queue:
 one that heads an empty queue on a free bus is ready then and joins the
 contenders, so an attempt and the sends due at its start take one step.
 `arbitrate` picks among the contenders (ISO 11898-1: the lowest id among
-the frames ready at that instant); its winner is the very frame it was
-given, so the winner's queue entry is found by identity. A step with no
-contender, such as one that only queues a send behind a busy bus, ends
-there.
+the frames ready at that instant). The pass keeps the contenders' frames
+in a list of their own, in the contenders' order, so the winner's queue
+entry is the one at the winner's index there; senders' ids are distinct,
+so no other frame equals the winner. A step with no contender, such as
+one that only queues a send behind a busy bus, ends there.
 """
 
 from __future__ import annotations
@@ -208,7 +214,7 @@ class _Plan(NamedTuple):
     params: TransceiverParams
     timing: BitTiming
     vids: str
-    loggers: list
+    receiver: str | None  # the first logger by name, which alone records FrameReceived rows
     # a sender has one frame: its bus bits, ACK delimiter index, and
     # the value and detail of its FrameSent and FrameReceived rows
     encoded: dict
@@ -233,7 +239,7 @@ class _Plan(NamedTuple):
             cfg.params.transceiver(),
             cfg.params.timing(cfg.bus_speed),
             next(e.name for e in cfg.ecus if e.role == "vids-host"),
-            sorted(e.name for e in cfg.ecus if e.role == "logger"),
+            min((e.name for e in cfg.ecus if e.role == "logger"), default=None),
             {
                 e.name: (bus_bits(e.frame), ack_delimiter_index(e.frame), float(e.frame.id), e.frame.data.hex())
                 for e in senders
@@ -366,11 +372,14 @@ class _Sim:
         self.bit_time = plan.timing.bit_time
         self.attack = attack = cfg.attack
         self.vids = plan.vids
-        self.loggers = plan.loggers
+        self.receiver = plan.receiver
         self.bank = _PinBank(cfg)
         self.trace = Trace()
         self.integrated_to = 0.0
-        self.retransmissions = 0
+        # what the summary reads, kept as the rows are added: each
+        # FrameReceived time at the receiver and each Retransmission time
+        self.received: list = []
+        self.retransmitted: list = []
         self.first_failure = ""
         self.queues: dict = {name: [] for name in plan.encoded}
         self.encoded = plan.encoded
@@ -402,7 +411,7 @@ class _Sim:
         self.samples: dict = {}  # pins -> a tick's sample records at those pins
         for t, kind in ((self.t_start, "AttackStart"), (self.t_end, "AttackEnd")):
             if t <= cfg.duration:
-                self.trace.add(t, kind, ecu=attack.node, detail=type(attack).__name__)
+                self.trace.add(t, kind, attack.node, "", None, type(attack).__name__)
 
     # -- attack pin state ---------------------------------------------------
 
@@ -523,7 +532,7 @@ class _Sim:
             irs.ResettableFuseState: ("FuseBlown", "resettable"),
             irs.ThermostatCoil: ("ThermostatOpen" if dev.open else "ThermostatClosed", ""),
         }[type(dev)]
-        self.trace.add(t, kind, ecu=self.vids, line=pin, detail=detail)
+        self.trace.add(t, kind, self.vids, pin, None, detail)
         self.bank.flips += 1
         if dev.conducting != was.conducting:
             self.changes.append((t, pin, dev.conducting))
@@ -575,7 +584,7 @@ class _Sim:
                 bank.flips += 1
             if deadline <= stop_off and bank.damaged_at is None:
                 bank.damaged_at = a + deadline
-                self.trace.add(a + deadline, "Damage", ecu=self.vids, line=pin)
+                self.trace.add(a + deadline, "Damage", self.vids, pin)
         # a step that moves an accumulator ends every kept rest verdict
         if moved:
             self.resting.clear()
@@ -775,10 +784,10 @@ class _Sim:
         first_attempt = tx.attempts == 0
 
         if first_attempt:
-            self.trace.add(t0, "FrameSent", ecu=ecu, value=value, detail=data)
+            self.trace.add(t0, "FrameSent", ecu, "", value, data)
         else:
-            self.retransmissions += 1
-            self.trace.add(t0, "Retransmission", ecu=ecu, value=value, detail=str(tx.attempts))
+            self.retransmitted.append(t0)
+            self.trace.add(t0, "Retransmission", ecu, "", value, str(tx.attempts))
 
         outcome = self.quiescent(bits, ack_delim, first_attempt, t0)
         if outcome is None:
@@ -787,8 +796,10 @@ class _Sim:
 
         if error_bit is None:
             t_end = t0 + len(bits) * bt
-            for lg in self.loggers[:1]:
-                self.trace.add(t_end, "FrameReceived", ecu=lg, value=value, detail=data)
+            receiver = self.receiver
+            if receiver is not None:
+                self.trace.add(t_end, "FrameReceived", receiver, "", value, data)
+                self.received.append(t_end)
             return True, t_end + INTERMISSION_BITS * bt
 
         # error frame: 6 dominant flag bits drive the bus, then 8
@@ -796,7 +807,7 @@ class _Sim:
         if not self.first_failure:
             self.first_failure = error_reason
         err_start = t0 + (error_bit + 1) * bt
-        self.trace.add(err_start, "ErrorFrame", ecu=ecu, detail=error_reason)
+        self.trace.add(err_start, "ErrorFrame", ecu, "", None, error_reason)
         flag_end = err_start + ERROR_FLAG_BITS * bt
         self.error_flag(err_start, flag_end)
         t_free = flag_end + (ERROR_DELIMITER_BITS + INTERMISSION_BITS) * bt
@@ -901,19 +912,21 @@ class _Sim:
         bus_free = 0.0
         while True:
             # one pass over the queue heads: the earliest time one is
-            # ready, and the heads ready then
-            t_next, contenders = duration, []
+            # ready, and the heads ready then, each as its (sender, entry)
+            # in `contenders` and its frame at the same place in `frames`
+            t_next, contenders, frames = duration, [], []
             for name, q in queues.items():
                 if q:
                     tx = q[0]
                     t = tx.retry_at if tx.retry_at > bus_free else bus_free
                     if t < t_next:
-                        t_next, contenders = t, [(name, tx)]
+                        t_next, contenders, frames = t, [(name, tx)], [tx.frame]
                     elif t == t_next:
                         contenders.append((name, tx))
+                        frames.append(tx.frame)
             # a send due first bounds the idle step, and no head is ready then
             if send_idx < n_sends and sends[send_idx][0] < t_next:
-                t_next, contenders = sends[send_idx][0], []
+                t_next, contenders, frames = sends[send_idx][0], [], []
 
             reached = self.advance_idle(t_next)
             if reached < t_next:
@@ -937,12 +950,13 @@ class _Sim:
                 q, tx = queues[name], _QueuedTx(frame, t)
                 if not q and bus_free <= t_next:
                     contenders.append((name, tx))
+                    frames.append(frame)
                 q.append(tx)
             if not contenders:
                 continue
 
-            winner = arbitrate([tx.frame for _, tx in contenders])
-            name, tx = next(c for c in contenders if c[1].frame is winner)
+            # senders' ids are distinct, so the winner equals its own frame only
+            name, tx = contenders[frames.index(arbitrate(frames))]
 
             # an idle bus that engages the comparator (a jam) lets no frame
             # start; only an attack raises it, so park until the window ends
@@ -962,18 +976,15 @@ class _Sim:
         return self.trace, self.summarize()
 
     def summarize(self) -> Summary:
-        cfg = self.cfg
-        indicator = message_indicator(
-            self.trace,
-            period=self._indicator_period(),
-            duration=cfg.duration,
-            receiver=self.loggers[0] if self.loggers else None,
-        )
+        """The run's summary, from what it kept as it added its rows: the
+        FrameReceived times at the receiver (`received`) and the
+        Retransmission times (`retransmitted`). It reads no trace row, so
+        a run whose rows nobody reads never orders them."""
         return Summary(
             messages_sent=len(self.sends),
-            messages_received=sum(row[1] == "FrameReceived" for row in self.trace.event_rows),
-            indicator=tuple(indicator),
-            retransmissions=self.retransmissions,
+            messages_received=len(self.received),
+            indicator=tuple(_slot_flags(self.received, self._indicator_period(), self.cfg.duration)),
+            retransmissions=len(self.retransmitted),
             attack_success=self.attack_succeeded(),
             device_trips=dict(self.bank.trip_times),
             damaged=self.bank.damaged,
@@ -992,11 +1003,9 @@ class _Sim:
         a = self.attack
         if isinstance(a, _BLOCKING):
             expected = any(a.active(t) for t, _, _ in self.sends)
-            return expected and not any(
-                row[1] == "FrameReceived" and a.active(row[0]) for row in self.trace.event_rows
-            )
+            return expected and not any(map(a.active, self.received))
         if isinstance(a, atk.ForcedRetransmission):
-            return any(row[1] == "Retransmission" and a.active(row[0]) for row in self.trace.event_rows)
+            return any(map(a.active, self.retransmitted))
         return isinstance(a, (atk.PassiveOvercurrent, atk.ActiveOvercurrent)) and self.bank.damaged
 
 
@@ -1008,14 +1017,22 @@ def run_scenario(cfg: ScenarioConfig, *, _plan: _Plan | None = None) -> tuple:
 
 
 def message_indicator(trace: Trace, period: float, duration: float, receiver: str | None = None) -> list:
-    """Per-slot delivery flags: 1 when a frame arrived inside the slot."""
+    """Per-slot delivery flags: 1 when a frame arrived inside the slot,
+    at `receiver` when given; the slots of `_slot_flags`."""
+    times = [
+        t for t, kind, ecu, _, _, _ in trace.event_rows
+        if kind == "FrameReceived" and (receiver is None or ecu == receiver)
+    ]
+    return _slot_flags(times, period, duration)
+
+
+def _slot_flags(times, period: float, duration: float) -> list:
+    """Flags over the slots of `period` that tile `duration`: 1 for each
+    slot that holds one of `times`. A run's summary flags its delivery
+    times by this rule, and `message_indicator` a trace's."""
     slots = int(round(duration / period))
     flags = [0] * slots
-    for t, kind, ecu, _, _, _ in trace.event_rows:
-        if kind != "FrameReceived":
-            continue
-        if receiver is not None and ecu != receiver:
-            continue
+    for t in times:
         k = int(t // period)
         if 0 <= k < slots:
             flags[k] = 1

@@ -62,23 +62,26 @@ class Trace:
     line, value, detail)`, the fields of a `TraceRecord`. Each run
     `[first, last, samples]` stands for the ticks at first..last seconds,
     each with one record per `(kind, ecu, line, value)` in `samples`.
-    `event_rows` and `segments` read the rows as they are and do not
-    expand the ticks; `events`, `records` and `of_kind` build
-    `TraceRecord`s when asked. `event_rows` is kept until the next
-    `add`, and `records`, which expands and merges both, until the next
-    `add` or `add_ticks`.
+    `add` appends the plain row only; the rows added since the last read
+    are ranked and ordered when a reader first asks for them, so a run
+    whose rows nobody reads never orders them. `event_rows` and
+    `segments` read the rows as they are and do not expand the ticks;
+    `events`, `records` and `of_kind` build `TraceRecord`s when asked.
+    `event_rows` is kept until the next `add`, and `records`, which
+    expands and merges both, until the next `add` or `add_ticks`.
     """
 
     def __init__(self):
         self.runs: list = []
-        self._side: list = []  # (t, rank, row) of events and markers; in order while `_rows` is kept
-        self._rows = None
+        self._added: list = []  # rows added since the last ordering, unranked
+        self._side: list = []  # (t, rank, row) of the rows ordered so far, in order
+        self._rows: list = []  # the rows of `_side`
         self._records = None
 
     def add(self, t, kind, ecu="", line="", value=None, detail=""):
-        """A record at t, ranked by its kind among the records at t."""
-        self._side.append((t, _RANKS.get(kind, 0), (t, kind, ecu, line, value, detail)))
-        self._rows = self._records = None
+        """A record at t; ranked by its kind among the records at t when
+        the rows are next ordered."""
+        self._added.append((t, kind, ecu, line, value, detail))
 
     def add_ticks(self, first: int, last: int, samples: tuple):
         """Ticks first..last with the records `samples`; extends the last
@@ -94,10 +97,15 @@ class Trace:
     def event_rows(self) -> list:
         """Every record but the samples as a plain row, in order; built
         on first access after an `add`, and shared until the next, so a
-        caller reads it and does not change it."""
-        if self._rows is None:
-            self._side.sort(key=_STAMP)  # stable: insertion order on ties
-            self._rows = [row for _, _, row in self._side]
+        caller reads it and does not change it. Each row is ranked once,
+        when the first read after its `add` orders it."""
+        if self._added:
+            side = self._side
+            side += [(row[0], _RANKS.get(row[1], 0), row) for row in self._added]
+            side.sort(key=_STAMP)  # stable: insertion order on ties
+            self._added = []
+            self._rows = [row for _, _, row in side]
+            self._records = None
         return self._rows
 
     @property
@@ -135,7 +143,7 @@ class Trace:
     @property
     def records(self) -> list:
         """Every record in order, ticks expanded; built on first access."""
-        if self._records is None:
+        if self._records is None or self._added:
             out = []
             for rows, ticks in self.segments():
                 if rows is not None:

@@ -1,12 +1,12 @@
 """What the differential suites share.
 
-`test_at_rest`, `test_idle_runs`, `test_parking`, `test_quiescent` and
-`test_resting_bits` each run the engine as it is and with one shortcut
-switched off, and require the same outcome. This module holds what they
-share: the bus they build, the senders and attacks they draw, the
-references and a call counter. It is a plain module, with no fixtures
-and no pytest hooks; each suite keeps its own constants, strategy
-parameters and examples.
+`test_at_rest`, `test_idle_runs`, `test_parking`, `test_quiescent`,
+`test_resting_bits` and `test_summaries` each run the engine as it is
+and with one shortcut switched off, and require the same outcome. This
+module holds what they share: the bus they build, the senders and
+attacks they draw, the references and a call counter. It is a plain
+module, with no fixtures and no pytest hooks; each suite keeps its own
+constants, strategy parameters and examples.
 
 The references are context managers. Each wraps its `_Sim` seam as it
 stands when the reference is called, so they compose:
@@ -37,12 +37,12 @@ from canvolt.link import Frame
 HOST = "A"
 
 
-def bus(senders, period, names=None, **fields) -> ScenarioConfig:
-    """Host A, logger B and a sender per (frame, offset), named S0, S1,
-    ... unless `names` names them, each sending every `period`; `fields`
-    set the rest of the config."""
+def bus(senders, period, names=None, loggers=("B",), **fields) -> ScenarioConfig:
+    """Host A, the `loggers` (B by default) and a sender per (frame,
+    offset), named S0, S1, ... unless `names` names them, each sending
+    every `period`; `fields` set the rest of the config."""
     names = names or [f"S{k}" for k in range(len(senders))]
-    ecus = [EcuSpec(HOST, "vids-host"), EcuSpec("B", "logger")]
+    ecus = [EcuSpec(HOST, "vids-host"), *(EcuSpec(name, "logger") for name in loggers)]
     for name, (frame, offset) in zip(names, senders):
         ecus.append(EcuSpec(name, "sender", period=period, frame=frame, offset=offset))
     return ScenarioConfig(ecus=tuple(ecus), **fields)
@@ -113,8 +113,11 @@ class Call(NamedTuple):
 
 @contextmanager
 def counting(owner, name):
-    """`owner.name` recording each call as a `Call`, in order; yields the list."""
-    original = getattr(owner, name)
+    """`owner.name` recording each call as a `Call`, in order; yields the
+    list. A property records each read as a call of its getter."""
+    prop = inspect.getattr_static(owner, name)
+    is_property = isinstance(prop, property)
+    original = prop.fget if is_property else getattr(owner, name)
     signature = inspect.signature(original)
     calls = []
 
@@ -125,7 +128,7 @@ def counting(owner, name):
         calls.append(Call(bound.arguments, result))
         return result
 
-    with _patched(owner, name, recording):
+    with _patched(owner, name, property(recording) if is_property else recording):
         yield calls
 
 
@@ -206,3 +209,46 @@ def forgetful():
 
     with _patched(engine._Sim, "side", side_afresh), _patched(engine._Sim, "pin_facts", facts_afresh):
         yield
+
+
+def row_summaries():
+    """Reference: each run's summary is read from its trace's rows, as
+    `_Sim.summarize` read them before it kept what it needs during the
+    run. Its indicator has its own copy of the slot rule."""
+
+    def summarize(self):
+        cfg, rows, bank = self.cfg, self.trace.event_rows, self.bank
+        senders = [e for e in cfg.ecus if e.role == "sender"]
+        period = senders[0].period if senders else 1.0
+        loggers = sorted(e.name for e in cfg.ecus if e.role == "logger")
+        receiver = loggers[0] if loggers else None
+        slots = int(round(cfg.duration / period))
+        indicator = [0] * slots
+        for t, kind, ecu, _, _, _ in rows:
+            if kind == "FrameReceived" and (receiver is None or ecu == receiver):
+                k = int(t // period)
+                if 0 <= k < slots:
+                    indicator[k] = 1
+        received = [t for t, kind, *_ in rows if kind == "FrameReceived"]
+        retransmitted = [t for t, kind, *_ in rows if kind == "Retransmission"]
+        a = cfg.attack
+        if isinstance(a, (DoS, PulseAttack)):
+            expected = any(a.active(t) for t, _, _ in self.sends)
+            success = expected and not any(a.active(t) for t in received)
+        elif isinstance(a, ForcedRetransmission):
+            success = any(a.active(t) for t in retransmitted)
+        else:
+            success = isinstance(a, (PassiveOvercurrent, ActiveOvercurrent)) and bank.damaged
+        return engine.Summary(
+            messages_sent=len(self.sends),
+            messages_received=len(received),
+            indicator=tuple(indicator),
+            retransmissions=len(retransmitted),
+            attack_success=success,
+            device_trips=dict(bank.trip_times),
+            damaged=bank.damaged,
+            damage_time=bank.damaged_at,
+            first_failure_reason=self.first_failure,
+        )
+
+    return _patched(engine._Sim, "summarize", summarize)

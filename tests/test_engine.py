@@ -1,6 +1,7 @@
 """Scenario engine: timelines, determinism, conservation, damage."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,7 +35,8 @@ from canvolt.engine import (
 )
 from canvolt.irs import FuseState, ThermostatCoil, TripTimer
 from canvolt.link import Frame
-from canvolt.trace import TRACE_KINDS, TraceRecord
+from canvolt.trace import TRACE_KINDS, Trace, TraceRecord
+from harness import counting
 
 FRAME = Frame(id=0x01, data=b"\x01")
 
@@ -566,3 +568,23 @@ def test_a_run_builds_no_trace_record(attack, monkeypatch):
     assert built == [] and summary.messages_received > 0
     assert [TraceRecord(*row) for row in trace.event_rows] == trace.events
     assert len(built) == 2 * len(trace.event_rows)
+
+
+@pytest.mark.parametrize(
+    "attack",
+    [None, DoS(t_start=10.0, t_end=20.0), ForcedRetransmission(t_start=10.0, t_end=20.0)],
+    ids=lambda a: type(a).__name__,
+)
+def test_a_run_orders_no_rows(attack):
+    """Neither a run nor a sweep reads its trace's rows: each summary is
+    kept as the rows are added, and the rows are ranked and ordered only
+    when a reader first asks for them."""
+    cfg = scenario(attack, duration=30.0)
+    sweep = SweepSpec("attack.t_end", 15.0, 25.0, 5.0)
+    swept = replace(cfg, attack=attack or DoS(t_start=10.0, t_end=20.0), sweep=sweep)
+    with counting(Trace, "event_rows") as reads:
+        trace, summary = run_scenario(cfg)
+        points = run_sweep(swept)
+        assert reads == []
+        assert trace.event_rows and len(reads) == 1  # a reader is counted
+    assert summary.messages_received > 0 and len(points) == 3
