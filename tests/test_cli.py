@@ -5,9 +5,15 @@ import csv
 import io
 import json
 import math
+import os
+import signal
+import stat
 import string
+import subprocess
+import sys
 import tempfile
-from dataclasses import MISSING
+import threading
+from dataclasses import MISSING, replace
 from itertools import accumulate
 from pathlib import Path
 from unittest import mock
@@ -1020,3 +1026,207 @@ def test_event_rows_whose_values_compare_equal_keep_their_own_text(values):
     for k, value in enumerate(values):
         trace.add(0.5 + k, "FrameSent", "S", "", value, "01")
     assert _emitted(trace) == _row_by_row_csv(trace)
+
+
+# --- outputs written over the files at their paths ----------------------------
+
+_SUMMARY = engine.Summary(1, 1, (1,), 0, False, {}, False, None, "")
+_NOT_FRA = parse_config((CONFIGS / "dos_sweep.ini").read_text())
+
+
+def _trace_of(n: int) -> Trace:
+    trace = Trace()
+    for k in range(n):
+        trace.add(0.5 + k, "FrameSent", "S", "", None, "01")
+    return trace
+
+
+# each output's writer, given a path and a size n: the larger n, the
+# longer the text
+WRITERS = {
+    "trace": lambda path, n: emit_outputs(_trace_of(n), _SUMMARY, path, os.devnull),
+    "summary": lambda path, n: emit_outputs(
+        Trace(), replace(_SUMMARY, first_failure_reason="r" * n), os.devnull, path
+    ),
+    "sweep": lambda path, n: cli.write_sweep_csv(
+        [engine.SweepPoint(0.1 * k, bool(k % 2), _SUMMARY) for k in range(n)], path, _NOT_FRA
+    ),
+    "params": lambda path, n: save_params(CalibratedParams(r_drive_high=float(10**n)), path),
+}
+
+
+def _open_w(path, newline=None):
+    return open(path, "w", newline=newline)
+
+
+def _fresh(writer: str, path: Path, n: int) -> bytes:
+    """What `writer` leaves at `path` when it opens it with a plain "w"."""
+    with mock.patch.object(cli, "_rewrite", _open_w):
+        WRITERS[writer](str(path), n)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+@settings(max_examples=25, deadline=None)
+@given(old=st.none() | st.binary(max_size=3000), n=st.integers(0, 40))
+@example(old=None, n=40)  # a missing path
+@example(old=b"x" * 3000, n=1)  # a longer old file
+@example(old=b"x", n=40)  # a shorter one
+@example(old=b"", n=0)
+def test_an_output_written_over_an_old_file_holds_what_a_fresh_write_gives(writer, old, n):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out"
+        if old is not None:
+            path.write_bytes(old)
+        WRITERS[writer](str(path), n)
+        assert path.read_bytes() == _fresh(writer, Path(tmp) / "fresh", n)
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_an_output_through_a_link_rewrites_the_file_linked_to(tmp_path, writer):
+    target = tmp_path / "target"
+    target.write_bytes(b"old\n" * 1000)
+    inode = target.stat().st_ino
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    hard = tmp_path / "hard"
+    os.link(target, hard)
+    WRITERS[writer](str(link), 3)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.stat().st_ino == inode
+    assert target.read_bytes() == hard.read_bytes() == _fresh(writer, tmp_path / "fresh", 3)
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_a_new_output_takes_the_mode_open_w_gives(tmp_path, writer, umask):
+    previous = os.umask(umask)
+    try:
+        WRITERS[writer](str(tmp_path / "new"), 3)
+        _fresh(writer, tmp_path / "fresh", 3)
+    finally:
+        os.umask(previous)
+    mode = stat.S_IMODE((tmp_path / "new").stat().st_mode)
+    assert mode == stat.S_IMODE((tmp_path / "fresh").stat().st_mode) == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+@pytest.mark.parametrize("mode", [0o600, 0o640, 0o755])
+def test_an_existing_output_keeps_its_mode(tmp_path, writer, mode):
+    path = tmp_path / "out"
+    path.write_bytes(b"old\n" * 1000)
+    path.chmod(mode)
+    WRITERS[writer](str(path), 3)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert path.read_bytes() == _fresh(writer, tmp_path / "fresh", 3)
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_an_output_may_go_to_the_null_device_or_a_pipe(tmp_path, writer):
+    WRITERS[writer](os.devnull, 3)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    WRITERS[writer](str(fifo), 3)
+    reader.join(timeout=10)
+    assert read == [_fresh(writer, tmp_path / "fresh", 3)]
+
+
+class _FailingTrace:
+    """`trace` read by `emit_outputs` up to its `k`th stretch, which fails."""
+
+    def __init__(self, trace: Trace, k: int):
+        self.trace, self.k = trace, k
+
+    def segments(self):
+        for i, segment in enumerate(self.trace.segments()):
+            if i == self.k:
+                raise RuntimeError("failed partway")
+            yield segment
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_a_trace_writer_that_fails_partway_leaves_the_text_written_so_far(tmp_path, monkeypatch, k):
+    monkeypatch.setattr(cli, "TEXTS_PER_WRITE", 3)  # texts written a few at a time
+    trace = _tick_trace(137, (_QUOTED, _QUOTED), _SPLIT_RUN)
+    left = {}
+    for name, rewrite in (("in place", cli._rewrite), ("w", _open_w)):
+        path = tmp_path / name
+        path.write_bytes(b"old\n" * 100_000)
+        with mock.patch.object(cli, "_rewrite", rewrite), pytest.raises(RuntimeError, match="failed partway"):
+            emit_outputs(_FailingTrace(trace, k), _SUMMARY, str(path), str(tmp_path / "s.json"))
+        left[name] = path.read_bytes()
+    assert left["in place"] == left["w"]
+    assert left["w"].startswith(b"time_s,kind,ecu,line,value,detail\r\n")
+    assert b"old" not in left["w"]
+    assert len(left["w"]) < len(_emitted(trace))
+
+
+# argv: trace path, "in place" or "w", signal. Writes a 3000-row trace ten
+# rows to a write and sends itself the signal at the 200th write
+_KILLED_PARTWAY = """
+import os, sys
+from canvolt import cli, engine
+from canvolt.trace import Trace
+
+path, how, signum = sys.argv[1], sys.argv[2], int(sys.argv[3])
+if how == "w":
+    cli._rewrite = lambda path, newline=None: open(path, "w", newline=newline)
+writes = 0
+
+def killing_write(fh, texts):
+    global writes
+    for lo in range(0, len(texts), 10):
+        writes += 1
+        if writes == 200:
+            os.kill(os.getpid(), signum)
+        fh.write("".join(texts[lo:lo + 10]))
+    texts.clear()
+
+cli._write = killing_write
+trace = Trace()
+for k in range(3000):
+    trace.add(0.5 + k, "FrameSent", "S", "", None, "01")
+cli.emit_outputs(trace, engine.Summary(1, 1, (1,), 0, False, {}, False, None, ""), path, os.devnull)
+"""
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL])
+def test_a_run_killed_while_writing_leaves_the_old_bytes_past_the_new_text(tmp_path, signum):
+    # Neither path can cut the file when the process is killed. A fresh
+    # write leaves the text flushed so far; a rewrite in place leaves the
+    # same text followed by the old file's bytes past it, so its length is
+    # the old file's. Such a run exits by the signal, and its outputs are
+    # not to be read.
+    old = b"old\n" * 100_000
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    left = {}
+    for how in ("in place", "w"):
+        path = tmp_path / how
+        path.write_bytes(old)
+        proc = subprocess.run([sys.executable, "-c", _KILLED_PARTWAY, str(path), how, str(int(signum))],
+                              env=env, capture_output=True, timeout=60)
+        assert proc.returncode == -signum, proc.stderr
+        left[how] = path.read_bytes()
+    complete = _emitted(_trace_of(3000))
+    new = left["w"]
+    assert new.startswith(b"time_s,kind,ecu,line,value,detail\r\n") and complete.startswith(new)
+    assert 0 < len(new) < len(old) and len(new) < len(complete)
+    assert left["in place"] == new + old[len(new):]
+
+
+@pytest.mark.parametrize("output", ["--trace", "--summary", "sweep", "calibrate"])
+def test_a_directory_as_an_output_is_an_io_error(tmp_path, capsys, output):
+    files = {"--trace": str(tmp_path / "t.csv"), "--summary": str(tmp_path / "s.json")}
+    if output == "sweep":
+        argv = ["sweep", str(CONFIGS / "dos_sweep.ini"), "--out", str(tmp_path)]
+    elif output == "calibrate":
+        argv = ["calibrate", "--out", str(tmp_path)]
+    else:
+        files[output] = str(tmp_path)
+        argv = ["simulate", str(CONFIGS / "baseline.ini"), "--trace", files["--trace"], "--summary", files["--summary"]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("io error: ") and "Is a directory" in err
