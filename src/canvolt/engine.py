@@ -1,153 +1,36 @@
-"""Deterministic scenario engine.
+"""Deterministic scenario engine: a link-layer scheduler over a
+physical-layer bus.
 
-Frames advance event by event. A frame attempt runs bit by bit when an
-attack could keep one of its bits from reading as driven, or an
-accumulator could trip, flip or run at two currents during it; sub-bit
-physics (pulse phases, recovery tails, device trips) stay closed form.
-Device and damage accumulators integrate over piecewise-constant current
-segments, so a fuse can blow in the middle of a bit and the rest of the
-frame sees the recovered bus.
+The split is ISO 11898-1's, between the data link layer and physical
+signalling, and each layer is one component of a DEVS coupled model.
+`_Scheduler` decides when a frame goes and when it retries: the send
+schedule, the queues, arbitration, error frames and retransmission
+timing, and the summary. `_Bus` decides whether the frame's bits read as
+driven: the attacker's pins, the bus solves, the receiver comparator, the
+protective devices and pin damage, and the 1 Hz samples. Both add rows
+to one `Trace`. The scheduler asks the bus five questions:
 
-The engine owns the timeline and composes the library's models: bus
-solves and pulse phase edges from `electrical`, the receiver comparator
-`link.sample_bit`, and the `irs` devices, whose trip law
-(`irs.TripTimer`) is also each host pin's damage accumulator. Error
-frames and retransmission timing are computed here and nowhere else.
+- `advance_idle(t)`: integrate the idle bus up to t; it returns early
+  where a device changes connectivity, which wakes every parked frame;
+- `jammed(t)`: does an idle bus that reads dominant let no frame start
+  at t, and until when;
+- `sample_bits(bits, ack_delim, first_attempt, t0)`: what an attempt's
+  bits give from t0, the error bit and reason;
+- `error_flag(a, b)`: drive an error flag over [a, b);
+- `retry_at(t)`: does the attack block every attempt at t, so that a
+  failed frame parks until its window ends.
 
-A frame that an attack would kill on every attempt is *parked*: its one
-retry time moves to the window end, and a device that changes
-connectivity before then wakes it. A forced retransmission is never
-parked: it succeeds by a retransmission inside its window, so parking
-its frames would move those records and its verdict. The one
-closed-form predictor the engine still calls is the FRA ACK delimiter
-check (`attacks.fra_ack_delimiter_corrupted`), once per window pair
-each time `pin_facts` reads the window at a new connectivity.
+After the run it asks the bus for the samples (`record_ticks`), and the
+summary reads the bank's trips and damage and the plan's indicator
+period. It reads nothing else of the bus: no window edge, clock, pin
+fact, solve or accumulator.
 
-The attack window is one set of fields: its edges, which are infinite
-without an attack so the window never opens; the attacker's pin pairs
-in it (`attacks.window_pins`: a pulse's high and low phase, else one);
-and its phase clock (the attack's `clock`: a pulse's, else the
-unbounded `electrical.PulseClock`, always in its first phase), whose
-`phase` picks the pair at a time.
-
-A run's *plan* (`_Plan`) holds what it takes from its config but for
-the attack: the topology, transceiver parameters and timing, the VIDS
-host and receiver, each sender's encoded frame, the sorted send schedule,
-and the raw bus solves. `run_scenario` validates its config and builds
-its plan. `run_sweep` validates the sweep once, the config and every
-point's attack, and runs each point through `run_scenario` on one plan:
-a point differs from its config in the attack only. A bus solve depends
-only on the driven level and the gated pin modes, which carry the
-attacker's levels, so a plan solves each pair once for all its runs
-(`solved`). Each run keeps the solve with the host's pin currents,
-capped by its own `source_limit`, which a sweep can move; its phase
-slop, window, clock, accumulators, pin facts and trace are its own too.
-No plan outlives the call that built it.
-
-The engine asks a protective device the `irs` device questions, and
-its kind only to name its trace record. `advance_constant` steps each
-device and advances each damage timer that is not at rest; the earliest
-open/close change bounds the step, and a device stepped past it is
-stepped again to it.
-
-One reading per side of the attack window decides every shortcut and
-every park. Its pin facts (`pin_facts`) gate that side's pin pairs (the
-inputs outside the window, each window pair inside) and solve them;
-they change only with connectivity, so `_Sim.facts` keeps them per
-connectivity for the whole run. Its accumulator verdicts (`side`) read
-their currents; `_Sim.resting` keeps them until a step moves an
-accumulator, and only they are read afresh then (every connectivity
-change is such a step). A step at given pin currents leaves every
-accumulator as it is when each device and damage timer is at rest at the
-current it sees (`_PinBank.moving` finds nothing to move). A damage
-timer sees the current its pin's device passes; a device sees
-`_PinBank.device_current`: the bench drive in the window when one is set
-(a thermostat's only), else its pin current, as it passes it. Inside
-the window the pin facts also keep the FRA verdict per window pair
-(`_Pins.fra`): its P_H stretches the CANL recovery past an ACK
-delimiter's sample point. A first attempt reads the pair of the clock's
-phase at its ACK delimiter's sample instant, when that lies in the
-window. The reading is used in four places:
-
-- *Quiescent frames.* A frame skips the per-bit work from its SOF, or
-  from any later bit, when no attack window overlaps the bits left, or a
-  window holds them, and the frame verdict passes: every bit samples as
-  driven (in a window, `link.reads_driven` passes the clock's phases at
-  each driven level); every damage timer rests; and each device rests at
-  every pin pair and level, or sees one current at all of them. So a
-  pulse whose masking phase is shorter than the decode hold is steady
-  once its accumulators rest, and a coil that heats or cools at one
-  current does not stop the frame. Inside the window a first attempt
-  still fails at its ACK delimiter when a window pair's FRA verdict
-  fires there; a side with none firing skips it. Each moving device is
-  then folded over the pieces of the bits crossed, cut as `drive` cuts
-  them, by `irs` `steps`: the per-bit path's own step arithmetic,
-  without its solves, gating or comparator. A device that would open or
-  close in them sends those bits one by one, from the state before them.
-  An attempt asks once at its SOF (`simulate_attempt`), and again for
-  the rest of the frame after a bit in which a device opened or closed
-  or a damage timer tripped or cleared, and at its first bit past a
-  window edge: a fuse or damage limit that trips early in a frame leaves
-  the rest of it steady.
-- *Idle jumps.* `advance_idle` walks the idle time up to the next event
-  in stretches that end at each window edge, with one rest test per
-  stretch: the `side` it lies on. A stretch whose idle bus rests is
-  crossed in one step; any other is sliced at every whole second, and a
-  slice reads its pins at its start: it never straddles a window edge,
-  and the idle bus draws no current in either pulse phase.
-  `irs.ThermostatCoil.step` starts its tau/10 step grid afresh at each
-  call, so only this slicing keeps the thermostat and over-timer
-  numerics fixed.
-- *Resting flags and pieces.* An error flag on one side of the window,
-  where every accumulator rests at the dominant pairs, is crossed in one
-  step (`error_flag`); a piece that `drive` cuts takes no step when its
-  kept side rests at its driven level.
-- *Parks*, from the pin facts alone. A frame due inside the window
-  whose idle bus engages the comparator at that instant's phase (a jam)
-  is parked before it starts. A failed attempt inside a DoS or pulse
-  window is parked when a dominant bit is blocked: the gated window
-  pairs do not read it as driven, by the rule that decides steady
-  windows (`phases_read_driven`).
-
-A driven bit is cut into pieces, and each piece costs constant work:
-
-- *Cut from the cursor.* `cuts` yields each cut from the one before it:
-  the first window edge after it or, inside the window, the clock's
-  `next_edge` when that comes first, without listing the bit's cuts. A
-  trip that ends a piece early restarts it there.
-- *Phase-pin lookup.* The attacker's pin pairs are built once per run;
-  a piece picks its pair with the clock's `phase`.
-
-The 1 Hz samples are a function of the run's history, built once after
-the run (`record_ticks`): tick k records the idle bus at the attacker's
-pin pair at k seconds, gated by the connectivity after every trip or
-thermostat flip stamped at or before k. Ticks with the same records
-form one run `[first, last, samples]`; inside a pulse window each tick
-picks its phase pair. Records sort by time, and at equal stamps by kind
-(`trace.Trace`): every other event, AttackStart, the tick, AttackEnd,
-then FrameSent and Retransmission. The trace keeps each event as a plain
-row `(t, kind, ecu, line, value, detail)`, appended unranked; the rows
-are ranked and sorted when a reader first asks for them
-(`Trace.event_rows`), so a run builds no `TraceRecord`: `events` and
-`records` build them when a caller asks. The summary reads no row: where
-the engine adds a FrameReceived row at the receiver (the first logger)
-or a Retransmission row, it also keeps that row's time, and the summary
-counts, flags its slots and decides the attack's success from those
-times alone (`summarize`). A run nobody reads the rows of, such as a
-sweep point, never sorts them.
-
-Each step of the main loop finds the next event time and the frames
-ready then in one pass over the senders' queue heads; a send due before
-them moves the next event time to its own. Idle time is integrated up to
-that time first, and only then does each send due by it join its queue:
-one that heads an empty queue on a free bus is ready then and joins the
-contenders, so an attempt and the sends due at its start take one step.
-`arbitrate` picks among the contenders (ISO 11898-1: the lowest id among
-the frames ready at that instant). The pass keeps the contenders' frames
-in a list of their own, in the contenders' order, so the winner's queue
-entry is the one at the winner's index there; senders' ids are distinct,
-so no other frame equals the winner. A step with no contender, such as
-one that only queues a send behind a busy bus, ends there.
+A run's *plan* (`_Plan`) holds what it takes from its config but for the
+attack. `run_scenario` validates its config and builds its plan.
+`run_sweep` validates the sweep once, the config and every point's
+attack, and runs each point through `run_scenario` on one plan: a point
+differs from its config in the attack only. No plan outlives the call
+that built it.
 """
 
 from __future__ import annotations
@@ -219,6 +102,7 @@ class _Plan(NamedTuple):
     # the value and detail of its FrameSent and FrameReceived rows
     encoded: dict
     sends: list  # (t, sender, frame) of every send, by time and then sender
+    period: float  # the summary's indicator slot: the first sender's period, 1.0 without one
     # (dominant, gated pins) -> BusSolution; the gated pins carry the
     # attacker's levels, so a solve holds for every attack that gates to them
     raw: dict
@@ -245,6 +129,7 @@ class _Plan(NamedTuple):
                 for e in senders
             },
             sends,
+            senders[0].period if senders else 1.0,
             {},
         )
 
@@ -350,19 +235,87 @@ class _PinBank:
         return self.damage["ph"].tripped or self.damage["pl"].tripped
 
 
-class _Sim:
-    """One scenario run.
+class _Bus:
+    """The physical layer of one run: whether a frame's bits read as driven.
 
     CPython 3.11 keeps an instance's attributes in its class's shared
     layout only while there are fewer than 30 of them; past that every
     `self.x` load is slower (`attacked_bus` ran about 6% slower with 32,
-    on Python 3.11.7). So a value read only on a cold path is derived
-    there, not kept as an attribute.
+    on Python 3.11.7). Of the two layers the bus keeps the most, so a
+    value read only on a cold path is derived there, not kept.
+
+    A driven bit runs piece by piece, its sub-bit physics (pulse phases,
+    recovery tails, device trips) closed form. Device and damage
+    accumulators integrate over piecewise-constant current segments, so a
+    fuse can blow in the middle of a bit and the rest of the frame sees
+    the recovered bus. The bus composes the library's models: bus solves
+    and pulse phase edges from `electrical`, the receiver comparator
+    `link.sample_bit`, and the `irs` devices, whose trip law
+    (`irs.TripTimer`) is also each host pin's damage accumulator. It asks
+    a device the `irs` device questions, and its kind only to name its
+    trace record.
+
+    The attack window is one set of fields: its edges, infinite without
+    an attack so the window never opens; the attacker's pin pairs in it
+    (`attacks.window_pins`: a pulse's high and low phase, else one); and
+    its phase clock (a pulse's, else the unbounded `electrical.PulseClock`,
+    always in its first phase), whose `phase` picks the pair at a time.
+    A bus solve depends only on the driven level and the gated pin modes,
+    which carry the attacker's levels, so the plan solves each pair once
+    for all its runs (`solved`); each run caps the pin currents with its
+    own `source_limit`, which a sweep can move.
+
+    One reading per side of the window decides every shortcut and park.
+    Its pin facts (`pin_facts`) gate and solve that side's pin pairs; they
+    change only with connectivity, so `facts` keeps them per connectivity
+    for the whole run. Its accumulator verdicts (`side`) read their
+    currents; `resting` keeps them until a step moves an accumulator
+    (every connectivity change is such a step). A step leaves every
+    accumulator as it is when each device and damage timer rests at the
+    current it sees (`_PinBank.moving`). The reading is used in four
+    places:
+
+    - *Quiescent frames* (`quiescent`): a frame's bits, from its SOF or
+      any later bit, are crossed without per-bit work when they lie on one
+      side of the window and that side's frame verdict passes. So a pulse
+      whose masking phase is shorter than the decode hold is steady once
+      its accumulators rest, and a coil that heats or cools at one current
+      does not stop the frame.
+    - *Idle jumps* (`advance_idle`): an idle stretch whose side rests is
+      crossed in one step; any other is sliced at every whole second.
+      `irs.ThermostatCoil.step` starts its tau/10 step grid afresh at each
+      call, so only this slicing keeps the thermostat and over-timer
+      numerics fixed.
+    - *Resting flags and pieces*: an error flag on one side of the
+      window, where every accumulator rests at the dominant pairs, is
+      crossed in one step (`error_flag`); a piece that `drive` cuts takes
+      no step when its kept side rests at its driven level.
+    - *Parks*, from the pin facts alone: a jam, an idle bus that engages
+      the comparator at that instant's phase (`jammed`), and a DoS or
+      pulse window whose gated pairs do not read a dominant bit as driven
+      (`attack_blocking`, by the rule that decides steady windows). A
+      forced retransmission is never parked: it succeeds by a
+      retransmission inside its window, so parking its frames would move
+      those records and its verdict.
+
+    Inside the window the pin facts also keep the FRA verdict per window
+    pair (`_Pins.fra`), from the one closed-form predictor the bus still
+    calls (`attacks.fra_ack_delimiter_corrupted`). A first attempt reads
+    the pair of the clock's phase at its ACK delimiter's sample instant,
+    when that lies in the window (`ack_delimiter_fails`).
+
+    The 1 Hz samples are a function of the run's history, built once
+    after the run (`record_ticks`): tick k records the idle bus at the
+    attacker's pin pair at k seconds, gated by the connectivity after
+    every trip or thermostat flip stamped at or before k. Ticks with the
+    same records form one run; inside a pulse window each tick picks its
+    phase pair.
     """
 
     def __init__(self, cfg: ScenarioConfig, plan: _Plan | None = None):
-        """A run of cfg, on `plan` when given: cfg is then a validated
-        config, or a point of the validated sweep the plan was built for."""
+        """The bus of a run of cfg, on `plan` when given: cfg is then a
+        validated config, or a point of the validated sweep the plan was
+        built for."""
         if plan is None:
             validate_config(cfg)
             plan = _Plan.of(cfg)
@@ -372,17 +325,9 @@ class _Sim:
         self.bit_time = plan.timing.bit_time
         self.attack = attack = cfg.attack
         self.vids = plan.vids
-        self.receiver = plan.receiver
         self.bank = _PinBank(cfg)
         self.trace = Trace()
         self.integrated_to = 0.0
-        # what the summary reads, kept as the rows are added: each
-        # FrameReceived time at the receiver and each Retransmission time
-        self.received: list = []
-        self.retransmitted: list = []
-        self.first_failure = ""
-        self.queues: dict = {name: [] for name in plan.encoded}
-        self.encoded = plan.encoded
         self.solutions: dict = {}  # (dominant, pins) -> (BusSolution, VIDS pin currents)
         # (in_window, P_H connected, P_L connected) -> that side's `_Pins`
         self.facts: dict = {}
@@ -402,9 +347,8 @@ class _Sim:
         canh_pulse = isinstance(attack, atk.PulseAttack) and attack.line == "canh"
         self.extension = cfg.params.transition_extension if canh_pulse else 0.0
         # the slop `phases_read_driven` adds to a phase, fixed for the run
-        longest = max([len(enc[0]) for enc in self.encoded.values()], default=0) + ERROR_FLAG_BITS
+        longest = max([len(enc[0]) for enc in plan.encoded.values()], default=0) + ERROR_FLAG_BITS
         self.phase_slop = 64 * math.ulp(min(self.t_end, cfg.duration + longest * self.bit_time))
-        self.sends = plan.sends
         self.changes: list = []  # (t, pin, connected) of every trip and thermostat flip
         # sample ticks at 0, 1, ..., last_tick s, recorded after the run
         self.last_tick = int(cfg.duration)
@@ -536,8 +480,8 @@ class _Sim:
         self.bank.flips += 1
         if dev.conducting != was.conducting:
             self.changes.append((t, pin, dev.conducting))
-        if dev.open and pin not in self.bank.trip_times:
-            self.bank.trip_times[pin] = t
+        if dev.open:
+            self.bank.trip_times.setdefault(pin, t)
 
     def advance_constant(self, a: float, b: float, i_raw: dict) -> float:
         """Advance accumulators over [a, b) of constant raw pin currents.
@@ -609,7 +553,7 @@ class _Sim:
         window edge after its start, or at target when that comes first.
         A stretch is crossed in one step when the idle bus rests on its
         side of the window (`side`), else sliced at the next whole second
-        (see the module docstring). A slice reads its pins at its start,
+        (see the class docstring). A slice reads its pins at its start,
         which sits on its side of the window; the idle bus carries no
         current in either pulse phase, so no pulse cuts.
         """
@@ -698,16 +642,37 @@ class _Sim:
     def attack_blocking(self, t: float) -> bool:
         """The attack kills every attempt at t: t is in a DoS or pulse window
         whose gated pairs do not read a dominant bit as driven (`pin_facts`)."""
-        in_window = self.t_start <= t < self.t_end
-        return in_window and isinstance(self.attack, _BLOCKING) and self.pin_facts(True).blocked
+        return self.t_start <= t < self.t_end and isinstance(self.attack, _BLOCKING) and self.pin_facts(True).blocked
+
+    def retry_at(self, t: float) -> float:
+        """When a frame whose failed attempt frees the bus at t tries
+        again: at t, or at the window end when the attack kills every
+        attempt at t (`attack_blocking`), which parks the frame."""
+        return self.t_end if self.attack_blocking(t) else t
+
+    def jammed(self, t: float) -> float | None:
+        """The window end when the idle bus reads dominant at t's phase (a
+        jam), which lets no frame start until then; else None. Only an
+        attack raises the idle bus."""
+        if self.t_start <= t < self.t_end and self.pin_facts(True).engaged[self.clock.phase(t)]:
+            return self.t_end
+        return None
+
+    def ack_delimiter_fails(self, t0: float, ack_delim: int) -> bool:
+        """A first attempt from t0 fails at its ACK delimiter, bit
+        `ack_delim`: the delimiter's sample instant lies in the window, and
+        the window pair of the clock's phase there fires (`_Pins.fra`)."""
+        t_s = t0 + ack_delim * self.bit_time + self.timing.sample_point * self.bit_time
+        fra = self.pin_facts(True).fra if self.t_start <= t_s < self.t_end else ()
+        return any(fra) and fra[self.clock.phase(t_s)]
 
     # -- frame transmission ---------------------------------------------------------
 
     def quiescent(self, bits: list, ack_delim: int, first_attempt: bool, t0: float, k: int = 0):
         """The outcome of `sample_bits` for the frame from t0, with bits
         k.. reached without per-bit work, or None when they must run bit
-        by bit. `simulate_attempt` asks at bit 0, and `sample_bits` after
-        each change of the state read here.
+        by bit. `sample_bits` asks at bit 0, and after each change of the
+        state read here.
 
         Bits k.. are crossed when no attack window overlaps them, or the
         window holds them (from bit k's start to strictly before the
@@ -734,12 +699,8 @@ class _Sim:
         if moving is None:
             return None
         outcome = None, ""
-        fra = self.pin_facts(True).fra if in_window and first_attempt and k <= ack_delim else ()
-        if any(fra):
-            b0 = t0 + ack_delim * bt
-            if fra[self.clock.phase(b0 + self.timing.sample_point * bt)]:
-                outcome, n_bits = (ack_delim, "form_error_ack_delimiter"), ack_delim + 1
-                t1 = b0 + bt
+        if in_window and first_attempt and k <= ack_delim and self.ack_delimiter_fails(t0, ack_delim):
+            outcome, n_bits, t1 = (ack_delim, "form_error_ack_delimiter"), ack_delim + 1, t0 + ack_delim * bt + bt
         if moving:
             spans = []
             for j in range(k, n_bits):
@@ -773,46 +734,6 @@ class _Sim:
         phases = tuple(zip(self.clock.lengths, levels))
         return reads_driven(phases, driven, self.timing, self.extension, self.phase_slop)
 
-    def simulate_attempt(self, ecu: str, tx: _QueuedTx, t0: float) -> tuple:
-        """Run one transmission attempt; returns (delivered, t_bus_free).
-
-        The attempt asks `quiescent` to cross the frame from its SOF; only
-        a frame it cannot cross runs through `sample_bits`. Its rows take
-        their value and detail from `encoded`."""
-        bits, ack_delim, value, data = self.encoded[ecu]
-        bt = self.bit_time
-        first_attempt = tx.attempts == 0
-
-        if first_attempt:
-            self.trace.add(t0, "FrameSent", ecu, "", value, data)
-        else:
-            self.retransmitted.append(t0)
-            self.trace.add(t0, "Retransmission", ecu, "", value, str(tx.attempts))
-
-        outcome = self.quiescent(bits, ack_delim, first_attempt, t0)
-        if outcome is None:
-            outcome = self.sample_bits(bits, ack_delim, first_attempt, t0)
-        error_bit, error_reason = outcome
-
-        if error_bit is None:
-            t_end = t0 + len(bits) * bt
-            receiver = self.receiver
-            if receiver is not None:
-                self.trace.add(t_end, "FrameReceived", receiver, "", value, data)
-                self.received.append(t_end)
-            return True, t_end + INTERMISSION_BITS * bt
-
-        # error frame: 6 dominant flag bits drive the bus, then 8
-        # recessive delimiter bits and the intermission
-        if not self.first_failure:
-            self.first_failure = error_reason
-        err_start = t0 + (error_bit + 1) * bt
-        self.trace.add(err_start, "ErrorFrame", ecu, "", None, error_reason)
-        flag_end = err_start + ERROR_FLAG_BITS * bt
-        self.error_flag(err_start, flag_end)
-        t_free = flag_end + (ERROR_DELIMITER_BITS + INTERMISSION_BITS) * bt
-        return False, t_free
-
     def error_flag(self, a: float, b: float):
         """Drive an error flag over [a, b). Nothing samples it, so one on
         one side of the attack window (`side_of`), where every accumulator
@@ -838,9 +759,7 @@ class _Sim:
         """
         t_start, t_end = self.t_start, self.t_end
         resting = self.resting
-        pieces = []
-        cursor = a
-        cuts = self.cuts(a, b)
+        pieces, cursor, cuts = [], a, self.cuts(a, b)
         while cursor < b:
             hi = next(cuts)
             mid = 0.5 * (cursor + hi)
@@ -859,30 +778,31 @@ class _Sim:
         return pieces
 
     def sample_bits(self, bits: list, ack_delim: int, first_attempt: bool, t0: float) -> tuple:
-        """Drive and sample the frame bit by bit from t0, which `quiescent`
-        could not cross from bit 0 (`simulate_attempt` asked it). So this
-        starts with the state and window side read there, and does not
-        ask again at bit 0. It hands the rest of the frame to `quiescent`
-        wherever the state it reads may have changed: after a bit in which
-        a device opened or closed or a damage timer tripped or cleared
-        (`bank.flips` moved), and at the first bit that starts on the
-        other side of a window edge. Asking at every bit would refold a
-        moving device over the rest of the frame at each one.
+        """What an attempt of `bits` from t0 gives: (error bit index,
+        reason), or (None, "") when every bit reads as driven.
+
+        The frame is crossed from its SOF when `quiescent` can; else it is
+        driven and sampled bit by bit, from the state and window side read
+        there. The rest of the frame goes back to `quiescent` wherever that
+        state may have changed: after a bit in which a device opened or
+        closed or a damage timer tripped or cleared (`bank.flips` moved),
+        and at the first bit that starts on the other side of a window edge.
+        Asking at every bit would refold a moving device over the rest of
+        the frame at each one.
 
         The bit before the ACK delimiter is the ACK slot, driven dominant,
-        so the FRA check there follows a dominant bit read as driven: a
-        first attempt fails there when the delimiter's sample instant lies
-        in the window and the window pair of its phase fires (`_Pins.fra`).
-        Returns (error bit index, reason), or (None, "") when every bit
-        reads as driven.
+        so the FRA check there follows a dominant bit read as driven
+        (`ack_delimiter_fails`).
         """
+        outcome = self.quiescent(bits, ack_delim, first_attempt, t0)
+        if outcome is not None:
+            return outcome
         bt = self.bit_time
         t_start, t_end = self.t_start, self.t_end
         bank = self.bank
         comparator = (BitDecision.RECESSIVE, t0 - 1.0)  # idle bus precedes the frame
         # `quiescent` was asked at bit 0 at this state and side
         flips, last_side = bank.flips, (t_start <= t0) + (t_end <= t0)
-
         for k, bit in enumerate(bits):
             b0 = t0 + k * bt
             here = (t_start <= b0) + (t_end <= b0)  # the window side bit k starts on
@@ -897,19 +817,69 @@ class _Sim:
             sampled, comparator = sample_bit(pieces, driven, self.timing, comparator, self.extension)
             if dominant and sampled is BitDecision.RECESSIVE:
                 return k, "bit_error"
-            if k == ack_delim and first_attempt:
-                t_s = b0 + self.timing.sample_point * bt
-                if t_start <= t_s < t_end and self.pin_facts(True).fra[self.clock.phase(t_s)]:
-                    return k, "form_error_ack_delimiter"
+            if k == ack_delim and first_attempt and self.ack_delimiter_fails(t0, k):
+                return k, "form_error_ack_delimiter"
         return None, ""
 
-    # -- main loop ---------------------------------------------------------------------
+
+class _Scheduler:
+    """The data link layer of one run: when each frame goes and when it
+    retries (ISO 11898-1), over a `_Bus` that says what its bits give.
+
+    Each step of the main loop finds the next event time and the frames
+    ready then in one pass over the senders' queue heads; a send due
+    before them moves the next event time to its own. The bus integrates
+    idle time up to that time first, and only then does each send due by
+    it join its queue: one that heads an empty queue on a free bus is
+    ready then and joins the contenders, so an attempt and the sends due
+    at its start take one step. `arbitrate` picks among the contenders:
+    the lowest id among the frames ready at that instant. The pass keeps
+    the contenders' frames in a list of their own, in the contenders'
+    order, so the winner's queue entry is the one at the winner's index
+    there; senders' ids are distinct, so no other frame equals the
+    winner. A step with no contender, such as one that only queues a
+    send behind a busy bus, ends there.
+
+    A delivered frame frees the bus after the intermission. A failed
+    attempt sends an error frame from the bit after its error bit: the
+    bus drives its dominant flag bits, then come the recessive delimiter
+    bits and the intermission. The frame retries once the bus is free,
+    unless the bus parks it: a jam at its start, or an attack that kills
+    every attempt, moves it to the window end, and a device that changes
+    connectivity before then wakes it. Error frames and retransmission
+    timing are computed here and nowhere else.
+
+    The trace keeps each event as a plain row `(t, kind, ecu, line,
+    value, detail)`, appended unranked and ordered when a reader first
+    asks (`Trace.event_rows`): by time, and at equal stamps by kind:
+    every other event, AttackStart, the tick, AttackEnd, then FrameSent
+    and Retransmission. The summary reads no row: where the scheduler
+    adds a FrameReceived row at the receiver (the first logger) or a
+    Retransmission row, it also keeps that row's time, and the summary
+    counts, flags its slots and decides the attack's success from those
+    times alone. So a run nobody reads the rows of, such as a sweep
+    point, never sorts them.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, plan: _Plan | None = None):
+        """A run of cfg over its `_Bus`, on `plan` as the bus takes it."""
+        self.bus = bus = _Bus(cfg, plan)
+        self.cfg = cfg
+        self.trace = bus.trace
+        self.bit_time = bus.bit_time
+        self.sends = bus.plan.sends
+        self.encoded = bus.plan.encoded
+        self.receiver = bus.plan.receiver
+        self.queues: dict = {name: [] for name in self.encoded}
+        # what the summary reads, kept as the rows are added: each
+        # FrameReceived time at the receiver and each Retransmission time
+        self.received, self.retransmitted, self.first_failure = [], [], ""
 
     def run(self) -> tuple:
-        duration = self.cfg.duration
+        bus, duration = self.bus, self.cfg.duration
+        advance_idle, jammed = bus.advance_idle, bus.jammed
         queues, sends = self.queues, self.sends
-        send_idx, n_sends = 0, len(sends)
-        bus_free = 0.0
+        send_idx, n_sends, bus_free = 0, len(sends), 0.0
         while True:
             # one pass over the queue heads: the earliest time one is
             # ready, and the heads ready then, each as its (sender, entry)
@@ -928,7 +898,7 @@ class _Sim:
             if send_idx < n_sends and sends[send_idx][0] < t_next:
                 t_next, contenders, frames = sends[send_idx][0], [], []
 
-            reached = self.advance_idle(t_next)
+            reached = advance_idle(t_next)
             if reached < t_next:
                 # a device changed state: a frame parked on the attack
                 # retries now; any other head is due no later than before
@@ -958,11 +928,9 @@ class _Sim:
             # senders' ids are distinct, so the winner equals its own frame only
             name, tx = contenders[frames.index(arbitrate(frames))]
 
-            # an idle bus that engages the comparator (a jam) lets no frame
-            # start; only an attack raises it, so park until the window ends
-            in_window = self.t_start <= t_next < self.t_end
-            if in_window and self.pin_facts(True).engaged[self.clock.phase(t_next)]:
-                tx.retry_at = self.t_end
+            # a jammed bus lets no frame start: park until the jam ends
+            if (jam_end := jammed(t_next)) is not None:
+                tx.retry_at = jam_end
                 continue
 
             delivered, bus_free = self.simulate_attempt(name, tx, t_next)
@@ -970,10 +938,42 @@ class _Sim:
                 queues[name].pop(0)
             else:
                 tx.attempts += 1
-                tx.retry_at = self.t_end if self.attack_blocking(bus_free) else bus_free
+                tx.retry_at = bus.retry_at(bus_free)
 
-        self.record_ticks()
+        bus.record_ticks()
         return self.trace, self.summarize()
+
+    def simulate_attempt(self, ecu: str, tx: _QueuedTx, t0: float) -> tuple:
+        """Run one transmission attempt; returns (delivered, t_bus_free).
+        The bus gives its error bit and reason (`sample_bits`); its rows
+        take their value and detail from `encoded`."""
+        bits, ack_delim, value, data = self.encoded[ecu]
+        bt = self.bit_time
+        first_attempt = tx.attempts == 0
+
+        if first_attempt:
+            self.trace.add(t0, "FrameSent", ecu, "", value, data)
+        else:
+            self.retransmitted.append(t0)
+            self.trace.add(t0, "Retransmission", ecu, "", value, str(tx.attempts))
+
+        error_bit, error_reason = self.bus.sample_bits(bits, ack_delim, first_attempt, t0)
+
+        if error_bit is None:
+            frame_end = t0 + len(bits) * bt
+            if self.receiver is not None:
+                self.trace.add(frame_end, "FrameReceived", self.receiver, "", value, data)
+                self.received.append(frame_end)
+            return True, frame_end + INTERMISSION_BITS * bt
+
+        # error frame: 6 dominant flag bits drive the bus, then 8
+        # recessive delimiter bits and the intermission
+        self.first_failure = self.first_failure or error_reason
+        err_start = t0 + (error_bit + 1) * bt
+        self.trace.add(err_start, "ErrorFrame", ecu, "", None, error_reason)
+        flag_end = err_start + ERROR_FLAG_BITS * bt
+        self.bus.error_flag(err_start, flag_end)
+        return False, flag_end + (ERROR_DELIMITER_BITS + INTERMISSION_BITS) * bt
 
     def summarize(self) -> Summary:
         """The run's summary, from what it kept as it added its rows: the
@@ -983,37 +983,33 @@ class _Sim:
         return Summary(
             messages_sent=len(self.sends),
             messages_received=len(self.received),
-            indicator=tuple(_slot_flags(self.received, self._indicator_period(), self.cfg.duration)),
+            indicator=tuple(_slot_flags(self.received, self.bus.plan.period, self.cfg.duration)),
             retransmissions=len(self.retransmitted),
             attack_success=self.attack_succeeded(),
-            device_trips=dict(self.bank.trip_times),
-            damaged=self.bank.damaged,
-            damage_time=self.bank.damaged_at,
+            device_trips=dict(self.bus.bank.trip_times),
+            damaged=self.bus.bank.damaged,
+            damage_time=self.bus.bank.damaged_at,
             first_failure_reason=self.first_failure,
         )
-
-    def _indicator_period(self) -> float:
-        senders = [e for e in self.cfg.ecus if e.role == "sender"]
-        return senders[0].period if senders else 1.0
 
     def attack_succeeded(self) -> bool:
         """A DoS or pulse lets no frame sent in its window through, though
         one was sent; a forced retransmission forces one in its window; an
         overcurrent damages a pin. No attack never succeeds."""
-        a = self.attack
+        a = self.cfg.attack
         if isinstance(a, _BLOCKING):
             expected = any(a.active(t) for t, _, _ in self.sends)
             return expected and not any(map(a.active, self.received))
         if isinstance(a, atk.ForcedRetransmission):
             return any(map(a.active, self.retransmitted))
-        return isinstance(a, (atk.PassiveOvercurrent, atk.ActiveOvercurrent)) and self.bank.damaged
+        return isinstance(a, (atk.PassiveOvercurrent, atk.ActiveOvercurrent)) and self.bus.bank.damaged
 
 
 def run_scenario(cfg: ScenarioConfig, *, _plan: _Plan | None = None) -> tuple:
     """Simulate one scenario; returns (Trace, Summary). Without `_plan`
     the config is validated and planned here; `run_sweep` passes the plan
     of the sweep it validated, which holds for each of its points."""
-    return _Sim(cfg, _plan).run()
+    return _Scheduler(cfg, _plan).run()
 
 
 def message_indicator(trace: Trace, period: float, duration: float, receiver: str | None = None) -> list:

@@ -8,7 +8,8 @@ attacks they draw, the references and a call counter. It is a plain
 module, with no fixtures and no pytest hooks; each suite keeps its own
 constants, strategy parameters and examples.
 
-The references are context managers. Each wraps its `_Sim` seam as it
+The references are context managers. Each wraps its seam, a method of
+the physical-layer `_Bus` or of the link-layer `_Scheduler`, as it
 stands when the reference is called, so they compose:
 
     with per_bit(), sliced_idle():
@@ -135,27 +136,27 @@ def counting(owner, name):
 def per_bit():
     """Reference: every frame runs bit by bit, from its SOF and from any
     later bit."""
-    return _patched(engine._Sim, "quiescent", lambda self, *frame: None)
+    return _patched(engine._Bus, "quiescent", lambda self, *frame: None)
 
 
 def no_remainders():
     """Reference: a frame is crossed from its SOF only, never from a later bit."""
-    quiescent = engine._Sim.quiescent
+    quiescent = engine._Bus.quiescent
 
     def from_sof(self, bits, ack_delim, first_attempt, t0, k=0):
         return quiescent(self, bits, ack_delim, first_attempt, t0) if k == 0 else None
 
-    return _patched(engine._Sim, "quiescent", from_sof)
+    return _patched(engine._Bus, "quiescent", from_sof)
 
 
 def sliced_idle():
     """Reference: every idle stretch is sliced at whole seconds."""
-    side = engine._Sim.side
+    side = engine._Bus.side
 
     def restless(self, in_window):
         return side(self, in_window)._replace(idle_rests=False)
 
-    return _patched(engine._Sim, "side", restless)
+    return _patched(engine._Bus, "side", restless)
 
 
 @contextmanager
@@ -163,7 +164,7 @@ def every_step():
     """Reference: every error flag is driven, and every piece of a driven
     bit or flag steps the accumulators, whatever the kept verdicts say.
 
-    It replaces `_Sim.error_flag` and `_Sim.drive` with the plain walk
+    It replaces `_Bus.error_flag` and `_Bus.drive` with the plain walk
     over `cuts` rather than forcing a verdict False, so it also sees a
     crossing that ignores the verdict."""
 
@@ -183,20 +184,20 @@ def every_step():
     def flag(self, a, b):
         return drive(self, True, a, b)
 
-    with _patched(engine._Sim, "error_flag", flag), _patched(engine._Sim, "drive", drive):
+    with _patched(engine._Bus, "error_flag", flag), _patched(engine._Bus, "drive", drive):
         yield
 
 
 def unparked():
     """Reference: a failed attempt is never parked; it retries after its error frame."""
-    return _patched(engine._Sim, "attack_blocking", lambda self, t: False)
+    return _patched(engine._Bus, "attack_blocking", lambda self, t: False)
 
 
 @contextmanager
 def forgetful():
     """Reference: no pin fact and no window side's verdict is kept; each
     ask derives it afresh, and a verdict from pin facts derived afresh."""
-    side, pin_facts = engine._Sim.side, engine._Sim.pin_facts
+    side, pin_facts = engine._Bus.side, engine._Bus.pin_facts
 
     def side_afresh(self, in_window):
         self.resting.clear()
@@ -207,17 +208,17 @@ def forgetful():
         self.facts.clear()
         return pin_facts(self, in_window)
 
-    with _patched(engine._Sim, "side", side_afresh), _patched(engine._Sim, "pin_facts", facts_afresh):
+    with _patched(engine._Bus, "side", side_afresh), _patched(engine._Bus, "pin_facts", facts_afresh):
         yield
 
 
 def row_summaries():
     """Reference: each run's summary is read from its trace's rows, as
-    `_Sim.summarize` read them before it kept what it needs during the
+    `_Scheduler.summarize` read them before it kept what it needs during the
     run. Its indicator has its own copy of the slot rule."""
 
     def summarize(self):
-        cfg, rows, bank = self.cfg, self.trace.event_rows, self.bank
+        cfg, rows, bank = self.cfg, self.trace.event_rows, self.bus.bank
         senders = [e for e in cfg.ecus if e.role == "sender"]
         period = senders[0].period if senders else 1.0
         loggers = sorted(e.name for e in cfg.ecus if e.role == "logger")
@@ -251,4 +252,4 @@ def row_summaries():
             first_failure_reason=self.first_failure,
         )
 
-    return _patched(engine._Sim, "summarize", summarize)
+    return _patched(engine._Scheduler, "summarize", summarize)

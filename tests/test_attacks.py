@@ -26,7 +26,7 @@ from canvolt.attacks import (
 )
 from canvolt.cli import parse_config
 from canvolt.config import set_sweep_value
-from canvolt.engine import _Sim
+from canvolt.engine import _Bus
 from canvolt.electrical import INPUT, Input, OutputHigh, OutputLow, Pulse
 from canvolt.irs import FuseState
 from canvolt.link import BitTiming
@@ -175,10 +175,10 @@ def test_tau_bit_table_matches_reference_within_tolerance():
 
 
 def sweep_sims(name):
-    """A `_Sim` per grid point of a shipped sweep config."""
+    """A `_Bus` per grid point of a shipped sweep config."""
     cfg = parse_config((CONFIGS / f"{name}.ini").read_text())
     for value in cfg.sweep.values():
-        yield value, _Sim(set_sweep_value(cfg, cfg.sweep.path, value))
+        yield value, _Bus(set_sweep_value(cfg, cfg.sweep.path, value))
 
 
 def blocking_outside_the_window_or_cut_off(sim, pin):
@@ -239,6 +239,6 @@ def test_forced_retransmission_and_overcurrent_never_park():
     attacks = [ForcedRetransmission(v_attack_h=v, **window) for v in (2.0, 2.5, 3.5, 4.5, 5.0)]
     attacks += [ActiveOvercurrent(**window), PassiveOvercurrent(**window)]
     for attack in attacks:
-        sim = _Sim(replace(cfg, attack=attack, sweep=None))
+        sim = _Bus(replace(cfg, attack=attack, sweep=None))
         for t in (attack.t_start, 0.5 * (attack.t_start + attack.t_end), attack.t_end - 1e-6):
             assert not sim.attack_blocking(t), (attack, t)

@@ -28,7 +28,8 @@ from canvolt.config import (
     validate_config,
 )
 from canvolt.engine import (
-    _Sim,
+    _Bus,
+    _Scheduler,
     message_indicator,
     run_scenario,
     run_sweep,
@@ -269,7 +270,7 @@ def test_thermostat_coil_drive_isolates_and_recovers():
 def test_a_coil_stops_at_the_other_coils_earlier_flip():
     """One step, both pins coiled: the P_L coil at 1 A opens 1 s in, and
     the P_H coil at 0.5 A is heated up to that flip, not over the span."""
-    sim = _Sim(scenario(irs=IrsConfig(device="thermostat"), damage=DamageParams(i_max=2.0)))
+    sim = _Bus(scenario(irs=IrsConfig(device="thermostat"), damage=DamageParams(i_max=2.0)))
     a = 1.0
     reached = sim.advance_constant(a, 3.0, {"ph": 0.5, "pl": 1.0})
     assert reached == a + ThermostatCoil().step(1.0, 2.0)[1] < 3.0
@@ -494,7 +495,7 @@ def test_cursor_cuts_and_phase_pins_match_the_reference(
         t_start=t_start, t_end=t_start + width, line=line, period=period, duty=duty,
         phase=phase, v_low=v_low,
     ) if attacked else None
-    sim = _Sim(ScenarioConfig(duration=1.0, ecus=(EcuSpec("A", "vids-host"),), attack=attack))
+    sim = _Bus(ScenarioConfig(duration=1.0, ecus=(EcuSpec("A", "vids-host"),), attack=attack))
     for pin in open_pins:
         sim.bank.devices[pin] = FuseState(tripped=True)
 
@@ -538,14 +539,15 @@ def test_cursor_cuts_and_phase_pins_match_the_reference(
 def test_a_run_keeps_fewer_than_30_attributes(attack, device):
     """CPython 3.11 keeps an instance's attributes in its class's shared
     layout only while there are fewer than 30; past that every `self.x`
-    load in the engine is slower (see `_Sim`). Counted before and after
-    a run, so no attribute is added on the way."""
+    load in the engine is slower (see `_Bus`). Each layer is counted
+    before and after a run, so no attribute is added on the way."""
     drive = 1.0 if device == "thermostat" else None
     irs = None if device is None else IrsConfig(device=device, coil_drive=drive)
-    sim = _Sim(scenario(attack, irs, duration=30.0))
-    assert len(vars(sim)) < 30
-    sim.run()
-    assert len(vars(sim)) < 30
+    scheduler = _Scheduler(scenario(attack, irs, duration=30.0))
+    bus = scheduler.bus
+    assert len(vars(scheduler)) < 30 and len(vars(bus)) < 30
+    scheduler.run()
+    assert len(vars(scheduler)) < 30 and len(vars(bus)) < 30
 
 
 @pytest.mark.parametrize(

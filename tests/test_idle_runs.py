@@ -234,7 +234,7 @@ def test_a_tick_shows_the_devices_at_its_stamp():
 def test_jumping_while_a_coil_is_not_idle_is_caught():
     """An idle jump that ignores the thermostat skips its heating in the
     window and its cooling after it."""
-    original = engine._Sim.side
+    original = engine._Bus.side
 
     def ignoring_coils(self, in_window):
         devices = self.bank.devices
@@ -247,7 +247,7 @@ def test_jumping_while_a_coil_is_not_idle_is_caught():
             self.bank.devices = devices
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine._Sim, "side", ignoring_coils)
+        mp.setattr(engine._Bus, "side", ignoring_coils)
         trace, summary = run_scenario(COOLING_CASE)
     ref_records, ref_summary, _ = run_reference(COOLING_CASE)
     assert any(r.kind == "ThermostatOpen" for r in ref_records)
@@ -275,7 +275,7 @@ def late_window_bus():
 
 
 def test_idle_cost_follows_events_not_simulated_seconds():
-    with counting(engine._Sim, "advance_constant") as steps, counting(engine._Sim, "solved") as solves:
+    with counting(engine._Bus, "advance_constant") as steps, counting(engine._Bus, "solved") as solves:
         trace, summary = run_scenario(late_window_bus())
 
     assert summary.device_trips, "the fuse did not trip in the window"

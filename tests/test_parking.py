@@ -2,8 +2,10 @@
 
 A frame that fails inside a DoS or pulse window whose gated window
 pairs do not read a dominant bit as driven (the steady rule,
-`_Sim.phases_read_driven`) is parked until the window ends or a device
-changes connectivity, instead of retrying every error frame. These
+`_Bus.phases_read_driven`) is parked until the window ends or a device
+changes connectivity, instead of retrying every error frame: the bus
+(`_Bus.retry_at`, through `attack_blocking`) gives `_Scheduler` the
+window end as the frame's retry time. These
 tests run generated buses with parking and with it patched off, and
 require the same outcome: success flag, first failure reason, indicator
 and delivered frames. Retransmission counts differ on purpose: that is
@@ -20,7 +22,7 @@ slot, and each sender sends at most once per window: the frames held by
 the window are delivered in the slot where it ends, in both runs.
 
 Thermostats are left out because of a known defect, the end-of-step
-wake: `_Sim.advance_constant` returns the step's end both when nothing
+wake: `_Bus.advance_constant` returns the step's end both when nothing
 changed and when a device changed exactly there, so a thermostat that
 opens at an idle slice end does not wake a parked frame. The parked
 frame sleeps through an open coil that an unparked retry would see.
@@ -47,7 +49,7 @@ def parking_bus(senders, attack, device, pins):
 def check_parks_keep_the_outcome(cfg):
     """The outcome with and without parking agree; returns how many failed
     attempts were parked."""
-    with counting(engine._Sim, "attack_blocking") as parks:
+    with counting(engine._Bus, "attack_blocking") as parks:
         trace, summary = run_scenario(cfg)
     with unparked():
         assert outcome(trace, summary) == outcome(*run_scenario(cfg))

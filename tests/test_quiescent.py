@@ -43,7 +43,7 @@ def run_counting_quiescent(cfg):
     """run_scenario, plus how many attempts took the shortcut from their
     SOF outside any attack window and how many inside a steady one; a
     crossing of a frame's remaining bits is not counted."""
-    with counting(engine._Sim, "quiescent") as calls:
+    with counting(engine._Bus, "quiescent") as calls:
         trace, summary = run_scenario(cfg)
     taken = []
     for c in calls:

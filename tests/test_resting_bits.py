@@ -41,7 +41,7 @@ def check_remainders(cfg):
     """The outputs with and without remainder crossings, and without kept
     window verdicts, agree; returns (frame start, bit) of each remainder
     crossed."""
-    with counting(engine._Sim, "quiescent") as calls:
+    with counting(engine._Bus, "quiescent") as calls:
         texts = outputs(cfg)
     with no_remainders():
         assert texts == outputs(cfg)
@@ -197,7 +197,7 @@ def test_a_trip_clears_the_resting_verdict():
     dominant bit (281 and 58 mA), so the fuse moves at two currents and
     no frame is crossed until it blows."""
     attack = PulseAttack(t_start=0.0, t_end=1.0, line="canl", period=600e-9)
-    sim = engine._Sim(ScenarioConfig(
+    sim = engine._Bus(ScenarioConfig(
         duration=1.0,
         ecus=(EcuSpec("A", "vids-host"),),
         attack=attack,
