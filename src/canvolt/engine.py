@@ -480,8 +480,8 @@ class _Bus:
         self.bank.flips += 1
         if dev.conducting != was.conducting:
             self.changes.append((t, pin, dev.conducting))
-        if dev.open:
-            self.bank.trip_times.setdefault(pin, t)
+        if dev.open and pin not in self.bank.trip_times:
+            self.bank.trip_times[pin] = t
 
     def advance_constant(self, a: float, b: float, i_raw: dict) -> float:
         """Advance accumulators over [a, b) of constant raw pin currents.
