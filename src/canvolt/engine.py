@@ -20,10 +20,10 @@ to one `Trace`. The scheduler asks the bus five questions:
 - `retry_at(t)`: does the attack block every attempt at t, so that a
   failed frame parks until its window ends.
 
-After the run it asks the bus for the samples (`record_ticks`), and the
-summary reads the bank's trips and damage and the plan's indicator
-period. It reads nothing else of the bus: no window edge, clock, pin
-fact, solve or accumulator.
+After the run it asks the bus for the window markers and the samples
+(`record_ticks`), and the summary reads the bank's trips and damage and
+the plan's indicator period. It reads nothing else of the bus: no window
+edge, clock, pin fact, solve or accumulator.
 
 A run's *plan* (`_Plan`) holds what it takes from its config but for the
 attack. `run_scenario` validates its config and builds its plan.
@@ -353,9 +353,6 @@ class _Bus:
         # sample ticks at 0, 1, ..., last_tick s, recorded after the run
         self.last_tick = int(cfg.duration)
         self.samples: dict = {}  # pins -> a tick's sample records at those pins
-        for t, kind in ((self.t_start, "AttackStart"), (self.t_end, "AttackEnd")):
-            if t <= cfg.duration:
-                self.trace.add(t, kind, attack.node, "", None, type(attack).__name__)
 
     # -- attack pin state ---------------------------------------------------
 
@@ -425,11 +422,16 @@ class _Bus:
     # -- sample ticks -------------------------------------------------------------
 
     def record_ticks(self):
-        """Sample the idle bus at every tick, a run per stretch of equal pins.
+        """Mark the window's edges in the run, and sample the idle bus at
+        every tick, a run per stretch of equal pins.
 
         Tick k reads the attacker's pins at k, gated by the connectivity
-        after every trip or flip stamped at or before k.
+        after every trip or flip stamped at or before k. The markers are
+        the only rows the trace inserts among those added before them.
         """
+        for t, kind in ((self.t_start, "AttackStart"), (self.t_end, "AttackEnd")):
+            if t <= self.cfg.duration:
+                self.trace.add(t, kind, self.attack.node, "", None, type(self.attack).__name__)
         changes = sorted(self.changes, key=lambda c: c[0])
         on = {"ph": True, "pl": True}
         i, k = 0, 0
@@ -850,15 +852,13 @@ class _Scheduler:
     timing are computed here and nowhere else.
 
     The trace keeps each event as a plain row `(t, kind, ecu, line,
-    value, detail)`, appended unranked and ordered when a reader first
-    asks (`Trace.event_rows`): by time, and at equal stamps by kind:
-    every other event, AttackStart, the tick, AttackEnd, then FrameSent
-    and Retransmission. The summary reads no row: where the scheduler
-    adds a FrameReceived row at the receiver (the first logger) or a
-    Retransmission row, it also keeps that row's time, and the summary
-    counts, flags its slots and decides the attack's success from those
-    times alone. So a run nobody reads the rows of, such as a sweep
-    point, never sorts them.
+    value, detail)`. Both layers add their rows during the run in the
+    trace's order (`canvolt.trace`), so each is appended; only the window
+    markers, added after it (`_Bus.record_ticks`), are inserted. The
+    summary reads no row: where the scheduler adds a FrameReceived row at
+    the receiver (the first logger) or a Retransmission row, it also
+    keeps that row's time, and the summary counts, flags its slots and
+    decides the attack's success from those times alone.
     """
 
     def __init__(self, cfg: ScenarioConfig, plan: _Plan | None = None):
@@ -978,8 +978,7 @@ class _Scheduler:
     def summarize(self) -> Summary:
         """The run's summary, from what it kept as it added its rows: the
         FrameReceived times at the receiver (`received`) and the
-        Retransmission times (`retransmitted`). It reads no trace row, so
-        a run whose rows nobody reads never orders them."""
+        Retransmission times (`retransmitted`). It reads no trace row."""
         return Summary(
             messages_sent=len(self.sends),
             messages_received=len(self.received),

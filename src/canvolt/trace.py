@@ -17,7 +17,7 @@ Records of the same rank keep the order they were added in.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -52,36 +52,44 @@ class TraceRecord:
 # a record's rank among those at its stamp: 0 for a kind not listed, _TICK for samples
 _TICK = 2
 _RANKS = {"AttackStart": 1, "AttackEnd": 3, "FrameSent": 4, "Retransmission": 4}
-_STAMP = itemgetter(0, 1)  # an event's (t, rank)
+_TIME = itemgetter(0)  # a row's t
+
+
+def _stamp(row) -> tuple:
+    """A row's (t, rank), by which it is placed among the rows."""
+    return row[0], _RANKS.get(row[1], 0)
 
 
 class Trace:
     """A run's records in time order: events, plus sample ticks kept as runs.
 
     Events and window markers are kept as plain rows `(t, kind, ecu,
-    line, value, detail)`, the fields of a `TraceRecord`. Each run
-    `[first, last, samples]` stands for the ticks at first..last seconds,
-    each with one record per `(kind, ecu, line, value)` in `samples`.
-    `add` appends the plain row only; the rows added since the last read
-    are ranked and ordered when a reader first asks for them, so a run
-    whose rows nobody reads never orders them. `event_rows` and
+    line, value, detail)`, the fields of a `TraceRecord`, in one list
+    that is in order after every `add`. Each run `[first, last,
+    samples]` stands for the ticks at first..last seconds, each with one
+    record per `(kind, ecu, line, value)` in `samples`. `event_rows` and
     `segments` read the rows as they are and do not expand the ticks;
     `events`, `records` and `of_kind` build `TraceRecord`s when asked.
-    `event_rows` is kept until the next `add`, and `records`, which
-    expands and merges both, until the next `add` or `add_ticks`.
+    `records`, which expands and merges both, is kept until the next
+    `add` or `add_ticks`.
     """
 
     def __init__(self):
         self.runs: list = []
-        self._added: list = []  # rows added since the last ordering, unranked
-        self._side: list = []  # (t, rank, row) of the rows ordered so far, in order
-        self._rows: list = []  # the rows of `_side`
+        self._rows: list = []
         self._records = None
 
     def add(self, t, kind, ecu="", line="", value=None, detail=""):
-        """A record at t; ranked by its kind among the records at t when
-        the rows are next ordered."""
-        self._added.append((t, kind, ecu, line, value, detail))
+        """A record at t, after every record that sorts at or before it:
+        appended when it sorts at or after the last one, as the engine's
+        rows do, else inserted in its place."""
+        row = (t, kind, ecu, line, value, detail)
+        rows = self._rows
+        if rows and t <= rows[-1][0] and _stamp(row) < _stamp(rows[-1]):
+            insort(rows, row, key=_stamp)
+        else:
+            rows.append(row)
+        self._records = None
 
     def add_ticks(self, first: int, last: int, samples: tuple):
         """Ticks first..last with the records `samples`; extends the last
@@ -95,17 +103,8 @@ class Trace:
 
     @property
     def event_rows(self) -> list:
-        """Every record but the samples as a plain row, in order; built
-        on first access after an `add`, and shared until the next, so a
-        caller reads it and does not change it. Each row is ranked once,
-        when the first read after its `add` orders it."""
-        if self._added:
-            side = self._side
-            side += [(row[0], _RANKS.get(row[1], 0), row) for row in self._added]
-            side.sort(key=_STAMP)  # stable: insertion order on ties
-            self._added = []
-            self._rows = [row for _, _, row in side]
-            self._records = None
+        """Every record but the samples as a plain row, in order; shared,
+        so a caller reads it and does not change it."""
         return self._rows
 
     @property
@@ -119,22 +118,24 @@ class Trace:
         rows, and each stretch of ticks between events as `(None, (first,
         last, samples))`."""
         rows = self.event_rows
-        side = self._side
-        i, n = 0, len(side)
+        i, n = 0, len(rows)
         for first, last, samples in self.runs:
             k = first
             while k <= last:
-                # the events before tick k; none shares a rank with a tick
-                j = bisect_left(side, (k, _TICK), i)
+                # the events before tick k: those before k, then those at k
+                # that rank before a tick (none shares a tick's rank)
+                j = bisect_left(rows, k, i, key=_TIME)
+                while j < n and rows[j][0] == k and _RANKS.get(rows[j][1], 0) < _TICK:
+                    j += 1
                 if i < j:
                     yield rows[i:j], None
                     i = j
                 end = last
                 if i < n:
                     # the last tick that sorts before the next event
-                    t, rank = side[i][0], side[i][1]
+                    t = rows[i][0]
                     j = math.floor(t)
-                    end = min(last, j - 1 if j == t and rank < _TICK else j)
+                    end = min(last, j - 1 if j == t and _RANKS.get(rows[i][1], 0) < _TICK else j)
                 yield None, (k, end, samples)
                 k = end + 1
         if i < n:
@@ -143,7 +144,7 @@ class Trace:
     @property
     def records(self) -> list:
         """Every record in order, ticks expanded; built on first access."""
-        if self._records is None or self._added:
+        if self._records is None:
             out = []
             for rows, ticks in self.segments():
                 if rows is not None:

@@ -579,8 +579,7 @@ def test_a_run_builds_no_trace_record(attack, monkeypatch):
 )
 def test_a_run_orders_no_rows(attack):
     """Neither a run nor a sweep reads its trace's rows: each summary is
-    kept as the rows are added, and the rows are ranked and ordered only
-    when a reader first asks for them."""
+    kept as the rows are added."""
     cfg = scenario(attack, duration=30.0)
     sweep = SweepSpec("attack.t_end", 15.0, 25.0, 5.0)
     swept = replace(cfg, attack=attack or DoS(t_start=10.0, t_end=20.0), sweep=sweep)

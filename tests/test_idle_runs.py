@@ -194,8 +194,9 @@ def test_the_tie_case_ties():
 
 def test_ticks_after_events_on_ties_are_caught():
     """Ranking a frame start with the other events puts a frame sent
-    exactly on a tick ahead of that tick's samples. A row is ranked when
-    the rows are first ordered, so the records are read under the patch."""
+    exactly on a tick ahead of that tick's samples. A row is ranked as it
+    is added and again as the records merge it with the ticks, so the run
+    and the read both go under the patch."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(trace_module._RANKS, "FrameSent", 0)
         trace, _ = run_scenario(TIE_CASE)
