@@ -81,8 +81,8 @@ class Trace:
 
     def add(self, t, kind, ecu="", line="", value=None, detail=""):
         """A record at t, after every record that sorts at or before it:
-        appended when it sorts at or after the last one, as the engine's
-        rows do, else inserted in its place."""
+        appended when it sorts at or after the last one, as nearly all
+        of the engine's rows do, else inserted in its place."""
         row = (t, kind, ecu, line, value, detail)
         rows = self._rows
         if rows and t <= rows[-1][0] and _stamp(row) < _stamp(rows[-1]):

@@ -3,12 +3,12 @@
 `Trace.add` keeps its rows in order as they are added: a row that sorts
 at or after the last one is appended, and any other is inserted after
 the rows it ties with. The first test requires that, whatever order
-rows and ticks are added in, the rows and the merged records equal the
-stable sort by (t, rank) that the trace's readers once applied on their
-first read. The second requires that the engine adds every row of a run
-in that order but its two window markers, so the insertion path stays
-the exception: the outputs would not show a row added out of order,
-since the insertion puts it right.
+rows and ticks are added in, the rows and the merged records equal
+their stable sort by (t, rank), the order `canvolt.trace` states. The
+second requires that the engine adds the rows of a run in that order
+but for its two window markers and rows late by one ulp, so the
+insertion path stays the exception: the outputs would not show a row
+added out of order, since the insertion puts it right.
 """
 
 import math
@@ -52,7 +52,7 @@ OPS = st.lists(
 )
 
 
-def stamp(kind, t):
+def stamp(t, kind) -> tuple:
     return t, RANK.get(kind, 0)
 
 
@@ -64,11 +64,11 @@ def exact(rows) -> list:
 def check_order(trace, added, ticks):
     """The trace's rows are the stable sort of `added`, and its records
     that of the events and the ticks of `ticks` expanded."""
-    assert exact(trace.event_rows) == exact(sorted(added, key=lambda row: stamp(row[1], row[0])))
+    assert exact(trace.event_rows) == exact(sorted(added, key=lambda row: stamp(*row[:2])))
     records = [TraceRecord(*row) for row in added]
     for first, last, samples in ticks:
         records += [TraceRecord(float(k), *fields) for k in range(first, last + 1) for fields in samples]
-    assert exact(trace.records) == exact(sorted(records, key=lambda r: stamp(r.kind, r.t)))
+    assert exact(trace.records) == exact(sorted(records, key=lambda r: stamp(r.t, r.kind)))
 
 
 @settings(max_examples=300, deadline=None)
