@@ -25,6 +25,7 @@ from .electrical import (
     TransceiverParams,
     measure_tau_bit,
     pulse_levels,
+    recovery_waveform,
     solve_bus,
     STRETCH_LEVEL,
     TAU_RC_DEFAULT,
@@ -246,14 +247,15 @@ def fra_ack_delimiter_corrupted(
     tau_rc: float = TAU_RC_DEFAULT,
 ) -> bool:
     """True when the stretched CANL recovery still reads dominant at the
-    sample point of the recessive bit after a dominant bit."""
+    sample point of the recessive bit after a dominant bit: CANL climbs
+    from its nominal dominant rail toward the attacker's CANH, and the
+    v_diff left at the sample point is at least the release level."""
     timing = timing or BitTiming()
     if v_attack_h < STRETCH_LEVEL:
         # the transceiver's own recovery applies; transition is nominal
         return False
-    t_sample = timing.sample_point * timing.bit_time
-    residual = (v_attack_h - 1.5) * math.exp(-t_sample / tau_rc)
-    return residual >= timing.release
+    canl = recovery_waveform(TransceiverParams().v_dominant_canl, v_attack_h, tau_rc)
+    return v_attack_h - canl(timing.sample_point * timing.bit_time) >= timing.release
 
 
 def min_fra_voltage(

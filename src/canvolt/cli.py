@@ -22,8 +22,9 @@ from .config import (
     BOOL, CalibratedParams, Codec, ConfigError, ScenarioConfig, read_config, read_value, set_sweep_value,
     validate_config,
 )
-from .electrical import STRETCH_LEVEL, measure_tau_bit
+from .electrical import STRETCH_LEVEL, BusTopology, TransceiverParams, measure_tau_bit, time_to_reach
 from .engine import Summary, Trace, run_scenario, run_sweep
+from .link import DOMINANT_THRESHOLD
 
 PARAMS_ENV = "CANVOLT_PARAMS"
 
@@ -321,30 +322,33 @@ def calibrate(targets: dict, bus_speed: float = 500_000.0) -> CalibratedParams:
                 raise InfeasibleTarget(f"{key} {x!r} is off its predictor's {TARGET_GRIDS[key]:g} grid")
     p = CalibratedParams()
     bit_time = 1.0 / bus_speed
-    r_load = 60.0
+    r_load = BusTopology().r_load
+    nominal = TransceiverParams()
+    v_canh, v_canl, v_dd = nominal.v_dominant_canh, nominal.v_dominant_canl, nominal.v_dd
 
     if "dos_threshold" in targets:
         v = targets["dos_threshold"]
-        if not 0.0 < v < 2.6:
-            raise InfeasibleTarget(f"dos_threshold {v!r} outside (0, 2.6)")
-        # v_diff = r_load (3.5 - v) / (r_load + r) falls to 0.9 V at r_edge;
-        # the first 0.1 ohm step above it blocks at v but not 0.1 V below,
-        # and rounding the step count to 1e-6 absorbs float noise at an edge
-        # that lies on the grid
-        r_edge = r_load * ((3.5 - v) / 0.9 - 1.0)
+        if not 0.0 < v < v_canh - DOMINANT_THRESHOLD:
+            raise InfeasibleTarget(f"dos_threshold {v!r} outside (0, {v_canh - DOMINANT_THRESHOLD})")
+        # v_diff = r_load (v_canh - v) / (r_load + r) falls to the
+        # threshold at r_edge; the first 0.1 ohm step above it blocks at v
+        # but not 0.1 V below, and rounding the step count to 1e-6 absorbs
+        # float noise at an edge that lies on the grid
+        r_edge = r_load * ((v_canh - v) / DOMINANT_THRESHOLD - 1.0)
         p = replace(p, r_drive_high=(math.floor(round(10.0 * r_edge, 6)) + 1) / 10.0)
 
     if "tau_bit_5v" in targets:
         tb = targets["tau_bit_5v"]
         if tb <= bit_time:
             raise InfeasibleTarget(f"tau_bit_5v {tb!r} not above the bit time")
-        p = replace(p, tau_rc=(tb - bit_time) / math.log(7.0))
+        # past the dominant bit, the bit length at v_dd is linear in tau_rc
+        p = replace(p, tau_rc=(tb - bit_time) / measure_tau_bit(0.0, v_dd, 1.0))
 
     if "sink_current" in targets:
         i = targets["sink_current"]
         if i <= 0.0:
             raise InfeasibleTarget(f"sink_current {i!r} not positive")
-        p = replace(p, r_sink=round((5.0 - p.r_sink_offset) / i, 1))
+        p = replace(p, r_sink=round((v_dd - p.r_sink_offset) / i, 1))
 
     if "pulse_canl" in targets:
         period = targets["pulse_canl"]
@@ -363,17 +367,19 @@ def calibrate(targets: dict, bus_speed: float = 500_000.0) -> CalibratedParams:
 
     if "fra_threshold" in targets:
         v = targets["fra_threshold"]
-        # below it the transceiver's own recovery applies; no pin drives above 5 V
-        if not STRETCH_LEVEL <= v <= 5.0:
-            raise InfeasibleTarget(f"fra_threshold {v!r} outside [{STRETCH_LEVEL}, 5.0]")
-        # the recovery from 1.5 V toward v reads dominant at the sample
-        # point until it falls below the release level; take the first
-        # 0.001 step after the recovery toward the 0.5 V grid step below
-        # v releases, and check that the one toward v has not yet
+        # below it the transceiver's own recovery applies; no pin drives above v_dd
+        if not STRETCH_LEVEL <= v <= v_dd:
+            raise InfeasibleTarget(f"fra_threshold {v!r} outside [{STRETCH_LEVEL}, {v_dd}]")
+        # the recovery from the CANL rail toward a CANH level u reads
+        # dominant at the sample point until its v_diff falls below the
+        # release level, when CANL reaches u - release; take the first
+        # 0.001 step after the recovery toward the grid step below v
+        # releases, and check that the one toward v has not yet
         release = p.timing(bus_speed).release
-        t_s = p.tau_rc * math.log((v - 2.0) / release)
+        below = v - TARGET_GRIDS["fra_threshold"]
+        t_s = time_to_reach(v_canl, below, p.tau_rc, below - release)
         sp = (math.floor(1000.0 * t_s / bit_time) + 1) / 1000.0
-        if sp >= 1.0 or sp * bit_time > p.tau_rc * math.log((v - 1.5) / release):
+        if sp >= 1.0 or sp * bit_time > time_to_reach(v_canl, v, p.tau_rc, v - release):
             raise InfeasibleTarget(f"fra_threshold {v!r} puts the sample point at {sp!r}")
         p = replace(p, sample_point=sp)
 

@@ -11,16 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-# Time constant of the CANL recovery when an attacker holds CANH up,
-# fixed so the 1.5 V -> 90% of 5.0 V climb takes 1.16 us.
-TAU_RC_DEFAULT = 1.16e-6 / math.log(7.0)
-
 # Recessive recovery of an undisturbed transceiver (70-130 ns class).
 NOMINAL_TRANSITION = 100e-9
-
-# From this CANH level up, the attacker, not the transceiver, sets the
-# CANL recovery after a dominant bit: CANL climbs from 1.5 V toward it.
-STRETCH_LEVEL = 3.5
 
 # Residual saturation drop across the output stage beyond the two
 # 0.7 V junction drops; makes the dominant rails land on 3.5/1.5 V.
@@ -190,6 +182,15 @@ class TransceiverParams:
         return 2.0 * self.diode_drop + _SATURATION_RESIDUAL
 
 
+# The nominal transceiver: 5 V supply, dominant rails at 3.5/1.5 V.
+_NOMINAL = TransceiverParams()
+
+# From this CANH level, the nominal dominant CANH rail, up, the attacker,
+# not the transceiver, sets the CANL recovery after a dominant bit: CANL
+# climbs from its nominal dominant rail toward it (`recovery_waveform`).
+STRETCH_LEVEL = _NOMINAL.v_dominant_canh
+
+
 @dataclass(frozen=True)
 class BusTopology:
     """Two-terminator bus; nodes attach by name in each solve."""
@@ -351,7 +352,10 @@ def solve_bus_detailed(
 
 
 def recovery_waveform(v_start: float, v_target: float, tau_rc: float) -> Callable[[float], float]:
-    """Exponential line-voltage transition v(t) for t >= 0."""
+    """Exponential line-voltage transition v(t) for t >= 0, from v_start
+    toward v_target; `time_to_reach` is its inverse. It is the one CANL
+    recovery law: the FRA predictor, `measure_tau_bit` and `calibrate`
+    start it at the nominal dominant CANL rail."""
     if tau_rc <= 0.0:
         raise ValueError("tau_rc must be positive")
 
@@ -373,6 +377,12 @@ def time_to_reach(v_start: float, v_target: float, tau_rc: float, level: float) 
     return tau_rc * math.log(1.0 / ratio) if ratio < 1.0 else 0.0
 
 
+# Time constant of the CANL recovery when an attacker holds CANH up,
+# fixed so the climb from the CANL rail toward a CANH at the 5.0 V supply
+# reaches 90% of it in 1.16 us.
+TAU_RC_DEFAULT = 1.16e-6 / time_to_reach(_NOMINAL.v_dominant_canl, _NOMINAL.v_dd, 1.0, 0.9 * _NOMINAL.v_dd)
+
+
 def measure_tau_bit(
     dominant_duration: float,
     v_attack_h: float | None = None,
@@ -383,7 +393,8 @@ def measure_tau_bit(
 
     Below `STRETCH_LEVEL` the transceiver's own recessive recovery
     dominates and the nominal transition applies; from there up the
-    attacker holds CANH and CANL climbs exponentially from 1.5 V toward it.
+    attacker holds CANH and CANL climbs from its dominant rail toward it
+    (`recovery_waveform`).
     """
     if v_attack_h is None:
         return dominant_duration + nominal_transition
@@ -391,6 +402,5 @@ def measure_tau_bit(
         raise InvalidVoltage(f"v_attack_h must be positive, got {v_attack_h!r}")
     if v_attack_h < STRETCH_LEVEL:
         return dominant_duration + nominal_transition
-    target = 0.9 * max(v_attack_h, 2.5)
-    climb = time_to_reach(1.5, v_attack_h, tau_rc, target)
+    climb = time_to_reach(_NOMINAL.v_dominant_canl, v_attack_h, tau_rc, 0.9 * v_attack_h)
     return dominant_duration + climb

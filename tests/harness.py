@@ -115,7 +115,9 @@ class Call(NamedTuple):
 @contextmanager
 def counting(owner, name):
     """`owner.name` recording each call as a `Call`, in order; yields the
-    list. A property records each read as a call of its getter."""
+    list. A list argument is recorded as a copy taken at the call, since
+    the call or a later one may change it. A property records each read
+    as a call of its getter."""
     prop = inspect.getattr_static(owner, name)
     is_property = isinstance(prop, property)
     original = prop.fget if is_property else getattr(owner, name)
@@ -123,10 +125,11 @@ def counting(owner, name):
     calls = []
 
     def recording(*args, **kwargs):
-        result = original(*args, **kwargs)
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
-        calls.append(Call(bound.arguments, result))
+        arguments = {k: list(v) if isinstance(v, list) else v for k, v in bound.arguments.items()}
+        result = original(*args, **kwargs)
+        calls.append(Call(arguments, result))
         return result
 
     with _patched(owner, name, property(recording) if is_property else recording):

@@ -1,9 +1,12 @@
 """Attack classification, pin overrides, and threshold predictors."""
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from canvolt.attacks import (
     ActiveOvercurrent,
@@ -24,8 +27,8 @@ from canvolt.attacks import (
     pulse_blocks_bits,
     tau_bit_table,
 )
-from canvolt.cli import parse_config
-from canvolt.config import set_sweep_value
+from canvolt.cli import InfeasibleTarget, calibrate, parse_config
+from canvolt.config import CalibratedParams, set_sweep_value
 from canvolt.engine import _Bus
 from canvolt.electrical import INPUT, Input, OutputHigh, OutputLow, Pulse
 from canvolt.irs import FuseState
@@ -147,6 +150,87 @@ def test_fra_threshold_is_four_point_five():
     assert fra_ack_delimiter_corrupted(4.5)
     assert fra_ack_delimiter_corrupted(5.0)
     assert not fra_ack_delimiter_corrupted(2.5)
+
+
+# The closed forms that the CANL recovery law of `electrical` replaced,
+# kept as references: CANL climbs from 1.5 V toward the attacker's CANH
+# with tau_rc, from a CANH level of 3.5 V up, and tau_rc defaults to the
+# time constant of a 1.16 us climb to 90% of 5.0 V.
+CLOSED_FORM_TAU_RC_DEFAULT = 1.16e-6 / math.log(7.0)
+
+
+def closed_form_fra_corrupted(v, timing, tau_rc):
+    if v < 3.5:
+        return False
+    return (v - 1.5) * math.exp(-timing.sample_point * timing.bit_time / tau_rc) >= timing.release
+
+
+def closed_form_tau_rc(tau_bit_5v, bus_speed):
+    return (tau_bit_5v - 1.0 / bus_speed) / math.log(7.0)
+
+
+def closed_form_sample_point(v, tau_rc, bus_speed):
+    """The sample point `calibrate` writes for an FRA threshold v, or None
+    when v is infeasible."""
+    if not 3.5 <= v <= 5.0:
+        return None
+    bit_time, release = 1.0 / bus_speed, CalibratedParams().timing(bus_speed).release
+    t_s = tau_rc * math.log((v - 2.0) / release)
+    sp = (math.floor(1000.0 * t_s / bit_time) + 1) / 1000.0
+    if sp >= 1.0 or sp * bit_time > tau_rc * math.log((v - 1.5) / release):
+        return None
+    return sp
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # half the draws from 3.5 V up, where the recovery is read
+    v=st.one_of(st.floats(0.0, 5.0), st.floats(3.5, 5.0)),
+    sample_point=st.floats(0.001, 0.999),
+    # a release level from 0.1 V up: the recovery's v_diff is resolved to
+    # an ulp of v (about 1e-15 V), the closed form's residual more finely
+    hysteresis=st.floats(0.0, 0.8),
+    bus_speed=st.sampled_from([125_000.0, 250_000.0, 500_000.0, 1_000_000.0]),
+    # the sample time over the time the closed-form recovery takes to
+    # release, near 1, where a 0.1 V shift of the rail moves the verdict.
+    # Within rounding of the release level the two forms may part, so
+    # draws that close are left out
+    late=st.floats(0.9, 1.1).filter(lambda x: abs(x - 1.0) > 1e-9),
+    # an FRA target within the 1e-6 step tolerance of the 0.5 V grid
+    half_volts=st.integers(6, 11),
+    off_grid=st.floats(-4e-7, 4e-7),
+    climb=st.floats(0.05e-6, 5e-6),
+)
+# CANL climbs three quarters of the way, to exactly the 0.75 V release level
+@example(
+    v=4.5, sample_point=0.359, hysteresis=0.15, bus_speed=500_000.0, late=1.0,
+    half_volts=9, off_grid=0.0, climb=1.16e-6,
+)
+def test_the_recovery_law_keeps_the_closed_forms_it_replaced(
+    v, sample_point, hysteresis, bus_speed, late, half_volts, off_grid, climb
+):
+    """The FRA predictor, and the tau_rc and sample point `calibrate`
+    solves for, read as the closed forms they replaced."""
+    timing = BitTiming(bus_speed, sample_point, hysteresis=hysteresis)
+    # the closed form's release time in time constants; below 3.5 V no
+    # recovery is read, and any tau_rc will do
+    released_after = math.log(max(v - 1.5, 1.0) / timing.release)
+    tau_rc = sample_point * timing.bit_time / (late * released_after)
+    assert fra_ack_delimiter_corrupted(v, timing, tau_rc) == closed_form_fra_corrupted(v, timing, tau_rc)
+
+    tau_bit_5v, fra_threshold = 1.0 / bus_speed + climb, half_volts / 2 + off_grid
+    tau_rc = closed_form_tau_rc(tau_bit_5v, bus_speed)
+    assert calibrate({"tau_bit_5v": tau_bit_5v}, bus_speed).tau_rc == tau_rc
+    for targets, tau in (
+        ({"fra_threshold": fra_threshold}, CLOSED_FORM_TAU_RC_DEFAULT),
+        ({"tau_bit_5v": tau_bit_5v, "fra_threshold": fra_threshold}, tau_rc),
+    ):
+        sp = closed_form_sample_point(fra_threshold, tau, bus_speed)
+        if sp is None:
+            with pytest.raises(InfeasibleTarget):
+                calibrate(targets, bus_speed)
+        else:
+            assert calibrate(targets, bus_speed).sample_point == sp
 
 
 def test_pulse_minimum_periods():

@@ -54,9 +54,14 @@ def test_head_against_head_writes_both_sides_of_one_pair(tmp_path):
         assert m["pairs"] == 1 and m["ratio_median_by_order"]["head_first"] is None
         for side in ("parent", "head"):
             assert m[side]["q1"] == m[side]["median"] == m[side]["q3"]
-    # one traced run per side, whose counts agree
+    # one traced run per side, whose counts agree, and its per-layer seconds
     assert all(r["correct"] for r in entry["traced"].values())
     assert entry["counts_differ"] == {}
+    per_layer = json.loads((REPO / "BENCHMARK.json").read_text())["per_layer"]
+    seconds = {m["name"] for m in per_layer if m["unit"] == "s"}
+    assert {side: set(values) for side, values in entry["traced_seconds"].items()} == {
+        "parent": seconds, "head": seconds,
+    }
 
 
 WALL = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}

@@ -1025,7 +1025,12 @@ def test_event_rows_whose_values_compare_equal_keep_their_own_text(values):
     trace = Trace()
     for k, value in enumerate(values):
         trace.add(0.5 + k, "FrameSent", "S", "", value, "01")
-    assert _emitted(trace) == _row_by_row_csv(trace)
+    with counting(cli, "_write") as writes:
+        text = _emitted(trace)
+    assert text == _row_by_row_csv(trace)
+    # one write of the rows' texts, recorded as they stood at the call,
+    # which clears them
+    assert ["".join(w.args["texts"]).encode() for w in writes] == [text[text.index(b"\n") + 1:]]
 
 
 # --- outputs written over the files at their paths ----------------------------

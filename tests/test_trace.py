@@ -21,7 +21,7 @@ from canvolt import trace as trace_module
 from canvolt.config import IrsConfig
 from canvolt.engine import run_scenario
 from canvolt.trace import SAMPLE_KINDS, TRACE_KINDS, Trace, TraceRecord
-from harness import attack, bus, irs_config, plan, senders
+from harness import attack, bus, counting, irs_config, plan, senders
 
 # at equal stamps: every other event, AttackStart, the tick, AttackEnd, frame starts
 RANK = {
@@ -131,16 +131,9 @@ def inserted_rows(drawn, kind, window, period_us, loggers, device) -> tuple:
         plan(drawn), period_us * 1e-6, loggers=loggers, duration=3e-3,
         attack=attack(kind, start * BIT, (start + length) * BIT), irs_config=DEVICES[device],
     )
-    inserted, insort = [], trace_module.insort
-
-    def recording(rows, row, **kwargs):
-        inserted.append((row, rows[-1]))
-        insort(rows, row, **kwargs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trace_module, "insort", recording)
+    with counting(trace_module, "insort") as calls:
         trace, _ = run_scenario(cfg)
-    return trace.event_rows, inserted
+    return trace.event_rows, [(c.args["x"], c.args["a"][-1]) for c in calls]
 
 
 @settings(max_examples=150, deadline=None)

@@ -20,8 +20,12 @@ when that spread is wider than the bound and some head run does not read
 better than every parent run; else `within bound`. It also holds every
 run's `correct`, `failed` and `attempted`, the Python version, the CPU
 count and both revisions.
-`--trace` adds one traced run per side and lists the count metrics
-(calls, retransmissions, trips, trace records and bytes) that differ.
+`--trace` adds one traced run per side. It lists the count metrics
+(calls, retransmissions, trips, trace records and bytes) that differ, and
+keeps each side's traced per-layer seconds (`engine.self_s`,
+`cli.emit_s`, `electrical.solve_s`, ...), which show the layer a saving
+comes from. Traced runs are slower than untraced ones, so these compare
+the two sides with each other only.
 
 Stdlib only; nothing is imported from canvolt. Exits 1 when any run is
 not correct, after writing the file.
@@ -45,6 +49,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "head")
 COUNT_UNITS = ("count", "bytes")
+SECONDS_UNITS = ("s",)
 # a gain needs the head to win this share of the pairs
 GAIN_SHARE = 0.9
 
@@ -75,6 +80,11 @@ def run(tree: Path, command: list, workload: str, seed: int, seconds: float, tra
     result["exit"] = proc.returncode
     result["correct"] = result.get("correct") is True and proc.returncode == 0
     return result
+
+
+def of_units(result: dict, units: tuple) -> dict:
+    """The values of a run's metrics in these units, by name."""
+    return {n: m["value"] for n, m in result["metrics"].items() if m["unit"] in units}
 
 
 def quartiles(xs: list) -> tuple:
@@ -152,13 +162,13 @@ def measure(trees: dict, bench: dict, workload: str, seed: int, args) -> dict:
         entry["traced"] = {side: {k: r[k] for k in ("correct", "attempted", "failed", "exit", "error") if k in r}
                            for side, r in traced.items()}
         if all(r["correct"] for r in traced.values()):
-            counts = {side: {n: m["value"] for n, m in r["metrics"].items() if m["unit"] in COUNT_UNITS}
-                      for side, r in traced.items()}
+            counts = {side: of_units(r, COUNT_UNITS) for side, r in traced.items()}
             entry["counts_differ"] = {
                 n: {side: counts[side].get(n) for side in SIDES}
                 for n in sorted(counts["parent"].keys() | counts["head"].keys())
                 if counts["parent"].get(n) != counts["head"].get(n)
             }
+            entry["traced_seconds"] = {side: of_units(r, SECONDS_UNITS) for side, r in traced.items()}
     return entry
 
 
