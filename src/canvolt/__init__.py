@@ -33,7 +33,6 @@ from .electrical import (
     PulseClock,
     TransceiverParams,
     measure_tau_bit,
-    pulse,
     recovery_waveform,
     solve_bus,
 )
@@ -48,7 +47,6 @@ from .config import (
 )
 from .engine import (
     Summary,
-    message_indicator,
     run_scenario,
     run_sweep,
 )

@@ -24,7 +24,6 @@ from .electrical import (
     PulseClock,
     TransceiverParams,
     measure_tau_bit,
-    pulse_levels,
     recovery_waveform,
     solve_bus,
     STRETCH_LEVEL,
@@ -119,9 +118,6 @@ class PulseAttack(AttackSpec):
     def clock(self) -> PulseClock:
         return PulseClock(self.phase_origin, self.period, self.duty * self.period)
 
-    def pulse_mode(self) -> Pulse:
-        return Pulse(self.period, self.duty, self.v_high, self.v_low)
-
 
 def classify_pin_combo(p_h: PinMode, p_l: PinMode) -> AttackClass:
     """Attack class of a pin-mode pair; total over all mode shapes."""
@@ -180,7 +176,8 @@ def window_pins(spec: AttackSpec) -> tuple:
     if isinstance(spec, ForcedRetransmission):
         return ((OutputHigh(spec.v_attack_h), INPUT),)
     if isinstance(spec, PulseAttack):
-        levels = pulse_levels(spec.pulse_mode())
+        Pulse(spec.period, spec.duty, spec.v_high, spec.v_low)  # checks both levels
+        levels = OutputHigh(spec.v_high), OutputHigh(spec.v_low) if spec.v_low > 0.0 else OUTPUT_LOW
         return tuple((m, INPUT) if spec.line == "canh" else (INPUT, m) for m in levels)
     raise TypeError(f"unknown attack spec {spec!r}")
 
@@ -231,7 +228,6 @@ def dominant_blocked(
 def min_dos_voltage(
     params: TransceiverParams | None = None,
     topo: BusTopology | None = None,
-    timing: BitTiming | None = None,
 ) -> float:
     """Smallest CANL voltage that blocks every frame, on the 0.1 V grid."""
     for decivolts in range(1, 51):
@@ -259,12 +255,11 @@ def fra_ack_delimiter_corrupted(
 
 
 def min_fra_voltage(
-    params: TransceiverParams | None = None,
-    topo: BusTopology | None = None,
     timing: BitTiming | None = None,
     tau_rc: float = TAU_RC_DEFAULT,
 ) -> float:
-    """Smallest CANH voltage that forces a retransmission, 0.5 V grid."""
+    """Smallest CANH voltage that forces a retransmission, 0.5 V grid; the
+    recovery starts at the nominal rails (`fra_ack_delimiter_corrupted`)."""
     for halfvolts in range(5, 11):
         v = halfvolts / 2.0
         if fra_ack_delimiter_corrupted(v, timing, tau_rc):

@@ -24,7 +24,7 @@ from .config import (
 )
 from .electrical import STRETCH_LEVEL, BusTopology, TransceiverParams, measure_tau_bit, time_to_reach
 from .engine import Summary, Trace, run_scenario, run_sweep
-from .link import DOMINANT_THRESHOLD
+from .link import DOMINANT_THRESHOLD, BitTiming
 
 PARAMS_ENV = "CANVOLT_PARAMS"
 
@@ -306,7 +306,7 @@ def write_sweep_csv(points, path: str, cfg: ScenarioConfig) -> None:
 
 # --- calibration -----------------------------------------------------------------
 
-def calibrate(targets: dict, bus_speed: float = 500_000.0) -> CalibratedParams:
+def calibrate(targets: dict, bus_speed: float = BitTiming.bus_speed) -> CalibratedParams:
     """Solve the closed-form calibration equations for the given targets.
 
     A target with a grid in `TARGET_GRIDS` must lie on it, to within a
@@ -354,11 +354,12 @@ def calibrate(targets: dict, bus_speed: float = 500_000.0) -> CalibratedParams:
         period = targets["pulse_canl"]
         if period <= 0.0:
             raise InfeasibleTarget(f"pulse_canl {period!r} not positive")
-        p = replace(p, decode_hold=0.5 * period)
+        p = replace(p, decode_hold=atk.pulse_blocking_duration("canl", period))
 
     if "pulse_canh" in targets:
         period = targets["pulse_canh"]
-        ext = round(p.decode_hold - 0.5 * period, 9)  # nanosecond resolution
+        # the CANH pulse's low phase alone, to the nanosecond
+        ext = round(p.decode_hold - atk.pulse_blocking_duration("canh", period, transition_extension=0.0), 9)
         if not 0.0 < ext < p.decode_hold:
             raise InfeasibleTarget(
                 f"pulse_canh {period!r} incompatible with decode_hold {p.decode_hold!r}"

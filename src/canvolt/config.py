@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import attacks as atk
 from . import irs
-from .electrical import NOMINAL_TRANSITION, TAU_RC_DEFAULT, TransceiverParams
+from .electrical import NOMINAL_TRANSITION, TAU_RC_DEFAULT, BusTopology, TransceiverParams
 from .link import ERROR_FLAG_BITS, BitTiming, Frame, frame_bit_length
 
 # a sweep point is a full run; a grid finer than this is a typo, and
@@ -35,14 +35,14 @@ class ConfigError(ValueError):
 class CalibratedParams:
     """Calibrated electrical and timing constants in one place."""
 
-    r_drive_high: float = 26.7
-    r_sink_offset: float = 1.4
-    r_sink: float = 12.8
+    r_drive_high: float = TransceiverParams.r_drive_high
+    r_sink_offset: float = TransceiverParams.r_sink_offset
+    r_sink: float = TransceiverParams.r_sink
     tau_rc: float = TAU_RC_DEFAULT
     nominal_transition: float = NOMINAL_TRANSITION
-    sample_point: float = 0.359
-    decode_hold: float = 340e-9
-    hysteresis: float = 0.15
+    sample_point: float = BitTiming.sample_point
+    decode_hold: float = BitTiming.decode_hold
+    hysteresis: float = BitTiming.hysteresis
     transition_extension: float = atk.TRANSITION_EXTENSION_DEFAULT
 
     def transceiver(self) -> TransceiverParams:
@@ -50,7 +50,7 @@ class CalibratedParams:
             r_drive_high=self.r_drive_high, r_sink_offset=self.r_sink_offset, r_sink=self.r_sink
         )
 
-    def timing(self, bus_speed: float = 500_000.0) -> BitTiming:
+    def timing(self, bus_speed: float = BitTiming.bus_speed) -> BitTiming:
         return BitTiming(bus_speed, self.sample_point, self.decode_hold, self.hysteresis)
 
     def to_dict(self) -> dict:
@@ -86,15 +86,15 @@ class IrsConfig:
 
     device: str  # 'fuse' | 'breaker' | 'resettable_fuse' | 'thermostat'
     pins: str = "both"  # 'both' | 'ph' | 'pl'
-    rating: float = 0.010
-    opening_time: float = 1e-6
-    leakage_current: float = 0.100
-    r_coil: float = 1.0
-    t_limit: float = 40.0
-    t_ambient: float = 25.0
-    coil_hysteresis: float = 2.0
-    thermal_gain: float = 40.0
-    tau_thermal: float = 2.0
+    rating: float = irs.TripTimer.rating
+    opening_time: float = irs.TripTimer.opening_time
+    leakage_current: float = irs.ResettableFuseState.leakage_current
+    r_coil: float = irs.ThermostatCoil.r_coil
+    t_limit: float = irs.ThermostatCoil.t_limit
+    t_ambient: float = irs.ThermostatCoil.t_ambient
+    coil_hysteresis: float = irs.ThermostatCoil.hysteresis
+    thermal_gain: float = irs.ThermostatCoil.thermal_gain
+    tau_thermal: float = irs.ThermostatCoil.tau_thermal
     coil_drive: float | None = None  # bench-supply amps forced through the coil in-window
 
     def build(self):
@@ -136,14 +136,14 @@ class SweepSpec:
 @dataclass(frozen=True)
 class ScenarioConfig:
     duration: float = 60.0
-    bus_speed: float = 500_000.0
+    bus_speed: float = BitTiming.bus_speed
     ecus: tuple = ()
     attack: Optional[atk.AttackSpec] = None
     irs_config: Optional[IrsConfig] = None
     damage: DamageParams = field(default_factory=DamageParams)
     sweep: Optional[SweepSpec] = None
     params: CalibratedParams = field(default_factory=CalibratedParams)
-    termination: float = 120.0
+    termination: float = BusTopology.termination
 
 
 # --- the table ----------------------------------------------------------------------

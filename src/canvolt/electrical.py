@@ -79,7 +79,7 @@ class Pulse(PinMode):
         if self.period <= 0.0:
             raise ValueError(f"pulse period must be positive, got {self.period!r}")
         if not 0.0 < self.duty < 1.0:
-            raise ValueError(f"pulse duty {self.duty!r} outside (0, 1); use pulse()")
+            raise ValueError(f"pulse duty {self.duty!r} outside (0, 1)")
         if not 0.0 < self.v_high <= 5.0:
             raise InvalidVoltage(f"pulse v_high {self.v_high!r} outside (0, 5.0]")
         if not 0.0 <= self.v_low < self.v_high:
@@ -88,21 +88,6 @@ class Pulse(PinMode):
 
 INPUT = Input()
 OUTPUT_LOW = OutputLow()
-
-
-def pulse(period: float, duty: float, v_high: float, v_low: float = 0.0) -> PinMode:
-    """Build a pulse mode, degenerating duty 0/1 to the static modes."""
-    if duty == 1.0:
-        return OutputHigh(v_high)
-    if duty == 0.0:
-        return OutputHigh(v_low) if v_low > 0.0 else OUTPUT_LOW
-    return Pulse(period, duty, v_high, v_low)
-
-
-def pulse_levels(mode: Pulse) -> tuple:
-    """The static (high phase, low phase) levels a pulse alternates between."""
-    low = OutputHigh(mode.v_low) if mode.v_low > 0.0 else OUTPUT_LOW
-    return OutputHigh(mode.v_high), low
 
 
 @dataclass(frozen=True)

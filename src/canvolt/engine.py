@@ -103,8 +103,9 @@ class _Plan(NamedTuple):
     encoded: dict
     sends: list  # (t, sender, frame) of every send, by time and then sender
     period: float  # the summary's indicator slot: the first sender's period, 1.0 without one
-    # (dominant, gated pins) -> BusSolution; the gated pins carry the
-    # attacker's levels, so a solve holds for every attack that gates to them
+    # (dominant, gated pins) -> (BusSolution, VIDS raw pin currents); the
+    # gated pins carry the attacker's levels, so a solve holds for every
+    # attack that gates to them
     raw: dict
 
     @classmethod
@@ -328,7 +329,6 @@ class _Bus:
         self.bank = _PinBank(cfg)
         self.trace = Trace()
         self.integrated_to = 0.0
-        self.solutions: dict = {}  # (dominant, pins) -> (BusSolution, VIDS pin currents)
         # (in_window, P_H connected, P_L connected) -> that side's `_Pins`
         self.facts: dict = {}
         # in_window -> that side's `_Side`, until a step moves an accumulator
@@ -373,24 +373,19 @@ class _Bus:
 
     def solved(self, dominant: bool, pins: tuple) -> tuple:
         """(bus solution, VIDS raw pin currents) at the driven level and gated
-        pins, kept per run and solved once per plan. An active overcurrent's
-        `source_limit` caps each pin current either way; a sweep can move
-        it, so the cap is applied per run."""
-        hit = self.solutions.get((dominant, pins))
+        pins, solved once per plan. An active overcurrent's `source_limit`
+        caps each pin current at lookup; a sweep can move it, so the cap is
+        applied per run."""
+        plan = self.plan
+        hit = plan.raw.get((dominant, pins))
         if hit is None:
-            plan = self.plan
-            sol = plan.raw.get((dominant, pins))
-            if sol is None:
-                sol = plan.raw[(dominant, pins)] = solve_bus_detailed(
-                    {"bus": dominant}, {self.vids: pins}, plan.topo, plan.params
-                )
+            sol = solve_bus_detailed({"bus": dominant}, {self.vids: pins}, plan.topo, plan.params)
             pc = sol.pin_currents[self.vids]
-            i = {"ph": pc.i_ph, "pl": pc.i_pl}
-            attack = self.attack
-            if isinstance(attack, atk.ActiveOvercurrent) and attack.source_limit is not None:
-                limit = attack.source_limit
-                i = {pin: max(-limit, min(limit, v)) for pin, v in i.items()}
-            hit = self.solutions[(dominant, pins)] = (sol, i)
+            hit = plan.raw[(dominant, pins)] = (sol, {"ph": pc.i_ph, "pl": pc.i_pl})
+        attack = self.attack
+        if isinstance(attack, atk.ActiveOvercurrent) and attack.source_limit is not None:
+            limit = attack.source_limit
+            return hit[0], {pin: max(-limit, min(limit, v)) for pin, v in hit[1].items()}
         return hit
 
     # -- cuts -----------------------------------------------------------------
@@ -520,17 +515,17 @@ class _Bus:
             if dmg.at_rest(i):
                 continue
             moved = True
-            deadline = dmg.time_to_trip(i)
-            if switching and deadline == stop_off:
+            after, off = dmg.step(i, stop_off)
+            if after.tripped and switching and off == stop_off:
                 bank.damage[pin] = replace(dmg, over_timer=dmg.opening_time)
                 continue
-            bank.damage[pin] = after = dmg.advance(i, stop_off)
+            bank.damage[pin] = after
             if after.at_rest(i):
                 # it tripped or its over-timer cleared: `quiescent` may pass now
                 bank.flips += 1
-            if deadline <= stop_off and bank.damaged_at is None:
-                bank.damaged_at = a + deadline
-                self.trace.add(a + deadline, "Damage", self.vids, pin)
+            if after.tripped and bank.damaged_at is None:
+                bank.damaged_at = a + off
+                self.trace.add(a + off, "Damage", self.vids, pin)
         # a step that moves an accumulator ends every kept rest verdict
         if moved:
             self.resting.clear()
@@ -1011,20 +1006,10 @@ def run_scenario(cfg: ScenarioConfig, *, _plan: _Plan | None = None) -> tuple:
     return _Scheduler(cfg, _plan).run()
 
 
-def message_indicator(trace: Trace, period: float, duration: float, receiver: str | None = None) -> list:
-    """Per-slot delivery flags: 1 when a frame arrived inside the slot,
-    at `receiver` when given; the slots of `_slot_flags`."""
-    times = [
-        t for t, kind, ecu, _, _, _ in trace.event_rows
-        if kind == "FrameReceived" and (receiver is None or ecu == receiver)
-    ]
-    return _slot_flags(times, period, duration)
-
-
 def _slot_flags(times, period: float, duration: float) -> list:
     """Flags over the slots of `period` that tile `duration`: 1 for each
-    slot that holds one of `times`. A run's summary flags its delivery
-    times by this rule, and `message_indicator` a trace's."""
+    slot that holds one of `times`; `summarize` flags a run's delivery
+    times by this rule."""
     slots = int(round(duration / period))
     flags = [0] * slots
     for t in times:

@@ -218,8 +218,7 @@ def thermostat_step(state: ThermostatCoil, i: float, dt: float) -> ThermostatCoi
         raise ValueError("dt must be positive")
     if dt > state.tau_thermal / 10.0:
         raise ValueError(f"dt {dt!r} exceeds tau_thermal/10 stability bound")
-    temp, is_open, _ = state._heat(i, state.temp, state.open, (dt,))
-    return state._at(temp, is_open)
+    return state.step(i, dt)[0]
 
 
 def device_step(device, i: float, dt: float):

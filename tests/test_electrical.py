@@ -15,13 +15,11 @@ from canvolt.electrical import (
     InvalidVoltage,
     LineVoltages,
     OutputHigh,
-    OutputLow,
     Pulse,
     PulseClock,
     TransceiverParams,
     TAU_RC_DEFAULT,
     measure_tau_bit,
-    pulse,
     recovery_waveform,
     solve_bus,
     solve_bus_detailed,
@@ -184,10 +182,6 @@ def test_tau_bit_monotone_above_three_and_a_half():
 
 
 def test_pulse_normalization():
-    assert pulse(1e-6, 1.0, 5.0) == OutputHigh(5.0)
-    assert pulse(1e-6, 0.0, 5.0) == OutputLow()
-    assert pulse(1e-6, 0.0, 5.0, v_low=1.0) == OutputHigh(1.0)
-    assert isinstance(pulse(1e-6, 0.5, 5.0), Pulse)
     with pytest.raises(ValueError):
         Pulse(1e-6, 1.5, 5.0)
 

@@ -30,7 +30,6 @@ from canvolt.config import (
 from canvolt.engine import (
     _Bus,
     _Scheduler,
-    message_indicator,
     run_scenario,
     run_sweep,
 )
@@ -243,13 +242,6 @@ def test_isolation_soundness_after_both_pins_open():
     a = [r for r in attacked.records if r.kind in keep and r.t > cut]
     b = [r for r in base.records if r.kind in keep and r.t > cut]
     assert a == b
-
-
-def test_indicator_helper_slices_by_time():
-    trace, _ = run_scenario(scenario(duration=5.0))
-    flags = message_indicator(trace, period=1.0, duration=5.0, receiver="B")
-    assert flags == [1, 1, 1, 1, 1]
-    assert message_indicator(trace, period=1.0, duration=5.0, receiver="nobody") == [0] * 5
 
 
 def test_thermostat_coil_drive_isolates_and_recovers():

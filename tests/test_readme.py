@@ -2,6 +2,7 @@
 agree with `config`'s rows, so a renamed or removed name or key cannot
 leave the README stale."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -60,3 +61,36 @@ def test_the_bounds_paragraph_names_each_keys_bound():
     }
     numbers = [row for row in config.KEYS if row.codec is config.FLOAT]
     assert bounds == {b: {row.key for row in numbers if row.bound == b} for b in bounds}
+
+
+def names_in(code: str) -> set:
+    """The names that python code imports, reads or reads an attribute by."""
+    names = set()
+    for n in ast.walk(ast.parse(code)):
+        if isinstance(n, ast.alias):
+            names.add(n.asname or n.name)
+        elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+    return names
+
+
+def test_every_export_has_a_caller_or_a_reason():
+    """Each name that `canvolt/__init__.py` imports from a module is read by
+    the code of another `src/canvolt` module, or named in code (a python
+    block or a backtick span) in README's library surface, which says why
+    it is public. Docstrings and comments are no callers."""
+    package = Path(config.__file__).parent
+    init = ast.parse((package / "__init__.py").read_text())
+    exports = {a.asname or a.name for n in init.body if isinstance(n, ast.ImportFrom) for a in n.names}
+    read = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            read |= names_in(path.read_text())
+    surface = README.read_text().split("## Library surface\n")[1].split("\n## ")[0]
+    pattern = r"^```python\n(.*?)^```"
+    named = set().union(*map(names_in, re.findall(pattern, surface, re.M | re.S)))
+    for span in re.findall(r"`([^`\n]+)`", re.sub(pattern, "", surface, flags=re.M | re.S)):
+        named.update(re.findall(r"\w+", span))
+    assert sorted(exports - read - named) == []
